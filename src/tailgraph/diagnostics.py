@@ -10,7 +10,12 @@ import numpy as np
 from scipy import stats
 
 from . import husler_reiss as hr
-from .errors import ConfigError, EmptySubset, QuantileOutOfRange
+from .errors import (
+    ConfigError,
+    EmptySubset,
+    NumericalBreakdown,
+    QuantileOutOfRange,
+)
 from .graphs import CliqueOrdering
 from .limits import (
     SampleMatrix,
@@ -204,16 +209,21 @@ def convergence_study(ordering: CliqueOrdering, models: dict, v: int,
 # regular-variation checks (HR cliques)
 
 
-def factorized_density(ordering: CliqueOrdering, models: dict, y) -> float:
+def factorized_density(ordering: CliqueOrdering, models: dict, y,
+                       log: bool = False) -> float:
     """Graph-wide exponent-measure density: clique densities divided by
-    separator-marginal densities along the ordering."""
+    separator-marginal densities along the ordering.
+
+    Accumulated in log space, because the product of many clique densities
+    underflows; ``log=True`` returns the log density.
+    """
     table = _models_table(ordering, models)
     y = np.asarray(y, dtype=float)
     cols = ordering.graph.vertices
     if y.shape != (len(cols),):
         raise ConfigError(f"state must have {len(cols)} entries, got {y.shape}")
     pos = {u: k for k, u in enumerate(cols)}
-    out = 1.0
+    out = 0.0
     for i, clique in enumerate(ordering.cliques):
         model = table[clique]
         if getattr(model, "family", None) != "husler_reiss":
@@ -222,17 +232,20 @@ def factorized_density(ordering: CliqueOrdering, models: dict, y) -> float:
                 "asymptotically dependent case has a nontrivial density)"
             )
         yc = y[[pos[u] for u in clique]]
-        out *= hr.exponent_measure_density(model, yc)
+        out += hr.exponent_measure_density(model, yc, log=True)
         sep = ordering.separators[i]
         if sep:
             ysep = y[[pos[u] for u in sep]]
             sep_model = model.restrict(sep)
-            out /= hr.exponent_measure_density(sep_model, ysep)
-    return float(out)
+            out -= hr.exponent_measure_density(sep_model, ysep, log=True)
+    return out if log else float(np.exp(out))
 
 
 @dataclass(frozen=True)
 class HomogeneityRow:
+    """One homogeneity point.  ``rel_err`` comes from the log densities;
+    the densities themselves may underflow to 0 on large graphs."""
+
     point: tuple
     density: float
     scaled_density: float
@@ -314,12 +327,18 @@ def mrv_checks(ordering: CliqueOrdering, models: dict, seed: int = 0,
     hom = []
     for _ in range(n_points):
         y = rng.uniform(0.5, 2.0, size=d)
-        lam = factorized_density(ordering, models, y)
-        lam_scaled = factorized_density(ordering, models, scale * y)
-        rel = abs(lam_scaled * scale ** (d + 1) - lam) / abs(lam)
+        log_lam = factorized_density(ordering, models, y, log=True)
+        log_scaled = factorized_density(ordering, models, scale * y, log=True)
+        if not (np.isfinite(log_lam) and np.isfinite(log_scaled)):
+            raise NumericalBreakdown(
+                f"factorized density at {y.tolist()} has log value "
+                f"{log_lam} (scaled: {log_scaled})"
+            )
+        gap = log_scaled + (d + 1) * np.log(scale) - log_lam
         hom.append(HomogeneityRow(
-            point=tuple(y), density=lam,
-            scaled_density=lam_scaled, rel_err=float(rel),
+            point=tuple(y), density=float(np.exp(log_lam)),
+            scaled_density=float(np.exp(log_scaled)),
+            rel_err=float(abs(np.expm1(gap))),
         ))
     comp = []
     grid = (0.5, 1.0, 2.0)

@@ -63,8 +63,8 @@ class DegenerateCorrelation(TailgraphError):
 
 
 class NumericalBreakdown(TailgraphError):
-    """A finite-difference or quadrature result is outside its feasible
-    range by more than the configured noise allowance."""
+    """A closed-form or quadrature result is non-finite or outside its
+    feasible range by more than the configured noise allowance."""
 
 
 class IncompatibleSeparators(TailgraphError):

@@ -9,16 +9,18 @@ with the anchored covariance 2Σ^{(c)}_{ij} = Γ_{ic} + Γ_{jc} - Γ_{ij}.
 Conditional transition kernels, their closed-form limits, and the mean /
 precision recursion of the graph-wide conditional limit all live here.
 
-Derivatives of Λ are taken by central differences in log-coordinates
-(steps are then scale-free, which keeps the stencil well conditioned at
-the huge Fréchet states that exponential levels t ~ 20 induce), with a
-two-level Richardson extrapolation on top.  Only mixed partials over
-distinct coordinates are ever required.
+Every derivative of Λ has a closed form (Engelke, Malinowski, Kabluchko
+& Schlather 2015): for a non-empty subset P of C, -∂_P Λ is the
+Hüsler-Reiss density of P times a Gaussian CDF of the conditional law of
+C \\ P (:func:`exponent_measure_derivative_many`).  The density (P = C),
+the transition kernels and their limits are all built from it.  Only
+mixed partials over distinct coordinates are ever required.  Terms are
+assembled in log space, which keeps them finite at the huge Fréchet
+states that exponential levels t ~ 20 induce.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +39,6 @@ from .graphs import CliqueOrdering
 from .linalg import GaussianLaw, IndexedMatrix, IndexedVector, spd_inverse
 from .mvn import CdfEstimate, bvn_cdf, mvn_cdf
 
-FD_STEP = 1e-3
 SEPARATOR_TOL = 1e-12
 
 
@@ -62,9 +63,8 @@ class VariogramMatrix:
         if len(self.index) >= 2:
             # strict conditional negative definiteness <=> any anchored
             # covariance is positive definite
-            sig = _anchored_covariance(self, self.index[0])
             try:
-                np.linalg.cholesky(sig.values)
+                np.linalg.cholesky(_anchored_values(self, 0))
             except np.linalg.LinAlgError as exc:
                 raise InvalidVariogram(
                     "variogram is not strictly conditionally negative definite"
@@ -112,24 +112,26 @@ class HuslerReissModel:
         return HuslerReissModel(labels, self.variogram.sub(labels))
 
 
-def _anchored_covariance(vario: VariogramMatrix, anchor: int) -> IndexedMatrix:
-    rest = tuple(v for v in vario.index if v != anchor)
-    if not rest:
-        raise EmptySubset(f"anchor {anchor} leaves no coordinates")
-    g = IndexedMatrix.square(vario.index, vario.values)
-    col = g.sub(rest, (anchor,)).values[:, 0]
-    block = g.sub(rest, rest).values
-    sig = 0.5 * (col[:, None] + col[None, :] - block)
-    return IndexedMatrix.square(rest, 0.5 * (sig + sig.T))
+def _anchored_values(vario: VariogramMatrix, k: int) -> np.ndarray:
+    """Σ^{(c)} for the anchor c at position ``k``, over the other positions
+    in order (plain array: this sits on the kernel's per-call path)."""
+    keep = [j for j in range(vario.dim) if j != k]
+    g = vario.values
+    col = g[keep, k]
+    sig = 0.5 * (col[:, None] + col[None, :] - g[keep][:, keep])
+    return 0.5 * (sig + sig.T)
 
 
 def sigma_anchor(vario: VariogramMatrix, anchor: int) -> IndexedMatrix:
     """Anchored covariance Σ^{(anchor)} on index \\ {anchor}; positive definite."""
     if anchor not in vario.index:
         raise ConfigError(f"anchor {anchor} not in variogram index {vario.index}")
-    sig = _anchored_covariance(vario, anchor)
-    np.linalg.cholesky(sig.values)  # VariogramMatrix validated, so this holds
-    return sig
+    rest = tuple(v for v in vario.index if v != anchor)
+    if not rest:
+        raise EmptySubset(f"anchor {anchor} leaves no coordinates")
+    sig = _anchored_values(vario, vario.index.index(anchor))
+    np.linalg.cholesky(sig)  # VariogramMatrix validated, so this holds
+    return IndexedMatrix.square(rest, sig)
 
 
 # ---------------------------------------------------------------------------
@@ -154,35 +156,15 @@ def exponent_measure_many(vario: VariogramMatrix, y: np.ndarray,
     if d == 1:
         return 1.0 / y[:, 0]
     out = np.zeros(y.shape[0])
-    g = vario.values
     for c in range(d):
-        rest = [j for j in range(d) if j != c]
         yc = y[:, c]
         finite = np.isfinite(yc)
         if not np.any(finite):
             continue
-        z = np.log(y[:, rest] / yc[:, None]) + 0.5 * g[rest, c][None, :]
-        sig = _anchored_covariance(vario, vario.index[c])
-        term = np.zeros(y.shape[0])
-        if d == 2:
-            sd = math.sqrt(sig.values[0, 0])
-            term[finite] = ndtr(z[finite, 0] / sd)
-        elif d == 3:
-            s0 = math.sqrt(sig.values[0, 0])
-            s1 = math.sqrt(sig.values[1, 1])
-            r = sig.values[0, 1] / (s0 * s1)
-            term[finite] = [
-                bvn_cdf(z0 / s0, z1 / s1, r) for z0, z1 in z[finite]
-            ]
-        else:
-            law = GaussianLaw.from_arrays(
-                sig.rows, np.zeros(d - 1), sig.values
-            )
-            term[finite] = [
-                mvn_cdf(zrow, law, accuracy=accuracy, seed=seed).value
-                for zrow in z[finite]
-            ]
-        out[finite] += term[finite] / yc[finite]
+        rows = slice(None) if finite.all() else finite  # a view when all finite
+        rest = [j for j in range(d) if j != c]
+        z = np.log(y[rows][:, rest] / yc[rows, None]) + 0.5 * vario.values[rest, c]
+        out[rows] += _orthant(z, _anchored_values(vario, c), accuracy, seed) / yc[rows]
     return out
 
 
@@ -218,52 +200,97 @@ def exponent_measure_estimate(model: HuslerReissModel, y,
     return CdfEstimate(value, error)
 
 
-def _log_partial_many(vario: VariogramMatrix, y: np.ndarray, wrt: list[int],
-                      step: float, accuracy: float, seed: int) -> np.ndarray:
-    """Mixed partial of Λ over distinct coordinate positions ``wrt``.
+def exponent_measure_derivative_many(vario: VariogramMatrix, y: np.ndarray,
+                                     wrt, log: bool = False,
+                                     accuracy: float = 1e-8,
+                                     seed: int = 0) -> np.ndarray:
+    """D_P(y) = -∂_P Λ(y) over the distinct coordinate positions ``wrt``.
 
-    Central differences in log-coordinates with Richardson extrapolation;
-    returns ∂^k Λ / ∂y_{wrt} (k = len(wrt)), shape (n,).
+    With the anchor k = wrt[0], P' = P \\ k, R = C \\ P, Σ = Σ^{(k)} and
+    z_i = log(y_i/y_k) + Γ_ik/2,
+
+        D_P = φ(z_{P'}; Σ_{P'P'}) / (y_k² ∏_{i∈P'} y_i) · Φ(z_R - μ_{R|P}; Σ_{R|P}),
+
+    where μ_{R|P} and Σ_{R|P} are the Gaussian conditional given z_{P'}.
+    The density factor is assembled in log space, so it neither overflows
+    nor underflows at extreme states; the CDF factor is evaluated directly
+    and gives log D_P = -inf only where it underflows.  ``log=True``
+    returns log D_P.  Shape (n, dim) -> (n,).
     """
-    y = np.asarray(y, dtype=float)
-    k = len(wrt)
-
-    def log_stencil(h: float) -> np.ndarray:
-        total = np.zeros(y.shape[0])
-        for signs in itertools.product((-1.0, 1.0), repeat=k):
-            yy = y.copy()
-            for s, pos in zip(signs, wrt):
-                yy[:, pos] = yy[:, pos] * math.exp(s * h)
-            total += math.prod(signs) * exponent_measure_many(
-                vario, yy, accuracy=accuracy, seed=seed
-            )
-        return total / (2.0 * h) ** k
-
-    coarse = log_stencil(step)
-    fine = log_stencil(step / 2.0)
-    d_log = (4.0 * fine - coarse) / 3.0
-    scale = np.prod(y[:, wrt], axis=1)
-    return d_log / scale
-
-
-def exponent_measure_density_many(vario: VariogramMatrix, y: np.ndarray,
-                                  step: float = FD_STEP,
-                                  accuracy: float = 1e-8,
-                                  seed: int = 0) -> np.ndarray:
-    """λ(y) = -∂^d Λ / ∂y_1..∂y_d by finite differences, shape (n,)."""
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
         y = y[None, :]
-    if vario.dim == 1:
-        return 1.0 / y[:, 0] ** 2
-    return -_log_partial_many(vario, y, list(range(vario.dim)), step, accuracy, seed)
+    d = vario.dim
+    if y.shape[1] != d:
+        raise ConfigError(f"state width {y.shape[1]} != clique size {d}")
+    if np.any(~(y > 0.0)):
+        raise NumericalBreakdown("exponent measure needs strictly positive states")
+    wrt = [int(p) for p in wrt]
+    if not wrt or len(set(wrt)) != len(wrt) or not set(wrt) <= set(range(d)):
+        raise ConfigError(f"derivative positions {wrt} invalid for clique size {d}")
+    ly = np.log(y)
+    k = wrt[0]
+    out = -2.0 * ly[:, k]
+    if len(wrt) > 1:
+        out -= ly[:, wrt[1:]].sum(axis=1)
+    if d > 1:
+        others = [j for j in range(d) if j != k]
+        at = {j: m for m, j in enumerate(others)}
+        p_idx = [at[j] for j in wrt[1:]]
+        r_idx = [at[j] for j in others if j not in wrt]
+        sig = _anchored_values(vario, k)
+        z = ly[:, others] - ly[:, [k]] + 0.5 * vario.values[others, k][None, :]
+        z_r = z[:, r_idx]
+        cond = sig[np.ix_(r_idx, r_idx)]
+        if p_idx:
+            chol = np.linalg.cholesky(sig[np.ix_(p_idx, p_idx)])
+            w = np.linalg.solve(chol, z[:, p_idx].T)
+            out += (-0.5 * np.sum(w * w, axis=0)
+                    - np.sum(np.log(np.diag(chol)))
+                    - 0.5 * len(p_idx) * math.log(2.0 * math.pi))
+            if r_idx:
+                gain = np.linalg.solve(chol, sig[np.ix_(p_idx, r_idx)])
+                z_r = z_r - w.T @ gain
+                cond = cond - gain.T @ gain
+        with np.errstate(divide="ignore"):
+            out += np.log(_orthant(z_r, cond, accuracy, seed))
+    return out if log else np.exp(out)
 
 
-def exponent_measure_density(model: HuslerReissModel, y, step: float = FD_STEP) -> float:
+def _orthant(b: np.ndarray, cov: np.ndarray, accuracy: float,
+             seed: int) -> np.ndarray:
+    """P(W <= b_row) for W ~ N(0, cov), row-wise; 1 when W is empty.
+
+    Dimensions 1 and 2 are deterministic (``ndtr``, ``bvn_cdf``); larger
+    ones use the quasi-Monte Carlo rule of :func:`mvn_cdf`.
+    """
+    n, m = b.shape
+    if m == 0:
+        return np.ones(n)
+    sd = np.sqrt(np.diag(cov))
+    if m == 1:
+        return ndtr(b[:, 0] / sd[0])
+    if m == 2:
+        r = cov[0, 1] / (sd[0] * sd[1])
+        return np.array([bvn_cdf(b0, b1, r) for b0, b1 in b / sd])
+    law = GaussianLaw.from_arrays(tuple(range(m)), np.zeros(m), cov)
+    return np.array([mvn_cdf(row, law, accuracy=accuracy, seed=seed).value
+                     for row in b])
+
+
+def exponent_measure_density_many(vario: VariogramMatrix, y: np.ndarray,
+                                  log: bool = False) -> np.ndarray:
+    """λ(y) = -∂^d Λ / ∂y_1..∂y_d, the HR density, shape (n,); ``log=True``
+    returns log λ."""
+    return exponent_measure_derivative_many(vario, y, range(vario.dim), log=log)
+
+
+def exponent_measure_density(model: HuslerReissModel, y, log: bool = False) -> float:
     if isinstance(y, IndexedVector):
         y = y.sub(model.clique).values
     return float(exponent_measure_density_many(model.variogram,
-                                               np.asarray(y, dtype=float), step)[0])
+                                               np.asarray(y, dtype=float),
+                                               log=log)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -275,37 +302,45 @@ def exp_to_frechet(x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise NumericalBreakdown("exponential-scale states must be positive")
-    return -1.0 / np.log1p(-np.exp(-x))
+    with np.errstate(divide="ignore", over="ignore"):  # x > ~709 maps to +inf
+        return -1.0 / np.log1p(-np.exp(-x))
 
 
-def _partition_sum(vario: VariogramMatrix, y: np.ndarray, sep_pos: list[int],
-                   step: float, accuracy: float, seed: int) -> np.ndarray:
-    """Alternating partition sum over the separator coordinates.
+def _log_partition_sum(vario: VariogramMatrix, y: np.ndarray, sep_pos: list[int],
+                       accuracy: float, seed: int) -> np.ndarray:
+    """log Σ_π ∏_{B∈π} D_B over the set partitions π of the separator.
 
-    |S| = 1 gives -Λ_s, |S| = 2 gives -Λ_{s1 s2} + Λ_{s1} Λ_{s2}; larger
-    separators are not supported (the partition lattice is deliberately
-    kept exact).
+    |S| = 1 gives D_s, |S| = 2 gives D_{s1 s2} + D_{s1} D_{s2}; every term
+    is positive, so the sum cannot cancel.  Larger separators are not
+    supported.
     """
+    def log_d(wrt):
+        return exponent_measure_derivative_many(vario, y, wrt, log=True,
+                                                accuracy=accuracy, seed=seed)
+
     if len(sep_pos) == 1:
-        return -_log_partial_many(vario, y, sep_pos, step, accuracy, seed)
+        return log_d(sep_pos)
     if len(sep_pos) == 2:
-        both = _log_partial_many(vario, y, sep_pos, step, accuracy, seed)
-        first = _log_partial_many(vario, y, sep_pos[:1], step, accuracy, seed)
-        second = _log_partial_many(vario, y, sep_pos[1:], step, accuracy, seed)
-        return -both + first * second
+        return np.logaddexp(log_d(sep_pos), log_d(sep_pos[:1]) + log_d(sep_pos[1:]))
     raise UnsupportedCliqueShape(
         f"separators of size {len(sep_pos)} are not supported (max 2)"
     )
 
 
 def transition_kernel(model: HuslerReissModel, sep, x_sep, x_rest,
-                      step: float = FD_STEP, accuracy: float = 1e-8,
-                      seed: int = 0) -> np.ndarray:
+                      accuracy: float = 1e-8, seed: int = 0) -> np.ndarray:
     """Conditional law P(X_{C\\S} <= x_rest | X_S = x_sep) on exponential scale.
 
+    With y the Fréchet states, the kernel is
+
+        Σ_π ∏_{B∈π} D_B(y) / Σ_π ∏_{B∈π} D_B^{(S)}(y_S) · exp(Λ_S(y_S) - Λ(y)),
+
+    π running over the set partitions of S and D^{(S)} taken on the
+    separator's own measure; for a pair it is
+    Φ(a/2 + log(y2/y1)/a) · exp(1/y1 - Λ(y1, y2)) with a = √Γ.
     Vectorized over rows of ``x_sep`` / ``x_rest``; scalars are
-    broadcast.  Values are clamped to [0, 1]; excursions beyond
-    finite-difference noise raise :class:`NumericalBreakdown`.
+    broadcast.  Rounding excursions above 1 are clamped; a non-finite
+    value or a larger excursion raises :class:`NumericalBreakdown`.
     """
     sep = tuple(sorted(int(v) for v in sep))
     if not sep:
@@ -334,22 +369,21 @@ def transition_kernel(model: HuslerReissModel, sep, x_sep, x_rest,
     y_sep = y[:, [pos[v] for v in sep]]
 
     sep_vario = model.variogram.sub(sep)
-    num = _partition_sum(model.variogram, y, [pos[v] for v in sep],
-                         step, accuracy, seed)
-    den = _partition_sum(sep_vario, y_sep, list(range(len(sep))),
-                         step, accuracy, seed)
+    num = _log_partition_sum(model.variogram, y, [pos[v] for v in sep],
+                             accuracy, seed)
+    den = _log_partition_sum(sep_vario, y_sep, list(range(len(sep))),
+                             accuracy, seed)
     lam_full = exponent_measure_many(model.variogram, y, accuracy, seed)
     lam_sep = exponent_measure_many(sep_vario, y_sep, accuracy, seed)
-    with np.errstate(over="raise"):
-        vals = (num / den) * np.exp(lam_sep - lam_full)
-    noise = 1e-5
-    if np.any(vals < -noise) or np.any(vals > 1.0 + noise):
-        worst = float(np.max(np.abs(vals - np.clip(vals, 0.0, 1.0))))
+    with np.errstate(invalid="ignore"):
+        vals = np.exp(num - den + lam_sep - lam_full)
+    if not np.all(vals <= 1.0 + 1e-9):
+        worst = float(np.max(np.where(np.isnan(vals), np.inf, vals)))
         raise NumericalBreakdown(
-            f"transition kernel left [0,1] by {worst:.3e}; the state is too "
-            "extreme for the finite-difference step"
+            f"transition kernel reached {worst:.3e}, outside [0,1]; the state "
+            "is beyond the double-precision range of the closed form"
         )
-    return np.clip(vals, 0.0, 1.0)
+    return np.minimum(vals, 1.0)
 
 
 def transition_kernel_value(model, sep, x_sep, x_rest, **kw) -> float:
@@ -434,16 +468,16 @@ def a2_limit_params(model: HuslerReissModel, sep, anchor: int | None = None) -> 
 
 
 def kernel_limit(model: HuslerReissModel, sep, offset, z_sep=None,
-                 step: float = FD_STEP, accuracy: float = 1e-9,
-                 seed: int = 0) -> float:
+                 accuracy: float = 1e-9, seed: int = 0) -> float:
     """Limiting kernel value by the exponent-measure derivative ratio.
 
     Because the slope matrix is row-stochastic, the ratio
-    Λ^{(C)}_S(u) / Λ^{(S)}_S(u_S) evaluated at u_S = e^{z_S},
+    D_S(u) / D^{(S)}_S(u_S) evaluated at u_S = e^{z_S},
     u_{C\\S} = e^{slope·z_S + offset} is independent of z_S and equals
-    the limit of the transition kernel along the norming trajectory;
-    this is the finite-difference route against which the closed form
-    :meth:`HRLimitParams.cdf` is verified.
+    the limit of the transition kernel along the norming trajectory.  It
+    is computed from the derivative layer, independently of the
+    limit-parameter algebra of :func:`a2_limit_params`, against whose
+    :meth:`HRLimitParams.cdf` it is verified.
     """
     sep = tuple(sorted(int(v) for v in sep))
     rest = tuple(v for v in model.clique if v not in sep)
@@ -461,15 +495,15 @@ def kernel_limit(model: HuslerReissModel, sep, offset, z_sep=None,
     for j, v in enumerate(rest):
         u[0, pos[v]] = math.exp(loc[j] + off[j])
 
-    sep_vario = model.variogram.sub(sep)
-    num = _log_partial_many(model.variogram, u, [pos[v] for v in sep],
-                            step, accuracy, seed)
-    den = _log_partial_many(sep_vario, u[:, [pos[v] for v in sep]],
-                            list(range(len(sep))), step, accuracy, seed)
-    val = float(num[0] / den[0])
-    if not -1e-4 <= val <= 1.0 + 1e-4:
+    sep_pos = [pos[v] for v in sep]
+    num = exponent_measure_derivative_many(model.variogram, u, sep_pos, log=True,
+                                           accuracy=accuracy, seed=seed)
+    den = exponent_measure_derivative_many(model.variogram.sub(sep), u[:, sep_pos],
+                                           range(len(sep)), log=True)
+    val = math.exp(float(num[0] - den[0]))
+    if not val <= 1.0 + 1e-9:
         raise NumericalBreakdown(f"kernel limit {val:.6f} outside [0,1]")
-    return min(1.0, max(0.0, val))
+    return min(1.0, val)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,7 @@
 
 Dimensions 1 and 2 are evaluated deterministically (scalar ``ndtr`` and
 Genz's classical Gauss-Legendre bivariate algorithm, accurate to about
-1e-14).  This matters downstream: exponent-measure derivatives are taken
-by finite differences, which would amplify any stochastic quadrature
-noise past usefulness.  Dimensions 3 through 8 use separation of
+1e-14).  Dimensions 3 through 8 use separation of
 variables on a square-root-of-primes lattice with eight independently
 shifted batches; the value is the batch mean and the reported error is
 the standard error across batches.  Requests above dimension 8 raise

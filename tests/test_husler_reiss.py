@@ -1,4 +1,7 @@
-"""Hüsler–Reiss clique machinery against closed forms and FD oracles."""
+"""Hüsler–Reiss clique machinery against closed forms and an FD oracle."""
+
+import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +15,10 @@ from tailgraph.errors import (
 )
 from tailgraph.graphs import Graph, clique_ordering
 from tailgraph.linalg import spd_inverse
+from tailgraph.simulate import _X_FLOOR
 
 from conftest import hr_pair_model
+from hr_fd_oracle import fd_derivative
 
 
 def vario(index, values):
@@ -113,7 +118,7 @@ def test_bivariate_density_closed_form():
 
 def test_trivariate_density_matches_bivariate_factorization():
     # on a decomposable trivariate variogram (tree metric), the density
-    # factorizes across the two edges; FD route must agree
+    # factorizes across the two edges; the closed form must agree
     g12, g23 = 0.9, 0.6
     v = vario((1, 2, 3), [[0, g12, g12 + g23],
                           [g12, 0, g23],
@@ -123,7 +128,54 @@ def test_trivariate_density_matches_bivariate_factorization():
     lam = hr.exponent_measure_density(model, y)
     ref = (pair_density(y[0], y[1], g12) * pair_density(y[1], y[2], g23)
            * y[1] ** 2)  # divided by the separator density 1/y2^2
-    assert abs(lam - ref) / ref < 1e-5
+    assert abs(lam - ref) / ref < 1e-12
+
+
+def test_four_clique_density_matches_tree_factorization():
+    # tree metric on the star 2-1, 2-3, 2-4: the density factorizes over
+    # the three edges, divided twice by the centre's density 1/y2^2
+    g21, g23, g24 = 0.7, 1.1, 0.5
+    v = vario((1, 2, 3, 4), [[0, g21, g21 + g23, g21 + g24],
+                             [g21, 0, g23, g24],
+                             [g21 + g23, g23, 0, g23 + g24],
+                             [g21 + g24, g24, g23 + g24, 0]])
+    model = hr.HuslerReissModel((1, 2, 3, 4), v)
+    for y in ([1.2, 0.8, 1.5, 0.6], [0.5, 2.0, 1.0, 3.0]):
+        y = np.array(y)
+        lam = hr.exponent_measure_density(model, y)
+        ref = (pair_density(y[1], y[0], g21) * pair_density(y[1], y[2], g23)
+               * pair_density(y[1], y[3], g24) * y[1] ** 4)
+        assert abs(lam - ref) / ref < 1e-12
+
+
+def random_variogram(rng, d):
+    """Valid d-vertex variogram with off-diagonal entries in [0.3, 1.5]."""
+    while True:
+        g = np.zeros((d, d))
+        g[np.triu_indices(d, 1)] = rng.uniform(0.3, 1.5, d * (d - 1) // 2)
+        try:
+            return vario(range(1, d + 1), g + g.T)
+        except InvalidVariogram:
+            continue
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_derivatives_match_fd_oracle(d):
+    # the stencil's rounding noise grows like h^-|P|; at the oracle's
+    # default step it reaches ~6e-5 relative on triple partials, at 1e-2
+    # it stays below 1e-7 for every subset size
+    rng = np.random.default_rng(11 + d)
+    for _ in range(4):
+        v = random_variogram(rng, d)
+        y = rng.uniform(0.5, 2.0, size=(5, d))
+        for k in range(1, d + 1):
+            for subset in itertools.combinations(range(d), k):
+                got = hr.exponent_measure_derivative_many(v, y, subset)
+                ref = fd_derivative(v, y, subset, step=1e-2)
+                assert np.all(np.abs(got - ref) <= 1e-5 * ref), subset
+                # the anchor (first position) is arbitrary
+                flipped = hr.exponent_measure_derivative_many(v, y, subset[::-1])
+                assert np.allclose(flipped, got, rtol=1e-12, atol=0.0)
 
 
 # ----------------------------------------------------- transition kernel
@@ -138,8 +190,25 @@ def test_pair_kernel_matches_exact_closed_form():
             assert abs(got - pair_kernel(t, t + z, gamma)) < 1e-9
 
 
+@pytest.mark.parametrize("x_sep", [2.0, 20.0, 300.0])
+def test_pair_kernel_extreme_levels(x_sep):
+    gamma = 0.8
+    model = hr_pair_model((1, 2), gamma)
+    x_rest = np.geomspace(_X_FLOOR, x_sep + 700.0, 400)  # up to the bracket cap
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kern = hr.transition_kernel(model, (1,), x_sep, x_rest[:, None])
+    assert np.all((kern >= 0.0) & (kern <= 1.0))
+    assert np.all(np.diff(kern) >= 0.0)
+    with np.errstate(all="ignore"):
+        ref = pair_kernel(x_sep, x_rest, gamma)
+    finite = np.isfinite(ref)
+    assert finite.sum() > 300
+    assert np.max(np.abs(kern[finite] - ref[finite])) < 1e-12
+
+
 def test_pair_kernel_limit_convention():
-    """At t = 20 the kernel is within FD noise of the Gaussian CDF with
+    """At t = 20 the kernel is within 1e-6 of the Gaussian CDF with
     mean −γ/2 and variance γ — and far from the (−γ, 2γ) variant."""
     gamma = 1.0
     model = hr_pair_model((1, 2), gamma)
@@ -194,10 +263,10 @@ def test_kernel_limit_matches_closed_form_cdf(sep):
     rest = params.rest
     for off in ([0.0] * len(rest), [0.5] * len(rest), [-0.8] * len(rest)):
         off = np.array(off)
-        fd = hr.kernel_limit(model, sep, off,
-                             z_sep=np.linspace(0.2, -0.1, len(sep)))
+        ratio = hr.kernel_limit(model, sep, off,
+                                z_sep=np.linspace(0.2, -0.1, len(sep)))
         closed = params.cdf(off)
-        assert abs(fd - closed) < 1e-6
+        assert abs(ratio - closed) < 1e-12
 
 
 # ------------------------------------------------- graph-wide closed form
