@@ -69,7 +69,6 @@ from .diagnostics import (
     convergence_study,
     factorized_density,
     mrv_checks,
-    write_samples,
 )
 from .config import RunConfig, load_config, parse_config
 

@@ -24,9 +24,8 @@ from pathlib import Path
 import click
 
 from . import diagnostics as dg
-from . import husler_reiss as hr
 from . import limits
-from .config import RunConfig, load_config
+from .config import RunConfig, check_t_levels, load_config
 from .errors import ConfigError, TailgraphError
 from .graphs import clique_ordering, junction_tree
 
@@ -90,10 +89,6 @@ def _pick_v(flag: int | None, cfg: RunConfig) -> int:
     if not (1 <= v <= cfg.graph.n):
         raise ConfigError(f"v={v} outside 1..{cfg.graph.n}")
     return v
-
-
-def _family(model) -> str:
-    return "husler_reiss" if isinstance(model, hr.HuslerReissModel) else "gaussian"
 
 
 CONVENTIONS = {
@@ -161,10 +156,9 @@ def cmd_derive(config_path: str, out_flag: str | None, v_flag: int | None) -> No
     doc = {"config_hash": cfg.config_hash(), "v": v,
            "conventions": dict(CONVENTIONS)}
     try:
-        verdict = limits.classify_norming(ordering, models, v)
+        verdict, model = limits.derive_limit(ordering, models, v)
         doc["verdict"] = verdict.to_dict()
-        if verdict.kind == "theorem_1":
-            model = limits.build_tail_model(ordering, models, v)
+        if model is not None:
             mean, cov = limits.tail_model_moments(model)
             doc["tail_model"] = model.to_dict()
             doc["limit_moments"] = {"mean": mean.to_dict(),
@@ -198,12 +192,13 @@ def _remainder_checks(report: limits.RemainderReport, models: dict) -> dict:
     for c in cliques:
         rows = report.for_clique(c)
         sups = [max(r.sup_a, r.sup_b) for r in rows]
-        if _family(models[c]) == "husler_reiss":
+        family = limits._family_of(models[c])
+        if family == "husler_reiss":
             ok = max(sups) < HR_REMAINDER_CEILING
         else:
             ok = sups[-1] <= sups[0]
         checks[" ".join(str(u) for u in c)] = {
-            "family": _family(models[c]),
+            "family": family,
             "sup_first": sups[0],
             "sup_last": sups[-1],
             "ok": ok,
@@ -241,9 +236,7 @@ def cmd_verify(config_path: str, out_flag: str | None, v_flag: int | None,
                 t_levels = tuple(float(s) for s in t_flag.split(","))
             except ValueError:
                 raise ConfigError(f"cannot parse --t-levels {t_flag!r}")
-            if not t_levels or any(t <= 0 for t in t_levels) \
-                    or list(t_levels) != sorted(t_levels):
-                raise ConfigError("--t-levels must be positive and ascending")
+            t_levels = check_t_levels(t_levels, "--t-levels")
         if workers < 1:
             raise ConfigError(f"workers must be positive, got {workers}")
         ordering = cfg.ordering(root=v)
@@ -258,11 +251,13 @@ def cmd_verify(config_path: str, out_flag: str | None, v_flag: int | None,
                "t_levels": list(t_levels), "conventions": dict(CONVENTIONS)}
     checks = {}
     try:
-        verdict = limits.classify_norming(ordering, models, v)
+        verdict, model = limits.derive_limit(ordering, models, v)
         summary["verdict"] = verdict.to_dict()
+        limit = (model if model is not None
+                 else limits.build_tail_noise(ordering, models, v))
 
-        report = dg.convergence_study(
-            ordering, models, v, t_levels, n, seed,
+        report = dg.study_limit(
+            limit, models, t_levels, n, seed,
             ks_const=tol["ks_const"], workers=workers)
         report = dataclasses.replace(report, slack=tol["trend_slack"])
         _write(out, "ks_table.csv", report.ks_csv())
@@ -270,16 +265,15 @@ def cmd_verify(config_path: str, out_flag: str | None, v_flag: int | None,
         summary["convergence"] = report.to_dict()
         checks["ks_trend"] = report.trend_ok()
 
-        if verdict.kind == "theorem_1":
-            rem = limits.verify_remainders(ordering, models, v,
-                                           t_grid=tol["remainder_grid"])
+        if model is not None:
+            rem = limits.remainder_report(model, t_grid=tol["remainder_grid"])
             _write(out, "remainders.csv", _remainder_csv(rem))
             rem_checks = _remainder_checks(rem, models)
             summary["remainders"] = {"grid": list(tol["remainder_grid"]),
                                      "cliques": rem_checks}
             checks["remainders"] = all(c["ok"] for c in rem_checks.values())
 
-        if all(_family(m) == "husler_reiss" for m in models.values()):
+        if all(limits._family_of(m) == "husler_reiss" for m in models.values()):
             mrv = dg.mrv_checks(ordering, models, seed=seed)
             mrv_doc = mrv.to_dict()
             _write(out, "mrv.json", _dump(mrv_doc))

@@ -102,6 +102,18 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def check_t_levels(levels, where: str) -> tuple[float, ...]:
+    """Levels as floats; raises :class:`ConfigError` unless they are a
+    nonempty ascending run of finite positive numbers."""
+    vals = tuple(float(t) for t in levels)
+    _require(len(vals) > 0, f"{where} must be nonempty")
+    for t in vals:
+        _require(bool(np.isfinite(t)) and t > 0,
+                 f"{where}: level {t!r} must be finite and positive")
+    _require(list(vals) == sorted(vals), f"{where} must be ascending")
+    return vals
+
+
 def _check_keys(data: dict, allowed: set, where: str) -> None:
     unknown = set(data) - allowed
     _require(not unknown, f"unknown keys {sorted(unknown)} in {where}")
@@ -173,15 +185,11 @@ def parse_config(data: dict) -> RunConfig:
     if t_levels is None:
         t_levels = DEFAULT_T_LEVELS
     else:
-        _require(isinstance(t_levels, list) and t_levels,
-                 "'t_levels' must be a nonempty list")
-        vals = []
+        _require(isinstance(t_levels, list), "'t_levels' must be a list")
         for t in t_levels:
-            _require(isinstance(t, (int, float)) and t > 0,
-                     f"t level {t!r} must be positive")
-            vals.append(float(t))
-        _require(vals == sorted(vals), "'t_levels' must be ascending")
-        t_levels = tuple(vals)
+            _require(isinstance(t, (int, float)),
+                     f"t level {t!r} must be a number")
+        t_levels = check_t_levels(t_levels, "'t_levels'")
 
     n = data.get("n", DEFAULT_N)
     _require(isinstance(n, int) and n >= 1, "'n' must be a positive integer")

@@ -10,6 +10,7 @@ import numpy as np
 from scipy import stats
 
 from . import husler_reiss as hr
+from .config import check_t_levels
 from .errors import (
     ConfigError,
     EmptySubset,
@@ -24,7 +25,7 @@ from .limits import (
     _models_table,
     build_tail_model,
     build_tail_noise,
-    classify_norming,
+    derive_limit,
     tail_model_moments,
 )
 from .rng import OFFSET_MISC, derived_rng
@@ -64,13 +65,23 @@ def chi_estimator(samples: SampleMatrix, subset, q: float) -> float:
     return float(joint.sum() / k)
 
 
+def _ks_statistic(x: np.ndarray, cdf) -> float:
+    """Two-sided one-sample KS distance max(D⁺, D⁻) of x from ``cdf``,
+    with the same arithmetic as ``scipy.stats.kstest`` but no p-value."""
+    x = np.sort(np.asarray(x, dtype=float))
+    n = x.shape[0]
+    f = cdf(x)
+    d_plus = (np.arange(1.0, n + 1) / n - f).max()
+    d_minus = (f - np.arange(0.0, n) / n).max()
+    return float(d_plus if d_plus > d_minus else d_minus)
+
+
 def ks_unit_exponential(x: np.ndarray) -> float:
-    return float(stats.kstest(np.asarray(x, dtype=float), "expon").statistic)
+    return _ks_statistic(x, stats.expon.cdf)
 
 
 def ks_normal(x: np.ndarray, mean: float, sd: float) -> float:
-    return float(stats.kstest(np.asarray(x, dtype=float), "norm",
-                              args=(mean, sd)).statistic)
+    return _ks_statistic(x, lambda y: stats.norm.cdf(y, mean, sd))
 
 
 @dataclass(frozen=True)
@@ -153,38 +164,57 @@ def convergence_study(ordering: CliqueOrdering, models: dict, v: int,
                       mode: str | None = None,
                       ks_const: float = KS_CONST,
                       workers: int = 1) -> ConvergenceReport:
-    """Conditional samples, renormalized, against the limit law per level.
+    """:func:`study_limit` of the limit at v, built once.
 
-    The mode follows the classifier unless forced: theorem_1 graphs are
-    renormalized around the conditioning vertex and compared with the
-    tail model's exact marginal moments; block graphs needing tail
-    noise use separator-based renormalization against the block laws.
-    The same seed feeds every level (common random numbers), which makes
-    the monotone-trend verdict sharp.
+    The mode follows the classifier unless forced: ``condition_on_root``
+    studies the single-vertex tail model, ``separator_based`` the
+    block-wise tail noise.  With no mode, the walk that classifies also
+    builds the tail model, so the ordering is walked once.  Each KS entry
+    is the two-sided statistic only; no p-value is computed.
     """
-    t_levels = tuple(float(t) for t in t_levels)
-    if not t_levels or any(t <= 0 for t in t_levels):
-        raise ConfigError(f"t_levels must be positive, got {t_levels}")
     if mode is None:
-        verdict = classify_norming(ordering, models, v)
-        mode = ("condition_on_root" if verdict.kind == "theorem_1"
-                else "separator_based")
-    if mode == "condition_on_root":
-        model = build_tail_model(ordering, models, v)
-        lim_mean, lim_cov = tail_model_moments(model)
+        limit = derive_limit(ordering, models, v)[1]
+        if limit is None:
+            limit = build_tail_noise(ordering, models, v)
+    elif mode == "condition_on_root":
+        limit = build_tail_model(ordering, models, v)
     elif mode == "separator_based":
-        model = build_tail_noise(ordering, models, v)
-        lim_mean, lim_cov = model.mean(), model.covariance()
+        limit = build_tail_noise(ordering, models, v)
     else:
         raise ConfigError(f"unknown mode {mode!r}")
-    z_index = model.z_index
+    return study_limit(limit, models, t_levels, n, seed,
+                       ks_const=ks_const, workers=workers)
+
+
+def study_limit(limit: TailGraphicalModel | TailNoiseModel, models: dict,
+                t_levels, n: int, seed: int,
+                ks_const: float = KS_CONST,
+                workers: int = 1) -> ConvergenceReport:
+    """Conditional samples, renormalized, against a built limit per level.
+
+    A :class:`TailGraphicalModel` is studied around the conditioning
+    vertex against its exact marginal moments; a :class:`TailNoiseModel`
+    by separator-based renormalization against its block laws.  Each
+    margin gets the two-sided KS statistic only (no p-value).  The same
+    seed feeds every level (common random numbers), which makes the
+    monotone-trend verdict sharp.
+    """
+    t_levels = check_t_levels(t_levels, "t_levels")
+    if isinstance(limit, TailGraphicalModel):
+        mode = "condition_on_root"
+        lim_mean, lim_cov = tail_model_moments(limit)
+    else:
+        mode = "separator_based"
+        lim_mean, lim_cov = limit.mean(), limit.covariance()
+    v = limit.v
+    z_index = limit.z_index
     threshold = float(ks_const / np.sqrt(n))
     rows = []
     mean_gap, cov_gap = {}, {}
     for t in t_levels:
-        cond = conditional_exceedance(ordering, models, v, t, n, seed,
+        cond = conditional_exceedance(limit.ordering, models, v, t, n, seed,
                                       workers=workers)
-        z = renormalize(cond, model, mode)
+        z = renormalize(cond, limit, mode)
         rows.append(MarginRow(t=t, vertex=v,
                               ks=ks_unit_exponential(z.column(v)),
                               n=n, threshold=threshold))
@@ -369,10 +399,3 @@ def _marginal_measure(model, sep, x_s, accuracy):
     est = hr.exponent_measure_estimate(model, y, accuracy=accuracy)
     return est.value, est.error
 
-
-def write_samples(samples: SampleMatrix, path) -> None:
-    """CSV dump with a vertex-label header row."""
-    with open(path, "w") as fh:
-        fh.write(",".join(f"v{u}" for u in samples.columns) + "\n")
-        for row in samples.values:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")

@@ -185,13 +185,13 @@ def separator_slope(corr: CorrelationMatrix, sep, rest) -> IndexedMatrix:
     return IndexedMatrix(rest, sep, alpha)
 
 
-def conditional_scale(corr: CorrelationMatrix, sep, rest) -> IndexedMatrix:
-    """Noise covariance 2 (R_{rest} − R_{rest,S} R_S⁻¹ R_{S,rest})."""
-    sep = tuple(sep)
-    rest = tuple(rest)
+def conditional_scale(corr: CorrelationMatrix, alpha: IndexedMatrix) -> IndexedMatrix:
+    """Noise covariance 2 (R_{rest} − α R_{S,rest}) for the slope
+    α = :func:`separator_slope` (rows rest, cols S), so R_S is not
+    inverted a second time."""
+    rest, sep = alpha.rows, alpha.cols
     big = IndexedMatrix.square(corr.index, corr.values)
-    alpha = separator_slope(corr, sep, rest).values
-    cond = 2.0 * (big.sub(rest).values - alpha @ big.sub(sep, rest).values)
+    cond = 2.0 * (big.sub(rest).values - alpha.values @ big.sub(sep, rest).values)
     return IndexedMatrix.square(rest, 0.5 * (cond + cond.T))
 
 
@@ -254,7 +254,7 @@ def separator_norming(model: GaussianCopulaModel, sep,
     jac = (u[:, None] * alpha.values) / np.sqrt(c)[None, :]
     noise = GaussianLaw(
         IndexedVector(rest, np.zeros(len(rest))),
-        conditional_scale(corr, sep, rest),
+        conditional_scale(corr, alpha),
     )
     return GaussianSeparatorNorming(
         sep=sep,

@@ -218,13 +218,6 @@ class CliqueOrdering:
     def __len__(self) -> int:
         return len(self.cliques)
 
-    def residuals(self) -> tuple[tuple[int, ...], ...]:
-        """Per-clique new vertices C_i minus S_i."""
-        return tuple(
-            tuple(v for v in c if v not in set(s))
-            for c, s in zip(self.cliques, self.separators)
-        )
-
     def to_dict(self) -> dict:
         return {
             "root": self.root,

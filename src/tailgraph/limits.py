@@ -336,20 +336,6 @@ def _walk(ordering: CliqueOrdering, models: dict, v: int):
     return ordering, normings, root_law, tuple(updates)
 
 
-def classify_norming(ordering: CliqueOrdering, models: dict, v: int) -> NormingVerdict:
-    """Decide whether the single-vertex limit exists along the ordering."""
-    try:
-        _walk(ordering, models, v)
-    except NormingIncompatible as exc:
-        return NormingVerdict(
-            kind="tail_noise_required",
-            witness_clique=exc.witness_clique,
-            reason=str(exc),
-        )
-    return NormingVerdict(kind="theorem_1", witness_clique=None,
-                          reason="all clique updates compose")
-
-
 def build_tail_model(ordering: CliqueOrdering, models: dict, v: int) -> TailGraphicalModel:
     """Assemble the single-vertex conditional limit; the ordering is
     re-rooted at v if needed.  Raises :class:`NormingIncompatible` (with
@@ -359,6 +345,28 @@ def build_tail_model(ordering: CliqueOrdering, models: dict, v: int) -> TailGrap
         ordering=ordering, v=v, normings=normings,
         root_noise=root_law, updates=updates,
     )
+
+
+def derive_limit(ordering: CliqueOrdering, models: dict,
+                 v: int) -> tuple[NormingVerdict, TailGraphicalModel | None]:
+    """Classify and build in one walk of the ordering: the verdict plus
+    the single-vertex limit, or None when the walk stops at a clique
+    that needs the tail-noise limit (:func:`build_tail_noise`)."""
+    try:
+        model = build_tail_model(ordering, models, v)
+    except NormingIncompatible as exc:
+        return NormingVerdict(
+            kind="tail_noise_required",
+            witness_clique=exc.witness_clique,
+            reason=str(exc),
+        ), None
+    return NormingVerdict(kind="theorem_1", witness_clique=None,
+                          reason="all clique updates compose"), model
+
+
+def classify_norming(ordering: CliqueOrdering, models: dict, v: int) -> NormingVerdict:
+    """Decide whether the single-vertex limit exists along the ordering."""
+    return derive_limit(ordering, models, v)[0]
 
 
 def _sample_block(model: TailGraphicalModel, rng, nb: int,
@@ -490,6 +498,14 @@ class RemainderReport:
 def verify_remainders(ordering: CliqueOrdering, models: dict, v: int,
                       t_grid=(10.0, 100.0, 1000.0),
                       z_grid=None) -> RemainderReport:
+    """:func:`remainder_report` of the single-vertex limit at v."""
+    return remainder_report(build_tail_model(ordering, models, v),
+                            t_grid=t_grid, z_grid=z_grid)
+
+
+def remainder_report(model: TailGraphicalModel,
+                     t_grid=(10.0, 100.0, 1000.0),
+                     z_grid=None) -> RemainderReport:
     """Finite-level defect of each clique's norming composition.
 
     For every non-root clique, every level t and every separator
@@ -502,7 +518,6 @@ def verify_remainders(ordering: CliqueOrdering, models: dict, v: int,
 
     and reports per-(clique, t) suprema of |A| and |B| over the grid.
     """
-    model = build_tail_model(ordering, models, v)
     if z_grid is None:
         z_grid = np.linspace(-3.0, 3.0, 13)
     z_grid = np.asarray(z_grid, dtype=float)

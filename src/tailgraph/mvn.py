@@ -71,11 +71,6 @@ def norm_cdf(x):
     return ndtr(x)
 
 
-def norm_ppf(p):
-    """Standard normal quantile (vectorized)."""
-    return ndtri(p)
-
-
 def _bvn_upper(dh: float, dk: float, r: float) -> float:
     """P(X > dh, Y > dk) for standard bivariate normal with correlation r.
 
@@ -261,10 +256,6 @@ def mvn_cdf(
         if error <= accuracy or n_points >= (1 << 17):
             return CdfEstimate(min(1.0, max(0.0, value)), error)
         n_points *= 2
-
-
-def mvn_cdf_value(upper, law: GaussianLaw, accuracy: float = 1e-6, seed: int = 0) -> float:
-    return mvn_cdf(upper, law, accuracy=accuracy, seed=seed).value
 
 
 def mvn_sample(law: GaussianLaw, n: int, seed: int) -> np.ndarray:

@@ -101,11 +101,11 @@ def _draw_root(model, clique, rng, nb: int, given=None):
             return normal_to_exp(z)
         v, x_v = given
         rest = tuple(u for u in clique if u != v)
-        alpha = gsn.separator_slope(corr, (v,), rest).values
-        cond = gsn.conditional_scale(corr, (v,), rest).values / 2.0
+        alpha = gsn.separator_slope(corr, (v,), rest)
+        cond = gsn.conditional_scale(corr, alpha).values / 2.0
         chol = cholesky_spd(cond, "conditional correlation")
         z_v = exp_to_normal(x_v)
-        z_rest = (z_v[:, None] * alpha.T[0][None, :]
+        z_rest = (z_v[:, None] * alpha.values.T[0][None, :]
                   + rng.standard_normal((nb, len(rest))) @ chol.T)
         out = np.empty((nb, len(clique)))
         pos = {w: k for k, w in enumerate(clique)}
@@ -140,11 +140,11 @@ def _draw_transition(model, clique, sep, rng, nb: int, x_sep: np.ndarray) -> np.
     (columns in ``sep`` order).  Returns an (nb, |rest|) array."""
     rest = tuple(w for w in clique if w not in sep)
     if model.family == "gaussian":
-        alpha = gsn.separator_slope(model.correlation, sep, rest).values
-        cond = gsn.conditional_scale(model.correlation, sep, rest).values / 2.0
+        alpha = gsn.separator_slope(model.correlation, sep, rest)
+        cond = gsn.conditional_scale(model.correlation, alpha).values / 2.0
         chol = cholesky_spd(cond, "conditional correlation")
         z_sep = exp_to_normal(x_sep)
-        z_rest = z_sep @ alpha.T + rng.standard_normal((nb, len(rest))) @ chol.T
+        z_rest = z_sep @ alpha.values.T + rng.standard_normal((nb, len(rest))) @ chol.T
         return normal_to_exp(z_rest)
     if len(rest) != 1:
         raise UnsupportedCliqueShape(

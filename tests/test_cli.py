@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from tailgraph import limits
 from tailgraph.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -161,3 +162,59 @@ def test_verify_flag_validation(configs):
     assert res.exit_code == EXIT_CONFIG
     res = run("verify")
     assert res.exit_code == 2  # click usage error: --config is required
+
+
+@pytest.mark.parametrize("levels", ["nan", "inf", "2,nan", "2,inf", "-inf"])
+def test_verify_rejects_non_finite_levels(configs, levels):
+    res = run("verify", "--config", str(configs / "gaussian_short_chain.json"),
+              "--n", "200", "--t-levels", levels)
+    assert res.exit_code == EXIT_CONFIG
+    assert payload(res)["error"]["type"] == "ConfigError"
+
+
+def test_verify_rejects_infinite_config_level(configs, tmp_path):
+    text = (configs / "gaussian_short_chain.json").read_text()
+    doc = json.loads(text)
+    doc["t_levels"] = ["__INF__"]
+    bad = tmp_path / "infinite.json"
+    bad.write_text(json.dumps(doc).replace('"__INF__"', "Infinity"))
+    res = run("verify", "--config", str(bad), "--n", "200")
+    assert res.exit_code == EXIT_CONFIG
+    assert payload(res)["error"]["type"] == "ConfigError"
+
+
+# ------------------------------------------------------------ limit walks
+
+
+@pytest.fixture
+def walk_counter(monkeypatch):
+    calls = []
+    walk, noise = limits._walk, limits.build_tail_noise
+
+    def counted_walk(*args, **kwargs):
+        calls.append("walk")
+        return walk(*args, **kwargs)
+
+    def counted_noise(*args, **kwargs):
+        calls.append("noise")
+        return noise(*args, **kwargs)
+
+    monkeypatch.setattr(limits, "_walk", counted_walk)
+    monkeypatch.setattr(limits, "build_tail_noise", counted_noise)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["derive", "verify"])
+def test_theorem_1_route_walks_once(configs, walk_counter, command):
+    args = ["--n", "500", "--t-levels", "2,4"] if command == "verify" else []
+    res = run(command, "--config", str(configs / "hr_chain.json"), *args)
+    assert res.exit_code == EXIT_OK
+    assert walk_counter == ["walk"]
+
+
+def test_tail_noise_route_walks_once(configs, walk_counter):
+    res = run("verify", "--config", str(configs / "mixed_tree.json"),
+              "--n", "500", "--t-levels", "8,20")
+    assert res.exit_code in (EXIT_OK, EXIT_VERIFY)
+    assert payload(res)["verdict"]["kind"] == "tail_noise_required"
+    assert walk_counter == ["walk", "noise"]

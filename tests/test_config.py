@@ -162,6 +162,9 @@ def test_scalar_field_validation():
         chain_doc(t_levels=[]),
         chain_doc(t_levels=[4.0, 2.0]),
         chain_doc(t_levels=[0.0, 2.0]),
+        chain_doc(t_levels=[float("inf")]),
+        chain_doc(t_levels=[2.0, float("nan")]),
+        chain_doc(t_levels=["2"]),
         chain_doc(n=0),
         chain_doc(seed=-1),
         chain_doc(notes=12),

@@ -3,6 +3,7 @@ and regular-variation diagnostics."""
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.stats import norm
 
 from tailgraph import gaussian as gs
@@ -12,9 +13,11 @@ from tailgraph.diagnostics import (
     chi_estimator,
     convergence_study,
     factorized_density,
+    ks_normal,
+    ks_unit_exponential,
     mrv_checks,
 )
-from tailgraph.errors import EmptySubset, QuantileOutOfRange
+from tailgraph.errors import ConfigError, EmptySubset, QuantileOutOfRange
 from tailgraph.graphs import Graph, clique_ordering
 from tailgraph.limits import SampleMatrix, build_tail_model, tail_model_moments
 from tailgraph.linalg import spd_inverse
@@ -110,6 +113,36 @@ def test_chi_argument_gates():
         chi_estimator(s, (1, 2), 1.0)
 
 
+# ----------------------------------------------------- KS statistics
+
+
+def ks_samples():
+    rng = np.random.default_rng(20231)
+    out = {f"n={n}": rng.standard_normal(n) for n in (1, 2, 17, 10_000)}
+    out["ties"] = np.round(rng.standard_normal(500), 1)
+    out["strided"] = rng.standard_normal((400, 3))[:, 1]
+    out["far"] = 40.0 + rng.standard_normal(50)
+    return out
+
+
+@pytest.mark.parametrize("name", list(ks_samples()))
+def test_ks_statistics_equal_scipy_kstest(name):
+    x = ks_samples()[name]
+    assert ks_normal(x, 0.3, 1.7) == stats.kstest(
+        x, "norm", args=(0.3, 1.7)).statistic
+    assert ks_unit_exponential(np.abs(x)) == stats.kstest(
+        np.abs(x), "expon").statistic
+    assert ks_unit_exponential(x) == stats.kstest(x, "expon").statistic
+
+
+def test_ks_statistics_propagate_nan():
+    x = np.array([0.5, np.nan, 1.5, 0.1])
+    assert np.isnan(stats.kstest(x, "expon").statistic)
+    assert np.isnan(ks_unit_exponential(x))
+    assert np.isnan(stats.kstest(x, "norm", args=(0.0, 1.0)).statistic)
+    assert np.isnan(ks_normal(x, 0.0, 1.0))
+
+
 # ----------------------------------------------------- convergence study
 
 
@@ -138,6 +171,13 @@ def test_convergence_study_auto_separator_mode(mixed_graph):
     ordering = clique_ordering(graph, 1)
     rep = convergence_study(ordering, models, 3, (8.0, 20.0), 20_000, seed=6)
     assert rep.mode == "separator_based"
+
+
+@pytest.mark.parametrize("levels", [(), (2.0, np.nan), (np.inf,), (-1.0,)])
+def test_convergence_study_rejects_bad_levels(hr_chain, levels):
+    ordering, models = hr_chain
+    with pytest.raises(ConfigError):
+        convergence_study(ordering, models, 1, levels, 100, seed=0)
 
 
 # ----------------------------------------------------- factorized density

@@ -153,7 +153,7 @@ def test_conditional_scale_matches_schur_complement():
                              [0.45, 0.5, 1.0, 0.3],
                              [0.35, 0.4, 0.3, 1.0]])
     sep, rest = (2, 3), (4, 5)
-    got = gs.conditional_scale(rm, sep, rest).values
+    got = gs.conditional_scale(rm, gs.separator_slope(rm, sep, rest)).values
     r = rm.values
     schur = r[2:, 2:] - r[2:, :2] @ np.linalg.inv(r[:2, :2]) @ r[:2, 2:]
     assert np.allclose(got, 2.0 * schur, atol=1e-12)
