@@ -41,11 +41,18 @@ def _dump(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _echo(text: str) -> None:
+    # click.echo without ``file`` caches a wrapper per stdout stream in a
+    # map that keeps the stream alive; a caller that redirects stdout for
+    # each command would keep every output in memory
+    click.echo(text, nl=False, file=sys.stdout)
+
+
 def _emit(doc: dict, out_dir: Path | None, filename: str) -> None:
     text = _dump(doc)
     if out_dir is not None:
         (out_dir / filename).write_text(text)
-    click.echo(text, nl=False)
+    _echo(text)
 
 
 def _write(out_dir: Path | None, filename: str, text: str) -> None:
@@ -61,7 +68,7 @@ def _fail(exc: Exception, code: int, extra: dict | None = None) -> None:
     doc = {"error": payload}
     if extra:
         doc.update(extra)
-    click.echo(_dump(doc), nl=False)
+    _echo(_dump(doc))
     sys.exit(code)
 
 
@@ -214,7 +221,7 @@ def _remainder_checks(report: limits.RemainderReport, models: dict) -> dict:
 @click.option("--n", "n_flag", default=None, type=int,
               help="Samples per level (overrides the config).")
 @click.option("--t-levels", "t_flag", default=None, type=str,
-              help="Comma-separated ascending levels, e.g. '2,4,8'.")
+              help="Comma-separated strictly ascending levels, e.g. '2,4,8'.")
 @click.option("--workers", default=1, type=int, show_default=True,
               help="Simulation threads; never affects output bytes.")
 def cmd_verify(config_path: str, out_flag: str | None, v_flag: int | None,

@@ -104,13 +104,14 @@ def _require(cond: bool, message: str) -> None:
 
 def check_t_levels(levels, where: str) -> tuple[float, ...]:
     """Levels as floats; raises :class:`ConfigError` unless they are a
-    nonempty ascending run of finite positive numbers."""
+    nonempty, strictly ascending run of finite positive numbers."""
     vals = tuple(float(t) for t in levels)
     _require(len(vals) > 0, f"{where} must be nonempty")
     for t in vals:
         _require(bool(np.isfinite(t)) and t > 0,
                  f"{where}: level {t!r} must be finite and positive")
-    _require(list(vals) == sorted(vals), f"{where} must be ascending")
+    _require(all(a < b for a, b in zip(vals, vals[1:])),
+             f"{where} must be strictly ascending")
     return vals
 
 
@@ -220,8 +221,9 @@ def parse_config(data: dict) -> RunConfig:
         if "remainder_grid" in tdata:
             grid = tdata["remainder_grid"]
             _require(isinstance(grid, list) and grid
-                     and all(isinstance(t, (int, float)) and t > 0 for t in grid),
-                     "remainder_grid must be a list of positive levels")
+                     and all(isinstance(t, (int, float)) and np.isfinite(t)
+                             and t > 0 for t in grid),
+                     "remainder_grid must be a list of finite positive levels")
             tolerances["remainder_grid"] = tuple(float(t) for t in grid)
 
     return RunConfig(

@@ -8,6 +8,12 @@ clique that contains its separator.  Re-running any function on the same
 graph therefore yields identical orderings, which the sampling and CLI
 layers rely on for reproducibility.
 
+The search keeps a heap of (-weight, label) entries with lazy deletion,
+so it costs O((n + m) log n).  A clique candidate is compared only with
+the candidates of its later neighbours, and each parent is looked up in
+the list of cliques holding one separator vertex, so building the
+ordering adds O(Σ_v deg(v)·ω) for clique number ω.
+
 The chordality test is maximum-cardinality search followed by the
 perfect-elimination check; on failure a chordless cycle of length >= 4
 is constructed and attached to the :class:`~tailgraph.errors.NotChordal`
@@ -16,6 +22,7 @@ exception as a witness.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -129,19 +136,32 @@ class Graph:
 
 
 def _mcs_order(graph: Graph, start: int) -> list[int]:
-    """Maximum-cardinality search visit order, ties to the smallest label."""
-    weights = {v: 0 for v in graph.vertices}
-    weights[start] = graph.n  # force the requested start vertex first
+    """Maximum-cardinality search visit order, ties to the smallest label.
+
+    A heap of (-weight, vertex) entries with lazy deletion: a raise pushes
+    a fresh entry.  Weights only grow, so a vertex's freshest entry pops
+    before its stale ones, which then find it visited and are skipped.
+    O((n + m) log n).  The graph must be connected: a vertex enters the
+    heap when a neighbour is visited.
+    """
+    weights = [0] * (graph.n + 1)
+    visited = [False] * (graph.n + 1)
+    heap: list[tuple[int, int]] = []
     order: list[int] = []
-    visited: set[int] = set()
-    for _ in range(graph.n):
-        u = min((v for v in weights if v not in visited), key=lambda v: (-weights[v], v))
+    u = start  # forced first
+    while True:
         order.append(u)
-        visited.add(u)
+        visited[u] = True
         for w in graph.neighbors(u):
-            if w not in visited:
+            if not visited[w]:
                 weights[w] += 1
-    return order
+                heapq.heappush(heap, (-weights[w], w))
+        while heap:
+            u = heapq.heappop(heap)[1]
+            if not visited[u]:
+                break
+        else:
+            return order
 
 
 def _find_chordless_cycle(graph: Graph) -> tuple[int, ...]:
@@ -241,35 +261,42 @@ def clique_ordering(graph: Graph, root_vertex: int) -> CliqueOrdering:
         raise NotConnected(f"graph on {graph.n} vertices is not connected")
     order = _mcs_order(graph, start=root_vertex)
     rank = {v: k for k, v in enumerate(order)}
-    candidates: list[tuple[int, ...]] = []
+    candidates: dict[int, tuple[int, ...]] = {}
     for u in order:
         earlier = [w for w in graph.neighbors(u) if rank[w] < rank[u]]
         if not graph.is_clique(earlier):
             raise NotChordal(_find_chordless_cycle(graph))
-        candidates.append(tuple(sorted(earlier + [u])))
-    # keep candidates that are not contained in any other candidate
+        candidates[u] = tuple(sorted(earlier + [u]))
+    # a candidate lies inside another only if that one belongs to a later
+    # neighbour (a candidate's last-visited vertex is its own), so only
+    # those are compared
     cliques: list[tuple[int, ...]] = []
-    for cand in candidates:
-        cs = set(cand)
-        if any(cs < set(other) for other in candidates):
-            continue
-        if cand not in cliques:
-            cliques.append(cand)
+    for u in order:
+        cs = set(candidates[u])
+        if not any(rank[w] > rank[u] and cs < set(candidates[w])
+                   for w in graph.neighbors(u)):
+            cliques.append(candidates[u])
 
+    # parent: the earliest clique holding the separator, found among the
+    # cliques that hold one separator vertex
+    containing: dict[int, list[int]] = {v: [] for v in graph.vertices}
     separators: list[tuple[int, ...]] = [()]
     parents: list[int] = [-1]
-    seen = set(cliques[0])
+    for v in cliques[0]:
+        containing[v].append(0)
     for i, c in enumerate(cliques[1:], start=1):
-        sep = tuple(v for v in c if v in seen)
-        parent = next(
-            (k for k in range(i) if set(sep) <= set(cliques[k])),
-            None,
-        )
+        sep = tuple(v for v in c if containing[v])
+        if sep:
+            pool = min((containing[v] for v in sep), key=len)
+            parent = next((k for k in pool if set(sep) <= set(cliques[k])), None)
+        else:
+            parent = 0
         if parent is None:
             raise NotChordal(_find_chordless_cycle(graph))
         separators.append(sep)
         parents.append(parent)
-        seen |= set(c)
+        for v in c:
+            containing[v].append(i)
     if root_vertex not in cliques[0]:
         raise AssertionError("ordering lost the requested root vertex")
     return CliqueOrdering(

@@ -15,11 +15,18 @@ When a clique cannot absorb its separator's fluctuations the
 single-vertex limit does not exist; classification reports the clique
 as a witness and the block-wise (separator-normed) noise limit of
 :func:`build_tail_noise` is the right object instead.
+
+Both limits are the linear recursion ``Z = B Z + c + Φ ε`` along the
+clique ordering (``B = 0`` for the tail noise).  Each compiles once,
+on first use, into a tuple of :class:`LinearStep` in draw order.  One
+sampler runs those steps on a vertex-major (d × nb) block per row block
+(through :func:`tailgraph.rng.run_blocks`), and one recursion gives the
+exact mean and covariance of both kinds.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -38,7 +45,7 @@ from .errors import (
 )
 from .graphs import CliqueOrdering, clique_ordering
 from .linalg import GaussianLaw, IndexedMatrix, IndexedVector
-from .rng import block_bounds, derived_rng
+from .rng import derived_rng, run_blocks
 
 HALF = Fraction(1, 2)
 ZERO = Fraction(0)
@@ -92,12 +99,6 @@ class CliqueUpdate:
     a_fun: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
     b_fun: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
 
-    def apply(self, z_sep: np.ndarray, eps: np.ndarray) -> np.ndarray:
-        out = self.phi.values[None, :] * eps
-        if self.psi is not None:
-            out = out + z_sep @ self.psi.values.T
-        return out
-
     def to_dict(self) -> dict:
         return {
             "clique": list(self.clique),
@@ -144,6 +145,25 @@ class SampleMatrix:
 
 
 @dataclass(frozen=True)
+class LinearStep:
+    """One draw of a limit, in positions of the limit's ``z_index``:
+
+        Z[rows] = φ ∘ ε + ψ Z[sep],  ε ~ law.
+
+    ``psi`` None marks a block drawn independently of all earlier ones (a
+    root law or a tail-noise block, with φ = 1); otherwise it is the
+    (len(rows), len(sep)) slope, and ``sep`` holds -1 for the conditioning
+    vertex, whose fluctuation is pinned at zero.
+    """
+
+    rows: tuple[int, ...]
+    law: GaussianLaw
+    phi: np.ndarray
+    sep: tuple[int, ...] = ()
+    psi: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
 class TailGraphicalModel:
     """Single-vertex conditional limit assembled along the clique ordering."""
 
@@ -160,6 +180,27 @@ class TailGraphicalModel:
     @property
     def columns(self) -> tuple[int, ...]:
         return self.ordering.graph.vertices
+
+    @functools.cached_property
+    def steps(self) -> tuple[LinearStep, ...]:
+        """The root law, then one step per clique update, in draw order."""
+        pos = {u: k for k, u in enumerate(self.z_index)}
+        steps = []
+        if self.root_noise is not None:
+            steps.append(LinearStep(
+                rows=tuple(pos[u] for u in self.root_noise.index),
+                law=self.root_noise, phi=np.ones(self.root_noise.dim)))
+        for upd in self.updates:
+            steps.append(LinearStep(
+                rows=tuple(pos[u] for u in upd.rest),
+                law=upd.noise,
+                phi=upd.phi.values,
+                sep=(tuple(pos.get(s, -1) for s in upd.sep)
+                     if upd.psi is not None else ()),
+                psi=(upd.psi.values if upd.psi is not None
+                     else np.zeros((len(upd.rest), 0))),
+            ))
+        return tuple(steps)
 
     def to_dict(self) -> dict:
         return {
@@ -369,24 +410,97 @@ def classify_norming(ordering: CliqueOrdering, models: dict, v: int) -> NormingV
     return derive_limit(ordering, models, v)[0]
 
 
-def _sample_block(model: TailGraphicalModel, rng, nb: int,
-                  zpos: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    zmat = np.zeros((nb, len(zpos)))
-    if model.root_noise is not None:
-        root = model.root_noise.sample(rng, nb)
-        for j, u in enumerate(model.root_noise.index):
-            zmat[:, zpos[u]] = root[:, j]
-    for upd in model.updates:
-        eps = upd.noise.sample(rng, nb)
-        z_sep = np.zeros((nb, len(upd.sep)))
-        for j, s in enumerate(upd.sep):
-            if s != model.v:
-                z_sep[:, j] = zmat[:, zpos[s]]
-        out = upd.apply(z_sep, eps)
-        for j, u in enumerate(upd.rest):
-            zmat[:, zpos[u]] = out[:, j]
-    e_v = rng.standard_exponential(nb)
-    return zmat, e_v
+def _draw_step(step: LinearStep, rng, zmat: np.ndarray) -> None:
+    """Fill ``zmat[step.rows]`` for one (d × nb) vertex-major block.
+
+    The arithmetic is that of ``law.sample`` followed by φ∘ε + ψ z_S,
+    operation for operation, so samples do not depend on the layout.  A
+    one-vertex step draws straight into its row.
+    """
+    law = step.law
+    if len(step.rows) == 1:
+        out = zmat[step.rows[0]][None, :]
+        rng.standard_normal(out=out[0])
+        out *= law.chol[0, 0]
+        out += law.mean.values[0]
+    else:
+        out = law.sample(rng, zmat.shape[1]).T
+    out *= step.phi[:, None]
+    free = [j for j, p in enumerate(step.sep) if p >= 0]
+    if len(free) == 1:
+        j = free[0]
+        out += step.psi[:, j:j + 1] * zmat[step.sep[j]]
+    elif free:
+        # the (nb, |S|) product, zero column included: BLAS may sum it in
+        # another order in any other layout
+        z_sep = np.zeros((zmat.shape[1], len(step.sep)))
+        for j in free:
+            z_sep[:, j] = zmat[step.sep[j]]
+        out += (z_sep @ step.psi.T).T
+    if len(step.rows) > 1:
+        zmat[list(step.rows)] = out
+
+
+def _sample_steps(steps: tuple[LinearStep, ...], columns: tuple[int, ...],
+                  v: int, n: int, seed: int, workers: int,
+                  meta: dict) -> SampleMatrix:
+    """n draws of (E_v, Z); column v holds the exponential.
+
+    Each row block runs the steps in order on its own (d × nb) block from
+    stream k, then draws E_v, so the output bytes depend only on (steps,
+    n, seed).
+    """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    vcol = columns.index(v)
+    values = np.empty((n, len(columns)))
+
+    def fill(blk):
+        k, start, stop = blk
+        rng = derived_rng(seed, k)
+        zmat = np.empty((len(columns) - 1, stop - start))
+        for step in steps:
+            _draw_step(step, rng, zmat)
+        values[start:stop, vcol] = rng.standard_exponential(stop - start)
+        values[start:stop, :vcol] = zmat[:vcol].T
+        values[start:stop, vcol + 1:] = zmat[vcol:].T
+
+    run_blocks(n, workers, fill)
+    return SampleMatrix(columns=columns, values=values, meta=meta)
+
+
+def _moments(steps: tuple[LinearStep, ...],
+             index: tuple[int, ...]) -> tuple[IndexedVector, IndexedMatrix]:
+    """Exact mean and covariance of Z over ``index``.
+
+    The recursion is linear with independent noises, so moments propagate
+    in closed form: an independent block sets its own mean and covariance
+    block; a dependent step gives its rows ψ·mean_S + φ∘E[ε] and picks up
+    ψΣψᵀ plus the scaled noise covariance.
+    """
+    d = len(index)
+    mean = np.zeros(d)
+    cov = np.zeros((d, d))
+    for step in steps:
+        rows = list(step.rows)
+        if step.psi is None:
+            mean[rows] = step.law.mean.values
+            cov[np.ix_(rows, rows)] = step.law.cov.values
+            continue
+        psi_eff = np.zeros((len(rows), d))
+        for j, p in enumerate(step.sep):
+            if p >= 0:
+                psi_eff[:, p] = step.psi[:, j]
+        phi = step.phi
+        m_rest = psi_eff @ mean + phi * step.law.mean.values
+        cross = psi_eff @ cov
+        v_rest = (cross @ psi_eff.T
+                  + phi[:, None] * step.law.cov.values * phi[None, :])
+        mean[rows] = m_rest
+        cov[rows, :] = cross
+        cov[:, rows] = cross.T
+        cov[np.ix_(rows, rows)] = v_rest
+    return IndexedVector(index, mean), IndexedMatrix.square(index, cov)
 
 
 def sample_tail_model(model: TailGraphicalModel, n: int, seed: int,
@@ -397,30 +511,8 @@ def sample_tail_model(model: TailGraphicalModel, n: int, seed: int,
     block uses its own counter-derived stream, so worker count cannot
     affect the result.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    cols = model.columns
-    zpos = {u: k for k, u in enumerate(model.z_index)}
-    values = np.empty((n, len(cols)))
-    vcol = cols.index(model.v)
-    zcols = [cols.index(u) for u in model.z_index]
-
-    def run_block(args):
-        k, start, stop = args
-        zmat, e_v = _sample_block(model, derived_rng(seed, k), stop - start, zpos)
-        values[start:stop, vcol] = e_v
-        if zcols:
-            values[np.ix_(range(start, stop), zcols)] = zmat
-
-    blocks = block_bounds(n)
-    if workers == 1 or len(blocks) == 1:
-        for blk in blocks:
-            run_block(blk)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_block, blocks))
-    return SampleMatrix(
-        columns=cols, values=values,
+    return _sample_steps(
+        model.steps, model.columns, model.v, n, seed, workers,
         meta={"kind": "tail_model", "v": model.v, "n": n, "seed": seed},
     )
 
@@ -428,39 +520,12 @@ def sample_tail_model(model: TailGraphicalModel, n: int, seed: int,
 def tail_model_moments(model: TailGraphicalModel) -> tuple[IndexedVector, IndexedMatrix]:
     """Exact mean and covariance of the limit vector Z_{V\\v}.
 
-    The recursion is linear with independent clique noises, so moments
-    propagate in closed form: new vertices get ψ·mean_S + φ∘E[ε] and the
-    covariance picks up ψΣψᵀ plus the scaled noise covariance.  For an
-    all-HR graph this reproduces the dedicated recursion
+    For an all-HR graph this reproduces the dedicated recursion
     (:func:`tailgraph.husler_reiss.tail_model_mean` / precision); for an
     all-Gaussian graph it reproduces the whole-graph closed form
     (:func:`tailgraph.gaussian.limit_law`).
     """
-    idx = model.z_index
-    pos = {u: k for k, u in enumerate(idx)}
-    mean = np.zeros(len(idx))
-    cov = np.zeros((len(idx), len(idx)))
-    if model.root_noise is not None:
-        rows = [pos[u] for u in model.root_noise.index]
-        mean[rows] = model.root_noise.mean.values
-        cov[np.ix_(rows, rows)] = model.root_noise.cov.values
-    for upd in model.updates:
-        psi_eff = np.zeros((len(upd.rest), len(idx)))
-        if upd.psi is not None:
-            for j, s in enumerate(upd.sep):
-                if s != model.v:
-                    psi_eff[:, pos[s]] = upd.psi.values[:, j]
-        phi = upd.phi.values
-        m_rest = psi_eff @ mean + phi * upd.noise.mean.values
-        cross = psi_eff @ cov
-        v_rest = (cross @ psi_eff.T
-                  + phi[:, None] * upd.noise.cov.values * phi[None, :])
-        rows = [pos[u] for u in upd.rest]
-        mean[rows] = m_rest
-        cov[rows, :] = cross
-        cov[:, rows] = cross.T
-        cov[np.ix_(rows, rows)] = v_rest
-    return IndexedVector(idx, mean), IndexedMatrix.square(idx, cov)
+    return _moments(model.steps, model.z_index)
 
 
 # ---------------------------------------------------------------------------
@@ -593,35 +658,24 @@ class TailNoiseModel:
     def z_index(self) -> tuple[int, ...]:
         return tuple(u for u in self.ordering.graph.vertices if u != self.v)
 
+    @functools.cached_property
+    def steps(self) -> tuple[LinearStep, ...]:
+        """One independent step per block, in draw order."""
+        pos = {u: k for k, u in enumerate(self.z_index)}
+        return tuple(LinearStep(rows=tuple(pos[u] for u in blk.rest),
+                                law=blk.law, phi=np.ones(blk.law.dim))
+                     for blk in self.blocks)
+
     def mean(self) -> IndexedVector:
-        vals = {u: 0.0 for u in self.z_index}
-        for blk in self.blocks:
-            for u in blk.rest:
-                vals[u] = blk.law.mean.entry(u)
-        return IndexedVector(self.z_index, np.array([vals[u] for u in self.z_index]))
+        return _moments(self.steps, self.z_index)[0]
 
     def covariance(self) -> IndexedMatrix:
-        out = np.zeros((len(self.z_index), len(self.z_index)))
-        pos = {u: k for k, u in enumerate(self.z_index)}
-        for blk in self.blocks:
-            rows = [pos[u] for u in blk.rest]
-            out[np.ix_(rows, rows)] = blk.law.cov.values
-        return IndexedMatrix.square(self.z_index, out)
+        return _moments(self.steps, self.z_index)[1]
 
-    def sample(self, n: int, seed: int) -> SampleMatrix:
-        cols = self.ordering.graph.vertices
-        values = np.empty((n, len(cols)))
-        vcol = cols.index(self.v)
-        for k, start, stop in block_bounds(n):
-            rng = derived_rng(seed, k)
-            nb = stop - start
-            for blk in self.blocks:
-                draw = blk.law.sample(rng, nb)
-                for j, u in enumerate(blk.rest):
-                    values[start:stop, cols.index(u)] = draw[:, j]
-            values[start:stop, vcol] = rng.standard_exponential(nb)
-        return SampleMatrix(
-            columns=cols, values=values,
+    def sample(self, n: int, seed: int, workers: int = 1) -> SampleMatrix:
+        """n draws of (E_v, Z_{V\\v}), byte-identical for any ``workers``."""
+        return _sample_steps(
+            self.steps, self.ordering.graph.vertices, self.v, n, seed, workers,
             meta={"kind": "tail_noise", "v": self.v, "n": n, "seed": seed},
         )
 

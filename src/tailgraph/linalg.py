@@ -181,7 +181,7 @@ class GaussianLaw:
         self.cov.check_symmetric()
         # fail early on non-PD covariance and cache the factor for sampling
         low = cholesky_spd(self.cov.values, what=f"covariance on {self.mean.index}")
-        object.__setattr__(self, "_chol", low)
+        object.__setattr__(self, "chol", low)
 
     @property
     def index(self) -> tuple[int, ...]:
@@ -202,7 +202,7 @@ class GaussianLaw:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         z = rng.standard_normal((size, self.dim))
-        return self.mean.values + z @ self._chol.T
+        return self.mean.values + z @ self.chol.T
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.to_dict(), "cov": self.cov.to_dict()}

@@ -22,7 +22,7 @@ from scipy.special import ndtr, ndtri
 
 from .errors import DimensionTooLarge, NotSPD
 from .linalg import GaussianLaw, IndexedVector, cholesky_spd
-from .rng import OFFSET_QUAD, derived_rng
+from .rng import OFFSET_MISC, OFFSET_QUAD, derived_rng, run_blocks
 
 MAX_DIM = 8
 
@@ -264,10 +264,12 @@ def mvn_sample(law: GaussianLaw, n: int, seed: int) -> np.ndarray:
     Rows are generated in fixed-size blocks with one Philox stream per
     block, so prefixes agree across different n.
     """
-    from .rng import OFFSET_MISC, block_bounds
-
     out = np.empty((n, law.dim))
-    for k, start, stop in block_bounds(n):
-        rng = derived_rng(seed, OFFSET_MISC + k)
-        out[start:stop] = law.sample(rng, stop - start)
+
+    def fill(blk):
+        k, start, stop = blk
+        out[start:stop] = law.sample(derived_rng(seed, OFFSET_MISC + k),
+                                     stop - start)
+
+    run_blocks(n, 1, fill)
     return out

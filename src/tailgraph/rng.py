@@ -5,9 +5,15 @@ Philox streams as ``key = master_seed * 2**64 + stream_id``.  A stream id
 is a pure function of purpose (e.g. the row-block index of a sampler, or
 a fixed offset for quadrature shifts), never of execution order, so
 results are independent of worker count and identical across runs.
+
+:func:`run_blocks` is the one row-block runner: the limit sampler, the
+finite-level simulator and :func:`tailgraph.mvn.mvn_sample` each hand it
+a fill function for one block.
 """
 
 from __future__ import annotations
+
+import concurrent.futures
 
 import numpy as np
 
@@ -35,3 +41,17 @@ def derived_rng(seed: int, stream: int) -> np.random.Generator:
 def block_bounds(n: int) -> list[tuple[int, int, int]]:
     """(block index, start, stop) triples covering range(n)."""
     return [(k, s, min(s + BLOCK, n)) for k, s in enumerate(range(0, n, BLOCK))]
+
+
+def run_blocks(n: int, workers: int, fill) -> None:
+    """Call ``fill((k, start, stop))`` for every row block of range(n),
+    in order on this thread, or on a pool of ``workers`` threads.  Each
+    block writes only its own rows and draws from its own stream, so the
+    result does not depend on ``workers``."""
+    blocks = block_bounds(n)
+    if workers <= 1 or len(blocks) == 1:
+        for blk in blocks:
+            fill(blk)
+    else:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, blocks))

@@ -16,8 +16,6 @@ are supported by the limit engine only and raise
 
 from __future__ import annotations
 
-import concurrent.futures
-
 import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
 
@@ -38,7 +36,7 @@ from .limits import (
     check_separator_models,
 )
 from .linalg import cholesky_spd
-from .rng import OFFSET_LATENT, block_bounds, derived_rng
+from .rng import OFFSET_LATENT, derived_rng, run_blocks
 
 #: Absolute tolerance of the bisection inverter, on the exponential scale.
 INVERT_TOL = 1e-10
@@ -155,16 +153,6 @@ def _draw_transition(model, clique, sep, rng, nb: int, x_sep: np.ndarray) -> np.
     return _invert_kernel(model, sep, x_sep, u)[:, None]
 
 
-def _run_blocks(n: int, workers: int, fill) -> None:
-    blocks = block_bounds(n)
-    if workers <= 1 or len(blocks) == 1:
-        for blk in blocks:
-            fill(blk)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, blocks))
-
-
 def _simulate(ordering: CliqueOrdering, table: dict, n: int, seed: int,
               workers: int, given_root=None) -> np.ndarray:
     cols = ordering.graph.vertices
@@ -192,7 +180,7 @@ def _simulate(ordering: CliqueOrdering, table: dict, n: int, seed: int,
             for j, w in enumerate(rest):
                 values[start:stop, pos[w]] = out[:, j]
 
-    _run_blocks(n, workers, fill)
+    run_blocks(n, workers, fill)
     return values
 
 

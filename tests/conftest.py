@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tailgraph import gaussian as gsn
 from tailgraph import husler_reiss as hr
 from tailgraph.graphs import Graph, clique_ordering
+
+# Property tests replay the same examples on every run and carry no
+# per-example deadline (a shared host's pauses are not failures).
+settings.register_profile("tailgraph", derandomize=True, deadline=None,
+                          max_examples=60)
+settings.load_profile("tailgraph")
 
 
 def hr_pair_model(clique, gamma):

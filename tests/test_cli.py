@@ -1,6 +1,10 @@
 """Command-line driver: exit codes, artifact payloads, byte determinism."""
 
+import contextlib
+import gc
+import io
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -27,6 +31,25 @@ def run(*args):
 
 def payload(result):
     return json.loads(result.output)
+
+
+def test_commands_do_not_retain_their_stdout(configs):
+    """A caller that redirects stdout per command, as an embedding
+    process does, gets each stream freed once it drops it."""
+    streams = []
+    for args in (["graph"], ["derive"], ["graph", "--root", "0"]):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            try:
+                main([*args, "--config", str(configs / "hr_chain.json")],
+                     standalone_mode=False)
+            except SystemExit as exc:  # the error payload path
+                assert exc.code == EXIT_CONFIG
+        assert buf.getvalue()
+        streams.append(weakref.ref(buf))
+        del buf
+    gc.collect()
+    assert [ref() for ref in streams] == [None, None, None]
 
 
 # ------------------------------------------------------------------ graph
@@ -164,7 +187,8 @@ def test_verify_flag_validation(configs):
     assert res.exit_code == 2  # click usage error: --config is required
 
 
-@pytest.mark.parametrize("levels", ["nan", "inf", "2,nan", "2,inf", "-inf"])
+@pytest.mark.parametrize("levels", ["nan", "inf", "2,nan", "2,inf", "-inf",
+                                    "2,2"])
 def test_verify_rejects_non_finite_levels(configs, levels):
     res = run("verify", "--config", str(configs / "gaussian_short_chain.json"),
               "--n", "200", "--t-levels", levels)

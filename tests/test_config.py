@@ -165,10 +165,13 @@ def test_scalar_field_validation():
         chain_doc(t_levels=[float("inf")]),
         chain_doc(t_levels=[2.0, float("nan")]),
         chain_doc(t_levels=["2"]),
+        chain_doc(t_levels=[2.0, 2.0]),
         chain_doc(n=0),
         chain_doc(seed=-1),
         chain_doc(notes=12),
         chain_doc(tolerances={"trend_slack": 0.9}),
+        chain_doc(tolerances={"remainder_grid": [10, float("inf")]}),
+        chain_doc(tolerances={"remainder_grid": [float("nan")]}),
     ]:
         with pytest.raises(ConfigError):
             parse_config(bad)

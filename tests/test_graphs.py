@@ -3,9 +3,13 @@
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import graph_oracle
 from tailgraph.errors import ConfigError, EmptySubset, NotChordal, NotConnected
 from tailgraph.graphs import (
+    CliqueOrdering,
     Graph,
     clique_ordering,
     goldner_harary,
@@ -207,3 +211,72 @@ def test_goldner_harary_invariants():
     assert all(len(c) == 4 for c in o.cliques)
     assert sum(1 for c in o.cliques if 2 in c) == 6
     assert nx.check_planarity(h)[0]
+
+
+# ------------------------------------------ quadratic reference ordering
+
+
+@st.composite
+def connected_chordal(draw, max_n=40):
+    """A star, a path, or a graph grown from a random perfect elimination
+    ordering (each new vertex joins a subset of an earlier vertex's
+    attaching clique that holds that vertex), relabelled at random."""
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(["peo", "star", "path"]))
+    if kind == "star":
+        edges = [(1, w) for w in range(2, n + 1)]
+    elif kind == "path":
+        edges = [(w - 1, w) for w in range(2, n + 1)]
+    else:
+        edges, attach = [], {1: (1,)}
+        for w in range(2, n + 1):
+            u = draw(st.integers(1, w - 1))
+            keep = draw(st.lists(st.booleans(), min_size=len(attach[u]),
+                                 max_size=len(attach[u])))
+            base = tuple(x for x, k in zip(attach[u], keep) if k or x == u)
+            edges += [(x, w) for x in base]
+            attach[w] = base + (w,)
+    perm = draw(st.permutations(range(1, n + 1)))
+    return Graph.make(n, [(perm[a - 1], perm[b - 1]) for a, b in edges])
+
+
+@given(connected_chordal())
+def test_clique_ordering_matches_quadratic_oracle(g):
+    for root in g.vertices:
+        assert clique_ordering(g, root) == graph_oracle.clique_ordering(g, root)
+    assert validate_chordal(g) == tuple(reversed(graph_oracle._mcs_order(g, 1)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NotChordal, NotConnected) as exc:
+        return type(exc), getattr(exc, "witness", None)
+
+
+@st.composite
+def any_graph(draw, max_n=10):
+    """A random spanning tree plus random extra edges, so cycles with
+    and without chords; one time in four the last vertex loses its edges
+    and the graph is disconnected."""
+    n = draw(st.integers(2, max_n))
+    edges = {(draw(st.integers(1, w - 1)), w) for w in range(2, n + 1)}
+    edges |= draw(st.sets(st.tuples(st.integers(1, n), st.integers(1, n))
+                          .filter(lambda e: e[0] != e[1]), max_size=2 * n))
+    if draw(st.booleans()) and draw(st.booleans()):
+        edges = {e for e in edges if n not in e}
+    return Graph.make(n, edges)
+
+
+@given(any_graph())
+def test_any_graph_gives_the_oracle_outcome(g):
+    """Non-chordal and disconnected graphs raise what the oracle raises."""
+    for root in g.vertices:
+        assert (_outcome(clique_ordering, g, root)
+                == _outcome(graph_oracle.clique_ordering, g, root))
+    expected = _outcome(graph_oracle.clique_ordering, g, 1)
+    got = _outcome(validate_chordal, g)
+    if isinstance(expected, CliqueOrdering):
+        assert got == tuple(reversed(graph_oracle._mcs_order(g, 1)))
+    else:
+        assert got == expected

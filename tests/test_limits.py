@@ -1,24 +1,31 @@
 """Graph-wide tail limit engine: verdicts, composition, sampling, remainders."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import limit_oracle
 from tailgraph import gaussian as gs
 from tailgraph import husler_reiss as hr
+from tailgraph.config import load_config
 from tailgraph.errors import (
     IncompatibleSeparators,
     NormingIncompatible,
     NotBlockGraph,
+    TailgraphError,
 )
 from tailgraph.graphs import Graph, clique_ordering, goldner_harary
 from tailgraph.limits import (
     NormingPair,
+    TailGraphicalModel,
     build_tail_model,
     build_tail_noise,
     classify_norming,
+    derive_limit,
     sample_tail_model,
+    tail_model_moments,
     verify_remainders,
 )
 from tailgraph.linalg import spd_inverse
@@ -189,6 +196,99 @@ def test_sampler_is_deterministic_and_prefix_stable(gauss_chain):
     assert np.array_equal(a1.values[: 32_768], short.values)
     other = sample_tail_model(tm, 1000, seed=6)
     assert not np.array_equal(a1.values[:1000], other.values)
+
+
+# ------------------------------------- clique-major reference sampler
+
+
+def assert_matches_oracle(limit, n=70_000, seed=5):
+    """Moments and samples equal the reference loops byte for byte; n
+    crosses a row-block boundary, and 1 and 3 workers must agree."""
+    if isinstance(limit, TailGraphicalModel):
+        want = limit_oracle.tail_model_moments(limit)
+        got = tail_model_moments(limit)
+        ref = limit_oracle.sample_tail_model(limit, n, seed)
+        draws = [sample_tail_model(limit, n, seed, workers=w) for w in (1, 3)]
+    else:
+        want = (limit_oracle.noise_mean(limit),
+                limit_oracle.noise_covariance(limit))
+        got = (limit.mean(), limit.covariance())
+        ref = limit_oracle.noise_sample(limit, n, seed)
+        draws = [limit.sample(n, seed, workers=w) for w in (1, 3)]
+    assert got[0].index == want[0].index
+    assert got[0].values.tobytes() == want[0].values.tobytes()
+    assert (got[1].rows, got[1].cols) == (want[1].rows, want[1].cols)
+    assert got[1].values.tobytes() == want[1].values.tobytes()
+    for draw in draws:
+        assert (draw.columns, draw.meta) == (ref.columns, ref.meta)
+        assert draw.values.tobytes() == ref.values.tobytes()
+
+
+def test_shipped_limits_match_reference_sampler():
+    built = []
+    for path in sorted((Path(__file__).parent.parent / "configs").glob("*.json")):
+        try:
+            cfg = load_config(path)
+            ordering = cfg.ordering(root=cfg.v)
+            models = cfg.models(ordering)
+        except TailgraphError:
+            continue  # graph-only or non-chordal configs build no limit
+        model = derive_limit(ordering, models, cfg.v)[1]
+        assert_matches_oracle(model if model is not None
+                              else build_tail_noise(ordering, models, cfg.v))
+        built.append(path.stem)
+    assert built == ["gaussian_chain", "gaussian_short_chain", "hr_block_tree",
+                     "hr_chain", "mixed_tree"]
+
+
+def test_hr_pair_tree_matches_reference_sampler():
+    rng = np.random.default_rng(200)
+    parent = {w: int(rng.integers(1, w)) for w in range(2, 201)}
+    graph = Graph.make(200, list(parent.items()))
+    ordering = clique_ordering(graph, 1)
+    models = {c: hr_pair_model(c, float(rng.uniform(0.3, 1.5)))
+              for c in ordering.cliques}
+    assert_matches_oracle(build_tail_model(ordering, models, 1))
+
+
+def test_gaussian_triangle_tree_matches_reference_sampler():
+    """Triangles glued at single vertices; rooted at an interior vertex,
+    and as separator-normed noise blocks."""
+    rng = np.random.default_rng(3)
+    edges, corr = [], {}
+    for k in range(1, 21):
+        glue = int(rng.integers(1, 2 * k)) if k > 1 else 1
+        c = tuple(sorted((glue, 2 * k, 2 * k + 1)))
+        edges += [(c[0], c[1]), (c[0], c[2]), (c[1], c[2])]
+        while True:
+            r = rng.uniform(0.45, 0.85, size=3)
+            m = np.array([[1.0, r[0], r[1]], [r[0], 1.0, r[2]],
+                          [r[1], r[2], 1.0]])
+            if np.linalg.eigvalsh(m)[0] > 0.05:
+                break
+        corr[c] = m
+    graph = Graph.make(41, edges)
+    ordering = clique_ordering(graph, 2)
+    models = {c: gs.GaussianCopulaModel(c, gs.CorrelationMatrix(c, corr[c]))
+              for c in ordering.cliques}
+    assert_matches_oracle(build_tail_model(ordering, models, 2))
+    assert_matches_oracle(build_tail_noise(ordering, models, 2), n=40_000)
+
+
+@pytest.mark.parametrize("v", [1, 6])
+def test_goldner_harary_field_matches_reference_sampler(v):
+    """Three-vertex separators, with and without the conditioning vertex:
+    the slope product over several free separator vertices."""
+    gh = goldner_harary()
+    prec = np.eye(11) * 4.0
+    for a, b in gh.edge_list():
+        prec[a - 1, b - 1] = prec[b - 1, a - 1] = -0.35
+    cov = np.linalg.inv(prec)
+    d = np.sqrt(np.diag(cov))
+    full = gs.CorrelationMatrix(tuple(range(1, 12)), cov / np.outer(d, d))
+    ordering = clique_ordering(gh, v)
+    models = {c: gs.GaussianCopulaModel(c, full.sub(c)) for c in ordering.cliques}
+    assert_matches_oracle(build_tail_model(ordering, models, v), n=40_000)
 
 
 # ------------------------------------------------------------- error gates
