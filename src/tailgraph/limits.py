@@ -150,10 +150,11 @@ class LinearStep:
 
         Z[rows] = φ ∘ ε + ψ Z[sep],  ε ~ law.
 
-    ``psi`` None marks a block drawn independently of all earlier ones (a
-    root law or a tail-noise block, with φ = 1); otherwise it is the
-    (len(rows), len(sep)) slope, and ``sep`` holds -1 for the conditioning
-    vertex, whose fluctuation is pinned at zero.
+    ``psi`` None marks a step with no free separator vertex, drawn
+    independently of all earlier ones as φ ∘ ε (a root law, a tail-noise
+    block, or a clique update whose separator does not move); otherwise it
+    is the (len(rows), len(sep)) slope, and ``sep`` holds -1 for the
+    conditioning vertex, whose fluctuation is pinned at zero.
     """
 
     rows: tuple[int, ...]
@@ -191,14 +192,14 @@ class TailGraphicalModel:
                 rows=tuple(pos[u] for u in self.root_noise.index),
                 law=self.root_noise, phi=np.ones(self.root_noise.dim)))
         for upd in self.updates:
+            sep = tuple(pos.get(s, -1) for s in upd.sep)
+            free = upd.psi is not None and any(p >= 0 for p in sep)
             steps.append(LinearStep(
                 rows=tuple(pos[u] for u in upd.rest),
                 law=upd.noise,
                 phi=upd.phi.values,
-                sep=(tuple(pos.get(s, -1) for s in upd.sep)
-                     if upd.psi is not None else ()),
-                psi=(upd.psi.values if upd.psi is not None
-                     else np.zeros((len(upd.rest), 0))),
+                sep=sep if free else (),
+                psi=upd.psi.values if free else None,
             ))
         return tuple(steps)
 
@@ -474,24 +475,25 @@ def _moments(steps: tuple[LinearStep, ...],
     """Exact mean and covariance of Z over ``index``.
 
     The recursion is linear with independent noises, so moments propagate
-    in closed form: an independent block sets its own mean and covariance
-    block; a dependent step gives its rows ψ·mean_S + φ∘E[ε] and picks up
-    ψΣψᵀ plus the scaled noise covariance.
+    in closed form: an independent step gives its rows φ∘E[ε] and the
+    scaled noise covariance as its block; a dependent step gives its rows
+    ψ·mean_S + φ∘E[ε] and picks up ψΣψᵀ plus the scaled noise covariance.
     """
     d = len(index)
     mean = np.zeros(d)
     cov = np.zeros((d, d))
     for step in steps:
         rows = list(step.rows)
+        phi = step.phi
         if step.psi is None:
-            mean[rows] = step.law.mean.values
-            cov[np.ix_(rows, rows)] = step.law.cov.values
+            mean[rows] = phi * step.law.mean.values
+            cov[np.ix_(rows, rows)] = (phi[:, None] * step.law.cov.values
+                                       * phi[None, :])
             continue
         psi_eff = np.zeros((len(rows), d))
         for j, p in enumerate(step.sep):
             if p >= 0:
                 psi_eff[:, p] = step.psi[:, j]
-        phi = step.phi
         m_rest = psi_eff @ mean + phi * step.law.mean.values
         cross = psi_eff @ cov
         v_rest = (cross @ psi_eff.T
@@ -672,10 +674,10 @@ class TailNoiseModel:
     def covariance(self) -> IndexedMatrix:
         return _moments(self.steps, self.z_index)[1]
 
-    def sample(self, n: int, seed: int, workers: int = 1) -> SampleMatrix:
-        """n draws of (E_v, Z_{V\\v}), byte-identical for any ``workers``."""
+    def sample(self, n: int, seed: int) -> SampleMatrix:
+        """n draws of (E_v, Z_{V\\v})."""
         return _sample_steps(
-            self.steps, self.ordering.graph.vertices, self.v, n, seed, workers,
+            self.steps, self.ordering.graph.vertices, self.v, n, seed, 1,
             meta={"kind": "tail_noise", "v": self.v, "n": n, "seed": seed},
         )
 

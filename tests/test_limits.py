@@ -214,7 +214,7 @@ def assert_matches_oracle(limit, n=70_000, seed=5):
                 limit_oracle.noise_covariance(limit))
         got = (limit.mean(), limit.covariance())
         ref = limit_oracle.noise_sample(limit, n, seed)
-        draws = [limit.sample(n, seed, workers=w) for w in (1, 3)]
+        draws = [limit.sample(n, seed)]
     assert got[0].index == want[0].index
     assert got[0].values.tobytes() == want[0].values.tobytes()
     assert (got[1].rows, got[1].cols) == (want[1].rows, want[1].cols)
