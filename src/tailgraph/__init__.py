@@ -24,6 +24,7 @@ from .graphs import (
     CliqueOrdering,
     Graph,
     JunctionTree,
+    check_separator_models,
     clique_ordering,
     goldner_harary,
     is_block_graph,
@@ -31,7 +32,7 @@ from .graphs import (
     validate_chordal,
 )
 from .linalg import GaussianLaw, IndexedMatrix, IndexedVector, spd_inverse
-from .mvn import CdfEstimate, bvn_cdf, mvn_cdf, mvn_sample
+from .mvn import CdfEstimate, bvn_cdf, mvn_cdf
 from .husler_reiss import (
     HuslerReissModel,
     VariogramMatrix,
@@ -55,7 +56,6 @@ from .limits import (
     TailNoiseModel,
     build_tail_model,
     build_tail_noise,
-    check_separator_models,
     classify_norming,
     sample_tail_model,
     tail_model_moments,

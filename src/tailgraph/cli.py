@@ -27,7 +27,7 @@ from . import diagnostics as dg
 from . import limits
 from .config import RunConfig, check_t_levels, load_config
 from .errors import ConfigError, TailgraphError
-from .graphs import clique_ordering, junction_tree
+from .graphs import _family_of, clique_ordering, junction_tree
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -166,15 +166,14 @@ def cmd_derive(config_path: str, out_flag: str | None, v_flag: int | None) -> No
         verdict, model = limits.derive_limit(ordering, models, v)
         doc["verdict"] = verdict.to_dict()
         if model is not None:
-            mean, cov = limits.tail_model_moments(model)
+            limit = model
             doc["tail_model"] = model.to_dict()
-            doc["limit_moments"] = {"mean": mean.to_dict(),
-                                    "covariance": cov.to_dict()}
         else:
-            noise = limits.build_tail_noise(ordering, models, v)
-            doc["tail_noise"] = noise.to_dict()
-            doc["limit_moments"] = {"mean": noise.mean().to_dict(),
-                                    "covariance": noise.covariance().to_dict()}
+            limit = limits.build_tail_noise(ordering, models, v)
+            doc["tail_noise"] = limit.to_dict()
+        mean, cov = limits.tail_model_moments(limit)
+        doc["limit_moments"] = {"mean": mean.to_dict(),
+                                "covariance": cov.to_dict()}
     except ConfigError as exc:
         _fail(exc, EXIT_CONFIG)
     except TailgraphError as exc:
@@ -199,7 +198,7 @@ def _remainder_checks(report: limits.RemainderReport, models: dict) -> dict:
     for c in cliques:
         rows = report.for_clique(c)
         sups = [max(r.sup_a, r.sup_b) for r in rows]
-        family = limits._family_of(models[c])
+        family = _family_of(models[c])
         if family == "husler_reiss":
             ok = max(sups) < HR_REMAINDER_CEILING
         else:
@@ -280,7 +279,7 @@ def cmd_verify(config_path: str, out_flag: str | None, v_flag: int | None,
                                      "cliques": rem_checks}
             checks["remainders"] = all(c["ok"] for c in rem_checks.values())
 
-        if all(limits._family_of(m) == "husler_reiss" for m in models.values()):
+        if all(_family_of(m) == "husler_reiss" for m in models.values()):
             mrv = dg.mrv_checks(ordering, models, seed=seed)
             mrv_doc = mrv.to_dict()
             _write(out, "mrv.json", _dump(mrv_doc))

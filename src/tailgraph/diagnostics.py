@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import expm1, ndtr
 
 from . import husler_reiss as hr
 from .config import check_t_levels
@@ -17,12 +17,11 @@ from .errors import (
     NumericalBreakdown,
     QuantileOutOfRange,
 )
-from .graphs import CliqueOrdering
+from .graphs import CliqueOrdering, _models_table
 from .limits import (
     SampleMatrix,
     TailGraphicalModel,
     TailNoiseModel,
-    _models_table,
     build_tail_model,
     build_tail_noise,
     derive_limit,
@@ -44,7 +43,8 @@ def chi_estimator(samples: SampleMatrix, subset, q: float) -> float:
     Counts rows whose marginal ranks all exceed the q-th quantile and
     normalizes by the expected count under comonotonicity, so perfectly
     dependent columns give exactly 1 for any q and independent columns
-    give roughly (1-q)^{|subset|-1}.
+    give roughly (1-q)^{|subset|-1}.  Ties are ranked in row order.  A
+    column with a non-finite entry raises :class:`NumericalBreakdown`.
     """
     subset = tuple(int(u) for u in subset)
     if not subset:
@@ -60,14 +60,20 @@ def chi_estimator(samples: SampleMatrix, subset, q: float) -> float:
         raise QuantileOutOfRange(f"q={q} leaves no exceedances at n={n}")
     joint = np.ones(n, dtype=bool)
     for u in subset:
-        ranks = stats.rankdata(samples.column(u), method="ordinal")
-        joint &= ranks > n - k
+        col = samples.column(u)
+        if not np.all(np.isfinite(col)):
+            raise NumericalBreakdown(f"column {u} has non-finite entries")
+        top = np.zeros(n, dtype=bool)
+        top[np.argsort(col, kind="stable")[n - k:]] = True
+        joint &= top
     return float(joint.sum() / k)
 
 
 def _ks_statistic(x: np.ndarray, cdf) -> float:
     """Two-sided one-sample KS distance max(D⁺, D⁻) of x from ``cdf``,
-    with the same arithmetic as ``scipy.stats.kstest`` but no p-value."""
+    with the same arithmetic as ``scipy.stats.kstest`` but no p-value.
+    The CDFs below give the bits of ``scipy.stats.expon.cdf`` and
+    ``norm.cdf`` without importing ``scipy.stats``, which is slow."""
     x = np.sort(np.asarray(x, dtype=float))
     n = x.shape[0]
     f = cdf(x)
@@ -76,12 +82,19 @@ def _ks_statistic(x: np.ndarray, cdf) -> float:
     return float(d_plus if d_plus > d_minus else d_minus)
 
 
+def _expon_cdf(y: np.ndarray) -> np.ndarray:
+    # scipy's expm1, not numpy's: the two differ in the last bits
+    f = -expm1(-y)
+    f[y <= 0] = 0.0
+    return f
+
+
 def ks_unit_exponential(x: np.ndarray) -> float:
-    return _ks_statistic(x, stats.expon.cdf)
+    return _ks_statistic(x, _expon_cdf)
 
 
 def ks_normal(x: np.ndarray, mean: float, sd: float) -> float:
-    return _ks_statistic(x, lambda y: stats.norm.cdf(y, mean, sd))
+    return _ks_statistic(x, lambda y: ndtr((y - mean) / sd))
 
 
 @dataclass(frozen=True)
@@ -200,12 +213,9 @@ def study_limit(limit: TailGraphicalModel | TailNoiseModel, models: dict,
     monotone-trend verdict sharp.
     """
     t_levels = check_t_levels(t_levels, "t_levels")
-    if isinstance(limit, TailGraphicalModel):
-        mode = "condition_on_root"
-        lim_mean, lim_cov = tail_model_moments(limit)
-    else:
-        mode = "separator_based"
-        lim_mean, lim_cov = limit.mean(), limit.covariance()
+    mode = ("condition_on_root" if isinstance(limit, TailGraphicalModel)
+            else "separator_based")
+    lim_mean, lim_cov = tail_model_moments(limit)
     v = limit.v
     z_index = limit.z_index
     threshold = float(ks_const / np.sqrt(n))

@@ -18,15 +18,31 @@ The chordality test is maximum-cardinality search followed by the
 perfect-elimination check; on failure a chordless cycle of length >= 4
 is constructed and attached to the :class:`~tailgraph.errors.NotChordal`
 exception as a witness.
+
+The per-clique models table and the separator check live beside the
+ordering, so the limit engine, the Hüsler-Reiss recursion, the simulator
+and the diagnostics all read one table and apply one check.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, EmptySubset, NotChordal, NotConnected
+import numpy as np
+
+from .errors import (
+    ConfigError,
+    IncompatibleSeparators,
+    NormingUnavailable,
+    NotChordal,
+    NotConnected,
+    UnsupportedNormingFamily,
+)
+
+#: Largest entrywise gap two cliques' separator blocks may show.
+SEPARATOR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -308,6 +324,68 @@ def clique_ordering(graph: Graph, root_vertex: int) -> CliqueOrdering:
     )
 
 
+def _family_of(model) -> str:
+    fam = getattr(model, "family", None)
+    if fam is None:
+        raise NormingUnavailable(f"model {model!r} declares no norming family")
+    if fam not in ("husler_reiss", "gaussian"):
+        raise UnsupportedNormingFamily(f"unknown family {fam!r}")
+    return fam
+
+
+def _models_table(ordering: CliqueOrdering, models: dict) -> dict:
+    """The model of every clique of the ordering, keyed by the clique.
+
+    A model that names its clique must name its key.  A model may name
+    none: a one-vertex graph simulates without any.
+    """
+    table = {}
+    for c in ordering.cliques:
+        key = tuple(sorted(c))
+        if key not in models:
+            raise ConfigError(f"no model supplied for clique {key}")
+        model = models[key]
+        clique = getattr(model, "clique", key)
+        if clique != key:
+            raise ConfigError(f"model clique {clique} does not match {key}")
+        table[key] = model
+    return table
+
+
+def check_separator_models(ordering: CliqueOrdering, table: dict) -> None:
+    """Adjacent cliques must induce the same law on shared separators.
+
+    Singleton separators are always compatible (both families have unit
+    exponential margins).  Larger separators require matching families
+    and matching variogram/correlation blocks, to :data:`SEPARATOR_TOL`.
+    """
+    for i in range(1, len(ordering)):
+        sep = ordering.separators[i]
+        if len(sep) < 2:
+            continue
+        child = table[ordering.cliques[i]]
+        parent = table[ordering.cliques[ordering.parents[i]]]
+        cf, pf = _family_of(child), _family_of(parent)
+        if cf != pf:
+            raise IncompatibleSeparators(
+                f"cliques {ordering.cliques[i]} ({cf}) and "
+                f"{ordering.cliques[ordering.parents[i]]} ({pf}) share "
+                f"separator {sep} but use different families"
+            )
+        if cf == "husler_reiss":
+            gap = float(np.max(np.abs(child.variogram.sub(sep).values
+                                      - parent.variogram.sub(sep).values)))
+        else:
+            gap = float(np.max(np.abs(child.correlation.sub(sep).values
+                                      - parent.correlation.sub(sep).values)))
+        if gap > SEPARATOR_TOL:
+            raise IncompatibleSeparators(
+                f"cliques {ordering.cliques[i]} and "
+                f"{ordering.cliques[ordering.parents[i]]} disagree on "
+                f"separator {sep} by {gap:.3e}"
+            )
+
+
 @dataclass(frozen=True)
 class JunctionTree:
     """Tree over clique indices with separator-labelled edges."""
@@ -319,46 +397,19 @@ class JunctionTree:
     def cliques(self) -> tuple[tuple[int, ...], ...]:
         return self.ordering.cliques
 
-    def neighbors_of(self, i: int) -> list[int]:
-        out = []
-        for a, b, _ in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
-
-    def tree_path(self, i: int, j: int) -> list[int]:
-        """Clique indices on the unique path from i to j, inclusive."""
-        prev = {i: None}
-        queue = deque([i])
-        while queue:
-            c = queue.popleft()
-            if c == j:
-                break
-            for w in self.neighbors_of(c):
-                if w not in prev:
-                    prev[w] = c
-                    queue.append(w)
-        path = [j]
-        while prev[path[-1]] is not None:
-            path.append(prev[path[-1]])
-        path.reverse()
-        return path
-
     def check_path_intersection(self) -> bool:
         """Every pairwise clique intersection is contained in every clique
-        on the tree path between the pair."""
-        cl = self.cliques
-        for i in range(len(cl)):
-            for j in range(i + 1, len(cl)):
-                inter = set(cl[i]) & set(cl[j])
-                if not inter:
-                    continue
-                for k in self.tree_path(i, j):
-                    if not inter <= set(cl[k]):
-                        return False
-        return True
+        on the tree path between the pair.
+
+        Equivalently, the cliques holding each vertex span a subtree: in a
+        tree they then outnumber the tree edges between them by exactly
+        one, while a disconnected set of them outnumbers its edges by more.
+        """
+        count = Counter(u for c in self.cliques for u in c)
+        for a, b, _ in self.edges:
+            for u in set(self.cliques[a]) & set(self.cliques[b]):
+                count[u] -= 1
+        return all(k == 1 for k in count.values())
 
     def to_dict(self) -> dict:
         return {
@@ -384,17 +435,6 @@ def is_block_graph(graph: Graph) -> bool:
     (for a connected chordal graph this does not depend on the root)."""
     ordering = clique_ordering(graph, root_vertex=1)
     return all(len(s) == 1 for s in ordering.separators[1:])
-
-
-def vertex_subset(graph: Graph, subset) -> tuple[int, ...]:
-    """Validate and sort a nonempty vertex subset."""
-    vs = sorted(set(subset))
-    if not vs:
-        raise EmptySubset("empty vertex subset")
-    for v in vs:
-        if not (1 <= v <= graph.n):
-            raise ConfigError(f"vertex {v} outside 1..{graph.n}")
-    return tuple(vs)
 
 
 def goldner_harary() -> Graph:

@@ -35,11 +35,14 @@ from .errors import (
     NumericalBreakdown,
     UnsupportedCliqueShape,
 )
-from .graphs import CliqueOrdering
+from .graphs import (
+    SEPARATOR_TOL,
+    CliqueOrdering,
+    _models_table,
+    check_separator_models,
+)
 from .linalg import GaussianLaw, IndexedMatrix, IndexedVector, spd_inverse
 from .mvn import CdfEstimate, bvn_cdf, mvn_cdf
-
-SEPARATOR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -386,10 +389,6 @@ def transition_kernel(model: HuslerReissModel, sep, x_sep, x_rest,
     return np.minimum(vals, 1.0)
 
 
-def transition_kernel_value(model, sep, x_sep, x_rest, **kw) -> float:
-    return float(transition_kernel(model, sep, x_sep, x_rest, **kw)[0])
-
-
 @dataclass(frozen=True)
 class HRLimitParams:
     """Closed-form parameters of the limiting conditional update.
@@ -510,43 +509,12 @@ def kernel_limit(model: HuslerReissModel, sep, offset, z_sep=None,
 # graph-wide conditional limit (mean and precision over V \ v)
 
 
-def check_separator_compatibility(ordering: CliqueOrdering, models: dict,
-                                  tol: float = SEPARATOR_TOL) -> None:
-    """Adjacent cliques must agree on separator variograms to ``tol``."""
-    for i in range(1, len(ordering)):
-        sep = ordering.separators[i]
-        if len(sep) < 2:
-            continue
-        parent = ordering.parents[i]
-        child_v = models[ordering.cliques[i]].variogram.sub(sep).values
-        parent_v = models[ordering.cliques[parent]].variogram.sub(sep).values
-        gap = float(np.max(np.abs(child_v - parent_v)))
-        if gap > tol:
-            raise IncompatibleSeparators(
-                f"cliques {ordering.cliques[i]} and {ordering.cliques[parent]} "
-                f"disagree on separator {sep} by {gap:.3e}"
-            )
-
-
-def _models_by_clique(ordering: CliqueOrdering, models) -> dict:
-    table = {}
-    for c in ordering.cliques:
-        key = tuple(sorted(c))
-        if key not in models:
-            raise ConfigError(f"no model supplied for clique {key}")
-        m = models[key]
-        if m.clique != key:
-            raise ConfigError(f"model clique {m.clique} does not match {key}")
-        table[key] = m
-    return table
-
-
 def tail_model_mean(ordering: CliqueOrdering, models: dict, v: int) -> IndexedVector:
     """Mean of the graph-wide conditional limit, indexed by V \\ {v}."""
     if v not in ordering.cliques[0]:
         raise ConfigError(f"vertex {v} not in the first clique; re-root first")
-    table = _models_by_clique(ordering, models)
-    check_separator_compatibility(ordering, table)
+    table = _models_table(ordering, models)
+    check_separator_models(ordering, table)
     mu: dict[int, float] = {}
     for i, clique in enumerate(ordering.cliques):
         model = table[clique]
@@ -580,8 +548,8 @@ def tail_model_precision(ordering: CliqueOrdering, models: dict, v: int) -> Inde
     """
     if v not in ordering.cliques[0]:
         raise ConfigError(f"vertex {v} not in the first clique; re-root first")
-    table = _models_by_clique(ordering, models)
-    check_separator_compatibility(ordering, table)
+    table = _models_table(ordering, models)
+    check_separator_models(ordering, table)
 
     index = tuple(w for w in ordering.graph.vertices if w != v)
     pos = {w: k for k, w in enumerate(index)}

@@ -35,15 +35,14 @@ import numpy as np
 
 from . import gaussian as gsn
 from . import husler_reiss as hr
-from .errors import (
-    ConfigError,
-    IncompatibleSeparators,
-    NormingIncompatible,
-    NormingUnavailable,
-    NotBlockGraph,
-    UnsupportedNormingFamily,
+from .errors import ConfigError, NormingIncompatible, NotBlockGraph
+from .graphs import (
+    CliqueOrdering,
+    _family_of,
+    _models_table,
+    check_separator_models,
+    clique_ordering,
 )
-from .graphs import CliqueOrdering, clique_ordering
 from .linalg import GaussianLaw, IndexedMatrix, IndexedVector
 from .rng import derived_rng, run_blocks
 
@@ -88,7 +87,6 @@ class CliqueUpdate:
     use.
     """
 
-    position: int
     clique: tuple[int, ...]
     sep: tuple[int, ...]
     rest: tuple[int, ...]
@@ -213,29 +211,10 @@ class TailGraphicalModel:
         }
 
 
-def _family_of(model) -> str:
-    fam = getattr(model, "family", None)
-    if fam is None:
-        raise NormingUnavailable(f"model {model!r} declares no norming family")
-    if fam not in ("husler_reiss", "gaussian"):
-        raise UnsupportedNormingFamily(f"unknown family {fam!r}")
-    return fam
-
-
 def _rooted(ordering: CliqueOrdering, v: int) -> CliqueOrdering:
     if v in ordering.cliques[0]:
         return ordering
     return clique_ordering(ordering.graph, v)
-
-
-def _models_table(ordering: CliqueOrdering, models: dict) -> dict:
-    table = {}
-    for c in ordering.cliques:
-        key = tuple(sorted(c))
-        if key not in models:
-            raise ConfigError(f"no model supplied for clique {key}")
-        table[key] = models[key]
-    return table
 
 
 def _root_pieces(model, v: int):
@@ -254,8 +233,8 @@ def _root_pieces(model, v: int):
     return normings, (rn.law if rn is not None else None)
 
 
-def _transition_pieces(position: int, model, sep: tuple[int, ...],
-                       normings: dict, v: int) -> CliqueUpdate:
+def _transition_pieces(model, sep: tuple[int, ...], normings: dict,
+                       v: int) -> CliqueUpdate:
     fam = _family_of(model)
     clique = model.clique
     rest = tuple(u for u in clique if u not in sep)
@@ -291,7 +270,7 @@ def _transition_pieces(position: int, model, sep: tuple[int, ...],
             return np.ones((x.shape[0], _m))
 
         return CliqueUpdate(
-            position=position, clique=clique, sep=sep, rest=rest, family=fam,
+            clique=clique, sep=sep, rest=rest, family=fam,
             psi=slope, phi=IndexedVector(rest, np.ones(len(rest))),
             noise=params.law, a_fun=a_fun, b_fun=b_fun,
         )
@@ -315,45 +294,10 @@ def _transition_pieces(position: int, model, sep: tuple[int, ...],
                 cols[:, j] = sn.psi.sub(rest, (s,)).values[:, 0]
         psi = IndexedMatrix(rest, sep, cols)
     return CliqueUpdate(
-        position=position, clique=clique, sep=sep, rest=rest, family=fam,
+        clique=clique, sep=sep, rest=rest, family=fam,
         psi=psi, phi=sn.phi, noise=sn.noise,
         a_fun=sn.a_of, b_fun=sn.b_of,
     )
-
-
-def check_separator_models(ordering: CliqueOrdering, table: dict,
-                           tol: float = hr.SEPARATOR_TOL) -> None:
-    """Adjacent cliques must induce the same law on shared separators.
-
-    Singleton separators are always compatible (both families have unit
-    exponential margins).  Larger separators require matching families
-    and matching variogram/correlation blocks.
-    """
-    for i in range(1, len(ordering)):
-        sep = ordering.separators[i]
-        if len(sep) < 2:
-            continue
-        child = table[ordering.cliques[i]]
-        parent = table[ordering.cliques[ordering.parents[i]]]
-        cf, pf = _family_of(child), _family_of(parent)
-        if cf != pf:
-            raise IncompatibleSeparators(
-                f"cliques {ordering.cliques[i]} ({cf}) and "
-                f"{ordering.cliques[ordering.parents[i]]} ({pf}) share "
-                f"separator {sep} but use different families"
-            )
-        if cf == "husler_reiss":
-            gap = float(np.max(np.abs(child.variogram.sub(sep).values
-                                      - parent.variogram.sub(sep).values)))
-        else:
-            gap = float(np.max(np.abs(child.correlation.sub(sep).values
-                                      - parent.correlation.sub(sep).values)))
-        if gap > tol:
-            raise IncompatibleSeparators(
-                f"cliques {ordering.cliques[i]} and "
-                f"{ordering.cliques[ordering.parents[i]]} disagree on "
-                f"separator {sep} by {gap:.3e}"
-            )
 
 
 def _walk(ordering: CliqueOrdering, models: dict, v: int):
@@ -364,7 +308,7 @@ def _walk(ordering: CliqueOrdering, models: dict, v: int):
     normings, root_law = _root_pieces(table[ordering.cliques[0]], v)
     updates = []
     for i in range(1, len(ordering)):
-        upd = _transition_pieces(i, table[ordering.cliques[i]],
+        upd = _transition_pieces(table[ordering.cliques[i]],
                                  ordering.separators[i], normings, v)
         for j, u in enumerate(upd.rest):
             if upd.family == "husler_reiss":
@@ -519,13 +463,15 @@ def sample_tail_model(model: TailGraphicalModel, n: int, seed: int,
     )
 
 
-def tail_model_moments(model: TailGraphicalModel) -> tuple[IndexedVector, IndexedMatrix]:
-    """Exact mean and covariance of the limit vector Z_{V\\v}.
+def tail_model_moments(model: TailGraphicalModel | TailNoiseModel
+                       ) -> tuple[IndexedVector, IndexedMatrix]:
+    """Exact mean and covariance of the limit vector Z_{V\\v}, of either
+    limit kind.
 
-    For an all-HR graph this reproduces the dedicated recursion
-    (:func:`tailgraph.husler_reiss.tail_model_mean` / precision); for an
-    all-Gaussian graph it reproduces the whole-graph closed form
-    (:func:`tailgraph.gaussian.limit_law`).
+    For an all-HR graph the single-vertex limit reproduces the dedicated
+    recursion (:func:`tailgraph.husler_reiss.tail_model_mean` /
+    precision); for an all-Gaussian graph it reproduces the whole-graph
+    closed form (:func:`tailgraph.gaussian.limit_law`).
     """
     return _moments(model.steps, model.z_index)
 
@@ -629,7 +575,6 @@ def remainder_report(model: TailGraphicalModel,
 class NoiseBlock:
     """One independent block of the separator-normed limit."""
 
-    position: int
     clique: tuple[int, ...]
     sep_vertex: int
     rest: tuple[int, ...]
@@ -669,10 +614,10 @@ class TailNoiseModel:
                      for blk in self.blocks)
 
     def mean(self) -> IndexedVector:
-        return _moments(self.steps, self.z_index)[0]
+        return tail_model_moments(self)[0]
 
     def covariance(self) -> IndexedMatrix:
-        return _moments(self.steps, self.z_index)[1]
+        return tail_model_moments(self)[1]
 
     def sample(self, n: int, seed: int) -> SampleMatrix:
         """n draws of (E_v, Z_{V\\v})."""
@@ -753,7 +698,7 @@ def build_tail_noise(ordering: CliqueOrdering, models: dict, v: int) -> TailNois
                 law = sn.noise
                 a_fun, b_fun = sn.a_of, sn.b_of
         blocks.append(NoiseBlock(
-            position=i, clique=clique, sep_vertex=s_vertex, rest=rest,
+            clique=clique, sep_vertex=s_vertex, rest=rest,
             family=fam, law=law, a_fun=a_fun, b_fun=b_fun,
         ))
     return TailNoiseModel(ordering=ordering, v=v, blocks=tuple(blocks))

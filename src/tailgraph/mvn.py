@@ -1,4 +1,4 @@
-"""Multivariate normal CDF and sampling with a fixed seeding contract.
+"""Multivariate normal CDF with a fixed seeding contract.
 
 Dimensions 1 and 2 are evaluated deterministically (scalar ``ndtr`` and
 Genz's classical Gauss-Legendre bivariate algorithm, accurate to about
@@ -22,7 +22,7 @@ from scipy.special import ndtr, ndtri
 
 from .errors import DimensionTooLarge, NotSPD
 from .linalg import GaussianLaw, IndexedVector, cholesky_spd
-from .rng import OFFSET_MISC, OFFSET_QUAD, derived_rng, run_blocks
+from .rng import OFFSET_QUAD, derived_rng
 
 MAX_DIM = 8
 
@@ -64,11 +64,6 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17)
 class CdfEstimate(NamedTuple):
     value: float
     error: float
-
-
-def norm_cdf(x):
-    """Standard normal CDF (vectorized)."""
-    return ndtr(x)
 
 
 def _bvn_upper(dh: float, dk: float, r: float) -> float:
@@ -256,20 +251,3 @@ def mvn_cdf(
         if error <= accuracy or n_points >= (1 << 17):
             return CdfEstimate(min(1.0, max(0.0, value)), error)
         n_points *= 2
-
-
-def mvn_sample(law: GaussianLaw, n: int, seed: int) -> np.ndarray:
-    """n draws from the law; fixed (law, n, seed) gives identical output.
-
-    Rows are generated in fixed-size blocks with one Philox stream per
-    block, so prefixes agree across different n.
-    """
-    out = np.empty((n, law.dim))
-
-    def fill(blk):
-        k, start, stop = blk
-        out[start:stop] = law.sample(derived_rng(seed, OFFSET_MISC + k),
-                                     stop - start)
-
-    run_blocks(n, 1, fill)
-    return out

@@ -6,9 +6,8 @@ is a pure function of purpose (e.g. the row-block index of a sampler, or
 a fixed offset for quadrature shifts), never of execution order, so
 results are independent of worker count and identical across runs.
 
-:func:`run_blocks` is the one row-block runner: the limit sampler, the
-finite-level simulator and :func:`tailgraph.mvn.mvn_sample` each hand it
-a fill function for one block.
+:func:`run_blocks` is the one row-block runner: the limit sampler and
+the finite-level simulator each hand it a fill function for one block.
 """
 
 from __future__ import annotations

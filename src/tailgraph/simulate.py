@@ -27,14 +27,8 @@ from .errors import (
     NumericalBreakdown,
     UnsupportedCliqueShape,
 )
-from .graphs import CliqueOrdering, clique_ordering
-from .limits import (
-    SampleMatrix,
-    TailGraphicalModel,
-    TailNoiseModel,
-    _models_table,
-    check_separator_models,
-)
+from .graphs import CliqueOrdering, _models_table, check_separator_models
+from .limits import SampleMatrix, TailGraphicalModel, TailNoiseModel, _rooted
 from .linalg import cholesky_spd
 from .rng import OFFSET_LATENT, derived_rng, run_blocks
 
@@ -207,7 +201,7 @@ def conditional_exceedance(ordering: CliqueOrdering, models: dict, v: int,
         raise ConfigError(f"threshold must be nonnegative, got {t}")
     if v not in ordering.graph.vertices:
         raise ConfigError(f"vertex {v} not in the graph")
-    ordering = clique_ordering(ordering.graph, v) if v not in ordering.cliques[0] else ordering
+    ordering = _rooted(ordering, v)
     table = _models_table(ordering, models)
     check_separator_models(ordering, table)
     values = _simulate(ordering, table, n, seed, workers, given_root=(v, float(t)))

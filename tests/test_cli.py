@@ -4,12 +4,16 @@ import contextlib
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import tailgraph
 from tailgraph import limits
 from tailgraph.cli import (
     EXIT_CONFIG,
@@ -242,3 +246,30 @@ def test_tail_noise_route_walks_once(configs, walk_counter):
     assert res.exit_code in (EXIT_OK, EXIT_VERIFY)
     assert payload(res)["verdict"]["kind"] == "tail_noise_required"
     assert walk_counter == ["walk", "noise"]
+
+
+@pytest.mark.parametrize("command", ["derive", "verify"])
+def test_tail_noise_route_computes_moments_once(configs, monkeypatch, command):
+    calls = []
+    moments = limits._moments
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return moments(*args, **kwargs)
+
+    monkeypatch.setattr(limits, "_moments", counted)
+    args = ["--n", "500", "--t-levels", "8,20"] if command == "verify" else []
+    res = run(command, "--config", str(configs / "mixed_tree.json"), *args)
+    assert payload(res)["verdict"]["kind"] == "tail_noise_required"
+    assert len(calls) == 1
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """scipy.stats costs about a second of import time and the package
+    does not use it."""
+    src = str(Path(tailgraph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, tailgraph.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -17,7 +17,12 @@ from tailgraph.diagnostics import (
     ks_unit_exponential,
     mrv_checks,
 )
-from tailgraph.errors import ConfigError, EmptySubset, QuantileOutOfRange
+from tailgraph.errors import (
+    ConfigError,
+    EmptySubset,
+    NumericalBreakdown,
+    QuantileOutOfRange,
+)
 from tailgraph.graphs import Graph, clique_ordering
 from tailgraph.limits import SampleMatrix, build_tail_model, tail_model_moments
 from tailgraph.linalg import spd_inverse
@@ -111,6 +116,11 @@ def test_chi_argument_gates():
         chi_estimator(s, (), 0.9)
     with pytest.raises(QuantileOutOfRange):
         chi_estimator(s, (1, 2), 1.0)
+    for bad in (np.nan, np.inf):
+        values = s.values.copy()
+        values[7, 1] = bad
+        with pytest.raises(NumericalBreakdown):
+            chi_estimator(SampleMatrix(s.columns, values, {}), (1, 2), 0.9)
 
 
 # ----------------------------------------------------- KS statistics
@@ -122,6 +132,7 @@ def ks_samples():
     out["ties"] = np.round(rng.standard_normal(500), 1)
     out["strided"] = rng.standard_normal((400, 3))[:, 1]
     out["far"] = 40.0 + rng.standard_normal(50)
+    out["edges"] = np.array([-np.inf, -1.0, -0.0, 0.0, 1e-300, 0.7, np.inf])
     return out
 
 

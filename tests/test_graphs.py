@@ -7,16 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import graph_oracle
-from tailgraph.errors import ConfigError, EmptySubset, NotChordal, NotConnected
+from tailgraph.errors import ConfigError, NotChordal, NotConnected
 from tailgraph.graphs import (
     CliqueOrdering,
     Graph,
+    JunctionTree,
     clique_ordering,
     goldner_harary,
     is_block_graph,
     junction_tree,
     validate_chordal,
-    vertex_subset,
 )
 
 
@@ -70,16 +70,6 @@ def test_round_trip_dict():
     assert Graph.from_dict(g.to_dict()) == g
     with pytest.raises(ConfigError):
         Graph.from_dict({"vertices": 2, "edges": [], "bogus": 1})
-
-
-def test_vertex_subset_validates():
-    g = Graph.make(3, [(1, 2)])
-    assert vertex_subset(g, [2, 1]) == (1, 2)
-    assert vertex_subset(g, [1, 1]) == (1,)
-    with pytest.raises(ConfigError):
-        vertex_subset(g, [0])
-    with pytest.raises(EmptySubset):
-        vertex_subset(g, [])
 
 
 # ------------------------------------------------------- clique orderings
@@ -280,3 +270,32 @@ def test_any_graph_gives_the_oracle_outcome(g):
         assert got == tuple(reversed(graph_oracle._mcs_order(g, 1)))
     else:
         assert got == expected
+
+
+def _path_intersection_by_definition(tree: JunctionTree) -> bool:
+    """Every pairwise clique intersection lies in every clique on the
+    tree path between the pair, with the paths taken from networkx."""
+    t = nx.Graph()
+    t.add_nodes_from(range(len(tree.cliques)))
+    t.add_edges_from((a, b) for a, b, _ in tree.edges)
+    for i, ci in enumerate(tree.cliques):
+        for j in range(i + 1, len(tree.cliques)):
+            inter = set(ci) & set(tree.cliques[j])
+            if any(not inter <= set(tree.cliques[k])
+                   for k in nx.shortest_path(t, i, j)):
+                return False
+    return True
+
+
+@given(connected_chordal(max_n=16), st.data())
+def test_path_intersection_matches_its_definition(g, data):
+    """The ordering's own tree always passes; a random tree over the same
+    cliques (each clique re-parented to any earlier one) passes exactly
+    when the definition holds."""
+    o = clique_ordering(g, data.draw(st.sampled_from(g.vertices)))
+    assert junction_tree(o).check_path_intersection()
+    parents = [data.draw(st.integers(0, i - 1)) for i in range(1, len(o))]
+    edges = tuple((i, p, tuple(sorted(set(o.cliques[i]) & set(o.cliques[p]))))
+                  for i, p in enumerate(parents, start=1))
+    tree = JunctionTree(ordering=o, edges=edges)
+    assert tree.check_path_intersection() == _path_intersection_by_definition(tree)

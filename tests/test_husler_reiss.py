@@ -13,7 +13,7 @@ from tailgraph.errors import (
     IncompatibleSeparators,
     InvalidVariogram,
 )
-from tailgraph.graphs import Graph, clique_ordering
+from tailgraph.graphs import Graph, check_separator_models, clique_ordering
 from tailgraph.linalg import spd_inverse
 from tailgraph.simulate import _X_FLOOR
 
@@ -186,7 +186,7 @@ def test_pair_kernel_matches_exact_closed_form():
     model = hr_pair_model((1, 2), gamma)
     for t in (5.0, 8.0, 20.0):
         for z in (-2.0, -1.0, 0.0, 1.0, 2.0):
-            got = hr.transition_kernel_value(model, (1,), t, t + z)
+            got = hr.transition_kernel(model, (1,), t, t + z)[0]
             assert abs(got - pair_kernel(t, t + z, gamma)) < 1e-9
 
 
@@ -214,7 +214,7 @@ def test_pair_kernel_limit_convention():
     model = hr_pair_model((1, 2), gamma)
     z_grid = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     t = 20.0
-    kern = np.array([hr.transition_kernel_value(model, (1,), t, t + z)
+    kern = np.array([hr.transition_kernel(model, (1,), t, t + z)[0]
                      for z in z_grid])
     good = norm.cdf(z_grid, loc=-gamma / 2, scale=np.sqrt(gamma))
     bad = norm.cdf(z_grid, loc=-gamma, scale=np.sqrt(2 * gamma))
@@ -302,10 +302,10 @@ def test_separator_compatibility_gate():
     models = {(1, 2, 3): hr.HuslerReissModel((1, 2, 3), va),
               (2, 3, 4): hr.HuslerReissModel((2, 3, 4), vb_bad)}
     with pytest.raises(IncompatibleSeparators):
-        hr.check_separator_compatibility(ordering, models)
+        check_separator_models(ordering, models)
     vb_ok = vario((2, 3, 4), [[0, 0.8, 1.1], [0.8, 0, 1.3], [1.1, 1.3, 0]])
     models[(2, 3, 4)] = hr.HuslerReissModel((2, 3, 4), vb_ok)
-    hr.check_separator_compatibility(ordering, models)
+    check_separator_models(ordering, models)
 
 
 def test_exponent_measure_estimate_reports_error():

@@ -11,6 +11,7 @@ from tailgraph import gaussian as gs
 from tailgraph import husler_reiss as hr
 from tailgraph.config import load_config
 from tailgraph.errors import (
+    ConfigError,
     IncompatibleSeparators,
     NormingIncompatible,
     NotBlockGraph,
@@ -330,6 +331,14 @@ def test_separator_variogram_mismatch_is_rejected():
     bad[c2] = hr.HuslerReissModel(c2, hr.VariogramMatrix(c2, vals))
     with pytest.raises(IncompatibleSeparators):
         classify_norming(ordering, bad, 1)
+
+
+def test_model_clique_must_match_its_key(hr_chain):
+    ordering, models = hr_chain
+    bad = dict(models)
+    bad[(2, 3)] = models[(1, 2)]
+    with pytest.raises(ConfigError):
+        build_tail_model(ordering, bad, 1)
 
 
 # ------------------------------------------------ block tree closed forms

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtr
 
 from tailgraph.errors import DimensionTooLarge
 from tailgraph.linalg import GaussianLaw, IndexedMatrix, IndexedVector
-from tailgraph.mvn import CdfEstimate, bvn_cdf, mvn_cdf, mvn_sample, norm_cdf
+from tailgraph.mvn import CdfEstimate, bvn_cdf, mvn_cdf
 
 
 def make_law(index, mean, cov):
@@ -36,9 +37,9 @@ def test_bvn_against_scipy_grid():
 
 
 def test_bvn_degenerate_correlations():
-    assert abs(bvn_cdf(0.3, 1.2, 1.0) - norm_cdf(0.3)) < 1e-14
+    assert abs(bvn_cdf(0.3, 1.2, 1.0) - ndtr(0.3)) < 1e-14
     assert abs(bvn_cdf(0.3, -0.1, -1.0) - max(
-        0.0, norm_cdf(0.3) + norm_cdf(-0.1) - 1.0)) < 1e-14
+        0.0, ndtr(0.3) + ndtr(-0.1) - 1.0)) < 1e-14
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -101,13 +102,3 @@ def test_dimension_cap():
     law = make_law(tuple(range(1, d + 1)), np.zeros(d), np.eye(d))
     with pytest.raises(DimensionTooLarge):
         mvn_cdf(np.zeros(d), law)
-
-
-def test_mvn_sample_moments_and_prefix():
-    corr = np.array([[1.0, 0.4, 0.2], [0.4, 1.0, 0.5], [0.2, 0.5, 1.0]])
-    law = make_law((1, 2, 3), np.array([1.0, 0.0, -2.0]), corr)
-    x = mvn_sample(law, 150_000, seed=3)
-    assert np.max(np.abs(x.mean(axis=0) - law.mean.values)) < 0.02
-    assert np.max(np.abs(np.cov(x.T) - corr)) < 0.02
-    assert np.array_equal(mvn_sample(law, 1000, seed=3), x[:1000])
-    assert not np.array_equal(mvn_sample(law, 1000, seed=4), x[:1000])
