@@ -66,9 +66,6 @@ class RunConfig:
             root = self.v if self.v is not None else self.graph.vertices[0]
         return clique_ordering(self.graph, root)
 
-    def has_models(self) -> bool:
-        return self.clique_specs is not None or self.correlation is not None
-
     def models(self, ordering: CliqueOrdering | None = None) -> dict:
         """Per-clique models keyed by sorted vertex tuple; the specs must
         cover exactly the graph's maximal cliques."""

@@ -28,7 +28,7 @@ from .limits import (
     tail_model_moments,
 )
 from .rng import OFFSET_MISC, derived_rng
-from .simulate import conditional_exceedance, renormalize
+from .simulate import _draw_plan, conditional_exceedance, renormalize
 
 #: KS acceptance scale: statistic must stay below KS_CONST / sqrt(n).
 KS_CONST = 1.95
@@ -210,7 +210,8 @@ def study_limit(limit: TailGraphicalModel | TailNoiseModel, models: dict,
     by separator-based renormalization against its block laws.  Each
     margin gets the two-sided KS statistic only (no p-value).  The same
     seed feeds every level (common random numbers), which makes the
-    monotone-trend verdict sharp.
+    monotone-trend verdict sharp; the per-clique draw constants are
+    built once for all levels.
     """
     t_levels = check_t_levels(t_levels, "t_levels")
     mode = ("condition_on_root" if isinstance(limit, TailGraphicalModel)
@@ -219,11 +220,12 @@ def study_limit(limit: TailGraphicalModel | TailNoiseModel, models: dict,
     v = limit.v
     z_index = limit.z_index
     threshold = float(ks_const / np.sqrt(n))
+    plan = _draw_plan(limit.ordering, models, v)
     rows = []
     mean_gap, cov_gap = {}, {}
     for t in t_levels:
         cond = conditional_exceedance(limit.ordering, models, v, t, n, seed,
-                                      workers=workers)
+                                      workers=workers, plan=plan)
         z = renormalize(cond, limit, mode)
         rows.append(MarginRow(t=t, vertex=v,
                               ks=ks_unit_exponential(z.column(v)),

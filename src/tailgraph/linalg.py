@@ -196,10 +196,6 @@ class GaussianLaw:
         index = tuple(index)
         return GaussianLaw(IndexedVector(index, mean), IndexedMatrix.square(index, cov))
 
-    def marginal(self, labels) -> "GaussianLaw":
-        labels = tuple(int(v) for v in labels)
-        return GaussianLaw(self.mean.sub(labels), self.cov.sub(labels))
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         z = rng.standard_normal((size, self.dim))
         return self.mean.values + z @ self.chol.T

@@ -1,23 +1,29 @@
 """Finite-level simulator on unit-exponential margins.
 
-Draws the pre-limit decomposable graphical model clique by clique:
-Gaussian-copula cliques go through their latent normal vector exactly;
-Hüsler-Reiss cliques invert the one-dimensional conditional CDF
-(:func:`tailgraph.husler_reiss.transition_kernel`) by bracketed
-bisection, which is unconditionally robust because the kernel is a
-monotone CDF in its last argument.  All margins are exactly unit
-exponential by construction.
+Draws the pre-limit decomposable graphical model clique by clique, one
+uniform or standard normal per new clique coordinate, always at the same
+place in each row block's random stream:
 
-Hüsler-Reiss cliques must introduce one new vertex at a time at finite
-levels (the kernel is inverted in a single variable); wider HR cliques
-are supported by the limit engine only and raise
-:class:`UnsupportedCliqueShape` here.
+* Gaussian-copula cliques go through their latent normal vector exactly.
+* Hüsler-Reiss (HR) cliques are pairs at finite levels: each draws its
+  new coordinate by inverting the closed-form pair kernel
+  P(X_2 <= x | X_1 = x_1) at one uniform.  Safeguarded Newton steps on
+  the probit scale run inside a bracket, and each root is returned as
+  the midpoint of a bracket narrower than ``INVERT_TOL`` whose two ends
+  the kernel certifies.  A wider HR clique raises
+  :class:`UnsupportedCliqueShape`.
+
+Inverse-CDF draws keep the coupling between thresholds: two calls that
+differ only in t use the same random numbers, so their samples move
+together.  All margins are exactly unit exponential by construction.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
-from scipy.special import log_ndtr, ndtri_exp
+from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from . import gaussian as gsn
 from . import husler_reiss as hr
@@ -32,9 +38,16 @@ from .limits import SampleMatrix, TailGraphicalModel, TailNoiseModel, _rooted
 from .linalg import cholesky_spd
 from .rng import OFFSET_LATENT, derived_rng, run_blocks
 
-#: Absolute tolerance of the bisection inverter, on the exponential scale.
+#: Absolute tolerance of the HR pair inverter, on the exponential scale:
+#: every root it returns is the midpoint of a bracket narrower than this.
 INVERT_TOL = 1e-10
+#: Lowest state the HR pair inverter returns.
 _X_FLOOR = 1e-12
+#: Inverter iterations that may take a Newton step; later ones bisect,
+#: which bounds the iteration count where rounding stalls Newton.
+_NEWTON_STEPS = 16
+_MAX_STEPS = _NEWTON_STEPS + 64
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
 def exp_to_normal(x: np.ndarray) -> np.ndarray:
@@ -47,132 +60,241 @@ def normal_to_exp(z: np.ndarray) -> np.ndarray:
     return -log_ndtr(-np.asarray(z, dtype=float))
 
 
-def _invert_kernel(model, sep, x_sep: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Solve kernel(x) = u for the single new coordinate, row-wise."""
-    nb = u.shape[0]
+def _pair_kernel(a: float, y1: np.ndarray, x: np.ndarray, slope: bool = False):
+    """K(x) = P(X_2 <= x | X_1 = x_1) of an HR pair with a = √Γ, given
+    the Fréchet state ``y1`` of x_1; with ``slope`` also ∂K/∂x.
 
-    def kern(x):
-        return hr.transition_kernel(model, sep, x_sep, x[:, None])
+    With y the Fréchet state of x, w = log(y/y1), p = Φ(a/2 + w/a),
+    q = Φ(a/2 − w/a) and E = exp(1/y1 − p/y1 − q/y):
 
-    base = np.max(x_sep, axis=1)
-    lo = np.full(nb, _X_FLOOR)
-    offset = np.full(nb, 8.0)
-    hi = base + offset
+        K = p E,    ∂K/∂x = E (y1 φ(a/2 − w/a)/a + p q) / expm1(x).
+
+    E takes 1 − p as Φ(−a/2 − w/a), so nothing cancels where p is near
+    1: the computed K then stays monotone at the inverter's tolerance.
+    The slope uses y φ(a/2 + w/a) = y1 φ(a/2 − w/a), so it stays finite
+    where y overflows.  A non-finite value (both states beyond double
+    range) raises :class:`NumericalBreakdown`.
+    """
+    y = hr.exp_to_frechet(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # in place where it reads plainly: these row-length temporaries
+        # set the peak memory of a verify
+        w = np.log(y / y1)
+        w /= a
+        p = ndtr(0.5 * a + w)
+        q = ndtr(0.5 * a - w)
+        e = ndtr(-0.5 * a - w) / y1
+        e -= q / y
+        np.exp(e, out=e)
+        k = p * e
+        if slope:
+            dk = np.exp(-0.5 * (0.5 * a - w) ** 2)
+            dk *= y1
+            dk /= _SQRT_2PI * a
+            p *= q
+            dk += p
+            dk *= e
+            dk /= np.expm1(x)
+    if not np.all(np.isfinite(k)) or (slope and not np.all(np.isfinite(dk))):
+        raise NumericalBreakdown(
+            "Hüsler-Reiss pair kernel is not finite; the state is beyond the "
+            "double-precision range of the closed form"
+        )
+    return (k, dk) if slope else k
+
+
+def _bracket_top(a: float, y1: np.ndarray, x1: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Upper end of the inverter's bracket: x1 + 8, with the offset
+    doubled, up to 700, while K(hi) < u."""
+    hi = x1 + 8.0
+    offset = np.full(u.shape[0], 8.0)
+    rows = np.arange(u.shape[0])
     for _ in range(8):
-        need = kern(hi) < u
-        if not need.any():
-            break
-        offset[need] *= 2.0
-        hi = base + np.minimum(offset, 700.0)
-    else:
-        raise NumericalBreakdown("could not bracket the conditional quantile")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        high = kern(mid) >= u
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-        if np.max(hi - lo) < INVERT_TOL:
-            break
-    return 0.5 * (lo + hi)
+        rows = rows[_pair_kernel(a, y1[rows], hi[rows]) < u[rows]]
+        if rows.size == 0:
+            return hi
+        offset[rows] *= 2.0
+        hi[rows] = x1[rows] + np.minimum(offset[rows], 700.0)
+    raise NumericalBreakdown("could not bracket the conditional quantile")
 
 
-def _draw_root(model, clique, rng, nb: int, given=None):
-    """Sample the root clique; ``given`` pins its first conditioning value
-    as ``(vertex, values)``.  Returns an (nb, |clique|) array in clique
-    order."""
-    if len(clique) == 1:
-        if given is not None:
-            return np.asarray(given[1], dtype=float)[:, None]
-        return rng.standard_exponential(nb)[:, None]
-    fam = model.family
-    if fam == "gaussian":
-        corr = model.correlation
-        if given is None:
-            chol = cholesky_spd(corr.values, "root correlation")
-            z = rng.standard_normal((nb, len(clique))) @ chol.T
-            return normal_to_exp(z)
-        v, x_v = given
-        rest = tuple(u for u in clique if u != v)
-        alpha = gsn.separator_slope(corr, (v,), rest)
-        cond = gsn.conditional_scale(corr, alpha).values / 2.0
-        chol = cholesky_spd(cond, "conditional correlation")
-        z_v = exp_to_normal(x_v)
-        z_rest = (z_v[:, None] * alpha.values.T[0][None, :]
-                  + rng.standard_normal((nb, len(rest))) @ chol.T)
-        out = np.empty((nb, len(clique)))
-        pos = {w: k for k, w in enumerate(clique)}
-        out[:, pos[v]] = x_v
-        for j, w in enumerate(rest):
-            out[:, pos[w]] = normal_to_exp(z_rest[:, j])
-        return out
-    # Hüsler-Reiss roots are bivariate at finite levels
+def _invert_pair(a: float, half: float, x1: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Solve K(x) = u row-wise for the new coordinate of an HR pair with
+    a = √Γ and ``half`` = Γ/2, given the separator state ``x1``.
+
+    The bracket is [_X_FLOOR, :func:`_bracket_top`]; a root below the
+    floor comes back within INVERT_TOL of it.  Newton steps on the
+    probit scale, x ← x − (Φ⁻¹(K) − Φ⁻¹(u)) φ(Φ⁻¹(K)) / ∂K, start from
+    the limit quantile x1 − Γ/2 + a Φ⁻¹(u); every evaluation moves one
+    end of the bracket, and a step that is not finite or leaves the
+    bracket goes to its midpoint, as does every step after
+    ``_NEWTON_STEPS`` iterations.  A step below INVERT_TOL/4 is
+    certified by one evaluation INVERT_TOL/2 away on the side not yet
+    bracketed.  A row ends at the midpoint of a bracket narrower than
+    INVERT_TOL.
+    """
+    tol = INVERT_TOL
+    y1 = hr.exp_to_frechet(x1)
+    hi = _bracket_top(a, y1, x1, u)
+    lo = np.full(u.shape[0], _X_FLOOR)
+    out = np.empty(u.shape[0])
+    rows = np.arange(u.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zu = ndtri(u)
+        x = x1 - half + a * zu
+    np.copyto(x, 0.5 * (lo + hi), where=~((x > lo) & (x < hi)))
+    for it in range(_MAX_STEPS):
+        k, dk = _pair_kernel(a, y1, x, slope=True)
+        above = k >= u
+        np.copyto(hi, x, where=above)
+        np.copyto(lo, x, where=~above)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            zk = ndtri(k, out=k)
+            step = np.exp(-0.5 * zk * zk)
+            zk -= zu
+            step *= zk
+            dk *= _SQRT_2PI
+            step /= dk
+        near = (np.abs(step) < tol / 4) & (hi - lo >= tol)
+        if near.any():
+            probe = np.where(above[near], x[near] - tol / 2, x[near] + tol / 2)
+            probe_above = _pair_kernel(a, y1[near], probe) >= u[near]
+            lo[near] = np.where(probe_above, lo[near], probe)
+            hi[near] = np.where(probe_above, probe, hi[near])
+        x -= step
+        newton = (x > lo) & (x < hi) & ~near & (it < _NEWTON_STEPS)
+        np.copyto(x, 0.5 * (lo + hi), where=~newton)
+        done = hi - lo < tol
+        out[rows[done]] = 0.5 * (lo[done] + hi[done])
+        if done.all():
+            return out
+        keep = ~done
+        rows, y1, u, zu, lo, hi, x = (rows[keep], y1[keep], u[keep], zu[keep],
+                                      lo[keep], hi[keep], x[keep])
+    raise NumericalBreakdown("the Hüsler-Reiss pair inverter did not converge")
+
+
+@dataclass(frozen=True)
+class _Draw:
+    """How one clique fills its new sample columns ``rest`` from the
+    columns ``sep`` already filled (column positions).
+
+    ``kind`` is "exp" (a unit exponential), "joint" (an unconditioned
+    Gaussian root), "gauss" (a Gaussian clique given its separator, or
+    a Gaussian root given its conditioning column) or "pair" (an HR pair
+    given one column).  Gaussian draws carry the slope αᵀ (|sep| × |rest|) and
+    the Cholesky factor of the conditional (for "joint", the full)
+    correlation; HR pairs carry a = √Γ and Γ/2.
+    """
+
+    kind: str
+    sep: list[int]
+    rest: list[int]
+    slope: np.ndarray | None = None
+    chol: np.ndarray | None = None
+    a: float = 0.0
+    half: float = 0.0
+
+
+@dataclass(frozen=True)
+class _DrawPlan:
+    """The per-clique constants of one ordering, built once per command
+    and reused for every row block and every threshold.  ``v`` is the
+    conditioning vertex (the root's given column), or None."""
+
+    ordering: CliqueOrdering
+    v: int | None
+    draws: tuple[_Draw, ...]
+
+
+def _gaussian_draw(model, sep, rest, pos) -> _Draw:
+    alpha = gsn.separator_slope(model.correlation, sep, rest)
+    cond = gsn.conditional_scale(model.correlation, alpha).values / 2.0
+    return _Draw("gauss", [pos[s] for s in sep], [pos[w] for w in rest],
+                  slope=alpha.values.T,
+                  chol=cholesky_spd(cond, "conditional correlation"))
+
+
+def _pair_draw(model, clique, s, pos) -> _Draw:
     if len(clique) != 2:
         raise UnsupportedCliqueShape(
-            f"cannot simulate a {len(clique)}-vertex Hüsler-Reiss clique at "
-            "finite levels; only one new coordinate can be inverted"
+            f"cannot simulate the {len(clique)}-vertex Hüsler-Reiss clique "
+            f"{clique} at finite levels; only pairs are drawn"
         )
-    if given is None:
-        anchor = clique[0]
-        x_anchor = rng.standard_exponential(nb)
-    else:
-        anchor, x_anchor = given
-        x_anchor = np.asarray(x_anchor, dtype=float)
-    other = clique[0] if clique[1] == anchor else clique[1]
-    u = rng.random(nb)
-    x_other = _invert_kernel(model, (anchor,), x_anchor[:, None], u)
-    out = np.empty((nb, 2))
-    pos = {w: k for k, w in enumerate(clique)}
-    out[:, pos[anchor]] = x_anchor
-    out[:, pos[other]] = x_other
-    return out
+    gamma = float(model.variogram.values[0, 1])
+    other = clique[0] if clique[1] == s else clique[1]
+    return _Draw("pair", [pos[s]], [pos[other]], a=float(np.sqrt(gamma)),
+                 half=0.5 * gamma)
 
 
-def _draw_transition(model, clique, sep, rng, nb: int, x_sep: np.ndarray) -> np.ndarray:
-    """Sample the new vertices of one clique given realized separator values
-    (columns in ``sep`` order).  Returns an (nb, |rest|) array."""
-    rest = tuple(w for w in clique if w not in sep)
+def _root_draws(model, clique, v, pos) -> list[_Draw]:
+    """Draws of the root clique; ``v`` is its given vertex, or None."""
+    if len(clique) == 1:
+        return [] if v is not None else [_Draw("exp", [], [pos[clique[0]]])]
     if model.family == "gaussian":
-        alpha = gsn.separator_slope(model.correlation, sep, rest)
-        cond = gsn.conditional_scale(model.correlation, alpha).values / 2.0
-        chol = cholesky_spd(cond, "conditional correlation")
-        z_sep = exp_to_normal(x_sep)
-        z_rest = z_sep @ alpha.values.T + rng.standard_normal((nb, len(rest))) @ chol.T
-        return normal_to_exp(z_rest)
-    if len(rest) != 1:
-        raise UnsupportedCliqueShape(
-            f"Hüsler-Reiss clique {clique} introduces {len(rest)} vertices; "
-            "finite-level simulation inverts one coordinate at a time"
-        )
-    u = rng.random(nb)
-    return _invert_kernel(model, sep, x_sep, u)[:, None]
+        if v is None:
+            chol = cholesky_spd(model.correlation.values, "root correlation")
+            return [_Draw("joint", [], [pos[w] for w in clique], chol=chol)]
+        rest = tuple(u for u in clique if u != v)
+        return [_gaussian_draw(model, (v,), rest, pos)]
+    if v is None:
+        pair = _pair_draw(model, clique, clique[0], pos)
+        return [_Draw("exp", [], pair.sep), pair]
+    return [_pair_draw(model, clique, v, pos)]
 
 
-def _simulate(ordering: CliqueOrdering, table: dict, n: int, seed: int,
-              workers: int, given_root=None) -> np.ndarray:
-    cols = ordering.graph.vertices
-    pos = {u: k for k, u in enumerate(cols)}
+def _draw_plan(ordering: CliqueOrdering, models: dict, v: int | None = None) -> _DrawPlan:
+    """Plan of :func:`simulate_graphical` (``v`` None) or of
+    :func:`conditional_exceedance` at vertex v."""
+    if v is not None:
+        ordering = _rooted(ordering, v)
+    table = _models_table(ordering, models)
+    check_separator_models(ordering, table)
+    pos = {u: k for k, u in enumerate(ordering.graph.vertices)}
+    root = ordering.cliques[0]
+    draws = _root_draws(table[root], root, v, pos)
+    for clique, sep in zip(ordering.cliques[1:], ordering.separators[1:]):
+        model = table[clique]
+        if model.family == "gaussian":
+            rest = tuple(w for w in clique if w not in sep)
+            draws.append(_gaussian_draw(model, sep, rest, pos))
+        else:
+            draws.append(_pair_draw(model, clique, sep[0], pos))
+    return _DrawPlan(ordering, v, tuple(draws))
+
+
+def _fill(d: _Draw, x: np.ndarray, rng) -> None:
+    """Run one draw on the row block ``x`` (rows × sample columns)."""
+    nb = x.shape[0]
+    if d.kind == "exp":
+        x[:, d.rest[0]] = rng.standard_exponential(nb)
+    elif d.kind == "joint":
+        x[:, d.rest] = normal_to_exp(rng.standard_normal((nb, len(d.rest))) @ d.chol.T)
+    elif d.kind == "gauss":
+        z_sep = exp_to_normal(x[:, d.sep])
+        x[:, d.rest] = normal_to_exp(
+            z_sep @ d.slope + rng.standard_normal((nb, len(d.rest))) @ d.chol.T)
+    else:
+        u = rng.random(nb)
+        x[:, d.rest[0]] = _invert_pair(d.a, d.half,
+                                       np.ascontiguousarray(x[:, d.sep[0]]), u)
+
+
+def _simulate(plan: _DrawPlan, n: int, seed: int, workers: int,
+              t: float | None = None) -> np.ndarray:
+    """n rows of the plan; with ``t`` the column of ``plan.v`` is t plus
+    a unit exponential drawn first in each block."""
+    cols = plan.ordering.graph.vertices
     values = np.empty((n, len(cols)))
 
     def fill(blk):
         k, start, stop = blk
-        nb = stop - start
         rng = derived_rng(seed, OFFSET_LATENT + k)
-        given = None
-        if given_root is not None:
-            v, t = given_root
-            given = (v, t + rng.standard_exponential(nb))
-        root_clique = ordering.cliques[0]
-        block = _draw_root(table[root_clique], root_clique, rng, nb, given)
-        for j, w in enumerate(root_clique):
-            values[start:stop, pos[w]] = block[:, j]
-        for i in range(1, len(ordering)):
-            clique = ordering.cliques[i]
-            sep = ordering.separators[i]
-            x_sep = values[start:stop][:, [pos[s] for s in sep]]
-            out = _draw_transition(table[clique], clique, sep, rng, nb, x_sep)
-            rest = tuple(w for w in clique if w not in sep)
-            for j, w in enumerate(rest):
-                values[start:stop, pos[w]] = out[:, j]
+        x = values[start:stop]
+        if t is not None:
+            x[:, cols.index(plan.v)] = t + rng.standard_exponential(stop - start)
+        for d in plan.draws:
+            _fill(d, x, rng)
 
     run_blocks(n, workers, fill)
     return values
@@ -181,9 +303,7 @@ def _simulate(ordering: CliqueOrdering, table: dict, n: int, seed: int,
 def simulate_graphical(ordering: CliqueOrdering, models: dict, n: int,
                        seed: int, workers: int = 1) -> SampleMatrix:
     """n unconditional draws of the graphical model, exponential margins."""
-    table = _models_table(ordering, models)
-    check_separator_models(ordering, table)
-    values = _simulate(ordering, table, n, seed, workers)
+    values = _simulate(_draw_plan(ordering, models), n, seed, workers)
     return SampleMatrix(
         columns=ordering.graph.vertices, values=values,
         meta={"kind": "simulate", "n": n, "seed": seed,
@@ -193,18 +313,23 @@ def simulate_graphical(ordering: CliqueOrdering, models: dict, n: int,
 
 def conditional_exceedance(ordering: CliqueOrdering, models: dict, v: int,
                            t: float, n: int, seed: int,
-                           workers: int = 1) -> SampleMatrix:
+                           workers: int = 1, plan: _DrawPlan | None = None
+                           ) -> SampleMatrix:
     """n draws given X_v > t: the v-column is t plus a fresh unit
     exponential (memorylessness is exact for exponential margins), the
-    rest propagates through the same conditional kernels."""
+    rest propagates through the same conditional kernels.
+
+    ``plan`` is ``_draw_plan(ordering, models, v)``; a caller that draws
+    several thresholds builds it once and passes it to each call.  The
+    random numbers do not depend on t, so the levels share them.
+    """
     if t < 0:
         raise ConfigError(f"threshold must be nonnegative, got {t}")
     if v not in ordering.graph.vertices:
         raise ConfigError(f"vertex {v} not in the graph")
-    ordering = _rooted(ordering, v)
-    table = _models_table(ordering, models)
-    check_separator_models(ordering, table)
-    values = _simulate(ordering, table, n, seed, workers, given_root=(v, float(t)))
+    if plan is None:
+        plan = _draw_plan(ordering, models, v)
+    values = _simulate(plan, n, seed, workers, t=float(t))
     return SampleMatrix(
         columns=ordering.graph.vertices, values=values,
         meta={"kind": "conditional", "n": n, "seed": seed, "v": v,

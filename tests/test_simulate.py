@@ -1,22 +1,34 @@
 """Exact finite-level samplers and the renormalization bridge to the limits."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
+from tailgraph import diagnostics, simulate
 from tailgraph import gaussian as gs
 from tailgraph import husler_reiss as hr
 from tailgraph.errors import UnsupportedCliqueShape
 from tailgraph.graphs import Graph, clique_ordering
 from tailgraph.limits import build_tail_model, build_tail_noise
 from tailgraph.linalg import spd_inverse
+from tailgraph.rng import BLOCK
 from tailgraph.simulate import (
+    _NEWTON_STEPS,
+    _X_FLOOR,
+    INVERT_TOL,
+    _invert_pair,
+    _pair_kernel,
     conditional_exceedance,
     renormalize,
     simulate_graphical,
 )
 
 from conftest import MIXED_GAMMA, chain_correlation, hr_pair_model, mixed_models
+from simulate_oracle import _invert_kernel
 
 N = 100_000
 KS_BAND = 1.95 / np.sqrt(N)
@@ -165,15 +177,132 @@ def test_renormalize_mixed_separator_mode(mixed_graph):
 # ------------------------------------------------------------ determinism
 
 
-def test_simulate_determinism():
-    ordering, models = gauss_chain_setup()
-    a = simulate_graphical(ordering, models, 70_000, seed=3)
-    b = simulate_graphical(ordering, models, 70_000, seed=3, workers=3)
-    assert np.array_equal(a.values, b.values)
-    c = simulate_graphical(ordering, models, 70_000, seed=3)
-    assert np.array_equal(a.values, c.values)
-    other = simulate_graphical(ordering, models, 100, seed=4)
-    assert not np.array_equal(a.values[:100], other.values)
+def test_simulate_determinism(hr_chain):
+    """Gaussian and HR chains: the same bytes for workers 1 and 3 and on
+    a rerun (three row blocks), and a run of whole blocks is a prefix."""
+    for ordering, models in (gauss_chain_setup(), hr_chain):
+        a = simulate_graphical(ordering, models, 70_000, seed=3)
+        b = simulate_graphical(ordering, models, 70_000, seed=3, workers=3)
+        assert a.values.tobytes() == b.values.tobytes()
+        c = simulate_graphical(ordering, models, 70_000, seed=3)
+        assert a.values.tobytes() == c.values.tobytes()
+        prefix = simulate_graphical(ordering, models, 2 * BLOCK, seed=3)
+        assert prefix.values.tobytes() == a.values[:2 * BLOCK].tobytes()
+        other = simulate_graphical(ordering, models, 100, seed=4)
+        assert not np.array_equal(a.values[:100], other.values)
+
+
+def test_threshold_levels_share_random_numbers(hr_chain):
+    """Two levels drawn with one seed use the same uniforms, so their
+    renormalized columns move together (0.9997-0.9999 here); a sampler
+    whose levels do not share their uniforms falls well below 0.99."""
+    ordering, models = hr_chain
+    tm = build_tail_model(ordering, models, 1)
+    z = [renormalize(conditional_exceedance(ordering, models, 1, t, 20_000,
+                                            seed=8), tm, "condition_on_root")
+         for t in (4.0, 6.0)]
+    for u in (2, 3):
+        rho = stats.spearmanr(z[0].column(u), z[1].column(u)).statistic
+        assert rho >= 0.99
+
+
+def test_study_limit_builds_draw_constants_once(gauss_chain, monkeypatch):
+    """The Gaussian slopes of the finite-level draws are built once per
+    study, not once per level."""
+    ordering, models, _ = gauss_chain
+    limit = build_tail_model(ordering, models, 1)
+    calls = []
+    slope = gs.separator_slope
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return slope(*args, **kwargs)
+
+    monkeypatch.setattr(gs, "separator_slope", counting)
+    counts = []
+    for levels in ((4.0,), (4.0, 8.0, 16.0)):
+        calls.clear()
+        diagnostics.study_limit(limit, models, levels, 500, seed=1)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == len(ordering.cliques)
+
+
+# ------------------------------------------------ HR pair kernel inversion
+
+
+@pytest.mark.parametrize("gamma", [0.3, 1.3, 4.0])
+@pytest.mark.parametrize("x_sep", [2.0, 20.0, 300.0])
+def test_pair_kernel_matches_transition_kernel(x_sep, gamma):
+    """The closed-form pair kernel is the general kernel on a pair, up to
+    the inverter's bracket cap, and its slope is the kernel's derivative."""
+    model = hr_pair_model((1, 2), gamma)
+    a = np.sqrt(gamma)
+    x = np.geomspace(_X_FLOOR, x_sep + 700.0, 400)
+    y1 = np.full(x.size, hr.exp_to_frechet(x_sep))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k, dk = _pair_kernel(a, y1, x, slope=True)
+    ref = hr.transition_kernel(model, (1,), x_sep, x[:, None])
+    assert np.max(np.abs(k - ref)) < 1e-12
+    assert np.all(dk >= 0.0)
+    # central differences, away from the floor (where exp_to_frechet
+    # loses digits) and from the overflow of y
+    mid = (x >= 1e-2) & (x < 700.0)
+    h = 1e-6 * np.maximum(x[mid], 1.0)
+    fd = (_pair_kernel(a, y1[mid], x[mid] + h)
+          - _pair_kernel(a, y1[mid], x[mid] - h)) / (2 * h)
+    np.testing.assert_allclose(dk[mid], fd, rtol=1e-6, atol=1e-8)
+
+
+_EDGE_U = st.sampled_from([0.0, 1e-300, 1.0 - 2.0**-53])
+
+
+@given(gamma=st.floats(0.05, 9.0),
+       rows=st.lists(st.tuples(st.floats(1e-3, 300.0),
+                               st.one_of(_EDGE_U,
+                                         st.floats(0.0, 1.0, exclude_max=True))),
+                     min_size=1, max_size=8))
+def test_pair_inverter_certifies_its_root(gamma, rows):
+    """Each root sits in a bracket the kernel certifies, or in the floor
+    bracket, and agrees with the bisection oracle.  The two kernels
+    differ by up to ~5e-14, which moves a root by that over the slope:
+    where the slope is tiny (u within ~1e-6 of 1) this, not the
+    tolerance, bounds the agreement."""
+    x1 = np.array([r[0] for r in rows])
+    u = np.array([r[1] for r in rows])
+    a, tol = np.sqrt(gamma), INVERT_TOL
+    x = _invert_pair(a, gamma / 2, x1.copy(), u)
+    y1 = hr.exp_to_frechet(x1)
+    floor = x < _X_FLOOR + tol
+    assert np.all(x >= _X_FLOOR)
+    k_lo = _pair_kernel(a, y1, np.where(floor, x, x - tol / 2))
+    k_hi = _pair_kernel(a, y1, x + tol / 2)
+    assert np.all(floor | ((k_lo < u) & (u <= k_hi)))
+    oracle = _invert_kernel(hr_pair_model((1, 2), gamma), (1,), x1[:, None], u)
+    slope = _pair_kernel(a, y1, x, slope=True)[1]
+    with np.errstate(divide="ignore"):
+        bound = tol + np.where(floor, 0.0, 1e-13 / slope)
+    assert np.all(np.abs(x - oracle) <= bound)
+
+
+def test_pair_inverter_bisects_where_newton_stalls(monkeypatch):
+    """Far in the lower tail rounding stalls Newton: this row took 147
+    iterations with Newton allowed throughout.  After _NEWTON_STEPS
+    iterations a row bisects, and ~43 halvings take its bracket (here
+    at most 812 wide) below INVERT_TOL."""
+    slope_calls = []
+    kernel = simulate._pair_kernel
+
+    def counting(a, y1, x, slope=False):
+        slope_calls.append(slope)
+        return kernel(a, y1, x, slope)
+
+    monkeypatch.setattr(simulate, "_pair_kernel", counting)
+    x1, u = np.array([112.09448921960431]), np.array([8.50534874733535e-300])
+    x = _invert_pair(3.0, 4.5, x1, u)
+    assert sum(slope_calls) <= _NEWTON_STEPS + 48
+    y1 = hr.exp_to_frechet(x1)
+    assert kernel(3.0, y1, x - INVERT_TOL / 2) < u <= kernel(3.0, y1, x + INVERT_TOL / 2)
 
 
 # ------------------------------------------------------------- error gate
