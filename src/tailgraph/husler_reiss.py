@@ -330,6 +330,87 @@ def _log_partition_sum(vario: VariogramMatrix, y: np.ndarray, sep_pos: list[int]
     )
 
 
+#: √(2π), the normalizer of the standard normal density.
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def pair_kernel(a: float, y1: np.ndarray, x: np.ndarray, slope: bool = False):
+    """K(x) = P(X_2 <= x | X_1 = x_1) of an HR pair with a = √Γ, given
+    the Fréchet state ``y1`` of x_1; with ``slope`` also ∂K/∂x.
+
+    With y the Fréchet state of x, w = log(y/y1), p = Φ(a/2 + w/a),
+    q = Φ(a/2 − w/a) and E = exp(1/y1 − p/y1 − q/y):
+
+        K = p E,    ∂K/∂x = E (y1 φ(a/2 − w/a)/a + p q) / expm1(x).
+
+    E takes 1 − p as Φ(−a/2 − w/a), so nothing cancels where p is near
+    1: the computed K then stays monotone at the simulator's inversion
+    tolerance.  The slope uses y φ(a/2 + w/a) = y1 φ(a/2 − w/a), so it
+    stays finite where y overflows.  A non-finite value (both states
+    beyond double range) raises :class:`NumericalBreakdown`.
+    """
+    y = exp_to_frechet(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # in place where it reads plainly: these row-length temporaries
+        # set the peak memory of a verify
+        w = np.divide(y, y1)
+        np.log(w, out=w)
+        w /= a
+        q = np.subtract(0.5 * a, w)
+        ndtr(q, out=q)
+        np.divide(q, y, out=y)  # y is q/y from here on
+        e = np.subtract(-0.5 * a, w)
+        ndtr(e, out=e)
+        e /= y1
+        e -= y
+        np.exp(e, out=e)
+        p = ndtr(np.add(0.5 * a, w, out=y), out=y)
+        if slope:
+            # w becomes y1 φ(a/2 − w/a) / a
+            w -= 0.5 * a
+            np.square(w, out=w)
+            w *= -0.5
+            np.exp(w, out=w)
+            w *= y1
+            w /= _SQRT_2PI * a
+            q *= p
+            w += q
+            w *= e
+            dk = np.divide(w, np.expm1(x, out=q), out=w)
+        k = np.multiply(p, e, out=p)
+    if not np.all(np.isfinite(k)) or (slope and not np.all(np.isfinite(dk))):
+        raise NumericalBreakdown(
+            "Hüsler-Reiss pair kernel is not finite; the state is beyond the "
+            "double-precision range of the closed form"
+        )
+    return (k, dk) if slope else k
+
+
+def _partition_kernel(model: HuslerReissModel, sep: tuple, x_sep: np.ndarray,
+                      x_rest: np.ndarray, accuracy: float = 1e-8,
+                      seed: int = 0) -> np.ndarray:
+    """The partition-sum kernel of :func:`transition_kernel`, unclamped,
+    on rows of ``x_sep`` / ``x_rest`` (sorted ``sep``, equal row counts)."""
+    rest = tuple(v for v in model.clique if v not in sep)
+    pos = {v: k for k, v in enumerate(model.clique)}
+    y = np.empty((x_sep.shape[0], model.dim))
+    for j, v in enumerate(sep):
+        y[:, pos[v]] = exp_to_frechet(x_sep[:, j])
+    for j, v in enumerate(rest):
+        y[:, pos[v]] = exp_to_frechet(x_rest[:, j])
+    y_sep = y[:, [pos[v] for v in sep]]
+
+    sep_vario = model.variogram.sub(sep)
+    num = _log_partition_sum(model.variogram, y, [pos[v] for v in sep],
+                             accuracy, seed)
+    den = _log_partition_sum(sep_vario, y_sep, list(range(len(sep))),
+                             accuracy, seed)
+    lam_full = exponent_measure_many(model.variogram, y, accuracy, seed)
+    lam_sep = exponent_measure_many(sep_vario, y_sep, accuracy, seed)
+    with np.errstate(invalid="ignore"):
+        return np.exp(num - den + lam_sep - lam_full)
+
+
 def transition_kernel(model: HuslerReissModel, sep, x_sep, x_rest,
                       accuracy: float = 1e-8, seed: int = 0) -> np.ndarray:
     """Conditional law P(X_{C\\S} <= x_rest | X_S = x_sep) on exponential scale.
@@ -340,7 +421,8 @@ def transition_kernel(model: HuslerReissModel, sep, x_sep, x_rest,
 
     π running over the set partitions of S and D^{(S)} taken on the
     separator's own measure; for a pair it is
-    Φ(a/2 + log(y2/y1)/a) · exp(1/y1 - Λ(y1, y2)) with a = √Γ.
+    Φ(a/2 + log(y2/y1)/a) · exp(1/y1 - Λ(y1, y2)) with a = √Γ, evaluated
+    in closed form by :func:`pair_kernel`.
     Vectorized over rows of ``x_sep`` / ``x_rest``; scalars are
     broadcast.  Rounding excursions above 1 are clamped; a non-finite
     value or a larger excursion raises :class:`NumericalBreakdown`.
@@ -363,23 +445,11 @@ def transition_kernel(model: HuslerReissModel, sep, x_sep, x_rest,
     if x_sep.shape[1] != len(sep) or x_rest.shape[1] != len(rest):
         raise ConfigError("state widths do not match separator/rest sizes")
 
-    pos = {v: k for k, v in enumerate(model.clique)}
-    y = np.empty((x_sep.shape[0], model.dim))
-    for j, v in enumerate(sep):
-        y[:, pos[v]] = exp_to_frechet(x_sep[:, j])
-    for j, v in enumerate(rest):
-        y[:, pos[v]] = exp_to_frechet(x_rest[:, j])
-    y_sep = y[:, [pos[v] for v in sep]]
-
-    sep_vario = model.variogram.sub(sep)
-    num = _log_partition_sum(model.variogram, y, [pos[v] for v in sep],
-                             accuracy, seed)
-    den = _log_partition_sum(sep_vario, y_sep, list(range(len(sep))),
-                             accuracy, seed)
-    lam_full = exponent_measure_many(model.variogram, y, accuracy, seed)
-    lam_sep = exponent_measure_many(sep_vario, y_sep, accuracy, seed)
-    with np.errstate(invalid="ignore"):
-        vals = np.exp(num - den + lam_sep - lam_full)
+    if model.dim == 2:
+        vals = pair_kernel(math.sqrt(model.variogram.values[0, 1]),
+                           exp_to_frechet(x_sep[:, 0]), x_rest[:, 0])
+    else:
+        vals = _partition_kernel(model, sep, x_sep, x_rest, accuracy, seed)
     if not np.all(vals <= 1.0 + 1e-9):
         worst = float(np.max(np.where(np.isnan(vals), np.inf, vals)))
         raise NumericalBreakdown(

@@ -7,11 +7,11 @@ place in each row block's random stream:
 * Gaussian-copula cliques go through their latent normal vector exactly.
 * Hüsler-Reiss (HR) cliques are pairs at finite levels: each draws its
   new coordinate by inverting the closed-form pair kernel
-  P(X_2 <= x | X_1 = x_1) at one uniform.  Safeguarded Newton steps on
-  the probit scale run inside a bracket, and each root is returned as
-  the midpoint of a bracket narrower than ``INVERT_TOL`` whose two ends
-  the kernel certifies.  A wider HR clique raises
-  :class:`UnsupportedCliqueShape`.
+  P(X_2 <= x | X_1 = x_1) of :mod:`husler_reiss` at one uniform.
+  Safeguarded Newton steps on the probit scale run inside a bracket,
+  and each root is returned as the midpoint of a bracket narrower than
+  ``INVERT_TOL`` whose two ends the kernel certifies.  A wider HR
+  clique raises :class:`UnsupportedCliqueShape`.
 
 Inverse-CDF draws keep the coupling between thresholds: two calls that
 differ only in t use the same random numbers, so their samples move
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
+from scipy.special import log_ndtr, ndtri, ndtri_exp
 
 from . import gaussian as gsn
 from . import husler_reiss as hr
@@ -47,7 +47,6 @@ _X_FLOOR = 1e-12
 #: which bounds the iteration count where rounding stalls Newton.
 _NEWTON_STEPS = 16
 _MAX_STEPS = _NEWTON_STEPS + 64
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
 def exp_to_normal(x: np.ndarray) -> np.ndarray:
@@ -60,57 +59,15 @@ def normal_to_exp(z: np.ndarray) -> np.ndarray:
     return -log_ndtr(-np.asarray(z, dtype=float))
 
 
-def _pair_kernel(a: float, y1: np.ndarray, x: np.ndarray, slope: bool = False):
-    """K(x) = P(X_2 <= x | X_1 = x_1) of an HR pair with a = √Γ, given
-    the Fréchet state ``y1`` of x_1; with ``slope`` also ∂K/∂x.
-
-    With y the Fréchet state of x, w = log(y/y1), p = Φ(a/2 + w/a),
-    q = Φ(a/2 − w/a) and E = exp(1/y1 − p/y1 − q/y):
-
-        K = p E,    ∂K/∂x = E (y1 φ(a/2 − w/a)/a + p q) / expm1(x).
-
-    E takes 1 − p as Φ(−a/2 − w/a), so nothing cancels where p is near
-    1: the computed K then stays monotone at the inverter's tolerance.
-    The slope uses y φ(a/2 + w/a) = y1 φ(a/2 − w/a), so it stays finite
-    where y overflows.  A non-finite value (both states beyond double
-    range) raises :class:`NumericalBreakdown`.
-    """
-    y = hr.exp_to_frechet(x)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # in place where it reads plainly: these row-length temporaries
-        # set the peak memory of a verify
-        w = np.log(y / y1)
-        w /= a
-        p = ndtr(0.5 * a + w)
-        q = ndtr(0.5 * a - w)
-        e = ndtr(-0.5 * a - w) / y1
-        e -= q / y
-        np.exp(e, out=e)
-        k = p * e
-        if slope:
-            dk = np.exp(-0.5 * (0.5 * a - w) ** 2)
-            dk *= y1
-            dk /= _SQRT_2PI * a
-            p *= q
-            dk += p
-            dk *= e
-            dk /= np.expm1(x)
-    if not np.all(np.isfinite(k)) or (slope and not np.all(np.isfinite(dk))):
-        raise NumericalBreakdown(
-            "Hüsler-Reiss pair kernel is not finite; the state is beyond the "
-            "double-precision range of the closed form"
-        )
-    return (k, dk) if slope else k
-
-
-def _bracket_top(a: float, y1: np.ndarray, x1: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _bracket_top(model, s: int, x1: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Upper end of the inverter's bracket: x1 + 8, with the offset
     doubled, up to 700, while K(hi) < u."""
     hi = x1 + 8.0
     offset = np.full(u.shape[0], 8.0)
     rows = np.arange(u.shape[0])
     for _ in range(8):
-        rows = rows[_pair_kernel(a, y1[rows], hi[rows]) < u[rows]]
+        k = hr.transition_kernel(model, (s,), x1[rows, None], hi[rows, None])
+        rows = rows[k < u[rows]]
         if rows.size == 0:
             return hi
         offset[rows] *= 2.0
@@ -118,47 +75,52 @@ def _bracket_top(a: float, y1: np.ndarray, x1: np.ndarray, u: np.ndarray) -> np.
     raise NumericalBreakdown("could not bracket the conditional quantile")
 
 
-def _invert_pair(a: float, half: float, x1: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Solve K(x) = u row-wise for the new coordinate of an HR pair with
-    a = √Γ and ``half`` = Γ/2, given the separator state ``x1``.
+def _invert_pair(model, s: int, x1: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Solve K(x) = u row-wise for the new coordinate of the HR pair
+    ``model`` given its vertex ``s`` at the states ``x1``.
 
     The bracket is [_X_FLOOR, :func:`_bracket_top`]; a root below the
-    floor comes back within INVERT_TOL of it.  Newton steps on the
-    probit scale, x ← x − (Φ⁻¹(K) − Φ⁻¹(u)) φ(Φ⁻¹(K)) / ∂K, start from
-    the limit quantile x1 − Γ/2 + a Φ⁻¹(u); every evaluation moves one
-    end of the bracket, and a step that is not finite or leaves the
+    floor comes back within INVERT_TOL of it.  With a = √Γ, Newton steps
+    on the probit scale, x ← x − (Φ⁻¹(K) − Φ⁻¹(u)) φ(Φ⁻¹(K)) / ∂K, start
+    from the limit quantile x1 − Γ/2 + a Φ⁻¹(u); every evaluation moves
+    one end of the bracket, and a step that is not finite or leaves the
     bracket goes to its midpoint, as does every step after
     ``_NEWTON_STEPS`` iterations.  A step below INVERT_TOL/4 is
     certified by one evaluation INVERT_TOL/2 away on the side not yet
     bracketed.  A row ends at the midpoint of a bracket narrower than
-    INVERT_TOL.
+    INVERT_TOL.  The steps need ∂K and call :func:`hr.pair_kernel`; the
+    bracket search and the certification need K alone and call
+    :func:`hr.transition_kernel`, which evaluates the same closed form.
     """
     tol = INVERT_TOL
+    gamma = float(model.variogram.values[0, 1])
+    a = np.sqrt(gamma)
     y1 = hr.exp_to_frechet(x1)
-    hi = _bracket_top(a, y1, x1, u)
+    hi = _bracket_top(model, s, x1, u)
     lo = np.full(u.shape[0], _X_FLOOR)
     out = np.empty(u.shape[0])
     rows = np.arange(u.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         zu = ndtri(u)
-        x = x1 - half + a * zu
+        x = a * zu
+    x += x1 - 0.5 * gamma
     np.copyto(x, 0.5 * (lo + hi), where=~((x > lo) & (x < hi)))
     for it in range(_MAX_STEPS):
-        k, dk = _pair_kernel(a, y1, x, slope=True)
+        k, dk = hr.pair_kernel(a, y1, x, slope=True)
         above = k >= u
         np.copyto(hi, x, where=above)
         np.copyto(lo, x, where=~above)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            zk = ndtri(k, out=k)
-            step = np.exp(-0.5 * zk * zk)
-            zk -= zu
-            step *= zk
-            dk *= _SQRT_2PI
+            step = ndtri(k, out=k)
+            dk /= np.exp(-0.5 * step * step)
+            step -= zu
+            dk *= hr._SQRT_2PI
             step /= dk
         near = (np.abs(step) < tol / 4) & (hi - lo >= tol)
         if near.any():
             probe = np.where(above[near], x[near] - tol / 2, x[near] + tol / 2)
-            probe_above = _pair_kernel(a, y1[near], probe) >= u[near]
+            probe_above = hr.transition_kernel(model, (s,), x1[rows[near], None],
+                                               probe[:, None]) >= u[near]
             lo[near] = np.where(probe_above, lo[near], probe)
             hi[near] = np.where(probe_above, probe, hi[near])
         x -= step
@@ -168,9 +130,16 @@ def _invert_pair(a: float, half: float, x1: np.ndarray, u: np.ndarray) -> np.nda
         out[rows[done]] = 0.5 * (lo[done] + hi[done])
         if done.all():
             return out
+        # one array at a time, so each old array is freed before the next
+        # copy is made; one tuple assignment would keep all of them alive
         keep = ~done
-        rows, y1, u, zu, lo, hi, x = (rows[keep], y1[keep], u[keep], zu[keep],
-                                      lo[keep], hi[keep], x[keep])
+        rows = rows[keep]
+        y1 = y1[keep]
+        u = u[keep]
+        zu = zu[keep]
+        lo = lo[keep]
+        hi = hi[keep]
+        x = x[keep]
     raise NumericalBreakdown("the Hüsler-Reiss pair inverter did not converge")
 
 
@@ -184,7 +153,7 @@ class _Draw:
     a Gaussian root given its conditioning column) or "pair" (an HR pair
     given one column).  Gaussian draws carry the slope αᵀ (|sep| × |rest|) and
     the Cholesky factor of the conditional (for "joint", the full)
-    correlation; HR pairs carry a = √Γ and Γ/2.
+    correlation; HR pairs carry their model and the vertex ``given``.
     """
 
     kind: str
@@ -192,8 +161,8 @@ class _Draw:
     rest: list[int]
     slope: np.ndarray | None = None
     chol: np.ndarray | None = None
-    a: float = 0.0
-    half: float = 0.0
+    model: hr.HuslerReissModel | None = None
+    given: int | None = None
 
 
 @dataclass(frozen=True)
@@ -221,10 +190,8 @@ def _pair_draw(model, clique, s, pos) -> _Draw:
             f"cannot simulate the {len(clique)}-vertex Hüsler-Reiss clique "
             f"{clique} at finite levels; only pairs are drawn"
         )
-    gamma = float(model.variogram.values[0, 1])
     other = clique[0] if clique[1] == s else clique[1]
-    return _Draw("pair", [pos[s]], [pos[other]], a=float(np.sqrt(gamma)),
-                 half=0.5 * gamma)
+    return _Draw("pair", [pos[s]], [pos[other]], model=model, given=s)
 
 
 def _root_draws(model, clique, v, pos) -> list[_Draw]:
@@ -276,7 +243,7 @@ def _fill(d: _Draw, x: np.ndarray, rng) -> None:
             z_sep @ d.slope + rng.standard_normal((nb, len(d.rest))) @ d.chol.T)
     else:
         u = rng.random(nb)
-        x[:, d.rest[0]] = _invert_pair(d.a, d.half,
+        x[:, d.rest[0]] = _invert_pair(d.model, d.given,
                                        np.ascontiguousarray(x[:, d.sep[0]]), u)
 
 
@@ -329,6 +296,8 @@ def conditional_exceedance(ordering: CliqueOrdering, models: dict, v: int,
         raise ConfigError(f"vertex {v} not in the graph")
     if plan is None:
         plan = _draw_plan(ordering, models, v)
+    elif plan.v != v or plan.ordering.graph != ordering.graph:
+        raise ConfigError(f"the draw plan is not one for vertex {v} of this graph")
     values = _simulate(plan, n, seed, workers, t=float(t))
     return SampleMatrix(
         columns=ordering.graph.vertices, values=values,

@@ -2,9 +2,10 @@
 kept as the oracle of the closed-form pair inverter in
 ``tailgraph.simulate``.
 
-It solves ``transition_kernel(x) = u`` for the single new coordinate by
-the bracket search and bisection the simulator used before the pair
-kernel had a closed form.
+It solves kernel(x) = u for the single new coordinate by the bracket
+search and bisection the simulator used before the pair kernel had a
+closed form.  The kernel is the partition-sum form of
+``transition_kernel``, which does not go through the pair closed form.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ def _invert_kernel(model, sep, x_sep: np.ndarray, u: np.ndarray) -> np.ndarray:
     nb = u.shape[0]
 
     def kern(x):
-        return hr.transition_kernel(model, sep, x_sep, x[:, None])
+        return np.minimum(hr._partition_kernel(model, sep, x_sep, x[:, None]), 1.0)
 
     base = np.max(x_sep, axis=1)
     lo = np.full(nb, _X_FLOOR)

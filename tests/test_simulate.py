@@ -8,10 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from tailgraph import diagnostics, simulate
+from tailgraph import diagnostics
 from tailgraph import gaussian as gs
 from tailgraph import husler_reiss as hr
-from tailgraph.errors import UnsupportedCliqueShape
+from tailgraph.errors import ConfigError, UnsupportedCliqueShape
 from tailgraph.graphs import Graph, clique_ordering
 from tailgraph.limits import build_tail_model, build_tail_noise
 from tailgraph.linalg import spd_inverse
@@ -20,8 +20,8 @@ from tailgraph.simulate import (
     _NEWTON_STEPS,
     _X_FLOOR,
     INVERT_TOL,
+    _draw_plan,
     _invert_pair,
-    _pair_kernel,
     conditional_exceedance,
     renormalize,
     simulate_graphical,
@@ -206,6 +206,21 @@ def test_threshold_levels_share_random_numbers(hr_chain):
         assert rho >= 0.99
 
 
+def test_conditional_exceedance_rejects_a_foreign_plan(hr_chain, gauss_chain):
+    """A plan for another vertex, for unconditional draws or for another
+    graph would put the conditioning column in the wrong place."""
+    ordering, models = hr_chain
+    g_ordering, g_models, _ = gauss_chain
+    for plan in (_draw_plan(ordering, models, 2), _draw_plan(ordering, models),
+                 _draw_plan(g_ordering, g_models, 1)):
+        with pytest.raises(ConfigError):
+            conditional_exceedance(ordering, models, 1, 4.0, 10, seed=1, plan=plan)
+    ok = conditional_exceedance(ordering, models, 1, 4.0, 10, seed=1,
+                                plan=_draw_plan(ordering, models, 1))
+    ref = conditional_exceedance(ordering, models, 1, 4.0, 10, seed=1)
+    assert ok.values.tobytes() == ref.values.tobytes()
+
+
 def test_study_limit_builds_draw_constants_once(gauss_chain, monkeypatch):
     """The Gaussian slopes of the finite-level draws are built once per
     study, not once per level."""
@@ -232,25 +247,29 @@ def test_study_limit_builds_draw_constants_once(gauss_chain, monkeypatch):
 
 @pytest.mark.parametrize("gamma", [0.3, 1.3, 4.0])
 @pytest.mark.parametrize("x_sep", [2.0, 20.0, 300.0])
-def test_pair_kernel_matches_transition_kernel(x_sep, gamma):
-    """The closed-form pair kernel is the general kernel on a pair, up to
-    the inverter's bracket cap, and its slope is the kernel's derivative."""
+def test_pair_kernel_matches_partition_kernel(x_sep, gamma):
+    """The closed-form pair kernel is the partition-sum kernel on a
+    pair, up to the inverter's bracket cap, its slope is the kernel's
+    derivative, and transition_kernel evaluates pairs by it."""
     model = hr_pair_model((1, 2), gamma)
     a = np.sqrt(gamma)
     x = np.geomspace(_X_FLOOR, x_sep + 700.0, 400)
     y1 = np.full(x.size, hr.exp_to_frechet(x_sep))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        k, dk = _pair_kernel(a, y1, x, slope=True)
-    ref = hr.transition_kernel(model, (1,), x_sep, x[:, None])
+        k, dk = hr.pair_kernel(a, y1, x, slope=True)
+    ref = hr._partition_kernel(model, (1,), np.full((x.size, 1), x_sep), x[:, None])
     assert np.max(np.abs(k - ref)) < 1e-12
     assert np.all(dk >= 0.0)
+    assert np.array_equal(hr.pair_kernel(a, y1, x), k)
+    assert np.array_equal(hr.transition_kernel(model, (1,), x_sep, x[:, None]),
+                          np.minimum(k, 1.0))
     # central differences, away from the floor (where exp_to_frechet
     # loses digits) and from the overflow of y
     mid = (x >= 1e-2) & (x < 700.0)
     h = 1e-6 * np.maximum(x[mid], 1.0)
-    fd = (_pair_kernel(a, y1[mid], x[mid] + h)
-          - _pair_kernel(a, y1[mid], x[mid] - h)) / (2 * h)
+    fd = (hr.pair_kernel(a, y1[mid], x[mid] + h)
+          - hr.pair_kernel(a, y1[mid], x[mid] - h)) / (2 * h)
     np.testing.assert_allclose(dk[mid], fd, rtol=1e-6, atol=1e-8)
 
 
@@ -271,15 +290,16 @@ def test_pair_inverter_certifies_its_root(gamma, rows):
     x1 = np.array([r[0] for r in rows])
     u = np.array([r[1] for r in rows])
     a, tol = np.sqrt(gamma), INVERT_TOL
-    x = _invert_pair(a, gamma / 2, x1.copy(), u)
+    model = hr_pair_model((1, 2), gamma)
+    x = _invert_pair(model, 1, x1.copy(), u)
     y1 = hr.exp_to_frechet(x1)
     floor = x < _X_FLOOR + tol
     assert np.all(x >= _X_FLOOR)
-    k_lo = _pair_kernel(a, y1, np.where(floor, x, x - tol / 2))
-    k_hi = _pair_kernel(a, y1, x + tol / 2)
+    k_lo = hr.pair_kernel(a, y1, np.where(floor, x, x - tol / 2))
+    k_hi = hr.pair_kernel(a, y1, x + tol / 2)
     assert np.all(floor | ((k_lo < u) & (u <= k_hi)))
-    oracle = _invert_kernel(hr_pair_model((1, 2), gamma), (1,), x1[:, None], u)
-    slope = _pair_kernel(a, y1, x, slope=True)[1]
+    oracle = _invert_kernel(model, (1,), x1[:, None], u)
+    slope = hr.pair_kernel(a, y1, x, slope=True)[1]
     with np.errstate(divide="ignore"):
         bound = tol + np.where(floor, 0.0, 1e-13 / slope)
     assert np.all(np.abs(x - oracle) <= bound)
@@ -291,15 +311,15 @@ def test_pair_inverter_bisects_where_newton_stalls(monkeypatch):
     iterations a row bisects, and ~43 halvings take its bracket (here
     at most 812 wide) below INVERT_TOL."""
     slope_calls = []
-    kernel = simulate._pair_kernel
+    kernel = hr.pair_kernel
 
     def counting(a, y1, x, slope=False):
         slope_calls.append(slope)
         return kernel(a, y1, x, slope)
 
-    monkeypatch.setattr(simulate, "_pair_kernel", counting)
+    monkeypatch.setattr(hr, "pair_kernel", counting)
     x1, u = np.array([112.09448921960431]), np.array([8.50534874733535e-300])
-    x = _invert_pair(3.0, 4.5, x1, u)
+    x = _invert_pair(hr_pair_model((1, 2), 9.0), 1, x1, u)
     assert sum(slope_calls) <= _NEWTON_STEPS + 48
     y1 = hr.exp_to_frechet(x1)
     assert kernel(3.0, y1, x - INVERT_TOL / 2) < u <= kernel(3.0, y1, x + INVERT_TOL / 2)
