@@ -4,6 +4,8 @@ factorized exponent-measure density."""
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,20 +254,26 @@ def study_limit(limit: TailGraphicalModel | TailNoiseModel, models: dict,
 
 
 def factorized_density(ordering: CliqueOrdering, models: dict, y,
-                       log: bool = False) -> float:
+                       log: bool = False):
     """Graph-wide exponent-measure density: clique densities divided by
     separator-marginal densities along the ordering.
 
+    ``y`` is one state of shape (d,), which gives a float, or a batch of
+    states of shape (n, d), which gives an array of shape (n,).  Each
+    clique and each non-empty separator costs one batched density call
+    over all rows, and a row's value does not depend on the other rows.
     Accumulated in log space, because the product of many clique densities
     underflows; ``log=True`` returns the log density.
     """
     table = _models_table(ordering, models)
     y = np.asarray(y, dtype=float)
     cols = ordering.graph.vertices
-    if y.shape != (len(cols),):
-        raise ConfigError(f"state must have {len(cols)} entries, got {y.shape}")
+    if y.ndim not in (1, 2) or y.shape[-1] != len(cols):
+        raise ConfigError(f"states must have {len(cols)} entries per row, "
+                          f"got shape {y.shape}")
+    rows = y.reshape(-1, len(cols))
     pos = {u: k for k, u in enumerate(cols)}
-    out = 0.0
+    out = np.zeros(rows.shape[0])
     for i, clique in enumerate(ordering.cliques):
         model = table[clique]
         if getattr(model, "family", None) != "husler_reiss":
@@ -273,14 +281,16 @@ def factorized_density(ordering: CliqueOrdering, models: dict, y,
                 "factorized density requires Hüsler-Reiss cliques (the "
                 "asymptotically dependent case has a nontrivial density)"
             )
-        yc = y[[pos[u] for u in clique]]
-        out += hr.exponent_measure_density(model, yc, log=True)
+        out += hr.exponent_measure_density_many(
+            model.variogram, rows[:, [pos[u] for u in clique]], log=True)
         sep = ordering.separators[i]
         if sep:
-            ysep = y[[pos[u] for u in sep]]
-            sep_model = model.restrict(sep)
-            out -= hr.exponent_measure_density(sep_model, ysep, log=True)
-    return out if log else float(np.exp(out))
+            out -= hr.exponent_measure_density_many(
+                model.variogram.sub(sep), rows[:, [pos[u] for u in sep]],
+                log=True)
+    if not log:
+        out = np.exp(out)
+    return float(out[0]) if y.ndim == 1 else out
 
 
 @dataclass(frozen=True)
@@ -357,20 +367,35 @@ def mrv_checks(ordering: CliqueOrdering, models: dict, seed: int = 0,
     """Regular-variation sanity of the factorized density.
 
     Homogeneity: the assembled density must scale as t^-(d+1) at t =
-    ``scale`` on random points, within ``homogeneity_tol`` relative.
+    ``scale`` on ``n_points`` random points, within ``homogeneity_tol``
+    relative.  The points and their scaled copies go through
+    :func:`factorized_density` as one batch, so each clique and separator
+    density is evaluated once for all of them.
     Compatibility: adjacent cliques must induce the same separator
     exponent measure — evaluated by marginalizing each clique's measure
-    (+inf padding) on a small separator grid; mismatched models are
-    reported, not raised.
+    (+inf padding) on the separator grid (0.5, 1, 2), one batched call
+    per clique and separator; mismatched models are reported, not raised.
+    ``n_points`` must be an integer >= 1, ``scale`` finite, positive and
+    not 1, and ``homogeneity_tol`` finite and positive; otherwise
+    :class:`ConfigError`.
     """
+    if (not isinstance(n_points, numbers.Integral) or isinstance(n_points, bool)
+            or n_points < 1):
+        raise ConfigError(f"n_points must be an integer >= 1, got {n_points!r}")
+    if not (_finite_positive(scale) and scale != 1.0):
+        raise ConfigError(f"scale must be finite, positive and not 1, got {scale!r}")
+    if not _finite_positive(homogeneity_tol):
+        raise ConfigError(
+            f"homogeneity_tol must be finite and positive, got {homogeneity_tol!r}")
     table = _models_table(ordering, models)
     d = ordering.graph.n
     rng = derived_rng(seed, OFFSET_MISC + 1)
+    ys = rng.uniform(0.5, 2.0, size=(n_points, d))
+    log_all = factorized_density(ordering, models, np.vstack([ys, scale * ys]),
+                                 log=True)
     hom = []
-    for _ in range(n_points):
-        y = rng.uniform(0.5, 2.0, size=d)
-        log_lam = factorized_density(ordering, models, y, log=True)
-        log_scaled = factorized_density(ordering, models, scale * y, log=True)
+    for y, log_lam, log_scaled in zip(ys, log_all[:n_points],
+                                      log_all[n_points:]):
         if not (np.isfinite(log_lam) and np.isfinite(log_scaled)):
             raise NumericalBreakdown(
                 f"factorized density at {y.tolist()} has log value "
@@ -388,26 +413,27 @@ def mrv_checks(ordering: CliqueOrdering, models: dict, seed: int = 0,
         sep = ordering.separators[i]
         child = table[ordering.cliques[i]]
         parent = table[ordering.cliques[ordering.parents[i]]]
-        for g in grid:
-            x_s = np.full(len(sep), g)
-            lam_a, err_a = _marginal_measure(parent, sep, x_s, accuracy)
-            lam_b, err_b = _marginal_measure(child, sep, x_s, accuracy)
-            tol = 10.0 * (err_a + err_b) + 1e-12
+        lam_a, err_a = _marginal_measure(parent, sep, grid, accuracy)
+        lam_b, err_b = _marginal_measure(child, sep, grid, accuracy)
+        for k, g in enumerate(grid):
             comp.append(CompatibilityRow(
                 clique_a=parent.clique, clique_b=child.clique, sep=sep,
-                point=tuple(x_s), lam_a=lam_a, lam_b=lam_b,
-                gap=abs(lam_a - lam_b), tol=tol,
+                point=(g,) * len(sep), lam_a=lam_a[k], lam_b=lam_b[k],
+                gap=abs(lam_a[k] - lam_b[k]),
+                tol=10.0 * (err_a[k] + err_b[k]) + 1e-12,
             ))
     return MRVReport(homogeneity=tuple(hom), compatibility=tuple(comp),
                      homogeneity_tol=homogeneity_tol)
 
 
-def _marginal_measure(model, sep, x_s, accuracy):
-    """Clique exponent measure with non-separator coordinates at +inf."""
-    y = np.full(len(model.clique), np.inf)
-    pos = {u: k for k, u in enumerate(model.clique)}
-    for j, s in enumerate(sep):
-        y[pos[s]] = x_s[j]
-    est = hr.exponent_measure_estimate(model, y, accuracy=accuracy)
-    return est.value, est.error
+def _finite_positive(x) -> bool:
+    return isinstance(x, numbers.Real) and math.isfinite(x) and x > 0
 
+
+def _marginal_measure(model, sep, grid, accuracy):
+    """Clique exponent measure and its error bound at each grid value g,
+    with the separator coordinates at g and the others at +inf, as lists."""
+    y = np.full((len(grid), len(model.clique)), np.inf)
+    y[:, [model.clique.index(s) for s in sep]] = np.asarray(grid)[:, None]
+    est = hr.exponent_measure_estimate(model, y, accuracy=accuracy)
+    return est.value.tolist(), est.error.tolist()

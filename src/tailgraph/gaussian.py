@@ -84,7 +84,7 @@ class CorrelationMatrix:
     def to_dict(self) -> dict:
         return {
             "index": list(self.index),
-            "values": [[float(x) for x in row] for row in self.values],
+            "values": self.values.tolist(),
         }
 
 

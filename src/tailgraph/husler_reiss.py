@@ -87,7 +87,7 @@ class VariogramMatrix:
     def to_dict(self) -> dict:
         return {
             "index": list(self.index),
-            "values": [[float(x) for x in row] for row in self.values],
+            "values": self.values.tolist(),
         }
 
 
@@ -141,6 +141,19 @@ def sigma_anchor(vario: VariogramMatrix, anchor: int) -> IndexedMatrix:
 # exponent measure and its derivatives
 
 
+def _states(y, d: int) -> np.ndarray:
+    """``y`` as an (n, d) array of strictly positive states; one state of
+    shape (d,) becomes one row."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 1:
+        y = y[None, :]
+    if y.ndim != 2 or y.shape[1] != d:
+        raise ConfigError(f"states of shape {y.shape} do not fit clique size {d}")
+    if np.any(~(y > 0.0)):
+        raise NumericalBreakdown("exponent measure needs strictly positive states")
+    return y
+
+
 def exponent_measure_many(vario: VariogramMatrix, y: np.ndarray,
                           accuracy: float = 1e-8, seed: int = 0) -> np.ndarray:
     """Λ(y) for a batch of states, shape (n, dim) -> (n,).
@@ -148,14 +161,8 @@ def exponent_measure_many(vario: VariogramMatrix, y: np.ndarray,
     ``+inf`` coordinates are legal and give the lower-dimensional
     measure of the remaining coordinates.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        y = y[None, :]
     d = vario.dim
-    if y.shape[1] != d:
-        raise ConfigError(f"state width {y.shape[1]} != clique size {d}")
-    if np.any(~(y > 0.0)):
-        raise NumericalBreakdown("exponent measure needs strictly positive states")
+    y = _states(y, d)
     if d == 1:
         return 1.0 / y[:, 0]
     out = np.zeros(y.shape[0])
@@ -185,21 +192,24 @@ def exponent_measure_estimate(model: HuslerReissModel, y,
                               seed: int = 0) -> CdfEstimate:
     """Λ(y) together with a conservative numerical error bound.
 
+    One state of shape (dim,) gives floats; a batch of states of shape
+    (n, dim) gives arrays of shape (n,), row by row the same values.
     The measure is a sum of one normal-CDF evaluation per finite
     coordinate, each scaled by 1/y_c: dimensions up to three are
     deterministic at rounding level, larger ones inherit the quadrature
-    accuracy target.
+    accuracy target.  A state with no finite coordinate has bound 0.
     """
     if isinstance(y, IndexedVector):
         y = y.sub(model.clique).values
     y = np.asarray(y, dtype=float)
-    value = float(exponent_measure_many(model.variogram, y,
-                                        accuracy=accuracy, seed=seed)[0])
-    finite = y[np.isfinite(y)]
-    if finite.size == 0:
-        return CdfEstimate(value, 0.0)
+    rows = _states(y, model.dim)
+    value = exponent_measure_many(model.variogram, rows,
+                                  accuracy=accuracy, seed=seed)
+    finite = np.isfinite(rows)
     per_term = 5e-15 if model.dim <= 3 else accuracy
-    error = float(finite.size * per_term / np.min(finite))
+    error = finite.sum(axis=1) * per_term / np.where(finite, rows, np.inf).min(axis=1)
+    if y.ndim == 1:
+        return CdfEstimate(float(value[0]), float(error[0]))
     return CdfEstimate(value, error)
 
 
@@ -219,15 +229,14 @@ def exponent_measure_derivative_many(vario: VariogramMatrix, y: np.ndarray,
     nor underflows at extreme states; the CDF factor is evaluated directly
     and gives log D_P = -inf only where it underflows.  ``log=True``
     returns log D_P.  Shape (n, dim) -> (n,).
+
+    Every row is computed by elementwise arithmetic alone (the Gaussian
+    factor by forward substitution over the rows of the Cholesky factor,
+    sums term by term, the CDF row by row), so a row's value is the
+    same, bit for bit, in any batch, including a batch of one.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        y = y[None, :]
     d = vario.dim
-    if y.shape[1] != d:
-        raise ConfigError(f"state width {y.shape[1]} != clique size {d}")
-    if np.any(~(y > 0.0)):
-        raise NumericalBreakdown("exponent measure needs strictly positive states")
+    y = _states(y, d)
     wrt = [int(p) for p in wrt]
     if not wrt or len(set(wrt)) != len(wrt) or not set(wrt) <= set(range(d)):
         raise ConfigError(f"derivative positions {wrt} invalid for clique size {d}")
@@ -235,7 +244,7 @@ def exponent_measure_derivative_many(vario: VariogramMatrix, y: np.ndarray,
     k = wrt[0]
     out = -2.0 * ly[:, k]
     if len(wrt) > 1:
-        out -= ly[:, wrt[1:]].sum(axis=1)
+        out -= sum(ly[:, j] for j in wrt[1:])
     if d > 1:
         others = [j for j in range(d) if j != k]
         at = {j: m for m, j in enumerate(others)}
@@ -247,13 +256,17 @@ def exponent_measure_derivative_many(vario: VariogramMatrix, y: np.ndarray,
         cond = sig[np.ix_(r_idx, r_idx)]
         if p_idx:
             chol = np.linalg.cholesky(sig[np.ix_(p_idx, p_idx)])
-            w = np.linalg.solve(chol, z[:, p_idx].T)
-            out += (-0.5 * np.sum(w * w, axis=0)
+            w = z[:, p_idx]  # becomes chol⁻¹ z_{P'}, by forward substitution
+            for i in range(len(p_idx)):
+                for j in range(i):
+                    w[:, i] -= chol[i, j] * w[:, j]
+                w[:, i] /= chol[i, i]
+            out += (-0.5 * sum(w[:, i] * w[:, i] for i in range(len(p_idx)))
                     - np.sum(np.log(np.diag(chol)))
                     - 0.5 * len(p_idx) * math.log(2.0 * math.pi))
             if r_idx:
                 gain = np.linalg.solve(chol, sig[np.ix_(p_idx, r_idx)])
-                z_r = z_r - w.T @ gain
+                z_r = z_r - sum(w[:, [i]] * gain[i] for i in range(len(p_idx)))
                 cond = cond - gain.T @ gain
         with np.errstate(divide="ignore"):
             out += np.log(_orthant(z_r, cond, accuracy, seed))

@@ -62,7 +62,7 @@ class IndexedVector:
         return float(self.values[self.positions([label])[0]])
 
     def to_dict(self) -> dict:
-        return {"index": list(self.index), "values": [float(x) for x in self.values]}
+        return {"index": list(self.index), "values": self.values.tolist()}
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ class IndexedMatrix:
         return {
             "rows": list(self.rows),
             "cols": list(self.cols),
-            "values": [[float(x) for x in row] for row in self.values],
+            "values": self.values.tolist(),
         }
 
 

@@ -1,8 +1,12 @@
 """Moment closed forms, tail-dependence estimates, convergence studies,
 and regular-variation diagnostics."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.stats import norm
 
@@ -28,6 +32,7 @@ from tailgraph.limits import SampleMatrix, build_tail_model, tail_model_moments
 from tailgraph.linalg import spd_inverse
 from tailgraph.simulate import simulate_graphical
 
+import mrv_oracle
 from conftest import MIXED_GAMMA, MIXED_R, hr_pair_model, mixed_models
 
 
@@ -239,26 +244,29 @@ def test_mrv_singleton_separators_always_compatible():
     assert rep.compatibility_ok
 
 
-def test_mrv_two_vertex_separator_mismatch_is_flagged():
+def two_triangles(compatible: bool):
+    """Triangles {1,2,3} and {2,3,4}; unless ``compatible`` they disagree
+    on the variogram entry of their separator (2, 3)."""
     graph = Graph.make(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
     ordering = clique_ordering(graph, 1)
     va = np.array([[0.0, 1.0, 1.2], [1.0, 0.0, 0.8], [1.2, 0.8, 0.0]])
     vb = np.array([[0.0, 1.6, 1.1], [1.6, 0.0, 1.3], [1.1, 1.3, 0.0]])
+    if compatible:
+        vb[0, 1] = vb[1, 0] = va[1, 2]
     models = {
         (1, 2, 3): hr.HuslerReissModel(
             (1, 2, 3), hr.VariogramMatrix((1, 2, 3), va)),
         (2, 3, 4): hr.HuslerReissModel(
             (2, 3, 4), hr.VariogramMatrix((2, 3, 4), vb)),
     }
-    rep = mrv_checks(ordering, models, seed=0)
+    return ordering, models
+
+
+def test_mrv_two_vertex_separator_mismatch_is_flagged():
+    rep = mrv_checks(*two_triangles(compatible=False), seed=0)
     assert not rep.compatibility_ok  # cliques disagree on the (2,3) margin
     assert max(r.gap for r in rep.compatibility) > 0.1
-
-    vb_ok = vb.copy()
-    vb_ok[0, 1] = vb_ok[1, 0] = va[1, 2]
-    models[(2, 3, 4)] = hr.HuslerReissModel(
-        (2, 3, 4), hr.VariogramMatrix((2, 3, 4), vb_ok))
-    rep = mrv_checks(ordering, models, seed=0)
+    rep = mrv_checks(*two_triangles(compatible=True), seed=0)
     assert rep.ok
 
 
@@ -294,3 +302,79 @@ def test_mrv_checks_strongly_dependent_two_tree(seed):
     ordering, models = uniform_point_two_tree(seed)
     rep = mrv_checks(ordering, models, seed=seed)
     assert rep.ok, max(r.rel_err for r in rep.homogeneity)
+
+
+@pytest.mark.parametrize("bad", [
+    {"n_points": 0}, {"n_points": -3}, {"n_points": 2.0}, {"n_points": True},
+    {"scale": 0.0}, {"scale": -2.0}, {"scale": np.nan}, {"scale": np.inf},
+    {"scale": 1.0}, {"homogeneity_tol": 0.0}, {"homogeneity_tol": -1e-4},
+    {"homogeneity_tol": np.nan}, {"homogeneity_tol": np.inf},
+])
+def test_mrv_checks_rejects_vacuous_or_invalid_arguments(bad):
+    ordering, models = triangle_plus_edge()
+    with pytest.raises(ConfigError):
+        mrv_checks(ordering, models, seed=0, **bad)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_two_tree(seed):
+    return uniform_point_two_tree(seed)
+
+
+@given(seed=st.integers(0, 7),
+       log_y=st.lists(st.lists(st.one_of(st.floats(-3.0, 3.0),
+                                         st.sampled_from([-30.0, 30.0])),
+                               min_size=26, max_size=26),
+                      min_size=2, max_size=3))
+def test_factorized_density_batch_equals_single_states(seed, log_y):
+    ordering, models = cached_two_tree(seed)
+    ys = np.exp(np.array(log_y))
+    for log in (False, True):
+        batch = factorized_density(ordering, models, ys, log=log)
+        assert batch.shape == (len(ys),)
+        single = [factorized_density(ordering, models, y, log=log) for y in ys]
+        assert all(isinstance(x, float) for x in single)
+        assert np.array_equal(batch, single), log
+
+
+def test_factorized_density_rejects_bad_shapes():
+    ordering, models = triangle_plus_edge()
+    for bad in (np.ones(5), np.ones((2, 3)), np.ones((1, 2, 4)), np.ones(())):
+        with pytest.raises(ConfigError):
+            factorized_density(ordering, models, bad)
+
+
+@pytest.mark.parametrize("case", [
+    triangle_plus_edge,
+    functools.partial(two_triangles, compatible=False),
+    functools.partial(two_triangles, compatible=True),
+    *(functools.partial(cached_two_tree, seed) for seed in range(8)),
+], ids=["triangle+edge", "two-triangles-mismatched", "two-triangles",
+        *(f"uniform-point-two-tree-{seed}" for seed in range(8))])
+def test_mrv_checks_match_per_point_oracle(case, monkeypatch):
+    ordering, models = case()
+    want = mrv_oracle.mrv_checks(ordering, models, seed=4)
+
+    calls = []
+    density = hr.exponent_measure_density_many
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return density(*args, **kwargs)
+
+    monkeypatch.setattr(hr, "exponent_measure_density_many", counted)
+    got = mrv_checks(ordering, models, seed=4)
+    # one batched density call per clique and per non-empty separator
+    per_call = len(ordering.cliques) + sum(1 for s in ordering.separators if s)
+    assert len(calls) == per_call
+    mrv_checks(ordering, models, seed=4, n_points=1)
+    assert len(calls) == 2 * per_call
+
+    assert got.compatibility == want.compatibility
+    assert [r.point for r in got.homogeneity] == [r.point for r in want.homogeneity]
+    for field in ("density", "scaled_density", "rel_err"):
+        np.testing.assert_allclose(
+            [getattr(r, field) for r in got.homogeneity],
+            [getattr(r, field) for r in want.homogeneity], rtol=1e-13, atol=0.0)
+    assert (got.homogeneity_ok, got.compatibility_ok, got.ok) == (
+        want.homogeneity_ok, want.compatibility_ok, want.ok)

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from tailgraph import husler_reiss as hr
@@ -12,6 +14,7 @@ from tailgraph.errors import (
     ConfigError,
     IncompatibleSeparators,
     InvalidVariogram,
+    NumericalBreakdown,
 )
 from tailgraph.graphs import Graph, check_separator_models, clique_ordering
 from tailgraph.linalg import spd_inverse
@@ -178,6 +181,59 @@ def test_derivatives_match_fd_oracle(d):
                 assert np.allclose(flipped, got, rtol=1e-12, atol=0.0)
 
 
+@st.composite
+def clique_and_states(draw):
+    """An HR variogram on 2-4 vertices, from a random anchored covariance
+    L Lᵀ, and 2-4 states whose coordinate ratios reach e^±400."""
+    d = draw(st.integers(2, 4))
+    low = np.zeros((d - 1, d - 1))
+    for i in range(d - 1):
+        low[i, i] = draw(st.floats(0.3, 1.5))
+        for j in range(i):
+            low[i, j] = draw(st.floats(-1.0, 1.0))
+    sig = low @ low.T
+    s = np.diag(sig)
+    g = np.zeros((d, d))
+    g[0, 1:] = g[1:, 0] = s
+    g[1:, 1:] = s[:, None] + s[None, :] - 2.0 * sig
+    g = 0.5 * (g + g.T)
+    np.fill_diagonal(g, 0.0)
+    log_y = draw(st.lists(
+        st.lists(st.one_of(st.floats(-5.0, 5.0),
+                           st.sampled_from([-200.0, -40.0, 40.0, 200.0])),
+                 min_size=d, max_size=d),
+        min_size=2, max_size=4))
+    return vario(range(1, d + 1), g), np.exp(np.array(log_y))
+
+
+@given(clique_and_states())
+def test_derivative_rows_do_not_depend_on_their_batch(case):
+    v, y = case
+    for k in range(1, v.dim + 1):
+        for wrt in itertools.combinations(range(v.dim), k):
+            for log in (False, True):
+                # a loose quadrature target keeps 3-D orthants cheap; the
+                # claim is bit equality, whatever the accuracy.  Without
+                # log, D_P overflows to inf at the tiniest states.
+                with np.errstate(over="ignore"):
+                    batch = hr.exponent_measure_derivative_many(
+                        v, y, wrt, log=log, accuracy=1e-3)
+                    rows = [hr.exponent_measure_derivative_many(
+                        v, row, wrt, log=log, accuracy=1e-3)[0] for row in y]
+                assert np.array_equal(batch, rows), (wrt, log)
+
+
+def test_states_of_wrong_shape_raise():
+    v = random_variogram(np.random.default_rng(3), 3)
+    for bad in (np.ones((2, 4)), np.ones(2), np.ones((1, 2, 3)), np.ones(())):
+        with pytest.raises(ConfigError):
+            hr.exponent_measure_derivative_many(v, bad, [0])
+        with pytest.raises(ConfigError):
+            hr.exponent_measure_many(v, bad)
+    with pytest.raises(NumericalBreakdown):
+        hr.exponent_measure_derivative_many(v, [[1.0, np.nan, 2.0]], [0])
+
+
 # ----------------------------------------------------- transition kernel
 
 
@@ -314,3 +370,18 @@ def test_exponent_measure_estimate_reports_error():
     exact = pair_measure(1.0, 2.0, 0.8)
     assert abs(est.value - exact) < 1e-12
     assert est.error >= 0.0
+
+
+def test_exponent_measure_estimate_batch_rows_equal_single_states():
+    model = hr.HuslerReissModel((1, 2, 3), random_variogram(
+        np.random.default_rng(5), 3))
+    inf = np.inf
+    y = np.array([[0.5, inf, 0.5], [1.0, 2.0, 4.0], [inf, 3.0, inf],
+                  [inf, inf, inf]])
+    value, error = hr.exponent_measure_estimate(model, y)
+    for row, v, e in zip(y, value, error):
+        assert hr.exponent_measure_estimate(model, row) == (v, e)
+    # the bound: 5e-15 per finite coordinate (|C| <= 3), over the smallest
+    assert error.tolist() == [2 * 5e-15 / 0.5, 3 * 5e-15 / 1.0,
+                              5e-15 / 3.0, 0.0]
+    assert value[3] == 0.0
