@@ -27,17 +27,13 @@ from .graphs import (
     check_separator_models,
     clique_ordering,
     goldner_harary,
-    is_block_graph,
     junction_tree,
-    validate_chordal,
 )
 from .linalg import GaussianLaw, IndexedMatrix, IndexedVector, spd_inverse
 from .mvn import CdfEstimate, bvn_cdf, mvn_cdf
 from .husler_reiss import (
     HuslerReissModel,
     VariogramMatrix,
-    exponent_measure,
-    exponent_measure_density,
     hr_root_law,
     transition_kernel,
 )

@@ -24,7 +24,6 @@ from .limits import (
     SampleMatrix,
     TailGraphicalModel,
     TailNoiseModel,
-    build_tail_model,
     build_tail_noise,
     derive_limit,
     tail_model_moments,
@@ -175,30 +174,14 @@ class ConvergenceReport:
 
 
 def convergence_study(ordering: CliqueOrdering, models: dict, v: int,
-                      t_levels, n: int, seed: int,
-                      mode: str | None = None,
-                      ks_const: float = KS_CONST,
-                      workers: int = 1) -> ConvergenceReport:
-    """:func:`study_limit` of the limit at v, built once.
-
-    The mode follows the classifier unless forced: ``condition_on_root``
-    studies the single-vertex tail model, ``separator_based`` the
-    block-wise tail noise.  With no mode, the walk that classifies also
-    builds the tail model, so the ordering is walked once.  Each KS entry
-    is the two-sided statistic only; no p-value is computed.
-    """
-    if mode is None:
-        limit = derive_limit(ordering, models, v)[1]
-        if limit is None:
-            limit = build_tail_noise(ordering, models, v)
-    elif mode == "condition_on_root":
-        limit = build_tail_model(ordering, models, v)
-    elif mode == "separator_based":
+                      t_levels, n: int, seed: int) -> ConvergenceReport:
+    """:func:`study_limit` of the limit at v, built once: the single-vertex
+    tail model where the classifier finds one (the walk that classifies
+    also builds it), otherwise the block-wise tail noise."""
+    limit = derive_limit(ordering, models, v)[1]
+    if limit is None:
         limit = build_tail_noise(ordering, models, v)
-    else:
-        raise ConfigError(f"unknown mode {mode!r}")
-    return study_limit(limit, models, t_levels, n, seed,
-                       ks_const=ks_const, workers=workers)
+    return study_limit(limit, models, t_levels, n, seed)
 
 
 def study_limit(limit: TailGraphicalModel | TailNoiseModel, models: dict,
@@ -289,7 +272,8 @@ def factorized_density(ordering: CliqueOrdering, models: dict, y,
                 model.variogram.sub(sep), rows[:, [pos[u] for u in sep]],
                 log=True)
     if not log:
-        out = np.exp(out)
+        with np.errstate(over="ignore"):  # +inf at the tiniest states is right
+            out = np.exp(out)
     return float(out[0]) if y.ndim == 1 else out
 
 

@@ -107,10 +107,6 @@ class GaussianCopulaModel:
     def dim(self) -> int:
         return len(self.clique)
 
-    def restrict(self, labels) -> "GaussianCopulaModel":
-        labels = tuple(sorted(int(v) for v in labels))
-        return GaussianCopulaModel(labels, self.correlation.sub(labels))
-
 
 def _rho_with(corr: CorrelationMatrix, v: int, targets) -> np.ndarray:
     rho = np.array([corr.entry(u, v) for u in targets])

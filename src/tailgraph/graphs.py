@@ -217,24 +217,6 @@ def _find_chordless_cycle(graph: Graph) -> tuple[int, ...]:
     raise AssertionError("no chordless cycle found in a non-chordal graph")
 
 
-def validate_chordal(graph: Graph) -> tuple[int, ...]:
-    """Check connectivity and chordality; return a perfect elimination ordering.
-
-    The ordering is the reverse of the maximum-cardinality search visit
-    order started at vertex 1.  Raises :class:`NotConnected` or
-    :class:`NotChordal` (with a chordless-cycle witness) otherwise.
-    """
-    if not graph.is_connected():
-        raise NotConnected(f"graph on {graph.n} vertices is not connected")
-    order = _mcs_order(graph, start=1)
-    rank = {v: k for k, v in enumerate(order)}
-    for u in order:
-        earlier = [w for w in graph.neighbors(u) if rank[w] < rank[u]]
-        if not graph.is_clique(earlier):
-            raise NotChordal(_find_chordless_cycle(graph))
-    return tuple(reversed(order))
-
-
 @dataclass(frozen=True)
 class CliqueOrdering:
     """Maximal cliques in an order satisfying the running-intersection property.
@@ -428,13 +410,6 @@ def junction_tree(ordering: CliqueOrdering) -> JunctionTree:
         for i in range(1, len(ordering))
     )
     return JunctionTree(ordering=ordering, edges=edges)
-
-
-def is_block_graph(graph: Graph) -> bool:
-    """True when every separator of the clique ordering is a single vertex
-    (for a connected chordal graph this does not depend on the root)."""
-    ordering = clique_ordering(graph, root_vertex=1)
-    return all(len(s) == 1 for s in ordering.separators[1:])
 
 
 def goldner_harary() -> Graph:

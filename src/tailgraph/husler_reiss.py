@@ -110,10 +110,6 @@ class HuslerReissModel:
     def dim(self) -> int:
         return len(self.clique)
 
-    def restrict(self, labels) -> "HuslerReissModel":
-        labels = tuple(sorted(int(v) for v in labels))
-        return HuslerReissModel(labels, self.variogram.sub(labels))
-
 
 def _anchored_values(vario: VariogramMatrix, k: int) -> np.ndarray:
     """Σ^{(c)} for the anchor c at position ``k``, over the other positions
@@ -155,7 +151,7 @@ def _states(y, d: int) -> np.ndarray:
 
 
 def exponent_measure_many(vario: VariogramMatrix, y: np.ndarray,
-                          accuracy: float = 1e-8, seed: int = 0) -> np.ndarray:
+                          accuracy: float = 1e-8) -> np.ndarray:
     """Λ(y) for a batch of states, shape (n, dim) -> (n,).
 
     ``+inf`` coordinates are legal and give the lower-dimensional
@@ -174,22 +170,12 @@ def exponent_measure_many(vario: VariogramMatrix, y: np.ndarray,
         rows = slice(None) if finite.all() else finite  # a view when all finite
         rest = [j for j in range(d) if j != c]
         z = np.log(y[rows][:, rest] / yc[rows, None]) + 0.5 * vario.values[rest, c]
-        out[rows] += _orthant(z, _anchored_values(vario, c), accuracy, seed) / yc[rows]
+        out[rows] += _orthant(z, _anchored_values(vario, c), accuracy) / yc[rows]
     return out
 
 
-def exponent_measure(model: HuslerReissModel, y, accuracy: float = 1e-8,
-                     seed: int = 0) -> float:
-    """Exponent measure Λ(y) of a clique model at one state."""
-    if isinstance(y, IndexedVector):
-        y = y.sub(model.clique).values
-    return float(exponent_measure_many(model.variogram, np.asarray(y, dtype=float),
-                                       accuracy=accuracy, seed=seed)[0])
-
-
 def exponent_measure_estimate(model: HuslerReissModel, y,
-                              accuracy: float = 1e-8,
-                              seed: int = 0) -> CdfEstimate:
+                              accuracy: float = 1e-8) -> CdfEstimate:
     """Λ(y) together with a conservative numerical error bound.
 
     One state of shape (dim,) gives floats; a batch of states of shape
@@ -203,8 +189,7 @@ def exponent_measure_estimate(model: HuslerReissModel, y,
         y = y.sub(model.clique).values
     y = np.asarray(y, dtype=float)
     rows = _states(y, model.dim)
-    value = exponent_measure_many(model.variogram, rows,
-                                  accuracy=accuracy, seed=seed)
+    value = exponent_measure_many(model.variogram, rows, accuracy=accuracy)
     finite = np.isfinite(rows)
     per_term = 5e-15 if model.dim <= 3 else accuracy
     error = finite.sum(axis=1) * per_term / np.where(finite, rows, np.inf).min(axis=1)
@@ -215,8 +200,7 @@ def exponent_measure_estimate(model: HuslerReissModel, y,
 
 def exponent_measure_derivative_many(vario: VariogramMatrix, y: np.ndarray,
                                      wrt, log: bool = False,
-                                     accuracy: float = 1e-8,
-                                     seed: int = 0) -> np.ndarray:
+                                     accuracy: float = 1e-8) -> np.ndarray:
     """D_P(y) = -∂_P Λ(y) over the distinct coordinate positions ``wrt``.
 
     With the anchor k = wrt[0], P' = P \\ k, R = C \\ P, Σ = Σ^{(k)} and
@@ -269,12 +253,14 @@ def exponent_measure_derivative_many(vario: VariogramMatrix, y: np.ndarray,
                 z_r = z_r - sum(w[:, [i]] * gain[i] for i in range(len(p_idx)))
                 cond = cond - gain.T @ gain
         with np.errstate(divide="ignore"):
-            out += np.log(_orthant(z_r, cond, accuracy, seed))
-    return out if log else np.exp(out)
+            out += np.log(_orthant(z_r, cond, accuracy))
+    if log:
+        return out
+    with np.errstate(over="ignore"):  # +inf at the tiniest states is right
+        return np.exp(out)
 
 
-def _orthant(b: np.ndarray, cov: np.ndarray, accuracy: float,
-             seed: int) -> np.ndarray:
+def _orthant(b: np.ndarray, cov: np.ndarray, accuracy: float) -> np.ndarray:
     """P(W <= b_row) for W ~ N(0, cov), row-wise; 1 when W is empty.
 
     Dimensions 1 and 2 are deterministic (``ndtr``, ``bvn_cdf``); larger
@@ -290,7 +276,7 @@ def _orthant(b: np.ndarray, cov: np.ndarray, accuracy: float,
         r = cov[0, 1] / (sd[0] * sd[1])
         return np.array([bvn_cdf(b0, b1, r) for b0, b1 in b / sd])
     law = GaussianLaw.from_arrays(tuple(range(m)), np.zeros(m), cov)
-    return np.array([mvn_cdf(row, law, accuracy=accuracy, seed=seed).value
+    return np.array([mvn_cdf(row, law, accuracy=accuracy).value
                      for row in b])
 
 
@@ -299,14 +285,6 @@ def exponent_measure_density_many(vario: VariogramMatrix, y: np.ndarray,
     """λ(y) = -∂^d Λ / ∂y_1..∂y_d, the HR density, shape (n,); ``log=True``
     returns log λ."""
     return exponent_measure_derivative_many(vario, y, range(vario.dim), log=log)
-
-
-def exponent_measure_density(model: HuslerReissModel, y, log: bool = False) -> float:
-    if isinstance(y, IndexedVector):
-        y = y.sub(model.clique).values
-    return float(exponent_measure_density_many(model.variogram,
-                                               np.asarray(y, dtype=float),
-                                               log=log)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +301,7 @@ def exp_to_frechet(x):
 
 
 def _log_partition_sum(vario: VariogramMatrix, y: np.ndarray, sep_pos: list[int],
-                       accuracy: float, seed: int) -> np.ndarray:
+                       accuracy: float) -> np.ndarray:
     """log Σ_π ∏_{B∈π} D_B over the set partitions π of the separator.
 
     |S| = 1 gives D_s, |S| = 2 gives D_{s1 s2} + D_{s1} D_{s2}; every term
@@ -332,7 +310,7 @@ def _log_partition_sum(vario: VariogramMatrix, y: np.ndarray, sep_pos: list[int]
     """
     def log_d(wrt):
         return exponent_measure_derivative_many(vario, y, wrt, log=True,
-                                                accuracy=accuracy, seed=seed)
+                                                accuracy=accuracy)
 
     if len(sep_pos) == 1:
         return log_d(sep_pos)
@@ -400,8 +378,7 @@ def pair_kernel(a: float, y1: np.ndarray, x: np.ndarray, slope: bool = False):
 
 
 def _partition_kernel(model: HuslerReissModel, sep: tuple, x_sep: np.ndarray,
-                      x_rest: np.ndarray, accuracy: float = 1e-8,
-                      seed: int = 0) -> np.ndarray:
+                      x_rest: np.ndarray, accuracy: float = 1e-8) -> np.ndarray:
     """The partition-sum kernel of :func:`transition_kernel`, unclamped,
     on rows of ``x_sep`` / ``x_rest`` (sorted ``sep``, equal row counts)."""
     rest = tuple(v for v in model.clique if v not in sep)
@@ -414,18 +391,16 @@ def _partition_kernel(model: HuslerReissModel, sep: tuple, x_sep: np.ndarray,
     y_sep = y[:, [pos[v] for v in sep]]
 
     sep_vario = model.variogram.sub(sep)
-    num = _log_partition_sum(model.variogram, y, [pos[v] for v in sep],
-                             accuracy, seed)
-    den = _log_partition_sum(sep_vario, y_sep, list(range(len(sep))),
-                             accuracy, seed)
-    lam_full = exponent_measure_many(model.variogram, y, accuracy, seed)
-    lam_sep = exponent_measure_many(sep_vario, y_sep, accuracy, seed)
+    num = _log_partition_sum(model.variogram, y, [pos[v] for v in sep], accuracy)
+    den = _log_partition_sum(sep_vario, y_sep, list(range(len(sep))), accuracy)
+    lam_full = exponent_measure_many(model.variogram, y, accuracy)
+    lam_sep = exponent_measure_many(sep_vario, y_sep, accuracy)
     with np.errstate(invalid="ignore"):
         return np.exp(num - den + lam_sep - lam_full)
 
 
 def transition_kernel(model: HuslerReissModel, sep, x_sep, x_rest,
-                      accuracy: float = 1e-8, seed: int = 0) -> np.ndarray:
+                      accuracy: float = 1e-8) -> np.ndarray:
     """Conditional law P(X_{C\\S} <= x_rest | X_S = x_sep) on exponential scale.
 
     With y the Fréchet states, the kernel is
@@ -462,7 +437,7 @@ def transition_kernel(model: HuslerReissModel, sep, x_sep, x_rest,
         vals = pair_kernel(math.sqrt(model.variogram.values[0, 1]),
                            exp_to_frechet(x_sep[:, 0]), x_rest[:, 0])
     else:
-        vals = _partition_kernel(model, sep, x_sep, x_rest, accuracy, seed)
+        vals = _partition_kernel(model, sep, x_sep, x_rest, accuracy)
     if not np.all(vals <= 1.0 + 1e-9):
         worst = float(np.max(np.where(np.isnan(vals), np.inf, vals)))
         raise NumericalBreakdown(
@@ -491,10 +466,6 @@ class HRLimitParams:
     def location(self, z_sep) -> np.ndarray:
         z = np.asarray(z_sep, dtype=float)
         return self.slope.values @ z
-
-    def cdf(self, offset, accuracy: float = 1e-9, seed: int = 0) -> float:
-        return mvn_cdf(np.asarray(offset, dtype=float), self.law,
-                       accuracy=accuracy, seed=seed).value
 
 
 def a2_limit_params(model: HuslerReissModel, sep, anchor: int | None = None) -> HRLimitParams:
@@ -550,7 +521,7 @@ def a2_limit_params(model: HuslerReissModel, sep, anchor: int | None = None) -> 
 
 
 def kernel_limit(model: HuslerReissModel, sep, offset, z_sep=None,
-                 accuracy: float = 1e-9, seed: int = 0) -> float:
+                 accuracy: float = 1e-9) -> float:
     """Limiting kernel value by the exponent-measure derivative ratio.
 
     Because the slope matrix is row-stochastic, the ratio
@@ -559,7 +530,7 @@ def kernel_limit(model: HuslerReissModel, sep, offset, z_sep=None,
     the limit of the transition kernel along the norming trajectory.  It
     is computed from the derivative layer, independently of the
     limit-parameter algebra of :func:`a2_limit_params`, against whose
-    :meth:`HRLimitParams.cdf` it is verified.
+    Gaussian law's CDF it is verified.
     """
     sep = tuple(sorted(int(v) for v in sep))
     rest = tuple(v for v in model.clique if v not in sep)
@@ -579,7 +550,7 @@ def kernel_limit(model: HuslerReissModel, sep, offset, z_sep=None,
 
     sep_pos = [pos[v] for v in sep]
     num = exponent_measure_derivative_many(model.variogram, u, sep_pos, log=True,
-                                           accuracy=accuracy, seed=seed)
+                                           accuracy=accuracy)
     den = exponent_measure_derivative_many(model.variogram.sub(sep), u[:, sep_pos],
                                            range(len(sep)), log=True)
     val = math.exp(float(num[0] - den[0]))

@@ -11,6 +11,10 @@ with exact rational exponents, so feasibility comparisons are exact:
 * a Gaussian clique accepts scales up to t^{1/2}; separator vertices
   entering at t^0 contribute nothing to the linear part of the update.
 
+Both limit kinds take the root clique from :func:`_root_pieces` and
+every later clique from the one per-clique constructor
+:func:`_separator_update`, so each family decision is made once.
+
 When a clique cannot absorb its separator's fluctuations the
 single-vertex limit does not exist; classification reports the clique
 as a witness and the block-wise (separator-normed) noise limit of
@@ -27,7 +31,7 @@ exact mean and covariance of both kinds.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -233,71 +237,73 @@ def _root_pieces(model, v: int):
     return normings, (rn.law if rn is not None else None)
 
 
+def _hr_norming(slope: np.ndarray):
+    """The Hüsler-Reiss separator norming a(x) = x·Sᵀ, b = 1, on rows of
+    separator states."""
+    def a_fun(x):
+        return np.atleast_2d(np.asarray(x, dtype=float)) @ slope.T
+
+    def b_fun(x):
+        return np.ones((np.atleast_2d(x).shape[0], slope.shape[0]))
+
+    return a_fun, b_fun
+
+
+def _separator_update(model, sep: tuple[int, ...], coeffs) -> CliqueUpdate:
+    """Limiting update of one clique conditioned on its separator.
+
+    ``coeffs`` are the separator vertices' a-coefficients, at which a
+    Gaussian update is evaluated; a Hüsler-Reiss update does not depend
+    on them.  ``psi`` acts on every separator column.  Every non-root
+    clique of both limit kinds is built here.
+    """
+    fam = _family_of(model)
+    rest = tuple(u for u in model.clique if u not in sep)
+    if fam == "husler_reiss":
+        params = hr.a2_limit_params(model, sep)
+        psi, noise = params.slope, params.law
+        phi = IndexedVector(rest, np.ones(len(rest)))
+        a_fun, b_fun = _hr_norming(params.slope.values)
+    else:
+        sn = gsn.separator_norming(model, sep, coeffs)
+        psi, phi, noise = sn.psi, sn.phi, sn.noise
+        a_fun, b_fun = sn.a_of, sn.b_of
+    return CliqueUpdate(clique=model.clique, sep=sep, rest=rest, family=fam,
+                        psi=psi, phi=phi, noise=noise, a_fun=a_fun, b_fun=b_fun)
+
+
 def _transition_pieces(model, sep: tuple[int, ...], normings: dict,
                        v: int) -> CliqueUpdate:
-    fam = _family_of(model)
-    clique = model.clique
-    rest = tuple(u for u in clique if u not in sep)
-    free_sep = tuple(s for s in sep if s != v)  # v's fluctuation is pinned at 0
+    """The clique's update along the composed normings, which gain its new
+    vertices.
 
-    if fam == "husler_reiss":
-        bad = [s for s in free_sep if normings[s].bexp != ZERO]
-        if bad:
-            raise NormingIncompatible(
-                f"clique {clique} is Hüsler-Reiss but separator vertices {bad} "
-                f"carry t^{normings[bad[0]].bexp} fluctuations; the "
-                "single-vertex norming degenerates — use the separator-normed "
-                "noise limit (build_tail_noise)",
-                witness_clique=clique,
-            )
-        off = [s for s in sep if abs(normings[s].coeff - 1.0) > 1e-9
-               or normings[s].power != ONE]
-        if off:
-            raise NormingIncompatible(
-                f"clique {clique}: separator vertices {off} approach infinity "
-                "on a non-unit-slope trajectory unsupported by the "
-                "Hüsler-Reiss kernel",
-                witness_clique=clique,
-            )
-        params = hr.a2_limit_params(model, sep)
-        slope = params.slope
-
-        def a_fun(x, _s=slope.values):
-            return np.atleast_2d(np.asarray(x, dtype=float)) @ _s.T
-
-        def b_fun(x, _m=len(rest)):
-            x = np.atleast_2d(np.asarray(x, dtype=float))
-            return np.ones((x.shape[0], _m))
-
-        return CliqueUpdate(
-            clique=clique, sep=sep, rest=rest, family=fam,
-            psi=slope, phi=IndexedVector(rest, np.ones(len(rest))),
-            noise=params.law, a_fun=a_fun, b_fun=b_fun,
-        )
-
-    # gaussian clique: accepts t^0 and t^{1/2} separator scales
-    bad = [s for s in free_sep if normings[s].bexp not in (ZERO, HALF)]
-    if bad:
-        raise NormingIncompatible(
-            f"clique {clique}: separator scale t^{normings[bad[0]].bexp} "
-            "not supported by the Gaussian update",
-            witness_clique=clique,
-        )
-    coeffs = IndexedVector(sep, np.array([normings[s].coeff for s in sep]))
-    sn = gsn.separator_norming(model, sep, coeffs)
+    Every norming is a(t) = c·t with b(t) = t^0 (Hüsler-Reiss vertices,
+    c = 1) or b(t) = t^{1/2} (Gaussian vertices; c = 1 at v).  So the one
+    rule to check is that a Hüsler-Reiss clique absorbs no t^{1/2}
+    fluctuation; its separator then has unit slopes only.
+    """
     moving = [s for s in sep if s != v and normings[s].bexp == HALF]
-    psi = None
-    if moving:
-        cols = np.zeros((len(rest), len(sep)))
-        for j, s in enumerate(sep):
-            if s in moving:
-                cols[:, j] = sn.psi.sub(rest, (s,)).values[:, 0]
-        psi = IndexedMatrix(rest, sep, cols)
-    return CliqueUpdate(
-        clique=clique, sep=sep, rest=rest, family=fam,
-        psi=psi, phi=sn.phi, noise=sn.noise,
-        a_fun=sn.a_of, b_fun=sn.b_of,
-    )
+    if moving and _family_of(model) == "husler_reiss":
+        raise NormingIncompatible(
+            f"clique {model.clique} is Hüsler-Reiss but separator vertices "
+            f"{moving} carry t^{HALF} fluctuations; the single-vertex norming "
+            "degenerates — use the separator-normed noise limit "
+            "(build_tail_noise)",
+            witness_clique=model.clique,
+        )
+    coeffs = np.array([normings[s].coeff for s in sep])
+    upd = _separator_update(model, sep, coeffs)
+    if upd.family == "husler_reiss":
+        normings.update(dict.fromkeys(upd.rest, NormingPair(1.0, ONE, 1.0, ZERO)))
+        return upd
+    for u, c in zip(upd.rest, upd.a_fun(coeffs[None, :])[0]):
+        normings[u] = NormingPair(float(c), ONE, 1.0, HALF)
+    # separator vertices entering at t^0 (and v, pinned) add nothing
+    if not moving:
+        return replace(upd, psi=None)
+    keep = np.isin(sep, moving)
+    return replace(upd, psi=replace(upd.psi,
+                                    values=np.where(keep, upd.psi.values, 0.0)))
 
 
 def _walk(ordering: CliqueOrdering, models: dict, v: int):
@@ -308,17 +314,8 @@ def _walk(ordering: CliqueOrdering, models: dict, v: int):
     normings, root_law = _root_pieces(table[ordering.cliques[0]], v)
     updates = []
     for i in range(1, len(ordering)):
-        upd = _transition_pieces(table[ordering.cliques[i]],
-                                 ordering.separators[i], normings, v)
-        for j, u in enumerate(upd.rest):
-            if upd.family == "husler_reiss":
-                normings[u] = NormingPair(1.0, ONE, 1.0, ZERO)
-            else:
-                coeff = float(np.asarray(upd.a_fun(
-                    np.array([[normings[s].coeff for s in upd.sep]])
-                ))[0, j])
-                normings[u] = NormingPair(coeff, ONE, 1.0, HALF)
-        updates.append(upd)
+        updates.append(_transition_pieces(table[ordering.cliques[i]],
+                                          ordering.separators[i], normings, v))
     return ordering, normings, root_law, tuple(updates)
 
 
@@ -649,56 +646,26 @@ def build_tail_noise(ordering: CliqueOrdering, models: dict, v: int) -> TailNois
             "needs a block graph"
         )
     table = _models_table(ordering, models)
+    root = ordering.cliques[0]
+    normings, law = _root_pieces(table[root], v)
     blocks = []
-    for i, clique in enumerate(ordering.cliques):
-        model = table[clique]
-        fam = _family_of(model)
-        if i == 0:
-            s_vertex = v
-            rest = tuple(u for u in clique if u != v)
-            if not rest:
-                continue
-            if fam == "husler_reiss":
-                law = hr.hr_root_law(model, v)
+    if law is not None:
+        pairs = [normings[u] for u in law.index]
 
-                def a_fun(x, _m=len(rest)):
-                    x = np.atleast_2d(np.asarray(x, dtype=float))
-                    return np.repeat(x, _m, axis=1)
+        def a_fun(x):
+            return np.hstack([p.a(np.atleast_2d(x)) for p in pairs])
 
-                def b_fun(x, _m=len(rest)):
-                    x = np.atleast_2d(np.asarray(x, dtype=float))
-                    return np.ones((x.shape[0], _m))
-            else:
-                rn = gsn.root_norming(model, v)
-                law = rn.law
-                coeff = rn.coeff.values
+        def b_fun(x):
+            return np.hstack([p.b(np.atleast_2d(x)) for p in pairs])
 
-                def a_fun(x, _c=coeff):
-                    x = np.atleast_2d(np.asarray(x, dtype=float))
-                    return _c[None, :] * x
-
-                def b_fun(x, _m=len(rest)):
-                    x = np.atleast_2d(np.asarray(x, dtype=float))
-                    return np.repeat(np.sqrt(np.abs(x)), _m, axis=1)
-        else:
-            s_vertex = ordering.separators[i][0]
-            rest = tuple(u for u in clique if u != s_vertex)
-            if fam == "husler_reiss":
-                params = hr.a2_limit_params(model, (s_vertex,))
-                law = params.law
-
-                def a_fun(x, _s=params.slope.values):
-                    return np.atleast_2d(np.asarray(x, dtype=float)) @ _s.T
-
-                def b_fun(x, _m=len(rest)):
-                    x = np.atleast_2d(np.asarray(x, dtype=float))
-                    return np.ones((x.shape[0], _m))
-            else:
-                sn = gsn.separator_norming(model, (s_vertex,), np.ones(1))
-                law = sn.noise
-                a_fun, b_fun = sn.a_of, sn.b_of
         blocks.append(NoiseBlock(
-            clique=clique, sep_vertex=s_vertex, rest=rest,
-            family=fam, law=law, a_fun=a_fun, b_fun=b_fun,
+            clique=root, sep_vertex=v, rest=law.index,
+            family=_family_of(table[root]), law=law, a_fun=a_fun, b_fun=b_fun,
+        ))
+    for clique, sep in zip(ordering.cliques[1:], ordering.separators[1:]):
+        upd = _separator_update(table[clique], sep, np.ones(1))
+        blocks.append(NoiseBlock(
+            clique=clique, sep_vertex=sep[0], rest=upd.rest,
+            family=upd.family, law=upd.noise, a_fun=upd.a_fun, b_fun=upd.b_fun,
         ))
     return TailNoiseModel(ordering=ordering, v=v, blocks=tuple(blocks))

@@ -17,7 +17,7 @@ FD_STEP = 1e-3
 
 
 def _log_partial_many(vario: VariogramMatrix, y: np.ndarray, wrt: list[int],
-                      step: float, accuracy: float, seed: int) -> np.ndarray:
+                      step: float, accuracy: float) -> np.ndarray:
     """Mixed partial of Λ over distinct coordinate positions ``wrt``.
 
     Central differences in log-coordinates with Richardson extrapolation;
@@ -33,7 +33,7 @@ def _log_partial_many(vario: VariogramMatrix, y: np.ndarray, wrt: list[int],
             for s, pos in zip(signs, wrt):
                 yy[:, pos] = yy[:, pos] * math.exp(s * h)
             total += math.prod(signs) * exponent_measure_many(
-                vario, yy, accuracy=accuracy, seed=seed
+                vario, yy, accuracy=accuracy
             )
         return total / (2.0 * h) ** k
 
@@ -45,7 +45,7 @@ def _log_partial_many(vario: VariogramMatrix, y: np.ndarray, wrt: list[int],
 
 
 def fd_derivative(vario: VariogramMatrix, y, wrt, step: float = FD_STEP,
-                  accuracy: float = 1e-8, seed: int = 0) -> np.ndarray:
+                  accuracy: float = 1e-8) -> np.ndarray:
     """-∂_P Λ(y) by the stencil above, shape (n,)."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    return -_log_partial_many(vario, y, list(wrt), step, accuracy, seed)
+    return -_log_partial_many(vario, y, list(wrt), step, accuracy)

@@ -2,6 +2,7 @@
 and regular-variation diagnostics."""
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ def test_chi_hr_pair_matches_copula_and_limit():
     chi_hat = chi_estimator(s, (1, 2), 0.99)
     xq = -np.log1p(-0.99)
     yq = hr.exp_to_frechet(xq)
-    lam = hr.exponent_measure(model, np.array([yq, yq]))
+    lam = hr.exponent_measure_many(model.variogram, [yq, yq])[0]
     chi_exact = (1 - 2 * 0.99 + np.exp(-lam)) / 0.01
     chi_limit = 2 - 2 * norm.cdf(0.5)  # unit variogram
     assert abs(chi_hat - chi_exact) < 0.03
@@ -207,6 +208,18 @@ def test_factorized_density_pair_closed_form():
     ref = norm.pdf(np.log(y[0] / y[1]) + 0.5) / (y[0] * y[1] ** 2)
     got = factorized_density(pair_ordering(), models, y)
     assert abs(got - ref) / ref < 1e-7
+
+
+def test_factorized_density_overflows_to_inf_silently(hr_chain):
+    """At Fréchet states e^-200 the chain's log density is ~800: the
+    density is +inf, and no overflow warning escapes."""
+    ordering, models = hr_chain
+    y = np.exp(np.full((2, 3), -200.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = factorized_density(ordering, models, y)
+        log_got = factorized_density(ordering, models, y, log=True)
+    assert np.all(np.isposinf(got)) and np.all(log_got > 709.0)
 
 
 def triangle_plus_edge():

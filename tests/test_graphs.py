@@ -7,16 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import graph_oracle
+from tailgraph import graphs
 from tailgraph.errors import ConfigError, NotChordal, NotConnected
 from tailgraph.graphs import (
-    CliqueOrdering,
     Graph,
     JunctionTree,
     clique_ordering,
     goldner_harary,
-    is_block_graph,
     junction_tree,
-    validate_chordal,
 )
 
 
@@ -107,10 +105,12 @@ def test_not_chordal_witness_is_chordless_cycle():
     assert not nx.is_chordal(to_nx(g))
 
 
-def test_validate_chordal_returns_elimination_order():
+def test_mcs_order_reversed_is_a_perfect_elimination_order():
     g = Graph.make(4, [(1, 2), (2, 3), (2, 4), (3, 4)])
-    order = validate_chordal(g)
+    order = graphs._mcs_order(g, 1)
     assert sorted(order) == [1, 2, 3, 4]
+    for k, u in enumerate(order):
+        assert g.is_clique([w for w in order[:k] if g.has_edge(u, w)])
 
 
 def check_rip(ordering):
@@ -183,11 +183,11 @@ def test_separator_multiset_invariant_under_root():
             assert sorted(clique_ordering(g, root).separators[1:]) == base
 
 
-def test_block_graph_predicate():
+def test_block_graph_separators_are_single_vertices():
     chain = Graph.make(3, [(1, 2), (2, 3)])
-    assert is_block_graph(chain)
+    assert clique_ordering(chain, 1).separators == ((), (2,))
     two_triangles = Graph.make(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
-    assert not is_block_graph(two_triangles)
+    assert clique_ordering(two_triangles, 1).separators == ((), (2, 3))
 
 
 def test_goldner_harary_invariants():
@@ -234,7 +234,7 @@ def connected_chordal(draw, max_n=40):
 def test_clique_ordering_matches_quadratic_oracle(g):
     for root in g.vertices:
         assert clique_ordering(g, root) == graph_oracle.clique_ordering(g, root)
-    assert validate_chordal(g) == tuple(reversed(graph_oracle._mcs_order(g, 1)))
+    assert graphs._mcs_order(g, 1) == graph_oracle._mcs_order(g, 1)
 
 
 def _outcome(fn, *args):
@@ -264,12 +264,6 @@ def test_any_graph_gives_the_oracle_outcome(g):
     for root in g.vertices:
         assert (_outcome(clique_ordering, g, root)
                 == _outcome(graph_oracle.clique_ordering, g, root))
-    expected = _outcome(graph_oracle.clique_ordering, g, 1)
-    got = _outcome(validate_chordal, g)
-    if isinstance(expected, CliqueOrdering):
-        assert got == tuple(reversed(graph_oracle._mcs_order(g, 1)))
-    else:
-        assert got == expected
 
 
 def _path_intersection_by_definition(tree: JunctionTree) -> bool:

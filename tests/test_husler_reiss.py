@@ -18,6 +18,7 @@ from tailgraph.errors import (
 )
 from tailgraph.graphs import Graph, check_separator_models, clique_ordering
 from tailgraph.linalg import spd_inverse
+from tailgraph.mvn import mvn_cdf
 from tailgraph.simulate import _X_FLOOR
 
 from conftest import hr_pair_model
@@ -89,33 +90,32 @@ def test_bivariate_measure_closed_form():
     gamma = 1.3
     model = hr_pair_model((1, 2), gamma)
     for y1, y2 in [(1.0, 1.0), (0.4, 2.0), (3.0, 0.2), (5.0, 5.0)]:
-        got = hr.exponent_measure(model, np.array([y1, y2]))
+        got = hr.exponent_measure_many(model.variogram, [y1, y2])[0]
         assert abs(got - pair_measure(y1, y2, gamma)) < 1e-13
 
 
 def test_measure_homogeneity_and_margins():
     v = vario((1, 2, 3), [[0, 1.0, 1.2], [1.0, 0, 0.8], [1.2, 0.8, 0]])
-    model = hr.HuslerReissModel((1, 2, 3), v)
     y = np.array([0.7, 1.1, 2.0])
-    lam = hr.exponent_measure(model, y)
-    lam2 = hr.exponent_measure(model, 2.0 * y)
+    lam = hr.exponent_measure_many(v, y)[0]
+    lam2 = hr.exponent_measure_many(v, 2.0 * y)[0]
     assert abs(lam2 - lam / 2.0) < 1e-9
     # +inf drops a coordinate to the pair measure
-    lam_pair = hr.exponent_measure(model, np.array([0.7, 1.1, np.inf]))
-    direct = hr.exponent_measure(model.restrict((1, 2)), np.array([0.7, 1.1]))
+    lam_pair = hr.exponent_measure_many(v, [0.7, 1.1, np.inf])[0]
+    direct = hr.exponent_measure_many(v.sub((1, 2)), [0.7, 1.1])[0]
     assert abs(lam_pair - direct) < 1e-12
     # single-coordinate margin is exactly 1/y
-    lam_one = hr.exponent_measure(model, np.array([0.7, np.inf, np.inf]))
+    lam_one = hr.exponent_measure_many(v, [0.7, np.inf, np.inf])[0]
     assert abs(lam_one - 1.0 / 0.7) < 1e-14
 
 
 def test_bivariate_density_closed_form():
     model = hr_pair_model((1, 2), 1.0)
-    got = hr.exponent_measure_density(model, np.array([1.0, 1.0]))
+    got = hr.exponent_measure_density_many(model.variogram, [1.0, 1.0])[0]
     assert abs(got - 0.35206532676429947) < 1e-8  # phi(1/2)
     y = np.array([0.7, 1.4])
     ref = pair_density(y[0], y[1], 1.0)
-    got = hr.exponent_measure_density(model, y)
+    got = hr.exponent_measure_density_many(model.variogram, y)[0]
     assert abs(got - ref) / ref < 1e-6
 
 
@@ -128,7 +128,7 @@ def test_trivariate_density_matches_bivariate_factorization():
                           [g12 + g23, g23, 0]])
     model = hr.HuslerReissModel((1, 2, 3), v)
     y = np.array([1.2, 0.8, 1.5])
-    lam = hr.exponent_measure_density(model, y)
+    lam = hr.exponent_measure_density_many(model.variogram, y)[0]
     ref = (pair_density(y[0], y[1], g12) * pair_density(y[1], y[2], g23)
            * y[1] ** 2)  # divided by the separator density 1/y2^2
     assert abs(lam - ref) / ref < 1e-12
@@ -145,7 +145,7 @@ def test_four_clique_density_matches_tree_factorization():
     model = hr.HuslerReissModel((1, 2, 3, 4), v)
     for y in ([1.2, 0.8, 1.5, 0.6], [0.5, 2.0, 1.0, 3.0]):
         y = np.array(y)
-        lam = hr.exponent_measure_density(model, y)
+        lam = hr.exponent_measure_density_many(model.variogram, y)[0]
         ref = (pair_density(y[1], y[0], g21) * pair_density(y[1], y[2], g23)
                * pair_density(y[1], y[3], g24) * y[1] ** 4)
         assert abs(lam - ref) / ref < 1e-12
@@ -213,14 +213,24 @@ def test_derivative_rows_do_not_depend_on_their_batch(case):
         for wrt in itertools.combinations(range(v.dim), k):
             for log in (False, True):
                 # a loose quadrature target keeps 3-D orthants cheap; the
-                # claim is bit equality, whatever the accuracy.  Without
-                # log, D_P overflows to inf at the tiniest states.
-                with np.errstate(over="ignore"):
-                    batch = hr.exponent_measure_derivative_many(
-                        v, y, wrt, log=log, accuracy=1e-3)
-                    rows = [hr.exponent_measure_derivative_many(
-                        v, row, wrt, log=log, accuracy=1e-3)[0] for row in y]
+                # claim is bit equality, whatever the accuracy
+                batch = hr.exponent_measure_derivative_many(
+                    v, y, wrt, log=log, accuracy=1e-3)
+                rows = [hr.exponent_measure_derivative_many(
+                    v, row, wrt, log=log, accuracy=1e-3)[0] for row in y]
                 assert np.array_equal(batch, rows), (wrt, log)
+
+
+def test_tiny_states_overflow_to_inf_silently():
+    """At Fréchet states e^-200 a trivariate log density is ~800: the
+    density is +inf, and no overflow warning escapes."""
+    v = vario((1, 2, 3), [[0, 1.0, 1.2], [1.0, 0, 0.8], [1.2, 0.8, 0]])
+    y = np.exp(np.full((2, 3), -200.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hr.exponent_measure_derivative_many(v, y, [0, 1, 2])
+        log_got = hr.exponent_measure_derivative_many(v, y, [0, 1, 2], log=True)
+    assert np.all(np.isposinf(got)) and np.all(log_got > 709.0)
 
 
 def test_states_of_wrong_shape_raise():
@@ -321,7 +331,7 @@ def test_kernel_limit_matches_closed_form_cdf(sep):
         off = np.array(off)
         ratio = hr.kernel_limit(model, sep, off,
                                 z_sep=np.linspace(0.2, -0.1, len(sep)))
-        closed = params.cdf(off)
+        closed = mvn_cdf(off, params.law, accuracy=1e-9).value
         assert abs(ratio - closed) < 1e-12
 
 

@@ -73,7 +73,7 @@ def test_hr_pair_margins_and_finite_level_chi():
     q = 0.99
     xq = -np.log1p(-q)
     yq = hr.exp_to_frechet(xq)
-    lam = hr.exponent_measure(model, np.array([yq, yq]))
+    lam = hr.exponent_measure_many(model.variogram, [yq, yq])[0]
     chi_exact = (1 - 2 * q + np.exp(-lam)) / (1 - q)
     emp = np.mean((s.column(1) > xq) & (s.column(2) > xq)) / (1 - q)
     se = np.sqrt(chi_exact / (N * (1 - q)))
