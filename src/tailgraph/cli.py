@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import click
@@ -38,7 +40,67 @@ HR_REMAINDER_CEILING = 1e-10
 
 
 def _dump(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    ``indent`` switches json to its pure-Python encoder, which formats
+    one number at a time; here a list of finite floats is one join.
+    Whatever this does not recognize goes to ``json.dumps`` itself.
+    """
+    parts: list[str] = []
+    _encode(doc, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _encode(obj, nl: str, parts: list[str]) -> None:
+    """Append the JSON text of ``obj``, whose line is indented as ``nl``
+    (a newline and the indentation) says."""
+    if isinstance(obj, str):
+        parts.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True or obj is False:
+        parts.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        parts.append(_float_text(obj))
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = nl + "  "
+        try:
+            text = ("," + inner).join(map(float.__repr__, obj))
+        except TypeError:  # an item that is not a float
+            text = None
+        if text is not None and "n" not in text:  # no nan or inf either
+            parts.append("[" + inner + text + nl + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            parts.append(sep)
+            _encode(item, inner, parts)
+            sep = "," + inner
+        parts.append(nl + "]")
+    elif (isinstance(obj, dict) and obj
+          and all(isinstance(key, str) for key in obj)):
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, val in sorted(obj.items()):
+            parts.append(sep + encode_basestring_ascii(key) + ": ")
+            _encode(val, inner, parts)
+            sep = "," + inner
+        parts.append(nl + "}")
+    else:  # empty containers, non-str keys, and what json itself rejects
+        parts.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl))
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
 
 
 def _echo(text: str) -> None:

@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 from scipy.special import ndtr
 
 from .errors import (
@@ -41,7 +43,13 @@ from .graphs import (
     _models_table,
     check_separator_models,
 )
-from .linalg import GaussianLaw, IndexedMatrix, IndexedVector, spd_inverse
+from .linalg import (
+    GaussianLaw,
+    IndexedMatrix,
+    IndexedVector,
+    cholesky_spd,
+    spd_inverse,
+)
 from .mvn import CdfEstimate, bvn_cdf, mvn_cdf
 
 
@@ -453,15 +461,18 @@ class HRLimitParams:
 
     The separator state enters through the row-stochastic slope matrix
     ``slope``; the Gaussian ``law`` (mean, covariance) is the update
-    noise, and ``noise_precision`` is the corresponding precision matrix
-    reused by the graph-wide recursion.
+    noise, and ``noise_precision`` is the inverse of its covariance,
+    which the graph-wide precision recursion reads.
     """
 
     sep: tuple[int, ...]
     rest: tuple[int, ...]
     slope: IndexedMatrix  # rows rest, cols sep
     law: GaussianLaw  # indexed by rest
-    noise_precision: IndexedMatrix
+
+    @cached_property
+    def noise_precision(self) -> IndexedMatrix:
+        return spd_inverse(self.law.cov)
 
     def location(self, z_sep) -> np.ndarray:
         z = np.asarray(z_sep, dtype=float)
@@ -471,9 +482,13 @@ class HRLimitParams:
 def a2_limit_params(model: HuslerReissModel, sep, anchor: int | None = None) -> HRLimitParams:
     """Limiting update parameters for conditioning a clique on its separator.
 
-    The slope rows sum to one exactly (the defect of the linear solve,
-    at rounding level, is redistributed); the result does not depend on
-    the internal anchor choice, which is exposed only for testing.
+    Anchored at s in S, W = X_{C\\s} - X_s is N(-Γ_{·s}/2, Σ^{(s)}), and
+    the update is W_R given W_{S'} (R = C \\ S, S' = S \\ s): with
+    B = Σ_{RS'} Σ_{S'S'}⁻¹ from one Cholesky solve, the noise is
+    N(μ_R - B μ_{S'}, Σ_RR - B Σ_{S'R}), the slope columns are B on S'
+    and 1 - rowsum(B) on s.  A pair needs no solve: (-Γ/2, Γ, 1).  The
+    result does not depend on the anchor, which is exposed only for
+    testing.
     """
     sep = tuple(sorted(int(v) for v in sep))
     rest = tuple(v for v in model.clique if v not in sep)
@@ -485,39 +500,26 @@ def a2_limit_params(model: HuslerReissModel, sep, anchor: int | None = None) -> 
     if s not in sep:
         raise ConfigError(f"anchor {s} must lie in the separator {sep}")
 
-    others = tuple(v for v in model.clique if v != s)  # C \ s
-    sig = sigma_anchor(model.variogram, s)  # on others
-    q_full = spd_inverse(sig)  # Q^{(s)} on others
-    q_rr = q_full.sub(rest, rest)
-    sep_rest = tuple(v for v in sep if v != s)
+    k = model.clique.index(s)
+    others = [v for v in model.clique if v != s]  # C \ s, the order of sig
+    sig = _anchored_values(model.variogram, k)
+    mu = -0.5 * np.delete(model.variogram.values[:, k], k)
+    r = [others.index(v) for v in rest]
+    sp = [others.index(v) for v in sep if v != s]
+    cov, mean = sig[np.ix_(r, r)], mu[r]
+    b = np.zeros((len(r), 0))
+    if sp:
+        low = cholesky_spd(sig[np.ix_(sp, sp)],
+                           what=f"separator block of {model.clique}")
+        b = scipy.linalg.cho_solve((low, True), sig[np.ix_(sp, r)]).T
+        cov = cov - b @ sig[np.ix_(sp, r)]
+        cov = 0.5 * (cov + cov.T)
+        mean = mean - b @ mu[sp]
+    slope = np.insert(b, sep.index(s), 1.0 - b.sum(axis=1), axis=1)
 
-    # column block: separator columns as-is, anchor column closes the rows
-    cols = []
-    for v in sep:
-        if v == s:
-            cols.append(-q_full.sub(rest, others).values.sum(axis=1))
-        else:
-            cols.append(q_full.sub(rest, (v,)).values[:, 0])
-    qtilde = np.column_stack(cols)
-
-    q_rr_inv = spd_inverse(q_rr)
-    slope = -q_rr_inv.values @ qtilde
-    slope += ((1.0 - slope.sum(axis=1)) / len(sep))[:, None]  # exact row sums
-
-    half_gamma = np.array([model.variogram.entry(u, s) for u in others]) / 2.0
-    mean = -q_rr_inv.values @ (q_full.sub(rest, others).values @ half_gamma)
-
-    law = GaussianLaw(
-        IndexedVector(rest, mean),
-        IndexedMatrix.square(rest, q_rr_inv.values),
-    )
-    return HRLimitParams(
-        sep=sep,
-        rest=rest,
-        slope=IndexedMatrix(rest, sep, slope),
-        law=law,
-        noise_precision=q_rr,
-    )
+    law = GaussianLaw(IndexedVector(rest, mean), IndexedMatrix.square(rest, cov))
+    return HRLimitParams(sep=sep, rest=rest,
+                         slope=IndexedMatrix(rest, sep, slope), law=law)
 
 
 def kernel_limit(model: HuslerReissModel, sep, offset, z_sep=None,

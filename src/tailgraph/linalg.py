@@ -159,8 +159,9 @@ def spd_inverse(m: IndexedMatrix, tol: float = IDENTITY_TOL) -> IndexedMatrix:
     low = cholesky_spd(m.values, what=f"matrix on {m.rows}")
     inv = scipy.linalg.cho_solve((low, True), np.eye(len(m.rows)))
     inv = 0.5 * (inv + inv.T)
-    gap = float(np.max(np.abs(m.values @ inv - np.eye(len(m.rows)))))
-    if gap > tol:
+    with np.errstate(invalid="ignore", over="ignore"):
+        gap = float(np.max(np.abs(m.values @ inv - np.eye(len(m.rows)))))
+    if not gap <= tol:  # a NaN gap is a failure too
         raise NotSPD(
             f"inverse multiply-back off by {gap:.3e} (tolerance {tol:.1e}); "
             "matrix is too ill-conditioned"

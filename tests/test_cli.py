@@ -4,6 +4,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,11 +12,14 @@ import warnings
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tailgraph
-from tailgraph import limits
+from tailgraph import cli, limits
 from tailgraph.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -120,6 +124,18 @@ def test_derive_tail_noise_route(configs):
     assert len(doc["tail_noise"]["blocks"]) == 2
 
 
+def test_derive_subnormal_pair_variogram(configs, tmp_path):
+    """A pair with Γ = 1e-310 is a valid clique; its update is
+    (−Γ/2, Γ, 1) with no matrix to invert."""
+    doc = json.loads((configs / "hr_chain.json").read_text())
+    doc["cliques"][1]["variogram"] = [[0.0, 1e-310], [1e-310, 0.0]]
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps(doc))
+    res = run("derive", "--config", str(path))
+    assert res.exit_code == EXIT_OK
+    assert payload(res)["limit_moments"]["mean"]["values"] == [-0.65, -0.65]
+
+
 def test_derive_requires_a_conditioning_vertex(configs):
     res = run("derive", "--config", str(configs / "goldner_harary.json"))
     assert res.exit_code == EXIT_CONFIG
@@ -222,6 +238,92 @@ def test_verify_beyond_double_range_is_a_numerical_breakdown(configs, tmp_path):
     assert res.exit_code == EXIT_PRECONDITION
     assert payload(res)["error"]["type"] == "NumericalBreakdown"
     assert [str(w.message) for w in caught] == []
+
+
+# ------------------------------------------------------- output documents
+
+
+def json_dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+#: Commands that do not exit 0 on a shipped config, and why: goldner_harary
+#: has no conditioning vertex and non_chordal is not chordal.
+SWEEP_EXITS = {
+    ("goldner_harary", "derive"): EXIT_CONFIG,
+    ("goldner_harary", "verify"): EXIT_CONFIG,
+    ("non_chordal", "graph"): EXIT_PRECONDITION,
+    ("non_chordal", "derive"): EXIT_CONFIG,
+    ("non_chordal", "verify"): EXIT_CONFIG,
+    ("hr_chain", "verify --t-levels 705"): EXIT_PRECONDITION,
+}
+
+
+@pytest.fixture(scope="module")
+def sweep(configs):
+    """Every command on every shipped config, with warnings raised as
+    errors: each run's exit code and exception, and every document the
+    runs emitted."""
+    outcomes, docs = {}, []
+    dump = cli._dump
+    runs = [(path.stem, command, args)
+            for path in sorted(configs.glob("*.json"))
+            for command, args in (("graph", []), ("derive", []),
+                                  ("verify", ["--n", "2000"]))]
+    runs.append(("hr_chain", "verify --t-levels 705",
+                 ["--n", "2000", "--t-levels", "705"]))
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mp.setattr(cli, "_dump", lambda doc: docs.append(doc) or dump(doc))
+        for stem, command, args in runs:
+            res = run(command.split()[0], "--config",
+                      str(configs / f"{stem}.json"), *args)
+            outcomes[stem, command] = (res.exit_code, res.exception)
+    return outcomes, docs
+
+
+def test_shipped_configs_run_with_warnings_as_errors(sweep):
+    outcomes, _ = sweep
+    assert len(outcomes) == 22
+    for key, (code, exc) in outcomes.items():
+        expected = SWEEP_EXITS.get(key, EXIT_OK)
+        assert code == expected, f"{key}: exit {code}, {exc!r}"
+
+
+def test_dump_matches_json_dumps_on_shipped_documents(sweep):
+    _, docs = sweep
+    assert len(docs) == 24  # one per run, and the mrv documents of 2 verifies
+    for doc in docs:
+        assert cli._dump(doc) == json_dumps(doc)
+
+
+_floats = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                     -2.2e-308, 1e300]),
+)
+_leaves = st.one_of(_floats, st.integers(), st.booleans(), st.none(),
+                    st.text(max_size=8), st.lists(_floats, max_size=6))
+_documents = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=6), inner,
+                                            max_size=4)),
+    max_leaves=30,
+)
+
+
+@given(st.dictionaries(st.text(max_size=6), _documents, max_size=5))
+def test_dump_is_json_dumps(doc):
+    assert cli._dump(doc) == json_dumps(doc)
+
+
+def test_dump_rejects_what_json_rejects():
+    doc = {"index": [1, np.int64(2)], "values": [0.5]}
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        json_dumps(doc)
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        cli._dump(doc)
 
 
 # ------------------------------------------------------------ limit walks

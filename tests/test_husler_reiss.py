@@ -23,6 +23,7 @@ from tailgraph.simulate import _X_FLOOR
 
 from conftest import hr_pair_model
 from hr_fd_oracle import fd_derivative
+from hr_limit_oracle import a2_limit_params as a2_oracle
 
 
 def vario(index, values):
@@ -319,6 +320,42 @@ def test_a2_params_row_sums_and_anchor_invariance():
                                    atol=1e-10)
                 assert np.allclose(p.law.cov.values, base.law.cov.values,
                                    atol=1e-10)
+
+
+def test_a2_params_match_the_two_inverse_oracle():
+    """One conditional-Gaussian solve agrees with inverting Σ^{(s)} and
+    then its R block, on every separator and anchor of random cliques."""
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for d in range(2, 6):
+        for _ in range(4):
+            # squared distances of d points in general position in R^d
+            loc = rng.normal(size=(d, d))
+            g = np.sum((loc[:, None, :] - loc[None, :, :]) ** 2, axis=2)
+            clique = tuple(range(1, d + 1))
+            model = hr.HuslerReissModel(clique, vario(clique, g))
+            for k in range(1, d):
+                for sep in itertools.combinations(clique, k):
+                    for anchor in sep:
+                        p = hr.a2_limit_params(model, sep, anchor=anchor)
+                        slope, law, prec = a2_oracle(model, sep, anchor=anchor)
+                        assert p.slope.rows == slope.rows
+                        assert p.slope.cols == slope.cols
+                        for got, ref in ((p.slope, slope), (p.law.mean, law.mean),
+                                         (p.law.cov, law.cov),
+                                         (p.noise_precision, prec)):
+                            gap = np.max(np.abs(got.values - ref.values))
+                            worst = max(worst, gap / np.max(np.abs(ref.values)))
+    assert worst < 1e-12
+
+
+@pytest.mark.parametrize("gamma", [1e-310, 1e-200, 0.3, 1.3, 1e154, 1e300])
+@pytest.mark.parametrize("sep", [(1,), (2,)])
+def test_a2_params_pair_is_exact(gamma, sep):
+    p = hr.a2_limit_params(hr_pair_model((1, 2), gamma), sep)
+    assert p.law.mean.values.tolist() == [-gamma / 2]
+    assert p.law.cov.values.tolist() == [[gamma]]
+    assert p.slope.values.tolist() == [[1.0]]
 
 
 @pytest.mark.parametrize("sep", [(1,), (1, 2)])

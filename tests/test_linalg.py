@@ -1,5 +1,7 @@
 """Label-indexed linear algebra and the Gaussian law container."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,16 @@ def test_spd_inverse_round_trip():
     inv = spd_inverse(m)
     assert inv.rows == (2, 4, 6, 8)
     assert np.allclose(inv.values @ spd, np.eye(4), atol=1e-10)
+
+
+def test_spd_inverse_rejects_an_inverse_that_overflows():
+    """diag(1e-310, 1) factors, but its inverse overflows: the NaN
+    multiply-back gap is a failure, and no numpy warning escapes."""
+    m = IndexedMatrix.square((1, 2), np.diag([1e-310, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotSPD):
+            spd_inverse(m)
 
 
 def test_gaussian_law_marginal_and_sampling():
