@@ -27,7 +27,7 @@ import click
 
 from . import diagnostics as dg
 from . import limits
-from .config import RunConfig, check_t_levels, load_config
+from .config import RunConfig, check_seed, check_t_levels, load_config
 from .errors import ConfigError, TailgraphError
 from .graphs import _family_of, clique_ordering, junction_tree
 
@@ -293,7 +293,7 @@ def cmd_verify(config_path: str, out_flag: str | None, v_flag: int | None,
     out = _out_dir(out_flag, cfg)
     try:
         v = _pick_v(v_flag, cfg)
-        seed = cfg.seed if seed is None else seed
+        seed = cfg.seed if seed is None else check_seed(seed, "--seed")
         n = cfg.n if n_flag is None else n_flag
         if n < 1:
             raise ConfigError(f"n must be positive, got {n}")

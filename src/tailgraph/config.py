@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,6 +100,31 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(x) -> bool:
+    # bool is an int subclass, but JSON true/false is not a number
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    """A JSON number that converts to a finite float."""
+    try:
+        return _is_number(x) and math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def check_seed(seed, where: str) -> int:
+    """The seed; raises :class:`ConfigError` unless it is an integer in
+    [0, 2**64), the key range of the random streams."""
+    _require(_is_int(seed) and 0 <= seed < 2 ** 64,
+             f"{where} must be a 64-bit nonnegative integer, got {seed!r}")
+    return seed
+
+
 def check_t_levels(levels, where: str) -> tuple[float, ...]:
     """Levels as floats; raises :class:`ConfigError` unless they are a
     nonempty, strictly ascending run of finite positive numbers."""
@@ -129,7 +155,7 @@ def _parse_clique(data, i: int) -> CliqueSpec:
              f"cliques[{i}] needs 'vertices' and 'family'")
     verts = data["vertices"]
     _require(isinstance(verts, list) and verts
-             and all(isinstance(x, int) for x in verts),
+             and all(_is_int(x) for x in verts),
              f"cliques[{i}].vertices must be a list of integers")
     key = tuple(sorted(verts))
     _require(len(set(key)) == len(verts), f"cliques[{i}] repeats vertices")
@@ -148,8 +174,9 @@ def _parse_clique(data, i: int) -> CliqueSpec:
         raise ConfigError(f"cliques[{i}]: unknown family {fam!r}")
     d = len(verts)
     _require(isinstance(mat, list) and len(mat) == d
-             and all(isinstance(r, list) and len(r) == d for r in mat),
-             f"cliques[{i}]: parameter matrix must be {d}x{d}")
+             and all(isinstance(r, list) and len(r) == d
+                     and all(_is_number(x) for x in r) for r in mat),
+             f"cliques[{i}]: parameter matrix must be {d}x{d} numbers")
     rows = tuple(tuple(float(x) for x in r) for r in mat)
     return CliqueSpec(vertices=key, family=fam, matrix=rows)
 
@@ -170,13 +197,14 @@ def parse_config(data: dict) -> RunConfig:
         mat = data["correlation"]
         d = graph.n
         _require(isinstance(mat, list) and len(mat) == d
-                 and all(isinstance(r, list) and len(r) == d for r in mat),
-                 f"whole-graph correlation must be {d}x{d}")
+                 and all(isinstance(r, list) and len(r) == d
+                         and all(_is_number(x) for x in r) for r in mat),
+                 f"whole-graph correlation must be {d}x{d} numbers")
         correlation = tuple(tuple(float(x) for x in r) for r in mat)
 
     v = data.get("v")
     if v is not None:
-        _require(isinstance(v, int), "'v' must be an integer vertex label")
+        _require(_is_int(v), "'v' must be an integer vertex label")
         _require(1 <= v <= graph.n, f"v={v} outside 1..{graph.n}")
 
     t_levels = data.get("t_levels")
@@ -185,15 +213,12 @@ def parse_config(data: dict) -> RunConfig:
     else:
         _require(isinstance(t_levels, list), "'t_levels' must be a list")
         for t in t_levels:
-            _require(isinstance(t, (int, float)),
-                     f"t level {t!r} must be a number")
+            _require(_is_finite(t), f"t level {t!r} must be a finite number")
         t_levels = check_t_levels(t_levels, "'t_levels'")
 
     n = data.get("n", DEFAULT_N)
-    _require(isinstance(n, int) and n >= 1, "'n' must be a positive integer")
-    seed = data.get("seed", DEFAULT_SEED)
-    _require(isinstance(seed, int) and 0 <= seed < 2 ** 64,
-             "'seed' must be a 64-bit nonnegative integer")
+    _require(_is_int(n) and n >= 1, "'n' must be a positive integer")
+    seed = check_seed(data.get("seed", DEFAULT_SEED), "'seed'")
 
     out = data.get("out")
     _require(out is None or isinstance(out, str), "'out' must be a string")
@@ -207,19 +232,18 @@ def parse_config(data: dict) -> RunConfig:
         _require(isinstance(tdata, dict), "'tolerances' must be an object")
         _check_keys(tdata, _TOL_KEYS, "tolerances")
         if "ks_const" in tdata:
-            _require(isinstance(tdata["ks_const"], (int, float))
-                     and tdata["ks_const"] > 0, "ks_const must be positive")
+            _require(_is_finite(tdata["ks_const"]) and tdata["ks_const"] > 0,
+                     "ks_const must be finite and positive")
             tolerances["ks_const"] = float(tdata["ks_const"])
         if "trend_slack" in tdata:
-            _require(isinstance(tdata["trend_slack"], (int, float))
+            _require(_is_finite(tdata["trend_slack"])
                      and tdata["trend_slack"] >= 1.0,
-                     "trend_slack must be >= 1")
+                     "trend_slack must be finite and >= 1")
             tolerances["trend_slack"] = float(tdata["trend_slack"])
         if "remainder_grid" in tdata:
             grid = tdata["remainder_grid"]
             _require(isinstance(grid, list) and grid
-                     and all(isinstance(t, (int, float)) and np.isfinite(t)
-                             and t > 0 for t in grid),
+                     and all(_is_finite(t) and t > 0 for t in grid),
                      "remainder_grid must be a list of finite positive levels")
             tolerances["remainder_grid"] = tuple(float(t) for t in grid)
 

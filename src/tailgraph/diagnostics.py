@@ -9,8 +9,8 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expm1, ndtr
 
+from . import _scipy
 from . import husler_reiss as hr
 from .config import check_t_levels
 from .errors import (
@@ -85,7 +85,7 @@ def _ks_statistic(x: np.ndarray, cdf) -> float:
 
 def _expon_cdf(y: np.ndarray) -> np.ndarray:
     # scipy's expm1, not numpy's: the two differ in the last bits
-    f = -expm1(-y)
+    f = -_scipy.expm1(-y)
     f[y <= 0] = 0.0
     return f
 
@@ -95,7 +95,7 @@ def ks_unit_exponential(x: np.ndarray) -> float:
 
 
 def ks_normal(x: np.ndarray, mean: float, sd: float) -> float:
-    return _ks_statistic(x, lambda y: ndtr((y - mean) / sd))
+    return _ks_statistic(x, lambda y: _scipy.ndtr((y - mean) / sd))
 
 
 @dataclass(frozen=True)

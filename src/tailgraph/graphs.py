@@ -64,7 +64,8 @@ class Graph:
 
     @staticmethod
     def make(n: int, edge_list) -> "Graph":
-        if not isinstance(n, int) or n < 1:
+        # type() rather than isinstance: JSON true/false are Python ints
+        if type(n) is not int or n < 1:
             raise ConfigError(f"vertex count must be an integer >= 1, got {n!r}")
         edges = set()
         for e in edge_list:
@@ -72,7 +73,7 @@ class Graph:
             if len(pair) != 2:
                 raise ConfigError(f"edge {e!r} is not a pair")
             i, j = pair
-            if not (isinstance(i, int) and isinstance(j, int)):
+            if not (type(i) is int and type(j) is int):
                 raise ConfigError(f"edge {e!r} has non-integer endpoints")
             if i == j:
                 raise ConfigError(f"self-loop at vertex {i}")
@@ -140,7 +141,8 @@ class Graph:
         if isinstance(verts, int):
             n = verts
         elif isinstance(verts, list):
-            if verts != list(range(1, len(verts) + 1)):
+            if (verts != list(range(1, len(verts) + 1))
+                    or not all(type(u) is int for u in verts)):
                 raise ConfigError("vertex list must be consecutive 1..n")
             n = len(verts)
         else:

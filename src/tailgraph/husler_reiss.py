@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-from scipy.special import ndtr
 
+from . import _scipy
 from .errors import (
     ConfigError,
     EmptySubset,
@@ -279,7 +278,7 @@ def _orthant(b: np.ndarray, cov: np.ndarray, accuracy: float) -> np.ndarray:
         return np.ones(n)
     sd = np.sqrt(np.diag(cov))
     if m == 1:
-        return ndtr(b[:, 0] / sd[0])
+        return _scipy.ndtr(b[:, 0] / sd[0])
     if m == 2:
         r = cov[0, 1] / (sd[0] * sd[1])
         return np.array([bvn_cdf(b0, b1, r) for b0, b1 in b / sd])
@@ -356,14 +355,14 @@ def pair_kernel(a: float, y1: np.ndarray, x: np.ndarray, slope: bool = False):
         np.log(w, out=w)
         w /= a
         q = np.subtract(0.5 * a, w)
-        ndtr(q, out=q)
+        _scipy.ndtr(q, out=q)
         np.divide(q, y, out=y)  # y is q/y from here on
         e = np.subtract(-0.5 * a, w)
-        ndtr(e, out=e)
+        _scipy.ndtr(e, out=e)
         e /= y1
         e -= y
         np.exp(e, out=e)
-        p = ndtr(np.add(0.5 * a, w, out=y), out=y)
+        p = _scipy.ndtr(np.add(0.5 * a, w, out=y), out=y)
         if slope:
             # w becomes y1 φ(a/2 − w/a) / a
             w -= 0.5 * a
@@ -511,7 +510,7 @@ def a2_limit_params(model: HuslerReissModel, sep, anchor: int | None = None) -> 
     if sp:
         low = cholesky_spd(sig[np.ix_(sp, sp)],
                            what=f"separator block of {model.clique}")
-        b = scipy.linalg.cho_solve((low, True), sig[np.ix_(sp, r)]).T
+        b = _scipy.cho_solve((low, True), sig[np.ix_(sp, r)]).T
         cov = cov - b @ sig[np.ix_(sp, r)]
         cov = 0.5 * (cov + cov.T)
         mean = mean - b @ mu[sp]

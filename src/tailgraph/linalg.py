@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from . import _scipy
 from .errors import ConfigError, EmptySubset, NotSPD
 
 SYMMETRY_TOL = 1e-12
@@ -157,7 +157,7 @@ def spd_inverse(m: IndexedMatrix, tol: float = IDENTITY_TOL) -> IndexedMatrix:
     """
     m.check_symmetric()
     low = cholesky_spd(m.values, what=f"matrix on {m.rows}")
-    inv = scipy.linalg.cho_solve((low, True), np.eye(len(m.rows)))
+    inv = _scipy.cho_solve((low, True), np.eye(len(m.rows)))
     inv = 0.5 * (inv + inv.T)
     with np.errstate(invalid="ignore", over="ignore"):
         gap = float(np.max(np.abs(m.values @ inv - np.eye(len(m.rows)))))

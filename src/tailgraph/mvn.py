@@ -18,8 +18,8 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from . import _scipy
 from .errors import DimensionTooLarge, NotSPD
 from .linalg import GaussianLaw, IndexedVector, cholesky_spd
 from .rng import OFFSET_QUAD, derived_rng
@@ -91,7 +91,7 @@ def _bvn_upper(dh: float, dk: float, r: float) -> float:
                     sn = math.sin(asr * (sign * xi + 1.0) / 2.0)
                     bvn += wi * math.exp((sn * hk - hs) / (1.0 - sn * sn))
             bvn = bvn * asr / (2.0 * twopi)
-        bvn += ndtr(-h) * ndtr(-k)
+        bvn += _scipy.ndtr(-h) * _scipy.ndtr(-k)
     else:
         if r < 0.0:
             k = -k
@@ -115,7 +115,7 @@ def _bvn_upper(dh: float, dk: float, r: float) -> float:
                 bvn -= (
                     math.exp(-hk / 2.0)
                     * math.sqrt(twopi)
-                    * ndtr(-b / a)
+                    * _scipy.ndtr(-b / a)
                     * b
                     * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0)
                 )
@@ -137,11 +137,11 @@ def _bvn_upper(dh: float, dk: float, r: float) -> float:
                         )
             bvn = -bvn / twopi
         if r > 0.0:
-            bvn += ndtr(-max(h, k))
+            bvn += _scipy.ndtr(-max(h, k))
         else:
             bvn = -bvn
             if k > h:
-                bvn += ndtr(k) - ndtr(h)
+                bvn += _scipy.ndtr(k) - _scipy.ndtr(h)
     return min(1.0, max(0.0, bvn))
 
 
@@ -154,7 +154,7 @@ def bvn_cdf(x: float, y: float, r: float) -> float:
             return 0.0
         if x == math.inf and y == math.inf:
             return 1.0
-        return float(ndtr(min(x, y)))
+        return float(_scipy.ndtr(min(x, y)))
     return _bvn_upper(-x, -y, r)
 
 
@@ -176,15 +176,15 @@ def _sorted_by_limit(b: np.ndarray, corr: np.ndarray):
 def _genz_batch_mean(b: np.ndarray, low: np.ndarray, w: np.ndarray) -> float:
     """Mean of the separation-of-variables integrand over one point block."""
     npts, d_minus_1 = w.shape
-    e = ndtr(b[0] / low[0, 0])
+    e = _scipy.ndtr(b[0] / low[0, 0])
     f = np.full(npts, e)
     y = np.empty((npts, d_minus_1))
     e_run = np.full(npts, e)
     for i in range(1, d_minus_1 + 1):
         p = np.clip(e_run * w[:, i - 1], 1e-300, 1.0 - 1e-16)
-        y[:, i - 1] = ndtri(p)
+        y[:, i - 1] = _scipy.ndtri(p)
         num = b[i] - y[:, :i] @ low[i, :i]
-        e_run = ndtr(num / low[i, i])
+        e_run = _scipy.ndtr(num / low[i, i])
         f *= e_run
     return float(np.mean(f))
 
@@ -233,7 +233,7 @@ def mvn_cdf(
     b = b / sd
     corr = cov / np.outer(sd, sd)
     if dim == 1:
-        return CdfEstimate(float(ndtr(b[0])), 1e-16)
+        return CdfEstimate(float(_scipy.ndtr(b[0])), 1e-16)
     if dim == 2:
         r = float(corr[0, 1])
         return CdfEstimate(bvn_cdf(b[0], b[1], r), 5e-15)

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri, ndtri_exp
 
+from . import _scipy
 from . import gaussian as gsn
 from . import husler_reiss as hr
 from .errors import (
@@ -51,12 +51,12 @@ _MAX_STEPS = _NEWTON_STEPS + 64
 
 def exp_to_normal(x: np.ndarray) -> np.ndarray:
     """Latent standard-normal score of an exponential-scale state."""
-    return -ndtri_exp(-np.asarray(x, dtype=float))
+    return -_scipy.ndtri_exp(-np.asarray(x, dtype=float))
 
 
 def normal_to_exp(z: np.ndarray) -> np.ndarray:
     """Exponential-scale state of a latent standard-normal score."""
-    return -log_ndtr(-np.asarray(z, dtype=float))
+    return -_scipy.log_ndtr(-np.asarray(z, dtype=float))
 
 
 def _bracket_top(model, s: int, x1: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -101,7 +101,7 @@ def _invert_pair(model, s: int, x1: np.ndarray, u: np.ndarray) -> np.ndarray:
     out = np.empty(u.shape[0])
     rows = np.arange(u.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        zu = ndtri(u)
+        zu = _scipy.ndtri(u)
         x = a * zu
     x += x1 - 0.5 * gamma
     np.copyto(x, 0.5 * (lo + hi), where=~((x > lo) & (x < hi)))
@@ -111,7 +111,7 @@ def _invert_pair(model, s: int, x1: np.ndarray, u: np.ndarray) -> np.ndarray:
         np.copyto(hi, x, where=above)
         np.copyto(lo, x, where=~above)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = ndtri(k, out=k)
+            step = _scipy.ndtri(k, out=k)
             dk /= np.exp(-0.5 * step * step)
             step -= zu
             dk *= hr._SQRT_2PI

@@ -379,12 +379,54 @@ def test_tail_noise_route_computes_moments_once(configs, monkeypatch, command):
     assert len(calls) == 1
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    """scipy.stats costs about a second of import time and the package
-    does not use it."""
+_SCIPY_FREE_RUNS = """
+import contextlib, io, sys
+from tailgraph import cli
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+print("import", scipy_loaded())
+for args in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            cli.main(args.split(), standalone_mode=False)
+        except SystemExit:
+            pass
+    print(args, scipy_loaded())
+"""
+
+
+def test_cli_import_leaves_scipy_stats_unloaded(configs):
+    """Importing scipy costs more than most ``graph`` and ``derive`` runs,
+    which need none of it: the CLI import, ``graph`` on every shipped
+    config and HR or mixed ``derive`` leave every scipy module unloaded
+    (scipy.stats, the slowest, is never used at all)."""
     src = str(Path(tailgraph.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, tailgraph.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    runs = [f"graph --config {path}" for path in sorted(configs.glob("*.json"))]
+    runs += [f"derive --config {configs / name}.json"
+             for name in ("hr_chain", "hr_block_tree", "mixed_tree")]
+    assert len(runs) == 10
+    out = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUNS, *runs],
+                         env=env, check=True, capture_output=True, text=True,
+                         timeout=120)
+    assert out.stdout.splitlines() == [f"{label} []"
+                                       for label in ["import", *runs]]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_verify_rejects_a_seed_outside_64_bits(configs, seed):
+    res = run("verify", "--config", str(configs / "hr_chain.json"),
+              "--n", "200", "--seed", seed)
+    assert res.exit_code == EXIT_CONFIG
+    assert payload(res)["error"] == {
+        "type": "ConfigError",
+        "message": f"--seed must be a 64-bit nonnegative integer, got {seed}"}
+
+
+def test_verify_accepts_the_largest_seed(configs):
+    res = run("verify", "--config", str(configs / "gaussian_short_chain.json"),
+              "--n", "200", "--seed", str(2 ** 64 - 1))
+    assert res.exit_code in (EXIT_OK, EXIT_VERIFY)
+    assert payload(res)["seed"] == 2 ** 64 - 1

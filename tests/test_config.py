@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from tailgraph import gaussian as gs
 from tailgraph import husler_reiss as hr
+from tailgraph.cli import EXIT_CONFIG, main
 from tailgraph.config import (
     DEFAULT_N,
     DEFAULT_SEED,
@@ -179,6 +181,56 @@ def test_scalar_field_validation():
     ]:
         with pytest.raises(ConfigError):
             parse_config(bad)
+
+
+def _with_clique(field, value):
+    cliques = hr_cliques()
+    cliques[0][field] = value
+    return chain_doc(cliques=cliques, v=1)
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param({"graph": {"vertices": True, "edges": []}},
+                 id="graph_vertices_bool"),
+    pytest.param({"graph": {"vertices": [True, 2], "edges": [[1, 2]]}},
+                 id="vertex_list_bool"),
+    pytest.param({"graph": {"vertices": 3, "edges": [[True, 2], [2, 3]]}},
+                 id="edge_endpoint_bool"),
+    pytest.param(chain_doc(v=True), id="v"),
+    pytest.param(chain_doc(n=True), id="n"),
+    pytest.param(chain_doc(seed=False), id="seed"),
+    pytest.param(chain_doc(t_levels=[True, 2]), id="t_level_bool"),
+    pytest.param(chain_doc(t_levels=[10 ** 400]), id="t_level_huge"),
+    pytest.param(chain_doc(tolerances={"ks_const": float("inf")}),
+                 id="ks_const_inf"),
+    pytest.param(chain_doc(tolerances={"ks_const": 10 ** 400}),
+                 id="ks_const_huge"),
+    pytest.param(chain_doc(tolerances={"ks_const": True}), id="ks_const_bool"),
+    pytest.param(chain_doc(tolerances={"trend_slack": float("inf")}),
+                 id="trend_slack_inf"),
+    pytest.param(chain_doc(tolerances={"trend_slack": True}),
+                 id="trend_slack_bool"),
+    pytest.param(chain_doc(tolerances={"remainder_grid": [True, 10]}),
+                 id="remainder_grid_bool"),
+    pytest.param(_with_clique("vertices", [True, 2]), id="clique_vertex_bool"),
+    pytest.param(_with_clique("variogram", [[False, 1.3], [1.3, False]]),
+                 id="variogram_bool"),
+    pytest.param(_with_clique("variogram", [[0.0, "1.3"], ["1.3", 0.0]]),
+                 id="variogram_str"),
+    pytest.param(chain_doc(correlation=[[True, 0.5, 0.25], [0.5, True, 0.5],
+                                        [0.25, 0.5, True]]),
+                 id="correlation_bool"),
+])
+def test_booleans_and_non_finite_tolerances_rejected(doc, tmp_path):
+    """JSON true/false is not a number, and an infinite KS constant or
+    trend slack would pass every check whatever the data."""
+    with pytest.raises(ConfigError):
+        parse_config(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["verify", "--config", str(path)])
+    assert res.exit_code == EXIT_CONFIG
+    assert json.loads(res.output)["error"]["type"] == "ConfigError"
 
 
 # ------------------------------------------------------------------- hash
