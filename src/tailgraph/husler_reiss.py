@@ -46,6 +46,7 @@ from .linalg import (
     GaussianLaw,
     IndexedMatrix,
     IndexedVector,
+    _labelled_matrix,
     cholesky_spd,
     spd_inverse,
 )
@@ -60,25 +61,25 @@ class VariogramMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        mat = IndexedMatrix.square(tuple(self.index), self.values)
-        object.__setattr__(self, "index", mat.rows)
-        object.__setattr__(self, "values", mat.values)
-        vals = self.values
+        index, _, vals = _labelled_matrix(self.index, self.index, self.values)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "values", vals)
         if not np.all(np.isfinite(vals)):
             raise InvalidVariogram("variogram has non-finite entries")
         if float(np.max(np.abs(vals - vals.T), initial=0.0)) > SEPARATOR_TOL:
             raise InvalidVariogram("variogram is not symmetric")
-        if float(np.max(np.abs(np.diag(vals)), initial=0.0)) > 0.0:
+        if vals.diagonal().any():
             raise InvalidVariogram("variogram diagonal must be exactly zero")
-        if len(self.index) >= 2:
-            # strict conditional negative definiteness <=> any anchored
-            # covariance is positive definite
+        # strict conditional negative definiteness <=> any anchored
+        # covariance is positive definite; a pair's is [[Γ_12]]
+        cnd = "variogram is not strictly conditionally negative definite"
+        if len(index) == 2 and not vals[1, 0] > 0.0:
+            raise InvalidVariogram(cnd)
+        if len(index) > 2:
             try:
                 np.linalg.cholesky(_anchored_values(self, 0))
             except np.linalg.LinAlgError as exc:
-                raise InvalidVariogram(
-                    "variogram is not strictly conditionally negative definite"
-                ) from exc
+                raise InvalidVariogram(cnd) from exc
 
     @property
     def dim(self) -> int:
@@ -489,32 +490,42 @@ def a2_limit_params(model: HuslerReissModel, sep, anchor: int | None = None) -> 
     result does not depend on the anchor, which is exposed only for
     testing.
     """
+    clique = model.clique
+    pos = {v: k for k, v in enumerate(clique)}
     sep = tuple(sorted(int(v) for v in sep))
-    rest = tuple(v for v in model.clique if v not in sep)
-    if not sep or set(sep) - set(model.clique):
-        raise ConfigError(f"separator {sep} invalid for clique {model.clique}")
+    if not sep or any(v not in pos for v in sep):
+        raise ConfigError(f"separator {sep} invalid for clique {clique}")
+    rest = tuple(v for v in clique if v not in sep)
     if not rest:
         raise ConfigError("separator covers the whole clique")
     s = anchor if anchor is not None else sep[0]
     if s not in sep:
         raise ConfigError(f"anchor {s} must lie in the separator {sep}")
 
-    k = model.clique.index(s)
-    others = [v for v in model.clique if v != s]  # C \ s, the order of sig
-    sig = _anchored_values(model.variogram, k)
-    mu = -0.5 * np.delete(model.variogram.values[:, k], k)
-    r = [others.index(v) for v in rest]
-    sp = [others.index(v) for v in sep if v != s]
-    cov, mean = sig[np.ix_(r, r)], mu[r]
-    b = np.zeros((len(r), 0))
-    if sp:
-        low = cholesky_spd(sig[np.ix_(sp, sp)],
-                           what=f"separator block of {model.clique}")
-        b = _scipy.cho_solve((low, True), sig[np.ix_(sp, r)]).T
-        cov = cov - b @ sig[np.ix_(sp, r)]
-        cov = 0.5 * (cov + cov.T)
-        mean = mean - b @ mu[sp]
-    slope = np.insert(b, sep.index(s), 1.0 - b.sum(axis=1), axis=1)
+    g = model.variogram.values
+    k = pos[s]
+    if len(clique) == 2:
+        gam = g[pos[rest[0]], k]
+        mean, cov, slope = np.array([-0.5 * gam]), np.array([[gam]]), np.ones((1, 1))
+    else:
+        # positions in C \ s, the order of sig
+        r = [pos[v] - (pos[v] > k) for v in rest]
+        sp = [pos[v] - (pos[v] > k) for v in sep if v != s]
+        sig = _anchored_values(model.variogram, k)
+        mu = -0.5 * g[[j for j in range(len(clique)) if j != k], k]
+        cov, mean = sig[r][:, r], mu[r]
+        b = np.zeros((len(r), 0))
+        if sp:
+            sig_sr = sig[sp][:, r]
+            low = cholesky_spd(sig[sp][:, sp],
+                               what=f"separator block of {clique}")
+            b = _scipy.cho_solve((low, True), sig_sr).T
+            cov = cov - b @ sig_sr
+            cov = 0.5 * (cov + cov.T)
+            mean = mean - b @ mu[sp]
+        slope = np.empty((len(rest), len(sep)))
+        slope[:, [j for j, v in enumerate(sep) if v != s]] = b
+        slope[:, sep.index(s)] = 1.0 - b.sum(axis=1)
 
     law = GaussianLaw(IndexedVector(rest, mean), IndexedMatrix.square(rest, cov))
     return HRLimitParams(sep=sep, rest=rest,

@@ -31,6 +31,7 @@ exact mean and covariance of both kinds.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
@@ -39,6 +40,7 @@ import numpy as np
 
 from . import gaussian as gsn
 from . import husler_reiss as hr
+from .config import check_seed
 from .errors import ConfigError, NormingIncompatible, NotBlockGraph
 from .graphs import (
     CliqueOrdering,
@@ -77,6 +79,10 @@ class NormingPair:
             "b_scale": self.scale,
             "b_power": str(self.bexp),
         }
+
+
+#: The norming of every Hüsler-Reiss vertex: a(t) = t, b(t) = 1.
+_HR_NORMING = NormingPair(1.0, ONE, 1.0, ZERO)
 
 
 @dataclass(frozen=True)
@@ -135,11 +141,18 @@ class SampleMatrix:
     values: np.ndarray
     meta: dict
 
+    def _position(self, v) -> int:
+        try:
+            return self.columns.index(v)
+        except ValueError:
+            raise ConfigError(
+                f"vertex {v!r} is not a column of {self.columns}") from None
+
     def column(self, v: int) -> np.ndarray:
-        return self.values[:, self.columns.index(v)]
+        return self.values[:, self._position(v)]
 
     def sub(self, labels) -> np.ndarray:
-        return self.values[:, [self.columns.index(int(v)) for v in labels]]
+        return self.values[:, [self._position(int(v)) for v in labels]]
 
     @property
     def n(self) -> int:
@@ -226,7 +239,7 @@ def _root_pieces(model, v: int):
     fam = _family_of(model)
     rest = tuple(u for u in model.clique if u != v)
     if fam == "husler_reiss":
-        normings = {u: NormingPair(1.0, ONE, 1.0, ZERO) for u in model.clique}
+        normings = dict.fromkeys(model.clique, _HR_NORMING)
         law = hr.hr_root_law(model, v) if rest else None
         return normings, law
     rn = gsn.root_norming(model, v) if rest else None
@@ -258,18 +271,18 @@ def _separator_update(model, sep: tuple[int, ...], coeffs) -> CliqueUpdate:
     clique of both limit kinds is built here.
     """
     fam = _family_of(model)
-    rest = tuple(u for u in model.clique if u not in sep)
     if fam == "husler_reiss":
         params = hr.a2_limit_params(model, sep)
         psi, noise = params.slope, params.law
-        phi = IndexedVector(rest, np.ones(len(rest)))
+        phi = IndexedVector(params.rest, np.ones(len(params.rest)))
         a_fun, b_fun = _hr_norming(params.slope.values)
     else:
         sn = gsn.separator_norming(model, sep, coeffs)
         psi, phi, noise = sn.psi, sn.phi, sn.noise
         a_fun, b_fun = sn.a_of, sn.b_of
-    return CliqueUpdate(clique=model.clique, sep=sep, rest=rest, family=fam,
-                        psi=psi, phi=phi, noise=noise, a_fun=a_fun, b_fun=b_fun)
+    return CliqueUpdate(clique=model.clique, sep=sep, rest=noise.index,
+                        family=fam, psi=psi, phi=phi, noise=noise,
+                        a_fun=a_fun, b_fun=b_fun)
 
 
 def _transition_pieces(model, sep: tuple[int, ...], normings: dict,
@@ -283,19 +296,20 @@ def _transition_pieces(model, sep: tuple[int, ...], normings: dict,
     fluctuation; its separator then has unit slopes only.
     """
     moving = [s for s in sep if s != v and normings[s].bexp == HALF]
-    if moving and _family_of(model) == "husler_reiss":
-        raise NormingIncompatible(
-            f"clique {model.clique} is Hüsler-Reiss but separator vertices "
-            f"{moving} carry t^{HALF} fluctuations; the single-vertex norming "
-            "degenerates — use the separator-normed noise limit "
-            "(build_tail_noise)",
-            witness_clique=model.clique,
-        )
+    if _family_of(model) == "husler_reiss":
+        if moving:
+            raise NormingIncompatible(
+                f"clique {model.clique} is Hüsler-Reiss but separator vertices "
+                f"{moving} carry t^{HALF} fluctuations; the single-vertex "
+                "norming degenerates — use the separator-normed noise limit "
+                "(build_tail_noise)",
+                witness_clique=model.clique,
+            )
+        upd = _separator_update(model, sep, None)
+        normings.update(dict.fromkeys(upd.rest, _HR_NORMING))
+        return upd
     coeffs = np.array([normings[s].coeff for s in sep])
     upd = _separator_update(model, sep, coeffs)
-    if upd.family == "husler_reiss":
-        normings.update(dict.fromkeys(upd.rest, NormingPair(1.0, ONE, 1.0, ZERO)))
-        return upd
     for u, c in zip(upd.rest, upd.a_fun(coeffs[None, :])[0]):
         normings[u] = NormingPair(float(c), ONE, 1.0, HALF)
     # separator vertices entering at t^0 (and v, pinned) add nothing
@@ -390,8 +404,12 @@ def _sample_steps(steps: tuple[LinearStep, ...], columns: tuple[int, ...],
 
     Each row block runs the steps in order on its own (d × nb) block from
     stream k, then draws E_v, so the output bytes depend only on (steps,
-    n, seed).
+    n, seed).  ``n`` must be an integer >= 0 and ``seed`` one of
+    :func:`tailgraph.config.check_seed`; otherwise :class:`ConfigError`.
     """
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 0:
+        raise ConfigError(f"n must be an integer >= 0, got {n!r}")
+    check_seed(seed, "seed")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     vcol = columns.index(v)
@@ -419,6 +437,15 @@ def _moments(steps: tuple[LinearStep, ...],
     in closed form: an independent step gives its rows φ∘E[ε] and the
     scaled noise covariance as its block; a dependent step gives its rows
     ψ·mean_S + φ∘E[ε] and picks up ψΣψᵀ plus the scaled noise covariance.
+
+    A step costs O(|rows|·d) when one separator column is free (every
+    step of a Hüsler-Reiss pair tree): its mean, cross-covariance and
+    block come from that ψ column and one covariance row.  That is the
+    zero-padded product below term for term, since every other term of
+    the padded sums is an exact zero and the rows not yet written add a
+    +0 (hence the ``+ 0.0``, which turns a -0 into +0 and nothing else).
+    A step with two or more free columns multiplies the (|rows| × d)
+    zero-padded ψ by the whole covariance, O(|rows|·d²).
     """
     d = len(index)
     mean = np.zeros(d)
@@ -426,23 +453,29 @@ def _moments(steps: tuple[LinearStep, ...],
     for step in steps:
         rows = list(step.rows)
         phi = step.phi
+        noise_cov = phi[:, None] * step.law.cov.values * phi[None, :]
         if step.psi is None:
             mean[rows] = phi * step.law.mean.values
-            cov[np.ix_(rows, rows)] = (phi[:, None] * step.law.cov.values
-                                       * phi[None, :])
+            cov[np.ix_(rows, rows)] = noise_cov
             continue
-        psi_eff = np.zeros((len(rows), d))
-        for j, p in enumerate(step.sep):
-            if p >= 0:
-                psi_eff[:, p] = step.psi[:, j]
-        m_rest = psi_eff @ mean + phi * step.law.mean.values
-        cross = psi_eff @ cov
-        v_rest = (cross @ psi_eff.T
-                  + phi[:, None] * step.law.cov.values * phi[None, :])
-        mean[rows] = m_rest
+        free = [j for j, p in enumerate(step.sep) if p >= 0]
+        if len(free) == 1:
+            p = step.sep[free[0]]
+            col = step.psi[:, free[0]]
+            m_psi = col * mean[p] + 0.0
+            cross = col[:, None] * cov[p][None, :] + 0.0
+            v_psi = cross[:, p][:, None] * col[None, :] + 0.0
+        else:
+            psi_eff = np.zeros((len(rows), d))
+            for j in free:
+                psi_eff[:, step.sep[j]] = step.psi[:, j]
+            m_psi = psi_eff @ mean
+            cross = psi_eff @ cov
+            v_psi = cross @ psi_eff.T
+        mean[rows] = m_psi + phi * step.law.mean.values
         cov[rows, :] = cross
         cov[:, rows] = cross.T
-        cov[np.ix_(rows, rows)] = v_rest
+        cov[np.ix_(rows, rows)] = v_psi + noise_cov
     return IndexedVector(index, mean), IndexedMatrix.square(index, cov)
 
 

@@ -20,12 +20,26 @@ IDENTITY_TOL = 1e-10
 
 
 def _as_labels(index) -> tuple[int, ...]:
-    labels = tuple(int(v) for v in index)
+    labels = tuple(map(int, index))
     if not labels:
         raise EmptySubset("empty label index")
     if len(set(labels)) != len(labels):
         raise ConfigError(f"duplicate labels in index {labels}")
     return labels
+
+
+def _labelled_matrix(rows, cols, values):
+    """(rows, cols, values) checked: unique labels, a matching shape, and a
+    read-only float copy of ``values``."""
+    rows, cols = _as_labels(rows), _as_labels(cols)
+    vals = np.array(values, dtype=float)
+    if vals.shape != (len(rows), len(cols)):
+        raise ConfigError(
+            f"matrix shape {vals.shape} does not match index sizes "
+            f"{len(rows)}x{len(cols)}"
+        )
+    vals.setflags(write=False)
+    return rows, cols, vals
 
 
 @dataclass(frozen=True)
@@ -74,16 +88,9 @@ class IndexedMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", _as_labels(self.rows))
-        object.__setattr__(self, "cols", _as_labels(self.cols))
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (len(self.rows), len(self.cols)):
-            raise ConfigError(
-                f"matrix shape {vals.shape} does not match index sizes "
-                f"{len(self.rows)}x{len(self.cols)}"
-            )
-        vals = vals.copy()
-        vals.setflags(write=False)
+        rows, cols, vals = _labelled_matrix(self.rows, self.cols, self.values)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "values", vals)
 
     @staticmethod
@@ -139,6 +146,11 @@ def cholesky_spd(values: np.ndarray, what: str = "matrix") -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotSPD(f"{what} is not square: shape {arr.shape}")
+    if arr.shape == (1, 1):
+        # LAPACK's one step: a positive pivot and its square root
+        if arr[0, 0] <= 0.0:
+            raise NotSPD(f"{what} is not positive definite")
+        return np.sqrt(arr)
     gap = float(np.max(np.abs(arr - arr.T), initial=0.0))
     if gap > SYMMETRY_TOL:
         raise NotSPD(f"{what} symmetry violated by {gap:.3e}")
@@ -179,8 +191,8 @@ class GaussianLaw:
     def __post_init__(self):
         if self.cov.rows != self.mean.index or not self.cov.is_square:
             raise ConfigError("covariance index does not match mean index")
-        self.cov.check_symmetric()
-        # fail early on non-PD covariance and cache the factor for sampling
+        # fail early on an asymmetric or non-PD covariance (cholesky_spd
+        # checks both) and cache the factor for sampling
         low = cholesky_spd(self.cov.values, what=f"covariance on {self.mean.index}")
         object.__setattr__(self, "chol", low)
 

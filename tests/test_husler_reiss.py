@@ -62,6 +62,12 @@ def test_variogram_validation():
         vario((1, 2), [[0.0, 1.0], [1.2, 0.0]])  # asymmetric
     with pytest.raises(InvalidVariogram):
         vario((1, 2, 3), [[0, 1, 4], [1, 0, 1], [4, 1, 0]])  # not strictly cnd
+    for gamma in (0.0, -0.0, -1.0):  # a pair is cnd only for Γ_12 > 0
+        with pytest.raises(InvalidVariogram):
+            vario((1, 2), [[0.0, gamma], [gamma, 0.0]])
+    with pytest.raises(InvalidVariogram):
+        vario((1, 2), [[-0.0, 0.5], [0.5, 1e-300]])  # diagonal, however small
+    assert vario((1, 2), [[-0.0, 5e-324], [5e-324, 0.0]]).dim == 2
     v = vario((3, 1), [[0.0, 2.0], [2.0, 0.0]])
     assert v.index == (3, 1)  # label order preserved at matrix level
     assert hr.HuslerReissModel((3, 1), v).clique == (1, 3)  # model sorts
@@ -356,6 +362,17 @@ def test_a2_params_pair_is_exact(gamma, sep):
     assert p.law.mean.values.tolist() == [-gamma / 2]
     assert p.law.cov.values.tolist() == [[gamma]]
     assert p.slope.values.tolist() == [[1.0]]
+
+
+@pytest.mark.parametrize("clique", [(1, 2), (1, 2, 3)])
+@pytest.mark.parametrize("sep, anchor", [((), None), ((1, 4), None),
+                                         ("clique", None), ((1,), 2)],
+                         ids=["empty", "outside", "covering", "anchor_outside"])
+def test_a2_params_reject_bad_separators(clique, sep, anchor):
+    g = np.full((len(clique), len(clique)), 1.0) - np.eye(len(clique))
+    model = hr.HuslerReissModel(clique, vario(clique, g))
+    with pytest.raises(ConfigError):
+        hr.a2_limit_params(model, clique if sep == "clique" else sep, anchor=anchor)
 
 
 @pytest.mark.parametrize("sep", [(1,), (1, 2)])

@@ -1,5 +1,6 @@
 """Graph-wide tail limit engine: verdicts, composition, sampling, remainders."""
 
+import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 import limit_oracle
 from tailgraph import gaussian as gs
 from tailgraph import husler_reiss as hr
-from tailgraph.config import load_config
+from tailgraph.config import load_config, parse_config
 from tailgraph.errors import (
     ConfigError,
     IncompatibleSeparators,
@@ -202,24 +203,39 @@ def test_sampler_is_deterministic_and_prefix_stable(gauss_chain):
 # ------------------------------------- clique-major reference sampler
 
 
-def assert_matches_oracle(limit, n=70_000, seed=5):
-    """Moments and samples equal the reference loops byte for byte; n
-    crosses a row-block boundary, and 1 and 3 workers must agree."""
+def _perfbench_workloads():
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def assert_moments_match_oracle(limit):
+    """Mean and covariance equal the reference loops byte for byte."""
     if isinstance(limit, TailGraphicalModel):
         want = limit_oracle.tail_model_moments(limit)
         got = tail_model_moments(limit)
-        ref = limit_oracle.sample_tail_model(limit, n, seed)
-        draws = [sample_tail_model(limit, n, seed, workers=w) for w in (1, 3)]
     else:
         want = (limit_oracle.noise_mean(limit),
                 limit_oracle.noise_covariance(limit))
         got = (limit.mean(), limit.covariance())
-        ref = limit_oracle.noise_sample(limit, n, seed)
-        draws = [limit.sample(n, seed)]
     assert got[0].index == want[0].index
     assert got[0].values.tobytes() == want[0].values.tobytes()
     assert (got[1].rows, got[1].cols) == (want[1].rows, want[1].cols)
     assert got[1].values.tobytes() == want[1].values.tobytes()
+
+
+def assert_matches_oracle(limit, n=70_000, seed=5):
+    """Moments and samples equal the reference loops byte for byte; n
+    crosses a row-block boundary, and 1 and 3 workers must agree."""
+    assert_moments_match_oracle(limit)
+    if isinstance(limit, TailGraphicalModel):
+        ref = limit_oracle.sample_tail_model(limit, n, seed)
+        draws = [sample_tail_model(limit, n, seed, workers=w) for w in (1, 3)]
+    else:
+        ref = limit_oracle.noise_sample(limit, n, seed)
+        draws = [limit.sample(n, seed)]
     for draw in draws:
         assert (draw.columns, draw.meta) == (ref.columns, ref.meta)
         assert draw.values.tobytes() == ref.values.tobytes()
@@ -250,6 +266,70 @@ def test_hr_pair_tree_matches_reference_sampler():
     models = {c: hr_pair_model(c, float(rng.uniform(0.3, 1.5)))
               for c in ordering.cliques}
     assert_matches_oracle(build_tail_model(ordering, models, 1))
+
+
+def test_hr_two_trees_match_reference_moments():
+    """Seeded HR triangle 2-trees rooted at several vertices.  A triangle
+    glued to an edge through the root has one free separator column, and
+    its slope often has a negative entry; a sign slip in the one-column
+    moment step fails here."""
+    workloads = _perfbench_workloads()
+    one_free = negative = 0
+    for seed in range(1, 31):
+        cfg = parse_config(workloads.hr_tri(seed, 12))
+        for v in (1, 2, 5, 9):
+            ordering = cfg.ordering(root=v)
+            model = build_tail_model(ordering, cfg.models(ordering), v)
+            assert_moments_match_oracle(model)
+            for step in model.steps:
+                if sum(p >= 0 for p in step.sep) == 1:
+                    one_free += 1
+                    negative += bool(np.any(step.psi < 0.0))
+    assert (one_free, negative) == (326, 84)
+    assert_matches_oracle(model, n=40_000)
+
+
+def test_zero_covariance_keeps_its_sign_through_a_negative_slope():
+    """The Gaussian block {3, 4} hangs off v = 1 alone, so it is
+    independent of the HR vertex 2; vertex 5 then reads the free column 3
+    with a negative slope.  Its covariance with 2 is the padded product's
+    +0, not the -0 of slope times zero."""
+    graph = Graph.make(5, [(1, 2), (1, 3), (1, 4), (3, 4), (1, 5), (3, 5)])
+    ordering = clique_ordering(graph, 1)
+    corr = {(1, 3, 4): [[1.0, 0.6, 0.5], [0.6, 1.0, 0.4], [0.5, 0.4, 1.0]],
+            (1, 3, 5): [[1.0, 0.6, 0.7], [0.6, 1.0, 0.1], [0.7, 0.1, 1.0]]}
+    models = {(1, 2): hr_pair_model((1, 2), 1.1)}
+    for c, r in corr.items():
+        models[c] = gs.GaussianCopulaModel(c, gs.CorrelationMatrix(c, np.array(r)))
+    model = build_tail_model(ordering, models, 1)
+    assert model.steps[-1].psi[0, 1] < 0.0
+    assert_matches_oracle(model, n=40_000)
+    assert not np.signbit(tail_model_moments(model)[1].entry(5, 2))
+
+
+def test_hr_pair_tree_moments_match_path_sums():
+    """2,000 vertices.  Z_u sums independent N(-γ_e/2, γ_e) increments
+    over the edges e on the path from v = 1 to u, so the mean is -½Σγ_e
+    and cov(u, w) is Σγ_e over the shared part of both paths."""
+    n = 2000
+    doc = _perfbench_workloads().hr_tree(1, n)
+    cfg = parse_config(doc)
+    ordering = cfg.ordering(root=1)
+    mean, cov = tail_model_moments(build_tail_model(ordering, cfg.models(ordering), 1))
+    parent, gamma = {}, {}
+    for c in doc["cliques"]:
+        a, b = c["vertices"]
+        parent[b], gamma[b] = a, c["variogram"][0][1]
+    on_path = np.zeros((n - 1, n - 1))
+    for u in range(2, n + 1):
+        x = u
+        while x != 1:
+            on_path[u - 2, x - 2] = 1.0
+            x = parent[x]
+    g = np.array([gamma[x] for x in range(2, n + 1)])
+    assert mean.index == tuple(range(2, n + 1))
+    assert np.max(np.abs(mean.values + 0.5 * on_path @ g)) < 1e-9
+    assert np.max(np.abs(cov.values - (on_path * g) @ on_path.T)) < 1e-9
 
 
 def test_gaussian_triangle_tree_matches_reference_sampler():
@@ -293,6 +373,25 @@ def test_goldner_harary_field_matches_reference_sampler(v):
 
 
 # ------------------------------------------------------------- error gates
+
+
+@pytest.mark.parametrize("n, seed", [(-1, 0), (2.5, 0), (True, 0), (10, -1)],
+                         ids=["negative_n", "fractional_n", "bool_n", "negative_seed"])
+def test_limit_sampling_rejects_bad_arguments(hr_chain, n, seed):
+    ordering, models = hr_chain
+    with pytest.raises(ConfigError):
+        sample_tail_model(build_tail_model(ordering, models, 1), n, seed)
+    with pytest.raises(ConfigError):
+        build_tail_noise(ordering, models, 1).sample(n, seed)
+
+
+@pytest.mark.parametrize("read", [lambda s: s.column(99), lambda s: s.sub([2, 99])],
+                         ids=["column", "sub"])
+def test_sample_columns_must_be_vertices(hr_chain, read):
+    ordering, models = hr_chain
+    samples = sample_tail_model(build_tail_model(ordering, models, 1), 10, 0)
+    with pytest.raises(ConfigError):
+        read(samples)
 
 
 def two_triangle_models():

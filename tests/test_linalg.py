@@ -54,6 +54,12 @@ def test_cholesky_matches_numpy_and_rejects():
     assert np.allclose(low @ low.T, spd, atol=1e-12)
     with pytest.raises(NotSPD):
         cholesky_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    for x in (0.0, -0.0, -1.0):
+        with pytest.raises(NotSPD):
+            cholesky_spd(np.array([[x]]))
+    for x in (5e-324, 0.3, 2.0, 1e300, np.inf):  # 1x1: the same bits as LAPACK
+        want = np.linalg.cholesky(np.array([[x]]))
+        assert cholesky_spd(np.array([[x]])).tobytes() == want.tobytes()
 
 
 def test_spd_inverse_round_trip():
@@ -101,3 +107,10 @@ def test_gaussian_law_validates_shapes():
             IndexedVector((1, 2), np.zeros(2)),
             IndexedMatrix.square((1, 3), np.eye(2)),
         )
+
+
+@pytest.mark.parametrize("cov", [[[1.0, 0.5], [0.4, 1.0]], [[1.0, 2.0], [2.0, 1.0]]],
+                         ids=["asymmetric", "indefinite"])
+def test_gaussian_law_rejects_a_bad_covariance(cov):
+    with pytest.raises(NotSPD):
+        GaussianLaw.from_arrays((1, 2), np.zeros(2), np.array(cov))
