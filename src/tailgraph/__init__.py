@@ -34,7 +34,6 @@ from .mvn import CdfEstimate, bvn_cdf, mvn_cdf
 from .husler_reiss import (
     HuslerReissModel,
     VariogramMatrix,
-    hr_root_law,
     transition_kernel,
 )
 from .gaussian import (

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import _scipy
 from . import husler_reiss as hr
-from .config import check_t_levels
+from .config import check_seed, check_t_levels
 from .errors import (
     ConfigError,
     EmptySubset,
@@ -36,6 +36,9 @@ KS_CONST = 1.95
 
 #: Slack factor absorbing Monte Carlo noise in monotone-trend verdicts.
 TREND_SLACK = 1.2
+
+#: Orthant-probability accuracy of the MRV compatibility check's measures.
+_MARGINAL_ACCURACY = 1e-9
 
 
 def chi_estimator(samples: SampleMatrix, subset, q: float) -> float:
@@ -346,8 +349,7 @@ class MRVReport:
 
 def mrv_checks(ordering: CliqueOrdering, models: dict, seed: int = 0,
                n_points: int = 10, scale: float = 2.0,
-               homogeneity_tol: float = 1e-4,
-               accuracy: float = 1e-9) -> MRVReport:
+               homogeneity_tol: float = 1e-4) -> MRVReport:
     """Regular-variation sanity of the factorized density.
 
     Homogeneity: the assembled density must scale as t^-(d+1) at t =
@@ -360,8 +362,8 @@ def mrv_checks(ordering: CliqueOrdering, models: dict, seed: int = 0,
     (+inf padding) on the separator grid (0.5, 1, 2), one batched call
     per clique and separator; mismatched models are reported, not raised.
     ``n_points`` must be an integer >= 1, ``scale`` finite, positive and
-    not 1, and ``homogeneity_tol`` finite and positive; otherwise
-    :class:`ConfigError`.
+    not 1, ``homogeneity_tol`` finite and positive, and ``seed`` one of
+    :func:`tailgraph.config.check_seed`; otherwise :class:`ConfigError`.
     """
     if (not isinstance(n_points, numbers.Integral) or isinstance(n_points, bool)
             or n_points < 1):
@@ -371,6 +373,7 @@ def mrv_checks(ordering: CliqueOrdering, models: dict, seed: int = 0,
     if not _finite_positive(homogeneity_tol):
         raise ConfigError(
             f"homogeneity_tol must be finite and positive, got {homogeneity_tol!r}")
+    check_seed(seed, "seed")
     table = _models_table(ordering, models)
     d = ordering.graph.n
     rng = derived_rng(seed, OFFSET_MISC + 1)
@@ -397,8 +400,8 @@ def mrv_checks(ordering: CliqueOrdering, models: dict, seed: int = 0,
         sep = ordering.separators[i]
         child = table[ordering.cliques[i]]
         parent = table[ordering.cliques[ordering.parents[i]]]
-        lam_a, err_a = _marginal_measure(parent, sep, grid, accuracy)
-        lam_b, err_b = _marginal_measure(child, sep, grid, accuracy)
+        lam_a, err_a = _marginal_measure(parent, sep, grid)
+        lam_b, err_b = _marginal_measure(child, sep, grid)
         for k, g in enumerate(grid):
             comp.append(CompatibilityRow(
                 clique_a=parent.clique, clique_b=child.clique, sep=sep,
@@ -414,10 +417,10 @@ def _finite_positive(x) -> bool:
     return isinstance(x, numbers.Real) and math.isfinite(x) and x > 0
 
 
-def _marginal_measure(model, sep, grid, accuracy):
+def _marginal_measure(model, sep, grid):
     """Clique exponent measure and its error bound at each grid value g,
     with the separator coordinates at g and the others at +inf, as lists."""
     y = np.full((len(grid), len(model.clique)), np.inf)
     y[:, [model.clique.index(s) for s in sep]] = np.asarray(grid)[:, None]
-    est = hr.exponent_measure_estimate(model, y, accuracy=accuracy)
+    est = hr.exponent_measure_estimate(model, y, accuracy=_MARGINAL_ACCURACY)
     return est.value.tolist(), est.error.tolist()

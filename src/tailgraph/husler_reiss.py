@@ -52,6 +52,10 @@ from .linalg import (
 )
 from .mvn import CdfEstimate, bvn_cdf, mvn_cdf
 
+#: Orthant accuracy of the kernel's partition sums and its limit's numerator.
+_KERNEL_ACCURACY = 1e-8
+_LIMIT_ACCURACY = 1e-9
+
 
 @dataclass(frozen=True)
 class VariogramMatrix:
@@ -137,7 +141,7 @@ def sigma_anchor(vario: VariogramMatrix, anchor: int) -> IndexedMatrix:
     if not rest:
         raise EmptySubset(f"anchor {anchor} leaves no coordinates")
     sig = _anchored_values(vario, vario.index.index(anchor))
-    np.linalg.cholesky(sig)  # VariogramMatrix validated, so this holds
+    cholesky_spd(sig, what=f"anchored covariance at {anchor}")
     return IndexedMatrix.square(rest, sig)
 
 
@@ -386,7 +390,7 @@ def pair_kernel(a: float, y1: np.ndarray, x: np.ndarray, slope: bool = False):
 
 
 def _partition_kernel(model: HuslerReissModel, sep: tuple, x_sep: np.ndarray,
-                      x_rest: np.ndarray, accuracy: float = 1e-8) -> np.ndarray:
+                      x_rest: np.ndarray) -> np.ndarray:
     """The partition-sum kernel of :func:`transition_kernel`, unclamped,
     on rows of ``x_sep`` / ``x_rest`` (sorted ``sep``, equal row counts)."""
     rest = tuple(v for v in model.clique if v not in sep)
@@ -399,16 +403,15 @@ def _partition_kernel(model: HuslerReissModel, sep: tuple, x_sep: np.ndarray,
     y_sep = y[:, [pos[v] for v in sep]]
 
     sep_vario = model.variogram.sub(sep)
-    num = _log_partition_sum(model.variogram, y, [pos[v] for v in sep], accuracy)
-    den = _log_partition_sum(sep_vario, y_sep, list(range(len(sep))), accuracy)
-    lam_full = exponent_measure_many(model.variogram, y, accuracy)
-    lam_sep = exponent_measure_many(sep_vario, y_sep, accuracy)
+    num = _log_partition_sum(model.variogram, y, [pos[v] for v in sep], _KERNEL_ACCURACY)
+    den = _log_partition_sum(sep_vario, y_sep, list(range(len(sep))), _KERNEL_ACCURACY)
+    lam_full = exponent_measure_many(model.variogram, y, _KERNEL_ACCURACY)
+    lam_sep = exponent_measure_many(sep_vario, y_sep, _KERNEL_ACCURACY)
     with np.errstate(invalid="ignore"):
         return np.exp(num - den + lam_sep - lam_full)
 
 
-def transition_kernel(model: HuslerReissModel, sep, x_sep, x_rest,
-                      accuracy: float = 1e-8) -> np.ndarray:
+def transition_kernel(model: HuslerReissModel, sep, x_sep, x_rest) -> np.ndarray:
     """Conditional law P(X_{C\\S} <= x_rest | X_S = x_sep) on exponential scale.
 
     With y the Fréchet states, the kernel is
@@ -445,7 +448,7 @@ def transition_kernel(model: HuslerReissModel, sep, x_sep, x_rest,
         vals = pair_kernel(math.sqrt(model.variogram.values[0, 1]),
                            exp_to_frechet(x_sep[:, 0]), x_rest[:, 0])
     else:
-        vals = _partition_kernel(model, sep, x_sep, x_rest, accuracy)
+        vals = _partition_kernel(model, sep, x_sep, x_rest)
     if not np.all(vals <= 1.0 + 1e-9):
         worst = float(np.max(np.where(np.isnan(vals), np.inf, vals)))
         raise NumericalBreakdown(
@@ -532,8 +535,7 @@ def a2_limit_params(model: HuslerReissModel, sep, anchor: int | None = None) -> 
                          slope=IndexedMatrix(rest, sep, slope), law=law)
 
 
-def kernel_limit(model: HuslerReissModel, sep, offset, z_sep=None,
-                 accuracy: float = 1e-9) -> float:
+def kernel_limit(model: HuslerReissModel, sep, offset, z_sep=None) -> float:
     """Limiting kernel value by the exponent-measure derivative ratio.
 
     Because the slope matrix is row-stochastic, the ratio
@@ -562,7 +564,7 @@ def kernel_limit(model: HuslerReissModel, sep, offset, z_sep=None,
 
     sep_pos = [pos[v] for v in sep]
     num = exponent_measure_derivative_many(model.variogram, u, sep_pos, log=True,
-                                           accuracy=accuracy)
+                                           accuracy=_LIMIT_ACCURACY)
     den = exponent_measure_derivative_many(model.variogram.sub(sep), u[:, sep_pos],
                                            range(len(sep)), log=True)
     val = math.exp(float(num[0] - den[0]))
@@ -663,12 +665,3 @@ def tail_model_precision(ordering: CliqueOrdering, models: dict, v: int) -> Inde
     # pairs that were written identically, so this cannot blur sparsity
     np.linalg.cholesky(result.values)
     return result
-
-
-def hr_root_law(model: HuslerReissModel, v: int) -> GaussianLaw:
-    """Limit law of X_{C\\v} - X_v given an extreme at v, for one clique."""
-    if v not in model.clique:
-        raise ConfigError(f"{v} not in clique {model.clique}")
-    sig = sigma_anchor(model.variogram, v)
-    mean = -0.5 * np.diag(sig.values)
-    return GaussianLaw(IndexedVector(sig.rows, mean), sig)

@@ -2,8 +2,8 @@
 
 Walks a rooted clique ordering, asks each clique model's family for its
 norming/update parameters, and composes them symbolically.  Per-vertex
-normings have the form a(t) = coeff · t^power, b(t) = scale · t^bexp
-with exact rational exponents, so feasibility comparisons are exact:
+normings have the form a(t) = coeff · t, b(t) = t^bexp with an exact
+rational exponent, so feasibility comparisons are exact:
 
 * a Hüsler-Reiss clique absorbs separator fluctuations only when every
   incoming separator scale is t^0 (the conditioning vertex itself is
@@ -11,9 +11,10 @@ with exact rational exponents, so feasibility comparisons are exact:
 * a Gaussian clique accepts scales up to t^{1/2}; separator vertices
   entering at t^0 contribute nothing to the linear part of the update.
 
-Both limit kinds take the root clique from :func:`_root_pieces` and
-every later clique from the one per-clique constructor
-:func:`_separator_update`, so each family decision is made once.
+Both limit kinds take the root clique from :func:`_root_pieces` (a
+Hüsler-Reiss root law is the clique update at S = {v}) and every later
+clique from the one per-clique constructor :func:`_separator_update`,
+so each family decision is made once, into one :class:`CliqueUpdate`.
 
 When a clique cannot absorb its separator's fluctuations the
 single-vertex limit does not exist; classification reports the clique
@@ -54,35 +55,34 @@ from .rng import derived_rng, run_blocks
 
 HALF = Fraction(1, 2)
 ZERO = Fraction(0)
-ONE = Fraction(1)
+#: Separator fluctuations at which :func:`remainder_report` compares normings.
+_Z_GRID = np.linspace(-3.0, 3.0, 13)
 
 
 @dataclass(frozen=True)
 class NormingPair:
-    """Norming functions a(t) = coeff·t^power, b(t) = scale·t^bexp."""
+    """Norming functions a(t) = coeff·t, b(t) = t^bexp."""
 
     coeff: float
-    power: Fraction
-    scale: float
     bexp: Fraction
 
     def a(self, t):
-        return self.coeff * np.asarray(t, dtype=float) ** float(self.power)
+        return self.coeff * np.asarray(t, dtype=float)
 
     def b(self, t):
-        return self.scale * np.asarray(t, dtype=float) ** float(self.bexp)
+        return np.asarray(t, dtype=float) ** float(self.bexp)
 
     def to_dict(self) -> dict:
         return {
             "a_coeff": self.coeff,
-            "a_power": str(self.power),
-            "b_scale": self.scale,
+            "a_power": "1",
+            "b_scale": 1.0,
             "b_power": str(self.bexp),
         }
 
 
 #: The norming of every Hüsler-Reiss vertex: a(t) = t, b(t) = 1.
-_HR_NORMING = NormingPair(1.0, ONE, 1.0, ZERO)
+_HR_NORMING = NormingPair(1.0, ZERO)
 
 
 @dataclass(frozen=True)
@@ -179,6 +179,27 @@ class LinearStep:
     psi: np.ndarray | None = None
 
 
+def _compile_steps(z_index: tuple[int, ...], root_law: GaussianLaw | None,
+                   updates: tuple[CliqueUpdate, ...]) -> tuple[LinearStep, ...]:
+    """The root law (if any), then one step per clique update, in draw order."""
+    pos = {u: k for k, u in enumerate(z_index)}
+    steps = []
+    if root_law is not None:
+        steps.append(LinearStep(rows=tuple(pos[u] for u in root_law.index),
+                                law=root_law, phi=np.ones(root_law.dim)))
+    for upd in updates:
+        sep = tuple(pos.get(s, -1) for s in upd.sep)
+        free = upd.psi is not None and any(p >= 0 for p in sep)
+        steps.append(LinearStep(
+            rows=tuple(pos[u] for u in upd.rest),
+            law=upd.noise,
+            phi=upd.phi.values,
+            sep=sep if free else (),
+            psi=upd.psi.values if free else None,
+        ))
+    return tuple(steps)
+
+
 @dataclass(frozen=True)
 class TailGraphicalModel:
     """Single-vertex conditional limit assembled along the clique ordering."""
@@ -193,30 +214,10 @@ class TailGraphicalModel:
     def z_index(self) -> tuple[int, ...]:
         return tuple(u for u in self.ordering.graph.vertices if u != self.v)
 
-    @property
-    def columns(self) -> tuple[int, ...]:
-        return self.ordering.graph.vertices
-
     @functools.cached_property
     def steps(self) -> tuple[LinearStep, ...]:
         """The root law, then one step per clique update, in draw order."""
-        pos = {u: k for k, u in enumerate(self.z_index)}
-        steps = []
-        if self.root_noise is not None:
-            steps.append(LinearStep(
-                rows=tuple(pos[u] for u in self.root_noise.index),
-                law=self.root_noise, phi=np.ones(self.root_noise.dim)))
-        for upd in self.updates:
-            sep = tuple(pos.get(s, -1) for s in upd.sep)
-            free = upd.psi is not None and any(p >= 0 for p in sep)
-            steps.append(LinearStep(
-                rows=tuple(pos[u] for u in upd.rest),
-                law=upd.noise,
-                phi=upd.phi.values,
-                sep=sep if free else (),
-                psi=upd.psi.values if free else None,
-            ))
-        return tuple(steps)
+        return _compile_steps(self.z_index, self.root_noise, self.updates)
 
     def to_dict(self) -> dict:
         return {
@@ -240,13 +241,13 @@ def _root_pieces(model, v: int):
     rest = tuple(u for u in model.clique if u != v)
     if fam == "husler_reiss":
         normings = dict.fromkeys(model.clique, _HR_NORMING)
-        law = hr.hr_root_law(model, v) if rest else None
+        law = hr.a2_limit_params(model, (v,)).law if rest else None
         return normings, law
     rn = gsn.root_norming(model, v) if rest else None
-    normings = {v: NormingPair(1.0, ONE, 1.0, HALF)}
+    normings = {v: NormingPair(1.0, HALF)}
     if rn is not None:
         for u in rest:
-            normings[u] = NormingPair(rn.coeff.entry(u), ONE, 1.0, HALF)
+            normings[u] = NormingPair(rn.coeff.entry(u), HALF)
     return normings, (rn.law if rn is not None else None)
 
 
@@ -311,7 +312,7 @@ def _transition_pieces(model, sep: tuple[int, ...], normings: dict,
     coeffs = np.array([normings[s].coeff for s in sep])
     upd = _separator_update(model, sep, coeffs)
     for u, c in zip(upd.rest, upd.a_fun(coeffs[None, :])[0]):
-        normings[u] = NormingPair(float(c), ONE, 1.0, HALF)
+        normings[u] = NormingPair(float(c), HALF)
     # separator vertices entering at t^0 (and v, pinned) add nothing
     if not moving:
         return replace(upd, psi=None)
@@ -488,7 +489,7 @@ def sample_tail_model(model: TailGraphicalModel, n: int, seed: int,
     affect the result.
     """
     return _sample_steps(
-        model.steps, model.columns, model.v, n, seed, workers,
+        model.steps, model.ordering.graph.vertices, model.v, n, seed, workers,
         meta={"kind": "tail_model", "v": model.v, "n": n, "seed": seed},
     )
 
@@ -539,16 +540,13 @@ class RemainderReport:
 
 
 def verify_remainders(ordering: CliqueOrdering, models: dict, v: int,
-                      t_grid=(10.0, 100.0, 1000.0),
-                      z_grid=None) -> RemainderReport:
+                      t_grid=(10.0, 100.0, 1000.0)) -> RemainderReport:
     """:func:`remainder_report` of the single-vertex limit at v."""
-    return remainder_report(build_tail_model(ordering, models, v),
-                            t_grid=t_grid, z_grid=z_grid)
+    return remainder_report(build_tail_model(ordering, models, v), t_grid=t_grid)
 
 
 def remainder_report(model: TailGraphicalModel,
-                     t_grid=(10.0, 100.0, 1000.0),
-                     z_grid=None) -> RemainderReport:
+                     t_grid=(10.0, 100.0, 1000.0)) -> RemainderReport:
     """Finite-level defect of each clique's norming composition.
 
     For every non-root clique, every level t and every separator
@@ -561,13 +559,10 @@ def remainder_report(model: TailGraphicalModel,
 
     and reports per-(clique, t) suprema of |A| and |B| over the grid.
     """
-    if z_grid is None:
-        z_grid = np.linspace(-3.0, 3.0, 13)
-    z_grid = np.asarray(z_grid, dtype=float)
     rows = []
     for upd in model.updates:
         free = [s for s in upd.sep if s != model.v]
-        grids = np.meshgrid(*([z_grid] * len(free)), indexing="ij") if free else []
+        grids = np.meshgrid(*([_Z_GRID] * len(free)), indexing="ij") if free else []
         zpts = (np.stack([g.ravel() for g in grids], axis=1)
                 if free else np.zeros((1, 0)))
         npts = zpts.shape[0]
@@ -602,34 +597,12 @@ def remainder_report(model: TailGraphicalModel,
 
 
 @dataclass(frozen=True)
-class NoiseBlock:
-    """One independent block of the separator-normed limit."""
-
-    clique: tuple[int, ...]
-    sep_vertex: int
-    rest: tuple[int, ...]
-    family: str
-    law: GaussianLaw
-    a_fun: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
-    b_fun: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "clique": list(self.clique),
-            "separator_vertex": self.sep_vertex,
-            "new_vertices": list(self.rest),
-            "family": self.family,
-            "law": self.law.to_dict(),
-        }
-
-
-@dataclass(frozen=True)
 class TailNoiseModel:
-    """Independent per-clique noise blocks of a block graph rooted at v."""
+    """Independent per-clique noise blocks (ψ None, unit φ) of a block graph."""
 
     ordering: CliqueOrdering
     v: int
-    blocks: tuple[NoiseBlock, ...]
+    blocks: tuple[CliqueUpdate, ...]
 
     @property
     def z_index(self) -> tuple[int, ...]:
@@ -638,10 +611,7 @@ class TailNoiseModel:
     @functools.cached_property
     def steps(self) -> tuple[LinearStep, ...]:
         """One independent step per block, in draw order."""
-        pos = {u: k for k, u in enumerate(self.z_index)}
-        return tuple(LinearStep(rows=tuple(pos[u] for u in blk.rest),
-                                law=blk.law, phi=np.ones(blk.law.dim))
-                     for blk in self.blocks)
+        return _compile_steps(self.z_index, None, self.blocks)
 
     def mean(self) -> IndexedVector:
         return tail_model_moments(self)[0]
@@ -660,7 +630,13 @@ class TailNoiseModel:
         return {
             "v": self.v,
             "ordering": self.ordering.to_dict(),
-            "blocks": [b.to_dict() for b in self.blocks],
+            "blocks": [{
+                "clique": list(b.clique),
+                "separator_vertex": b.sep[0],
+                "new_vertices": list(b.rest),
+                "family": b.family,
+                "law": b.noise.to_dict(),
+            } for b in self.blocks],
         }
 
 
@@ -691,14 +667,14 @@ def build_tail_noise(ordering: CliqueOrdering, models: dict, v: int) -> TailNois
         def b_fun(x):
             return np.hstack([p.b(np.atleast_2d(x)) for p in pairs])
 
-        blocks.append(NoiseBlock(
-            clique=root, sep_vertex=v, rest=law.index,
-            family=_family_of(table[root]), law=law, a_fun=a_fun, b_fun=b_fun,
+        blocks.append(CliqueUpdate(
+            clique=root, sep=(v,), rest=law.index,
+            family=_family_of(table[root]), psi=None,
+            phi=IndexedVector(law.index, np.ones(law.dim)), noise=law,
+            a_fun=a_fun, b_fun=b_fun,
         ))
     for clique, sep in zip(ordering.cliques[1:], ordering.separators[1:]):
         upd = _separator_update(table[clique], sep, np.ones(1))
-        blocks.append(NoiseBlock(
-            clique=clique, sep_vertex=sep[0], rest=upd.rest,
-            family=upd.family, law=upd.noise, a_fun=upd.a_fun, b_fun=upd.b_fun,
-        ))
+        blocks.append(replace(upd, psi=None,
+                              phi=IndexedVector(upd.rest, np.ones(len(upd.rest)))))
     return TailNoiseModel(ordering=ordering, v=v, blocks=tuple(blocks))

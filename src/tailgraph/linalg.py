@@ -125,12 +125,12 @@ class IndexedMatrix:
     def entry(self, i: int, j: int) -> float:
         return float(self.values[self._row_positions([i])[0], self._col_positions([j])[0]])
 
-    def check_symmetric(self, tol: float = SYMMETRY_TOL) -> "IndexedMatrix":
+    def check_symmetric(self) -> "IndexedMatrix":
         if not self.is_square:
             raise NotSPD(f"matrix indexed by {self.rows} x {self.cols} is not square")
         gap = float(np.max(np.abs(self.values - self.values.T), initial=0.0))
-        if gap > tol:
-            raise NotSPD(f"symmetry violated by {gap:.3e} (tolerance {tol:.1e})")
+        if gap > SYMMETRY_TOL:
+            raise NotSPD(f"symmetry violated by {gap:.3e} (tolerance {SYMMETRY_TOL:.1e})")
         return self
 
     def to_dict(self) -> dict:
@@ -160,11 +160,11 @@ def cholesky_spd(values: np.ndarray, what: str = "matrix") -> np.ndarray:
         raise NotSPD(f"{what} is not positive definite: {exc}") from exc
 
 
-def spd_inverse(m: IndexedMatrix, tol: float = IDENTITY_TOL) -> IndexedMatrix:
+def spd_inverse(m: IndexedMatrix) -> IndexedMatrix:
     """Inverse of a symmetric positive-definite indexed matrix.
 
     Uses a Cholesky solve and verifies ``m @ inv`` against the identity
-    to ``tol``; raises :class:`NotSPD` if factorization or the
+    to ``IDENTITY_TOL``; raises :class:`NotSPD` if factorization or the
     multiply-back check fails.
     """
     m.check_symmetric()
@@ -173,9 +173,9 @@ def spd_inverse(m: IndexedMatrix, tol: float = IDENTITY_TOL) -> IndexedMatrix:
     inv = 0.5 * (inv + inv.T)
     with np.errstate(invalid="ignore", over="ignore"):
         gap = float(np.max(np.abs(m.values @ inv - np.eye(len(m.rows)))))
-    if not gap <= tol:  # a NaN gap is a failure too
+    if not gap <= IDENTITY_TOL:  # a NaN gap is a failure too
         raise NotSPD(
-            f"inverse multiply-back off by {gap:.3e} (tolerance {tol:.1e}); "
+            f"inverse multiply-back off by {gap:.3e} (tolerance {IDENTITY_TOL:.1e}); "
             "matrix is too ill-conditioned"
         )
     return IndexedMatrix(m.rows, m.rows, inv)

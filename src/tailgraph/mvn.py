@@ -25,6 +25,8 @@ from .linalg import GaussianLaw, IndexedVector, cholesky_spd
 from .rng import OFFSET_QUAD, derived_rng
 
 MAX_DIM = 8
+#: Independently shifted lattices per QMC estimate; their spread is the error.
+_N_BATCHES = 8
 
 # Gauss-Legendre abscissae/weights used by the bivariate algorithm.
 _GL = {
@@ -158,12 +160,12 @@ def bvn_cdf(x: float, y: float, r: float) -> float:
     return _bvn_upper(-x, -y, r)
 
 
-def _lattice_batches(dim: int, n_points: int, seed: int, n_batches: int = 8):
+def _lattice_batches(dim: int, n_points: int, seed: int):
     """Shifted square-root-of-primes lattices, one (n_points, dim) block per batch."""
     q = np.sqrt(np.array(_PRIMES[:dim], dtype=float))
     k = np.arange(1, n_points + 1, dtype=float)[:, None]
     base = k * q[None, :]
-    for m in range(n_batches):
+    for m in range(_N_BATCHES):
         shift = derived_rng(seed, OFFSET_QUAD + m).random(dim)
         yield np.modf(base + shift[None, :])[0]
 

@@ -349,7 +349,7 @@ def renormalize(samples: SampleMatrix, model, mode: str) -> SampleMatrix:
         out[:, cols.index(model.v)] = samples.column(model.v) - t
         seen = {model.v}
         for blk in model.blocks:
-            x_s = samples.column(blk.sep_vertex)[:, None]
+            x_s = samples.column(blk.sep[0])[:, None]
             z = (samples.sub(blk.rest) - blk.a_fun(x_s)) / blk.b_fun(x_s)
             for j, u in enumerate(blk.rest):
                 out[:, cols.index(u)] = z[:, j]

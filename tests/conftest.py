@@ -68,6 +68,16 @@ MIXED_R = np.array([
 ])
 MIXED_GAMMA = 1.1
 
+# Γ of four collinear points (squared distances): strictly conditionally
+# negative definite in exact arithmetic, but Σ^{(2)} is numerically
+# singular while Σ^{(1)}, which VariogramMatrix factors, is not.
+COLLINEAR_GAMMA = np.array([
+    [0.0, 1.232160790202524, 3.7695948208924515, 7.617211584142656],
+    [1.232160790202524, 0.0, 0.7559727641530812, 2.7569516760423127],
+    [3.7695948208924515, 0.7559727641530812, 0.0, 1.086753483066603],
+    [7.617211584142656, 2.7569516760423127, 1.086753483066603, 0.0],
+])
+
 
 def mixed_models():
     corr = gsn.CorrelationMatrix((2, 3, 4, 5), MIXED_R)

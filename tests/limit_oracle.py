@@ -57,7 +57,7 @@ def sample_tail_model(model: TailGraphicalModel, n: int, seed: int,
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    cols = model.columns
+    cols = model.ordering.graph.vertices
     zpos = {u: k for k, u in enumerate(model.z_index)}
     values = np.empty((n, len(cols)))
     vcol = cols.index(model.v)
@@ -125,7 +125,7 @@ def noise_mean(self) -> IndexedVector:
     vals = {u: 0.0 for u in self.z_index}
     for blk in self.blocks:
         for u in blk.rest:
-            vals[u] = blk.law.mean.entry(u)
+            vals[u] = blk.noise.mean.entry(u)
     return IndexedVector(self.z_index, np.array([vals[u] for u in self.z_index]))
 
 
@@ -134,7 +134,7 @@ def noise_covariance(self) -> IndexedMatrix:
     pos = {u: k for k, u in enumerate(self.z_index)}
     for blk in self.blocks:
         rows = [pos[u] for u in blk.rest]
-        out[np.ix_(rows, rows)] = blk.law.cov.values
+        out[np.ix_(rows, rows)] = blk.noise.cov.values
     return IndexedMatrix.square(self.z_index, out)
 
 
@@ -146,7 +146,7 @@ def noise_sample(self, n: int, seed: int) -> SampleMatrix:
         rng = derived_rng(seed, k)
         nb = stop - start
         for blk in self.blocks:
-            draw = blk.law.sample(rng, nb)
+            draw = blk.noise.sample(rng, nb)
             for j, u in enumerate(blk.rest):
                 values[start:stop, cols.index(u)] = draw[:, j]
         values[start:stop, vcol] = rng.standard_exponential(nb)

@@ -7,6 +7,10 @@ Public entry points that the package never calls are allowed only when
 the acceptance tests import them, the benchmark's span recorder wraps
 them, or they are command-line commands; that allowlist is computed
 here, not written out.
+
+Every parameter with a default is also passed by some call in the
+package, the tests or the benchmark: a default nothing overrides is a
+constant.
 """
 
 import ast
@@ -74,3 +78,78 @@ def test_every_public_definition_has_a_use():
     unused = sorted(f"{module}:{name}" for name, module in _definitions().items()
                     if name not in used)
     assert unused == []
+
+
+def _defaulted_parameters():
+    """(module, callee name, parameter, position) of every parameter with a
+    default, of every function in the package.  A method is called by its
+    name and ``__init__`` by its class name, both without ``self``; the
+    position is None for a keyword-only parameter."""
+    out = []
+
+    def visit(node, module, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, child.name)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, None)
+                continue
+            name, skip = child.name, 0
+            if in_class is not None:
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                skip = 0 if static else 1
+                if name == "__init__":
+                    name = in_class
+            args = child.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            out.extend((module, name, a.arg, k - skip)
+                       for k, a in enumerate(positional) if k >= first)
+            out.extend((module, name, a.arg, None)
+                       for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                       if d is not None)
+            visit(child, module, None)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(_parse(path), path.name, None)
+    return out
+
+
+def _calls() -> dict[str, list[ast.Call]]:
+    """Every call in the package, the tests and the benchmark, by the
+    called name (the last attribute of a dotted call)."""
+    calls: dict[str, list[ast.Call]] = {}
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = (func.id if isinstance(func, ast.Name)
+                            else func.attr if isinstance(func, ast.Attribute)
+                            else None)
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True  # by keyword, or through **
+    if position is None:
+        return False
+    for k, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return True  # through *, which may reach any later position
+        if k == position:
+            return True
+    return False
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    calls = _calls()
+    unpassed = sorted(
+        f"{module}:{name}({param})"
+        for module, name, param, position in _defaulted_parameters()
+        if not any(_passes(c, param, position) for c in calls.get(name, ())))
+    assert unpassed == []

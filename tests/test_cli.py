@@ -28,6 +28,8 @@ from tailgraph.cli import (
     main,
 )
 
+from conftest import COLLINEAR_GAMMA
+
 
 @pytest.fixture(scope="module")
 def configs(pytestconfig):
@@ -140,6 +142,27 @@ def test_derive_requires_a_conditioning_vertex(configs):
     res = run("derive", "--config", str(configs / "goldner_harary.json"))
     assert res.exit_code == EXIT_CONFIG
     assert payload(res)["error"]["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize("command", ["derive", "verify"])
+def test_numerically_singular_clique_never_tracebacks(tmp_path, command):
+    """A 4-clique whose Σ^{(2)} is numerically singular: every conditioning
+    vertex ends in a JSON payload, and at vertex 2 in a typed NotSPD."""
+    path = tmp_path / "collinear.json"
+    path.write_text(json.dumps({
+        "graph": {"vertices": 4,
+                  "edges": [[i, j] for i in range(1, 5) for j in range(i + 1, 5)]},
+        "cliques": [{"vertices": [1, 2, 3, 4], "family": "husler_reiss",
+                     "variogram": COLLINEAR_GAMMA.tolist()}],
+        "v": 1, "t_levels": [2.0], "n": 500, "seed": 0,
+    }))
+    for v in range(1, 5):
+        res = run(command, "--config", str(path), "--v", str(v))
+        assert res.exit_code in (EXIT_OK, EXIT_PRECONDITION), (v, res.exception)
+        doc = payload(res)
+        if v == 2:
+            assert res.exit_code == EXIT_PRECONDITION
+            assert doc["error"]["type"] == "NotSPD"
 
 
 # ----------------------------------------------------------------- verify

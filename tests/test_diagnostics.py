@@ -322,11 +322,12 @@ def test_mrv_checks_strongly_dependent_two_tree(seed):
     {"scale": 0.0}, {"scale": -2.0}, {"scale": np.nan}, {"scale": np.inf},
     {"scale": 1.0}, {"homogeneity_tol": 0.0}, {"homogeneity_tol": -1e-4},
     {"homogeneity_tol": np.nan}, {"homogeneity_tol": np.inf},
+    {"seed": -1}, {"seed": 2.5}, {"seed": True},
 ])
 def test_mrv_checks_rejects_vacuous_or_invalid_arguments(bad):
     ordering, models = triangle_plus_edge()
     with pytest.raises(ConfigError):
-        mrv_checks(ordering, models, seed=0, **bad)
+        mrv_checks(ordering, models, **{"seed": 0, **bad})
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,6 +14,7 @@ from tailgraph.errors import (
     ConfigError,
     IncompatibleSeparators,
     InvalidVariogram,
+    NotSPD,
     NumericalBreakdown,
 )
 from tailgraph.graphs import Graph, check_separator_models, clique_ordering
@@ -21,7 +22,7 @@ from tailgraph.linalg import spd_inverse
 from tailgraph.mvn import mvn_cdf
 from tailgraph.simulate import _X_FLOOR
 
-from conftest import hr_pair_model
+from conftest import COLLINEAR_GAMMA, hr_pair_model
 from hr_fd_oracle import fd_derivative
 from hr_limit_oracle import a2_limit_params as a2_oracle
 
@@ -80,6 +81,13 @@ def test_sigma_anchor_constant_variogram():
     assert np.allclose(sig.values, [[2.0, 1.0], [1.0, 2.0]], atol=1e-15)
     with pytest.raises(ConfigError):
         hr.sigma_anchor(v, 9)
+
+
+def test_sigma_anchor_raises_not_spd_on_a_numerically_singular_anchor():
+    v = vario((1, 2, 3, 4), COLLINEAR_GAMMA)
+    assert hr.sigma_anchor(v, 1).rows == (2, 3, 4)
+    with pytest.raises(NotSPD):
+        hr.sigma_anchor(v, 2)
 
 
 def test_exp_to_frechet_round_trip():
@@ -301,9 +309,6 @@ def test_a2_params_bivariate_closed_form():
     assert p.slope.values.tolist() == [[1.0]]
     assert abs(p.law.mean.entry(2) + gamma / 2) < 1e-14
     assert abs(p.law.cov.entry(2, 2) - gamma) < 1e-14
-    root = hr.hr_root_law(hr_pair_model((1, 2), gamma), 1)
-    assert abs(root.mean.entry(2) + gamma / 2) < 1e-14
-    assert abs(root.cov.entry(2, 2) - gamma) < 1e-14
 
 
 def test_a2_params_row_sums_and_anchor_invariance():

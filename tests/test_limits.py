@@ -44,7 +44,7 @@ def test_hr_chain_composes_linear_normings(hr_chain):
     assert verdict.kind == "theorem_1"
     assert verdict.witness_clique is None
     tm = build_tail_model(ordering, models, 1)
-    unit = NormingPair(1.0, Fraction(1), 1.0, Fraction(0))
+    unit = NormingPair(1.0, Fraction(0))
     assert all(tm.normings[u] == unit for u in (1, 2, 3))
 
 
@@ -140,12 +140,12 @@ def test_mixed_tail_noise_blocks(mixed_graph):
     tn = build_tail_noise(ordering, models, 3)
     assert len(tn.blocks) == 2
     root, hr_block = tn.blocks
-    assert root.clique == (2, 3, 4, 5) and root.sep_vertex == 3
-    assert hr_block.clique == (1, 2) and hr_block.sep_vertex == 2
-    assert abs(hr_block.law.mean.values[0] + MIXED_GAMMA / 2) < 1e-14
-    assert abs(hr_block.law.cov.values[0, 0] - MIXED_GAMMA) < 1e-14
+    assert root.clique == (2, 3, 4, 5) and root.sep == (3,)
+    assert hr_block.clique == (1, 2) and hr_block.sep == (2,)
+    assert abs(hr_block.noise.mean.values[0] + MIXED_GAMMA / 2) < 1e-14
+    assert abs(hr_block.noise.cov.values[0, 0] - MIXED_GAMMA) < 1e-14
     law = gs.limit_law(gs.CorrelationMatrix((2, 3, 4, 5), MIXED_R), 3)
-    assert np.allclose(root.law.cov.values, law.cov.values, atol=1e-14)
+    assert np.allclose(root.noise.cov.values, law.cov.values, atol=1e-14)
 
     s = tn.sample(200_000, seed=3)
     z = s.sub(tn.z_index)

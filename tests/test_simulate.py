@@ -146,7 +146,7 @@ def test_renormalize_mixed_separator_mode(mixed_graph):
     graph, models = mixed_graph
     ordering = clique_ordering(graph, 3)
     tn = build_tail_noise(ordering, models, 3)
-    root_law = tn.blocks[0].law
+    root_law = tn.blocks[0].noise
 
     def stats_at(t):
         ce = conditional_exceedance(ordering, models, 3, t, N, seed=7)
