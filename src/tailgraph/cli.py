@@ -6,8 +6,10 @@ Monte Carlo checks against the derived limit).
 
 Exit codes: 0 success, 2 malformed configuration, 3 mathematical
 precondition failure (non-chordal graph, incompatible separators, ...),
-4 verification checks ran but failed.  Failures print a machine-readable
-JSON payload ``{"error": {"type": ..., "message": ...}}``.
+4 verification checks ran but failed; one context manager maps every
+failure to 2 or 3.  Failures print a machine-readable JSON payload
+``{"error": {"type": ..., "message": ...}}``; exit 3 adds the config hash
+and, from ``derive``, the verdict reached so far (``"partial"``).
 
 Every output embeds the config hash and seed.  Reruns with the same
 config and seed produce byte-identical files regardless of ``--workers``,
@@ -16,6 +18,7 @@ so worker count never appears in any output document.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -122,23 +125,29 @@ def _write(out_dir: Path | None, filename: str, text: str) -> None:
         (out_dir / filename).write_text(text)
 
 
-def _fail(exc: Exception, code: int, extra: dict | None = None) -> None:
-    payload = {"type": type(exc).__name__, "message": str(exc)}
-    witness = getattr(exc, "witness", None) or getattr(exc, "witness_clique", None)
-    if witness is not None:
-        payload["witness"] = list(witness)
-    doc = {"error": payload}
-    if extra:
-        doc.update(extra)
-    _echo(_dump(doc))
-    sys.exit(code)
+@contextlib.contextmanager
+def _exit_on_failure(cfg: RunConfig | None = None, extra: dict | None = None):
+    """Print the JSON payload of a :class:`TailgraphError` raised in the
+    block and exit: 2 for a :class:`ConfigError`, otherwise 3 with the
+    config hash and ``extra`` as it reads then.  ``cfg`` is None only
+    around :func:`load_config`, whose only failure is a ConfigError."""
+    try:
+        yield
+    except TailgraphError as exc:
+        doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        witness = getattr(exc, "witness", None) or getattr(exc, "witness_clique", None)
+        if witness is not None:
+            doc["error"]["witness"] = list(witness)
+        if isinstance(exc, ConfigError):
+            _echo(_dump(doc))
+            sys.exit(EXIT_CONFIG)
+        _echo(_dump({**doc, "config_hash": cfg.config_hash(), **(extra or {})}))
+        sys.exit(EXIT_PRECONDITION)
 
 
 def _load(config_path: str) -> RunConfig:
-    try:
+    with _exit_on_failure():
         return load_config(config_path)
-    except ConfigError as exc:
-        _fail(exc, EXIT_CONFIG)
 
 
 def _out_dir(flag: str | None, cfg: RunConfig) -> Path | None:
@@ -185,13 +194,9 @@ def cmd_graph(config_path: str, out_flag: str | None, root: int | None) -> None:
     out = _out_dir(out_flag, cfg)
     if root is None:
         root = cfg.v if cfg.v is not None else 1
-    try:
+    with _exit_on_failure(cfg):
         ordering = clique_ordering(cfg.graph, root)
         tree = junction_tree(ordering)
-    except ConfigError as exc:
-        _fail(exc, EXIT_CONFIG)
-    except TailgraphError as exc:
-        _fail(exc, EXIT_PRECONDITION, extra={"config_hash": cfg.config_hash()})
     doc = {
         "config_hash": cfg.config_hash(),
         "graph": cfg.graph.to_dict(),
@@ -213,20 +218,17 @@ def cmd_derive(config_path: str, out_flag: str | None, v_flag: int | None) -> No
     """Classify the norming recursion and emit the limit object."""
     cfg = _load(config_path)
     out = _out_dir(out_flag, cfg)
-    try:
+    with _exit_on_failure(cfg):
         v = _pick_v(v_flag, cfg)
         ordering = cfg.ordering(root=v)
         models = cfg.models(ordering)
-    except ConfigError as exc:
-        _fail(exc, EXIT_CONFIG)
-    except TailgraphError as exc:
-        _fail(exc, EXIT_PRECONDITION, extra={"config_hash": cfg.config_hash()})
 
     doc = {"config_hash": cfg.config_hash(), "v": v,
            "conventions": dict(CONVENTIONS)}
-    try:
+    partial = {"partial": None}
+    with _exit_on_failure(cfg, partial):
         verdict, model = limits.derive_limit(ordering, models, v)
-        doc["verdict"] = verdict.to_dict()
+        doc["verdict"] = partial["partial"] = verdict.to_dict()
         if model is not None:
             limit = model
             doc["tail_model"] = model.to_dict()
@@ -236,11 +238,6 @@ def cmd_derive(config_path: str, out_flag: str | None, v_flag: int | None) -> No
         mean, cov = limits.tail_model_moments(limit)
         doc["limit_moments"] = {"mean": mean.to_dict(),
                                 "covariance": cov.to_dict()}
-    except ConfigError as exc:
-        _fail(exc, EXIT_CONFIG)
-    except TailgraphError as exc:
-        _fail(exc, EXIT_PRECONDITION, extra={"config_hash": cfg.config_hash(),
-                                             "partial": doc.get("verdict")})
     _emit(doc, out, "derive.json")
 
 
@@ -291,7 +288,7 @@ def cmd_verify(config_path: str, out_flag: str | None, v_flag: int | None,
     """Run the seeded Monte Carlo checks and write the verdict tables."""
     cfg = _load(config_path)
     out = _out_dir(out_flag, cfg)
-    try:
+    with _exit_on_failure(cfg):
         v = _pick_v(v_flag, cfg)
         seed = cfg.seed if seed is None else check_seed(seed, "--seed")
         n = cfg.n if n_flag is None else n_flag
@@ -309,16 +306,12 @@ def cmd_verify(config_path: str, out_flag: str | None, v_flag: int | None,
             raise ConfigError(f"workers must be positive, got {workers}")
         ordering = cfg.ordering(root=v)
         models = cfg.models(ordering)
-    except ConfigError as exc:
-        _fail(exc, EXIT_CONFIG)
-    except TailgraphError as exc:
-        _fail(exc, EXIT_PRECONDITION, extra={"config_hash": cfg.config_hash()})
 
     tol = cfg.tolerances
     summary = {"config_hash": cfg.config_hash(), "v": v, "seed": seed, "n": n,
                "t_levels": list(t_levels), "conventions": dict(CONVENTIONS)}
     checks = {}
-    try:
+    with _exit_on_failure(cfg):
         verdict, model = limits.derive_limit(ordering, models, v)
         summary["verdict"] = verdict.to_dict()
         limit = (model if model is not None
@@ -347,10 +340,6 @@ def cmd_verify(config_path: str, out_flag: str | None, v_flag: int | None,
             _write(out, "mrv.json", _dump(mrv_doc))
             summary["mrv"] = mrv_doc
             checks["mrv"] = mrv.ok
-    except ConfigError as exc:
-        _fail(exc, EXIT_CONFIG)
-    except TailgraphError as exc:
-        _fail(exc, EXIT_PRECONDITION, extra={"config_hash": cfg.config_hash()})
 
     summary["checks"] = checks
     summary["pass"] = all(checks.values())

@@ -18,6 +18,7 @@ from . import gaussian as gsn
 from . import husler_reiss as hr
 from .errors import ConfigError
 from .graphs import Graph, CliqueOrdering, clique_ordering
+from .rng import check_seed
 
 _TOP_KEYS = {"graph", "cliques", "correlation", "v", "t_levels", "n", "seed",
              "out", "tolerances", "notes"}
@@ -27,6 +28,13 @@ _TOL_KEYS = {"ks_const", "trend_slack", "remainder_grid"}
 DEFAULT_T_LEVELS = (2.0, 4.0, 8.0)
 DEFAULT_N = 100_000
 DEFAULT_SEED = 0
+
+#: Verification defaults, for configs and the library alike: a margin's KS
+#: statistic must stay below KS_CONST / sqrt(n), a KS trend step may rise by
+#: the Monte Carlo slack TREND_SLACK, and remainders are taken at these t.
+KS_CONST = 1.95
+TREND_SLACK = 1.2
+REMAINDER_GRID = (10.0, 100.0, 1000.0)
 
 
 @dataclass(frozen=True)
@@ -117,14 +125,6 @@ def _is_finite(x) -> bool:
         return False
 
 
-def check_seed(seed, where: str) -> int:
-    """The seed; raises :class:`ConfigError` unless it is an integer in
-    [0, 2**64), the key range of the random streams."""
-    _require(_is_int(seed) and 0 <= seed < 2 ** 64,
-             f"{where} must be a 64-bit nonnegative integer, got {seed!r}")
-    return seed
-
-
 def check_t_levels(levels, where: str) -> tuple[float, ...]:
     """Levels as floats; raises :class:`ConfigError` unless they are a
     nonempty, strictly ascending run of finite positive numbers."""
@@ -173,12 +173,18 @@ def _parse_clique(data, i: int) -> CliqueSpec:
     else:
         raise ConfigError(f"cliques[{i}]: unknown family {fam!r}")
     d = len(verts)
+    rows = _square(mat, d, f"cliques[{i}]: parameter matrix must be {d}x{d} numbers")
+    return CliqueSpec(vertices=key, family=fam, matrix=rows)
+
+
+def _square(mat, d: int, message: str) -> tuple[tuple[float, ...], ...]:
+    """A d x d list of JSON numbers as float rows; otherwise
+    :class:`ConfigError` with ``message``."""
     _require(isinstance(mat, list) and len(mat) == d
              and all(isinstance(r, list) and len(r) == d
                      and all(_is_number(x) for x in r) for r in mat),
-             f"cliques[{i}]: parameter matrix must be {d}x{d} numbers")
-    rows = tuple(tuple(float(x) for x in r) for r in mat)
-    return CliqueSpec(vertices=key, family=fam, matrix=rows)
+             message)
+    return tuple(tuple(float(x) for x in r) for r in mat)
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -194,13 +200,9 @@ def parse_config(data: dict) -> RunConfig:
     correlation = None
     if "correlation" in data:
         _require(specs is None, "give either 'cliques' or 'correlation', not both")
-        mat = data["correlation"]
         d = graph.n
-        _require(isinstance(mat, list) and len(mat) == d
-                 and all(isinstance(r, list) and len(r) == d
-                         and all(_is_number(x) for x in r) for r in mat),
-                 f"whole-graph correlation must be {d}x{d} numbers")
-        correlation = tuple(tuple(float(x) for x in r) for r in mat)
+        correlation = _square(data["correlation"], d,
+                              f"whole-graph correlation must be {d}x{d} numbers")
 
     v = data.get("v")
     if v is not None:
@@ -225,8 +227,8 @@ def parse_config(data: dict) -> RunConfig:
     notes = data.get("notes")
     _require(notes is None or isinstance(notes, str), "'notes' must be a string")
 
-    tolerances = {"ks_const": 1.95, "trend_slack": 1.2,
-                  "remainder_grid": (10.0, 100.0, 1000.0)}
+    tolerances = {"ks_const": KS_CONST, "trend_slack": TREND_SLACK,
+                  "remainder_grid": REMAINDER_GRID}
     if "tolerances" in data:
         tdata = data["tolerances"]
         _require(isinstance(tdata, dict), "'tolerances' must be an object")

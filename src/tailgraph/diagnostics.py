@@ -12,7 +12,7 @@ import numpy as np
 
 from . import _scipy
 from . import husler_reiss as hr
-from .config import check_seed, check_t_levels
+from .config import KS_CONST, TREND_SLACK, check_t_levels
 from .errors import (
     ConfigError,
     EmptySubset,
@@ -28,14 +28,8 @@ from .limits import (
     derive_limit,
     tail_model_moments,
 )
-from .rng import OFFSET_MISC, derived_rng
+from .rng import OFFSET_MISC, check_seed, derived_rng
 from .simulate import _draw_plan, conditional_exceedance, renormalize
-
-#: KS acceptance scale: statistic must stay below KS_CONST / sqrt(n).
-KS_CONST = 1.95
-
-#: Slack factor absorbing Monte Carlo noise in monotone-trend verdicts.
-TREND_SLACK = 1.2
 
 #: Orthant-probability accuracy of the MRV compatibility check's measures.
 _MARGINAL_ACCURACY = 1e-9
@@ -363,7 +357,7 @@ def mrv_checks(ordering: CliqueOrdering, models: dict, seed: int = 0,
     per clique and separator; mismatched models are reported, not raised.
     ``n_points`` must be an integer >= 1, ``scale`` finite, positive and
     not 1, ``homogeneity_tol`` finite and positive, and ``seed`` one of
-    :func:`tailgraph.config.check_seed`; otherwise :class:`ConfigError`.
+    :func:`tailgraph.rng.check_seed`; otherwise :class:`ConfigError`.
     """
     if (not isinstance(n_points, numbers.Integral) or isinstance(n_points, bool)
             or n_points < 1):

@@ -41,12 +41,13 @@ from .linalg import (
     GaussianLaw,
     IndexedMatrix,
     IndexedVector,
+    _LabelledSquare,
     spd_inverse,
 )
 
 
 @dataclass(frozen=True)
-class CorrelationMatrix:
+class CorrelationMatrix(_LabelledSquare):
     """Positive-definite correlation matrix with unit diagonal."""
 
     index: tuple[int, ...]
@@ -70,23 +71,6 @@ class CorrelationMatrix:
         except np.linalg.LinAlgError as exc:
             raise NotSPD("correlation matrix is not positive definite") from exc
 
-    @property
-    def dim(self) -> int:
-        return len(self.index)
-
-    def sub(self, labels) -> "CorrelationMatrix":
-        mat = IndexedMatrix.square(self.index, self.values).sub(tuple(labels))
-        return CorrelationMatrix(mat.rows, mat.values)
-
-    def entry(self, i: int, j: int) -> float:
-        return IndexedMatrix.square(self.index, self.values).entry(i, j)
-
-    def to_dict(self) -> dict:
-        return {
-            "index": list(self.index),
-            "values": self.values.tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class GaussianCopulaModel:
@@ -102,10 +86,6 @@ class GaussianCopulaModel:
         object.__setattr__(self, "clique", clique)
         if self.correlation.index != clique:
             object.__setattr__(self, "correlation", self.correlation.sub(clique))
-
-    @property
-    def dim(self) -> int:
-        return len(self.clique)
 
 
 def _rho_with(corr: CorrelationMatrix, v: int, targets) -> np.ndarray:
@@ -232,10 +212,7 @@ def separator_norming(model: GaussianCopulaModel, sep,
         raise ConfigError(f"separator {sep} invalid for clique {model.clique}")
     if not rest:
         raise ConfigError("separator covers the whole clique")
-    if isinstance(eval_coeff, IndexedVector):
-        c = eval_coeff.sub(sep).values
-    else:
-        c = np.asarray(eval_coeff, dtype=float)
+    c = np.asarray(eval_coeff, dtype=float)
     if c.shape != (len(sep),) or np.any(c <= 0.0):
         raise DegenerateCorrelation(
             f"evaluation coefficients must be positive, got {c}"

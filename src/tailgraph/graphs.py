@@ -60,7 +60,14 @@ class Graph:
 
     n: int
     edges: frozenset
-    _adj: dict = field(compare=False, repr=False, default_factory=dict)
+    _adj: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        adj = {v: set() for v in range(1, self.n + 1)}
+        for i, j in map(sorted, self.edges):
+            adj[i].add(j)
+            adj[j].add(i)
+        object.__setattr__(self, "_adj", adj)
 
     @staticmethod
     def make(n: int, edge_list) -> "Graph":
@@ -80,17 +87,7 @@ class Graph:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ConfigError(f"edge {e!r} leaves the vertex range 1..{n}")
             edges.add(frozenset((i, j)))
-        g = Graph(n=n, edges=frozenset(edges))
-        g._build_adj()
-        return g
-
-    def _build_adj(self) -> None:
-        adj = {v: set() for v in range(1, self.n + 1)}
-        for e in self.edges:
-            i, j = sorted(e)
-            adj[i].add(j)
-            adj[j].add(i)
-        self._adj.update(adj)
+        return Graph(n=n, edges=frozenset(edges))
 
     # -- basic queries ---------------------------------------------------
 
@@ -99,8 +96,6 @@ class Graph:
         return tuple(range(1, self.n + 1))
 
     def neighbors(self, v: int) -> set[int]:
-        if not self._adj:
-            self._build_adj()
         return self._adj[v]
 
     def has_edge(self, i: int, j: int) -> bool:

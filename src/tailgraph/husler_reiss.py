@@ -46,6 +46,7 @@ from .linalg import (
     GaussianLaw,
     IndexedMatrix,
     IndexedVector,
+    _LabelledSquare,
     _labelled_matrix,
     cholesky_spd,
     spd_inverse,
@@ -58,7 +59,7 @@ _LIMIT_ACCURACY = 1e-9
 
 
 @dataclass(frozen=True)
-class VariogramMatrix:
+class VariogramMatrix(_LabelledSquare):
     """Symmetric, zero-diagonal, strictly conditionally negative definite."""
 
     index: tuple[int, ...]
@@ -88,19 +89,6 @@ class VariogramMatrix:
     @property
     def dim(self) -> int:
         return len(self.index)
-
-    def sub(self, labels) -> "VariogramMatrix":
-        mat = IndexedMatrix.square(self.index, self.values).sub(tuple(labels))
-        return VariogramMatrix(mat.rows, mat.values)
-
-    def entry(self, i: int, j: int) -> float:
-        return IndexedMatrix.square(self.index, self.values).entry(i, j)
-
-    def to_dict(self) -> dict:
-        return {
-            "index": list(self.index),
-            "values": self.values.tolist(),
-        }
 
 
 @dataclass(frozen=True)
@@ -197,8 +185,6 @@ def exponent_measure_estimate(model: HuslerReissModel, y,
     deterministic at rounding level, larger ones inherit the quadrature
     accuracy target.  A state with no finite coordinate has bound 0.
     """
-    if isinstance(y, IndexedVector):
-        y = y.sub(model.clique).values
     y = np.asarray(y, dtype=float)
     rows = _states(y, model.dim)
     value = exponent_measure_many(model.variogram, rows, accuracy=accuracy)

@@ -32,7 +32,6 @@ exact mean and covariance of both kinds.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
@@ -41,8 +40,8 @@ import numpy as np
 
 from . import gaussian as gsn
 from . import husler_reiss as hr
-from .config import check_seed
-from .errors import ConfigError, NormingIncompatible, NotBlockGraph
+from .config import REMAINDER_GRID
+from .errors import NormingIncompatible, NotBlockGraph
 from .graphs import (
     CliqueOrdering,
     _family_of,
@@ -50,13 +49,14 @@ from .graphs import (
     check_separator_models,
     clique_ordering,
 )
-from .linalg import GaussianLaw, IndexedMatrix, IndexedVector
-from .rng import derived_rng, run_blocks
+from .linalg import GaussianLaw, IndexedMatrix, IndexedVector, _positions
+from .rng import _check_rows, check_seed, derived_rng, run_blocks
 
 HALF = Fraction(1, 2)
 ZERO = Fraction(0)
 #: Separator fluctuations at which :func:`remainder_report` compares normings.
 _Z_GRID = np.linspace(-3.0, 3.0, 13)
+_COLUMN = "vertex {!r} is not a column of {}"
 
 
 @dataclass(frozen=True)
@@ -141,18 +141,11 @@ class SampleMatrix:
     values: np.ndarray
     meta: dict
 
-    def _position(self, v) -> int:
-        try:
-            return self.columns.index(v)
-        except ValueError:
-            raise ConfigError(
-                f"vertex {v!r} is not a column of {self.columns}") from None
-
     def column(self, v: int) -> np.ndarray:
-        return self.values[:, self._position(v)]
+        return self.values[:, _positions(self.columns, [v], _COLUMN)[0]]
 
     def sub(self, labels) -> np.ndarray:
-        return self.values[:, [self._position(int(v)) for v in labels]]
+        return self.values[:, _positions(self.columns, labels, _COLUMN)]
 
     @property
     def n(self) -> int:
@@ -405,14 +398,11 @@ def _sample_steps(steps: tuple[LinearStep, ...], columns: tuple[int, ...],
 
     Each row block runs the steps in order on its own (d × nb) block from
     stream k, then draws E_v, so the output bytes depend only on (steps,
-    n, seed).  ``n`` must be an integer >= 0 and ``seed`` one of
-    :func:`tailgraph.config.check_seed`; otherwise :class:`ConfigError`.
+    n, seed).  A bad seed, n or workers raises :class:`ConfigError`
+    before any row is drawn.
     """
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 0:
-        raise ConfigError(f"n must be an integer >= 0, got {n!r}")
     check_seed(seed, "seed")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    _check_rows(n, workers)
     vcol = columns.index(v)
     values = np.empty((n, len(columns)))
 
@@ -518,10 +508,6 @@ class RemainderRow:
     sup_a: float
     sup_b: float
 
-    def to_dict(self) -> dict:
-        return {"clique": list(self.clique), "t": self.t,
-                "sup_a": self.sup_a, "sup_b": self.sup_b}
-
 
 @dataclass(frozen=True)
 class RemainderReport:
@@ -535,18 +521,15 @@ class RemainderReport:
     def max_sup(self) -> float:
         return max((max(r.sup_a, r.sup_b) for r in self.rows), default=0.0)
 
-    def to_dict(self) -> dict:
-        return {"v": self.v, "rows": [r.to_dict() for r in self.rows]}
-
 
 def verify_remainders(ordering: CliqueOrdering, models: dict, v: int,
-                      t_grid=(10.0, 100.0, 1000.0)) -> RemainderReport:
+                      t_grid=REMAINDER_GRID) -> RemainderReport:
     """:func:`remainder_report` of the single-vertex limit at v."""
     return remainder_report(build_tail_model(ordering, models, v), t_grid=t_grid)
 
 
 def remainder_report(model: TailGraphicalModel,
-                     t_grid=(10.0, 100.0, 1000.0)) -> RemainderReport:
+                     t_grid=REMAINDER_GRID) -> RemainderReport:
     """Finite-level defect of each clique's norming composition.
 
     For every non-root clique, every level t and every separator

@@ -28,6 +28,41 @@ def _as_labels(index) -> tuple[int, ...]:
     return labels
 
 
+#: Messages of :func:`_positions`, formatted with the label and the index.
+_LABEL = "label {} not in index {}"
+_ROW = "row label {} not in {}"
+_COL = "column label {} not in {}"
+
+
+def _positions(index: tuple, labels, message: str) -> list[int]:
+    """Positions of ``labels`` in ``index``, where a label matches only an
+    equal entry (2.0 finds 2; 2.5 and 'a' find nothing); a label without
+    a match raises :class:`ConfigError` with ``message.format(label, index)``."""
+    pos = {u: k for k, u in enumerate(index)}
+    out = []
+    for v in labels:
+        try:
+            out.append(pos[v])
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            raise ConfigError(message.format(v, index)) from None
+    return out
+
+
+class _LabelledSquare:
+    """``sub`` and ``entry`` of a square parameter matrix whose fields are
+    ``index`` and ``values``; ``sub`` builds (and so validates) a block of
+    the same type."""
+
+    def sub(self, labels):
+        labels = tuple(labels)
+        pos = _positions(self.index, labels, _ROW)
+        return type(self)(labels, self.values[np.ix_(pos, pos)])
+
+    def entry(self, i: int, j: int) -> float:
+        (r,), (c,) = _positions(self.index, [i], _ROW), _positions(self.index, [j], _COL)
+        return float(self.values[r, c])
+
+
 def _labelled_matrix(rows, cols, values):
     """(rows, cols, values) checked: unique labels, a matching shape, and a
     read-only float copy of ``values``."""
@@ -61,19 +96,12 @@ class IndexedVector:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def positions(self, labels) -> list[int]:
-        pos = {v: k for k, v in enumerate(self.index)}
-        try:
-            return [pos[int(v)] for v in labels]
-        except KeyError as exc:
-            raise ConfigError(f"label {exc.args[0]} not in index {self.index}") from exc
-
     def sub(self, labels) -> "IndexedVector":
-        labels = tuple(int(v) for v in labels)
-        return IndexedVector(labels, self.values[self.positions(labels)])
+        labels = tuple(labels)
+        return IndexedVector(labels, self.values[_positions(self.index, labels, _LABEL)])
 
     def entry(self, label: int) -> float:
-        return float(self.values[self.positions([label])[0]])
+        return float(self.values[_positions(self.index, [label], _LABEL)[0]])
 
     def to_dict(self) -> dict:
         return {"index": list(self.index), "values": self.values.tolist()}
@@ -102,28 +130,16 @@ class IndexedMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def _row_positions(self, labels) -> list[int]:
-        pos = {v: k for k, v in enumerate(self.rows)}
-        try:
-            return [pos[int(v)] for v in labels]
-        except KeyError as exc:
-            raise ConfigError(f"row label {exc.args[0]} not in {self.rows}") from exc
-
-    def _col_positions(self, labels) -> list[int]:
-        pos = {v: k for k, v in enumerate(self.cols)}
-        try:
-            return [pos[int(v)] for v in labels]
-        except KeyError as exc:
-            raise ConfigError(f"column label {exc.args[0]} not in {self.cols}") from exc
-
     def sub(self, rows, cols=None) -> "IndexedMatrix":
-        rows = tuple(int(v) for v in rows)
-        cols = rows if cols is None else tuple(int(v) for v in cols)
-        block = self.values[np.ix_(self._row_positions(rows), self._col_positions(cols))]
+        rows = tuple(rows)
+        cols = rows if cols is None else tuple(cols)
+        block = self.values[np.ix_(_positions(self.rows, rows, _ROW),
+                                   _positions(self.cols, cols, _COL))]
         return IndexedMatrix(rows, cols, block)
 
     def entry(self, i: int, j: int) -> float:
-        return float(self.values[self._row_positions([i])[0], self._col_positions([j])[0]])
+        (r,), (c,) = _positions(self.rows, [i], _ROW), _positions(self.cols, [j], _COL)
+        return float(self.values[r, c])
 
     def check_symmetric(self) -> "IndexedMatrix":
         if not self.is_square:

@@ -20,9 +20,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _scipy
-from .errors import DimensionTooLarge, NotSPD
-from .linalg import GaussianLaw, IndexedVector, cholesky_spd
-from .rng import OFFSET_QUAD, derived_rng
+from .errors import ConfigError, DimensionTooLarge, NotSPD, NumericalBreakdown
+from .linalg import GaussianLaw, cholesky_spd
+from .rng import OFFSET_QUAD, check_seed, derived_rng
 
 MAX_DIM = 8
 #: Independently shifted lattices per QMC estimate; their spread is the error.
@@ -201,26 +201,25 @@ def mvn_cdf(
 
     Parameters
     ----------
-    upper : IndexedVector or array-like
-        Upper limits aligned with ``law.index`` (by label if indexed,
-        by position otherwise).  ``+inf`` entries marginalize the
-        corresponding coordinates.
+    upper : array-like
+        Upper limits aligned by position with ``law.index``; ``+inf``
+        entries marginalize the corresponding coordinates.  A wrong shape
+        raises :class:`ConfigError`, a NaN :class:`NumericalBreakdown`.
     accuracy : float
         Target standard error for the lattice path; ignored by the
         deterministic low-dimensional paths.
     seed : int
-        Master seed for the batch shifts; fixed seed means bit-identical
+        Master seed for the batch shifts, one of
+        :func:`tailgraph.rng.check_seed`; fixed seed means bit-identical
         output.
     """
-    if isinstance(upper, IndexedVector):
-        vec = upper.sub(law.index).values
-    else:
-        vec = np.asarray(upper, dtype=float)
-        if vec.shape != (law.dim,):
-            raise ValueError(f"upper limits shape {vec.shape} != dim {law.dim}")
+    check_seed(seed, "seed")
+    vec = np.asarray(upper, dtype=float)
+    if vec.shape != (law.dim,):
+        raise ConfigError(f"upper limits shape {vec.shape} != dim {law.dim}")
     b = vec - law.mean.values
     if np.any(np.isnan(b)):
-        raise ValueError("NaN upper limit")
+        raise NumericalBreakdown("NaN upper limit")
     if np.any(b == -np.inf):
         return CdfEstimate(0.0, 0.0)
     keep = ~np.isinf(b)

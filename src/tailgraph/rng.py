@@ -13,8 +13,11 @@ the finite-level simulator each hand it a fill function for one block.
 from __future__ import annotations
 
 import concurrent.futures
+import numbers
 
 import numpy as np
+
+from .errors import ConfigError
 
 MASK64 = (1 << 64) - 1
 
@@ -28,12 +31,29 @@ OFFSET_MISC = 1 << 34
 BLOCK = 1 << 15
 
 
+def check_seed(seed, where: str) -> int:
+    """The seed; raises :class:`ConfigError` unless it is an integer (not
+    a bool) in [0, 2**64), the range of the seed half of a stream key."""
+    if isinstance(seed, bool) or not (isinstance(seed, int) and 0 <= seed <= MASK64):
+        raise ConfigError(f"{where} must be a 64-bit nonnegative integer, got {seed!r}")
+    return seed
+
+
+def _check_rows(n, workers) -> None:
+    """Raise :class:`ConfigError` unless ``n`` (rows to draw) is an
+    integer >= 0 and ``workers`` one >= 1."""
+    for name, value, low in (("n", n, 0), ("workers", workers, 1)):
+        if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+                or value < low):
+            raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def derived_rng(seed: int, stream: int) -> np.random.Generator:
-    """Generator for the given (seed, stream) pair."""
-    if not 0 <= seed <= MASK64:
-        raise ValueError(f"seed must fit in 64 bits, got {seed}")
+    """Generator for the given (seed, stream) pair; the seed is one of
+    :func:`check_seed`."""
+    check_seed(seed, "seed")
     if not 0 <= stream <= MASK64:
-        raise ValueError(f"stream id must fit in 64 bits, got {stream}")
+        raise ConfigError(f"stream id must fit in 64 bits, got {stream}")
     return np.random.Generator(np.random.Philox(key=(seed << 64) | stream))
 
 

@@ -36,7 +36,7 @@ from .errors import (
 from .graphs import CliqueOrdering, _models_table, check_separator_models
 from .limits import SampleMatrix, TailGraphicalModel, TailNoiseModel, _rooted
 from .linalg import cholesky_spd
-from .rng import OFFSET_LATENT, derived_rng, run_blocks
+from .rng import OFFSET_LATENT, _check_rows, check_seed, derived_rng, run_blocks
 
 #: Absolute tolerance of the HR pair inverter, on the exponential scale:
 #: every root it returns is the midpoint of a bracket narrower than this.
@@ -250,7 +250,10 @@ def _fill(d: _Draw, x: np.ndarray, rng) -> None:
 def _simulate(plan: _DrawPlan, n: int, seed: int, workers: int,
               t: float | None = None) -> np.ndarray:
     """n rows of the plan; with ``t`` the column of ``plan.v`` is t plus
-    a unit exponential drawn first in each block."""
+    a unit exponential drawn first in each block.  A bad seed, n or
+    workers raises :class:`ConfigError` before any row is drawn."""
+    check_seed(seed, "seed")
+    _check_rows(n, workers)
     cols = plan.ordering.graph.vertices
     values = np.empty((n, len(cols)))
 

@@ -11,6 +11,10 @@ here, not written out.
 Every parameter with a default is also passed by some call in the
 package, the tests or the benchmark: a default nothing overrides is a
 constant.
+
+Every ``raise`` in the package names a ``TailgraphError`` subclass, so
+the command line can map each failure to its exit code, and every name a
+module imports is read in that module.
 """
 
 import ast
@@ -153,3 +157,65 @@ def test_every_defaulted_parameter_is_passed_somewhere():
         for module, name, param, position in _defaulted_parameters()
         if not any(_passes(c, param, position) for c in calls.get(name, ())))
     assert unpassed == []
+
+
+def _error_classes() -> set[str]:
+    """TailgraphError and the classes errors.py derives from it."""
+    names = {"TailgraphError"}
+    for stmt in _parse(PACKAGE / "errors.py").body:
+        if isinstance(stmt, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in names for b in stmt.bases):
+            names.add(stmt.name)
+    return names
+
+
+def _raises() -> list[tuple[str, str | None, str | None]]:
+    """(module, enclosing function, raised class name) of every raise in
+    the package; the name is None for a bare re-raise."""
+    out = []
+
+    def visit(node, module, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Raise):
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                out.append((module, func, exc.id if isinstance(exc, ast.Name)
+                            else None if exc is None else ast.unparse(exc)))
+            visit(child, module, func)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(_parse(path), path.name, None)
+    return out
+
+
+def test_every_raise_is_a_package_error():
+    """Two internal invariants of the clique ordering assert, and the
+    module ``__getattr__`` protocol requires its AttributeError."""
+    typed = _error_classes()
+    untyped = sorted(r for r in _raises() if r[2] not in typed)
+    assert untyped == [("_scipy.py", "__getattr__", "AttributeError"),
+                       ("graphs.py", "_find_chordless_cycle", "AssertionError"),
+                       ("graphs.py", "clique_ordering", "AssertionError")]
+
+
+def test_every_import_is_read():
+    """``__init__`` imports to re-export, and ``from __future__`` binds
+    nothing the module reads."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = _parse(path)
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unread += [f"{path.name}:{name}" for name in bound if name not in read]
+    assert unread == []

@@ -453,3 +453,61 @@ def test_verify_accepts_the_largest_seed(configs):
               "--n", "200", "--seed", str(2 ** 64 - 1))
     assert res.exit_code in (EXIT_OK, EXIT_VERIFY)
     assert payload(res)["seed"] == 2 ** 64 - 1
+
+
+# --------------------------------------------------------- failure payloads
+
+
+TRIANGLE_R = [[1.0, 0.5, 0.4], [0.5, 1.0, 0.3], [0.4, 0.3, 1.0]]
+
+
+def _write_config(tmp_path, n, edges, cliques):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"graph": {"vertices": n, "edges": edges},
+                                "cliques": cliques, "v": 1}))
+    return str(path)
+
+
+def test_derive_keeps_the_verdict_when_the_tail_noise_fails(tmp_path):
+    """The walk stops at the HR pair (2, 3), which needs the tail noise;
+    the Gaussian triangles share the separator (4, 5), so the graph is no
+    block graph and the tail noise cannot be built."""
+    path = _write_config(
+        tmp_path, 6, [[1, 2], [2, 3], [3, 4], [3, 5], [4, 5], [4, 6], [5, 6]],
+        [{"vertices": [1, 2], "family": "gaussian",
+          "correlation": [[1.0, 0.7], [0.7, 1.0]]},
+         {"vertices": [2, 3], "family": "husler_reiss",
+          "variogram": [[0.0, 1.0], [1.0, 0.0]]},
+         {"vertices": [3, 4, 5], "family": "gaussian", "correlation": TRIANGLE_R},
+         {"vertices": [4, 5, 6], "family": "gaussian",
+          "correlation": [[1.0, 0.3, 0.5], [0.3, 1.0, 0.6], [0.5, 0.6, 1.0]]}])
+    res = run("derive", "--config", path)
+    assert res.exit_code == EXIT_PRECONDITION
+    doc = payload(res)
+    assert doc["error"]["type"] == "NotBlockGraph"
+    assert doc["partial"]["kind"] == "tail_noise_required"
+    assert doc["partial"]["witness_clique"] == [2, 3]
+    assert len(doc["config_hash"]) == 64
+
+
+def test_derive_has_no_verdict_when_the_walk_fails(tmp_path):
+    """A Gaussian triangle glued to an HR triangle on (2, 3): the walk
+    itself rejects the separator, before any verdict."""
+    path = _write_config(
+        tmp_path, 4, [[1, 2], [1, 3], [2, 3], [2, 4], [3, 4]],
+        [{"vertices": [1, 2, 3], "family": "gaussian", "correlation": TRIANGLE_R},
+         {"vertices": [2, 3, 4], "family": "husler_reiss",
+          "variogram": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]}])
+    res = run("derive", "--config", path)
+    assert res.exit_code == EXIT_PRECONDITION
+    doc = payload(res)
+    assert doc["error"]["type"] == "IncompatibleSeparators"
+    assert doc["partial"] is None
+
+
+@pytest.mark.parametrize("command", ["derive", "verify"])
+def test_conditioning_vertex_outside_the_graph(configs, command):
+    res = run(command, "--config", str(configs / "hr_chain.json"), "--v", "9")
+    assert res.exit_code == EXIT_CONFIG
+    assert payload(res) == {"error": {"type": "ConfigError",
+                                      "message": "v=9 outside 1..3"}}

@@ -15,6 +15,8 @@ from tailgraph import gaussian as gs
 from tailgraph import husler_reiss as hr
 from tailgraph.config import parse_config
 from tailgraph.diagnostics import (
+    ConvergenceReport,
+    MarginRow,
     chi_estimator,
     convergence_study,
     factorized_density,
@@ -188,6 +190,18 @@ def test_convergence_study_auto_separator_mode(mixed_graph):
     ordering = clique_ordering(graph, 1)
     rep = convergence_study(ordering, models, 3, (8.0, 20.0), 20_000, seed=6)
     assert rep.mode == "separator_based"
+
+
+@pytest.mark.parametrize("ks_last, ok", [(0.119, True), (0.121, False)])
+def test_trend_fails_when_a_vertex_rises_beyond_the_slack(ks_last, ok):
+    """Vertex 2 falls along the ladder; vertex 3 rises from 0.1, which the
+    default slack of 1.2 forgives up to 0.12 and no further."""
+    ks = {2: (0.3, 0.2, 0.1), 3: (0.2, 0.1, ks_last)}
+    rows = tuple(MarginRow(t=t, vertex=u, ks=ks[u][k], n=100, threshold=1.0)
+                 for k, t in enumerate((2.0, 4.0, 8.0)) for u in (2, 3))
+    rep = ConvergenceReport(v=1, mode="condition_on_root", t_levels=(2.0, 4.0, 8.0),
+                            n=100, seed=0, rows=rows, mean_gap={}, cov_gap={})
+    assert rep.trend_ok() is ok
 
 
 @pytest.mark.parametrize("levels", [(), (2.0, np.nan), (np.inf,), (-1.0,)])

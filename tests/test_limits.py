@@ -289,6 +289,27 @@ def test_hr_two_trees_match_reference_moments():
     assert_matches_oracle(model, n=40_000)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_hr_precision_recursion_at_a_vertex_in_several_cliques(seed):
+    """Rooted at a vertex that lies in two or more triangles, a later
+    clique holds v too, and ``tail_model_precision`` subtracts the
+    precision of its separator; the recursion still inverts to the
+    limit's covariance, and ``tail_model_mean`` gives its mean."""
+    cfg = parse_config(_perfbench_workloads().hr_tri(seed, 8))
+    cliques = cfg.ordering().cliques
+    shared = [v for v in cfg.graph.vertices if sum(v in c for c in cliques) >= 2]
+    assert len(shared) >= 2
+    for v in shared:
+        ordering = cfg.ordering(root=v)
+        models = cfg.models(ordering)
+        mean, cov = tail_model_moments(build_tail_model(ordering, models, v))
+        prec_cov = spd_inverse(hr.tail_model_precision(ordering, models, v))
+        hr_mean = hr.tail_model_mean(ordering, models, v)
+        assert prec_cov.rows == cov.rows and hr_mean.index == mean.index
+        assert np.max(np.abs(prec_cov.values - cov.values)) <= 1e-12
+        assert np.max(np.abs(hr_mean.values - mean.values)) <= 1e-12
+
+
 def test_zero_covariance_keeps_its_sign_through_a_negative_slope():
     """The Gaussian block {3, 4} hangs off v = 1 alone, so it is
     independent of the HR vertex 2; vertex 5 then reads the free column 3
@@ -375,14 +396,20 @@ def test_goldner_harary_field_matches_reference_sampler(v):
 # ------------------------------------------------------------- error gates
 
 
-@pytest.mark.parametrize("n, seed", [(-1, 0), (2.5, 0), (True, 0), (10, -1)],
-                         ids=["negative_n", "fractional_n", "bool_n", "negative_seed"])
-def test_limit_sampling_rejects_bad_arguments(hr_chain, n, seed):
+@pytest.mark.parametrize(
+    "n, seed, workers",
+    [(-1, 0, 1), (2.5, 0, 1), (True, 0, 1), (10, -1, 1), (10, 2.5, 1),
+     (10, True, 1), (10, 2 ** 64, 1), (10, 0, 0), (10, 0, 2.5)],
+    ids=["negative_n", "fractional_n", "bool_n", "negative_seed", "fractional_seed",
+         "bool_seed", "wide_seed", "zero_workers", "fractional_workers"])
+def test_limit_sampling_rejects_bad_arguments(hr_chain, n, seed, workers):
     ordering, models = hr_chain
     with pytest.raises(ConfigError):
-        sample_tail_model(build_tail_model(ordering, models, 1), n, seed)
-    with pytest.raises(ConfigError):
-        build_tail_noise(ordering, models, 1).sample(n, seed)
+        sample_tail_model(build_tail_model(ordering, models, 1), n, seed,
+                          workers=workers)
+    if workers == 1:
+        with pytest.raises(ConfigError):
+            build_tail_noise(ordering, models, 1).sample(n, seed)
 
 
 @pytest.mark.parametrize("read", [lambda s: s.column(99), lambda s: s.sub([2, 99])],

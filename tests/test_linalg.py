@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from tailgraph.errors import ConfigError, NotSPD
+from tailgraph.gaussian import CorrelationMatrix
+from tailgraph.husler_reiss import VariogramMatrix
+from tailgraph.limits import SampleMatrix
 from tailgraph.linalg import (
     GaussianLaw,
     IndexedMatrix,
@@ -13,7 +16,7 @@ from tailgraph.linalg import (
     cholesky_spd,
     spd_inverse,
 )
-from tailgraph.rng import derived_rng
+from tailgraph.rng import MASK64, derived_rng
 
 
 def test_vector_labels():
@@ -36,6 +39,42 @@ def test_matrix_labels_and_blocks():
     assert blk.values.tolist() == [[8.0, 6.0], [2.0, 0.0]]
     rect = m.sub((1,), (3, 7))
     assert rect.values.tolist() == [[1.0, 2.0]]
+
+
+LABELLED = {
+    "vector": IndexedVector((1, 2, 3), np.array([0.5, 1.5, 2.5])),
+    "matrix": IndexedMatrix.square((1, 2, 3), np.arange(9.0).reshape(3, 3)),
+    "correlation": CorrelationMatrix((1, 2, 3), np.eye(3) * 0.8 + 0.2),
+    "variogram": VariogramMatrix((1, 2, 3), 1.0 - np.eye(3)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LABELLED))
+def test_labels_match_only_equal_labels(kind):
+    """2.0 is the label 2; 2.5 and 'a' are no label, not 2 or a bare
+    ValueError."""
+    obj = LABELLED[kind]
+    read = obj.entry if kind == "vector" else lambda u: obj.entry(u, u)
+    assert read(2.0) == read(2) and repr(obj.sub((3, 2.0))) == repr(obj.sub((3, 2)))
+    for bad in (2.5, "a", np.nan, [2]):
+        with pytest.raises(ConfigError):
+            read(bad)
+        with pytest.raises(ConfigError):
+            obj.sub((1, bad))
+        if kind != "vector":
+            with pytest.raises(ConfigError):
+                obj.entry(1, bad)
+
+
+def test_sample_columns_match_only_equal_labels():
+    samples = SampleMatrix((1, 2, 3), np.arange(6.0).reshape(2, 3), {})
+    assert samples.column(2.0).tolist() == [1.0, 4.0]
+    assert samples.sub((3, 2.0)).tolist() == [[2.0, 1.0], [5.0, 4.0]]
+    for bad in (2.5, "a", [2]):
+        with pytest.raises(ConfigError):
+            samples.column(bad)
+        with pytest.raises(ConfigError):
+            samples.sub((1, bad))
 
 
 def test_check_symmetric():
@@ -114,3 +153,12 @@ def test_gaussian_law_validates_shapes():
 def test_gaussian_law_rejects_a_bad_covariance(cov):
     with pytest.raises(NotSPD):
         GaussianLaw.from_arrays((1, 2), np.zeros(2), np.array(cov))
+
+
+@pytest.mark.parametrize("seed, stream", [(-1, 0), (2.5, 0), (True, 0),
+                                          (MASK64 + 1, 0), (0, -1), (0, MASK64 + 1)],
+                         ids=["negative_seed", "fractional_seed", "bool_seed",
+                              "wide_seed", "negative_stream", "wide_stream"])
+def test_derived_rng_rejects_keys_outside_64_bits(seed, stream):
+    with pytest.raises(ConfigError):
+        derived_rng(seed, stream)

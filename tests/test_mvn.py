@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 from scipy.special import ndtr
 
-from tailgraph.errors import DimensionTooLarge
+from tailgraph.errors import ConfigError, DimensionTooLarge, NumericalBreakdown
 from tailgraph.linalg import GaussianLaw, IndexedMatrix, IndexedVector
 from tailgraph.mvn import CdfEstimate, bvn_cdf, mvn_cdf
 
@@ -103,3 +103,16 @@ def test_dimension_cap():
     law = make_law(tuple(range(1, d + 1)), np.zeros(d), np.eye(d))
     with pytest.raises(DimensionTooLarge):
         mvn_cdf(np.zeros(d), law)
+
+
+@pytest.mark.parametrize("upper, seed, error", [
+    ([0.0, 0.0], 0, ConfigError), ([[0.0, 0.0, 0.0]], 0, ConfigError),
+    ([0.0, np.nan, 0.0], 0, NumericalBreakdown), ([0.0, 0.0, 0.0], -1, ConfigError),
+    ([0.0, 0.0, 0.0], 2.5, ConfigError), ([0.0, 0.0, 0.0], True, ConfigError),
+    ([0.0, 0.0, 0.0], 2 ** 64, ConfigError),
+], ids=["short", "two_dimensional", "nan", "negative_seed", "fractional_seed",
+        "bool_seed", "wide_seed"])
+def test_mvn_rejects_bad_arguments(upper, seed, error):
+    law = GaussianLaw.from_arrays((1, 2, 3), np.zeros(3), np.eye(3) + 0.2)
+    with pytest.raises(error):
+        mvn_cdf(np.array(upper), law, seed=seed)

@@ -1,5 +1,6 @@
 """Exact finite-level samplers and the renormalization bridge to the limits."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from scipy import stats
 from tailgraph import diagnostics
 from tailgraph import gaussian as gs
 from tailgraph import husler_reiss as hr
-from tailgraph.errors import ConfigError, UnsupportedCliqueShape
+from tailgraph.errors import ConfigError, MissingNorming, UnsupportedCliqueShape
 from tailgraph.graphs import Graph, clique_ordering
 from tailgraph.limits import build_tail_model, build_tail_noise
 from tailgraph.linalg import spd_inverse
@@ -174,6 +175,39 @@ def test_renormalize_mixed_separator_mode(mixed_graph):
     assert abs(cross50) < 0.01  # blocks decouple in the limit
 
 
+def _renormalize_case(case, ordering, models):
+    """(samples, model, mode) of one way ``renormalize`` must refuse."""
+    tm = build_tail_model(ordering, models, 1)
+    tn = build_tail_noise(ordering, models, 1)
+    cond = conditional_exceedance(ordering, models, 1, 4.0, 50, seed=0)
+    if case == "unknown_mode":
+        return cond, tm, "condition_on_vertex"
+    if case == "no_threshold":
+        return simulate_graphical(ordering, models, 50, seed=0), tm, "condition_on_root"
+    if case == "root_mode_given_noise":
+        return cond, tn, "condition_on_root"
+    if case == "separator_mode_given_model":
+        return cond, tm, "separator_based"
+    if case == "model_misses_a_norming":
+        normings = {u: p for u, p in tm.normings.items() if u != 3}
+        return cond, dataclasses.replace(tm, normings=normings), "condition_on_root"
+    return cond, dataclasses.replace(tn, blocks=tn.blocks[:-1]), "separator_based"
+
+
+@pytest.mark.parametrize("case, error, match", [
+    ("unknown_mode", ConfigError, "unknown renormalization mode"),
+    ("no_threshold", ConfigError, "no threshold"),
+    ("root_mode_given_noise", MissingNorming, "^condition_on_root"),
+    ("separator_mode_given_model", MissingNorming, "^separator_based"),
+    ("model_misses_a_norming", MissingNorming, "no norming for vertex 3"),
+    ("noise_misses_a_block", MissingNorming, r"no block covers vertices \[3\]"),
+])
+def test_renormalize_refuses(hr_chain, case, error, match):
+    samples, model, mode = _renormalize_case(case, *hr_chain)
+    with pytest.raises(error, match=match):
+        renormalize(samples, model, mode)
+
+
 # ------------------------------------------------------------ determinism
 
 
@@ -219,6 +253,23 @@ def test_conditional_exceedance_rejects_a_foreign_plan(hr_chain, gauss_chain):
                                 plan=_draw_plan(ordering, models, 1))
     ref = conditional_exceedance(ordering, models, 1, 4.0, 10, seed=1)
     assert ok.values.tobytes() == ref.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, seed, workers",
+    [(-1, 0, 1), (2.5, 0, 1), (True, 0, 1), (10, -1, 1), (10, 2.5, 1),
+     (10, True, 1), (10, 2 ** 64, 1), (0, -1, 1), (10, 0, 0), (10, 0, 2.5)],
+    ids=["negative_n", "fractional_n", "bool_n", "negative_seed", "fractional_seed",
+         "bool_seed", "wide_seed", "no_rows_negative_seed", "zero_workers",
+         "fractional_workers"])
+def test_simulators_reject_bad_arguments(hr_chain, n, seed, workers):
+    """One seed rule and one row-count rule, checked before any row is
+    drawn, even when there is none to draw."""
+    ordering, models = hr_chain
+    with pytest.raises(ConfigError):
+        simulate_graphical(ordering, models, n, seed, workers=workers)
+    with pytest.raises(ConfigError):
+        conditional_exceedance(ordering, models, 1, 4.0, n, seed, workers=workers)
 
 
 def test_study_limit_builds_draw_constants_once(gauss_chain, monkeypatch):
