@@ -281,11 +281,8 @@ def clique_ordering(graph: Graph, root_vertex: int) -> CliqueOrdering:
         containing[v].append(0)
     for i, c in enumerate(cliques[1:], start=1):
         sep = tuple(v for v in c if containing[v])
-        if sep:
-            pool = min((containing[v] for v in sep), key=len)
-            parent = next((k for k in pool if set(sep) <= set(cliques[k])), None)
-        else:
-            parent = 0
+        pool = min((containing[v] for v in sep), key=len, default=())
+        parent = next((k for k in pool if set(sep) <= set(cliques[k])), None)
         if parent is None:
             raise NotChordal(_find_chordless_cycle(graph))
         separators.append(sep)

@@ -399,9 +399,9 @@ def _sample_steps(steps: tuple[LinearStep, ...], columns: tuple[int, ...],
     Each row block runs the steps in order on its own (d × nb) block from
     stream k, then draws E_v, so the output bytes depend only on (steps,
     n, seed).  A bad seed, n or workers raises :class:`ConfigError`
-    before any row is drawn.
+    before any row is drawn; ``meta`` is stored with the seed as an int.
     """
-    check_seed(seed, "seed")
+    seed = check_seed(seed, "seed")
     _check_rows(n, workers)
     vcol = columns.index(v)
     values = np.empty((n, len(columns)))
@@ -417,7 +417,7 @@ def _sample_steps(steps: tuple[LinearStep, ...], columns: tuple[int, ...],
         values[start:stop, vcol + 1:] = zmat[vcol:].T
 
     run_blocks(n, workers, fill)
-    return SampleMatrix(columns=columns, values=values, meta=meta)
+    return SampleMatrix(columns=columns, values=values, meta={**meta, "seed": seed})
 
 
 def _moments(steps: tuple[LinearStep, ...],
@@ -480,7 +480,7 @@ def sample_tail_model(model: TailGraphicalModel, n: int, seed: int,
     """
     return _sample_steps(
         model.steps, model.ordering.graph.vertices, model.v, n, seed, workers,
-        meta={"kind": "tail_model", "v": model.v, "n": n, "seed": seed},
+        meta={"kind": "tail_model", "v": model.v, "n": n},
     )
 
 
@@ -606,7 +606,7 @@ class TailNoiseModel:
         """n draws of (E_v, Z_{V\\v})."""
         return _sample_steps(
             self.steps, self.ordering.graph.vertices, self.v, n, seed, 1,
-            meta={"kind": "tail_noise", "v": self.v, "n": n, "seed": seed},
+            meta={"kind": "tail_noise", "v": self.v, "n": n},
         )
 
     def to_dict(self) -> dict:

@@ -32,11 +32,13 @@ BLOCK = 1 << 15
 
 
 def check_seed(seed, where: str) -> int:
-    """The seed; raises :class:`ConfigError` unless it is an integer (not
-    a bool) in [0, 2**64), the range of the seed half of a stream key."""
-    if isinstance(seed, bool) or not (isinstance(seed, int) and 0 <= seed <= MASK64):
+    """The seed as an int; raises :class:`ConfigError` unless it is an
+    integer (a NumPy one too, not a bool) in [0, 2**64), the range of
+    the seed half of a stream key."""
+    if (not isinstance(seed, numbers.Integral) or isinstance(seed, bool)
+            or not 0 <= seed <= MASK64):
         raise ConfigError(f"{where} must be a 64-bit nonnegative integer, got {seed!r}")
-    return seed
+    return int(seed)
 
 
 def _check_rows(n, workers) -> None:
@@ -50,8 +52,8 @@ def _check_rows(n, workers) -> None:
 
 def derived_rng(seed: int, stream: int) -> np.random.Generator:
     """Generator for the given (seed, stream) pair; the seed is one of
-    :func:`check_seed`."""
-    check_seed(seed, "seed")
+    :func:`check_seed`, shifted as an int so that no NumPy integer wraps."""
+    seed = check_seed(seed, "seed")
     if not 0 <= stream <= MASK64:
         raise ConfigError(f"stream id must fit in 64 bits, got {stream}")
     return np.random.Generator(np.random.Philox(key=(seed << 64) | stream))

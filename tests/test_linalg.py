@@ -8,7 +8,7 @@ import pytest
 from tailgraph.errors import ConfigError, NotSPD
 from tailgraph.gaussian import CorrelationMatrix
 from tailgraph.husler_reiss import VariogramMatrix
-from tailgraph.limits import SampleMatrix
+from tailgraph.limits import SampleMatrix, build_tail_model, sample_tail_model
 from tailgraph.linalg import (
     GaussianLaw,
     IndexedMatrix,
@@ -16,7 +16,9 @@ from tailgraph.linalg import (
     cholesky_spd,
     spd_inverse,
 )
-from tailgraph.rng import MASK64, derived_rng
+from tailgraph.mvn import mvn_cdf
+from tailgraph.rng import MASK64, check_seed, derived_rng
+from tailgraph.simulate import conditional_exceedance
 
 
 def test_vector_labels():
@@ -162,3 +164,39 @@ def test_gaussian_law_rejects_a_bad_covariance(cov):
 def test_derived_rng_rejects_keys_outside_64_bits(seed, stream):
     with pytest.raises(ConfigError):
         derived_rng(seed, stream)
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint64(3)], ids=["int64", "uint64"])
+def test_numpy_integer_seeds_draw_the_streams_of_their_int(hr_chain, seed):
+    """A NumPy integer seed is the int it holds: the same bytes as 3 in
+    the limit sampler, the finite-level simulator and the lattice CDF,
+    and each sample records the int.  (Shifted as np.int64, 3 << 64
+    wraps to the stream of seed 0.)"""
+    ordering, models = hr_chain
+    model = build_tail_model(ordering, models, 1)
+    for draw in (lambda s: sample_tail_model(model, 100, s),
+                 lambda s: conditional_exceedance(ordering, models, 1, 4.0, 100, s)):
+        got, want = draw(seed), draw(3)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert type(got.meta["seed"]) is int and got.meta["seed"] == 3
+    law = GaussianLaw.from_arrays((1, 2, 3, 4), np.zeros(4),
+                                  np.full((4, 4), 0.5) + 0.5 * np.eye(4))
+    upper = np.array([0.5, 0.2, -0.1, 1.0])
+    assert mvn_cdf(upper, law, seed=seed) == mvn_cdf(upper, law, seed=3)
+    assert mvn_cdf(upper, law, seed=seed) != mvn_cdf(upper, law, seed=0)
+
+
+@pytest.mark.parametrize("seed", [np.uint64(MASK64), np.int64(-1), np.bool_(True)],
+                         ids=["widest_uint64", "negative_int64", "numpy_bool"])
+def test_numpy_integer_seeds_follow_the_int_rule(hr_chain, seed):
+    """One integer rule: NumPy integers in [0, 2**64) are seeds, a
+    negative one or a NumPy bool is not."""
+    ordering, models = hr_chain
+    if isinstance(seed, np.bool_) or seed < 0:
+        with pytest.raises(ConfigError):
+            check_seed(seed, "seed")
+        with pytest.raises(ConfigError):
+            conditional_exceedance(ordering, models, 1, 4.0, 10, seed)
+    else:
+        assert type(check_seed(seed, "seed")) is int
+        assert conditional_exceedance(ordering, models, 1, 4.0, 10, seed).meta["seed"] == MASK64

@@ -1,6 +1,7 @@
 """Exact finite-level samplers and the renormalization bridge to the limits."""
 
 import dataclasses
+import sys
 import warnings
 
 import numpy as np
@@ -12,7 +13,13 @@ from scipy import stats
 from tailgraph import diagnostics
 from tailgraph import gaussian as gs
 from tailgraph import husler_reiss as hr
-from tailgraph.errors import ConfigError, MissingNorming, UnsupportedCliqueShape
+from tailgraph import simulate as sim
+from tailgraph.errors import (
+    ConfigError,
+    MissingNorming,
+    NumericalBreakdown,
+    UnsupportedCliqueShape,
+)
 from tailgraph.graphs import Graph, clique_ordering
 from tailgraph.limits import build_tail_model, build_tail_noise
 from tailgraph.linalg import spd_inverse
@@ -30,6 +37,7 @@ from tailgraph.simulate import (
 
 from conftest import MIXED_GAMMA, chain_correlation, hr_pair_model, mixed_models
 from simulate_oracle import _invert_kernel
+from simulate_oracle import _invert_pair as eager_invert_pair
 
 N = 100_000
 KS_BAND = 1.95 / np.sqrt(N)
@@ -374,6 +382,114 @@ def test_pair_inverter_bisects_where_newton_stalls(monkeypatch):
     assert sum(slope_calls) <= _NEWTON_STEPS + 48
     y1 = hr.exp_to_frechet(x1)
     assert kernel(3.0, y1, x - INVERT_TOL / 2) < u <= kernel(3.0, y1, x + INVERT_TOL / 2)
+
+
+_LAZY_EDGE_U = st.one_of(_EDGE_U, st.sampled_from([1e-20, 1.0 - 1e-10, 1.0 - 1e-14]))
+
+
+@given(gamma=st.floats(0.05, 9.0),
+       rows=st.lists(st.tuples(st.floats(1e-3, 300.0),
+                               st.one_of(_LAZY_EDGE_U,
+                                         st.floats(0.0, 1.0, exclude_max=True))),
+                     min_size=1, max_size=8))
+def test_pair_inverter_equals_the_eager_oracle(gamma, rows):
+    """Searching for a row's bracket top only when a test could read it
+    changes no bit: every root equals the one of the inverter that
+    searched for every top first, and a row that cannot be bracketed
+    raises on both."""
+    x1 = np.array([r[0] for r in rows])
+    u = np.array([r[1] for r in rows])
+    model = hr_pair_model((1, 2), gamma)
+    try:
+        want = eager_invert_pair(model, 1, x1.copy(), u)
+    except NumericalBreakdown:
+        with pytest.raises(NumericalBreakdown):
+            _invert_pair(model, 1, x1.copy(), u)
+        return
+    assert _invert_pair(model, 1, x1.copy(), u).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("gamma, x1, u, lagging, iteration, reasons", [
+    (9.0, 1.0, 1.0 - 1e-10, False, 0, {"x"}),
+    (1.3, 5.0, 1e-300, False, 0, {"midpoint"}),
+    (4.0, 170.0, 1e-302, False, 1, {"x"}),
+    (4.0, 123.0, 1e-306, False, 1, {"midpoint", "x"}),
+    (4.0, 85.0, 1.2589254117942332e-293, False, _NEWTON_STEPS + 1, {"midpoint"}),
+    (9.0, 1.0, 0.9999806931413847, True, 4, {"midpoint", "lo"}),
+], ids=["start_reaches_the_edge", "start_below_the_floor",
+        "iterate_reaches_the_edge", "iterate_not_finite", "newton_steps_run_out",
+        "probe_reaches_the_edge"])
+def test_each_lazy_top_trigger_keeps_the_bits(monkeypatch, gamma, x1, u, lagging,
+                                              iteration, reasons):
+    """A row without a certified upper end searches for its top when it
+    needs a midpoint or when x reaches the edge x1 + 8 − INVERT_TOL, at
+    the start or after a step; a probe that takes lo past the edge comes
+    with a midpoint.  Each row here reaches one case, read from the
+    inverter's own frame at the call, and keeps the bits of the inverter
+    that searched first."""
+    kernel, top, calls = hr.transition_kernel, sim._bracket_top, []
+    if lagging:
+        # the probes and the top search read K at x − INVERT_TOL, so the
+        # probe above a converged iterate can fall below u, as a rounding
+        # disagreement of the two kernels could at a finer scale
+        monkeypatch.setattr(hr, "transition_kernel", lambda m, sep, x_sep, x_rest:
+                            kernel(m, sep, x_sep, np.asarray(x_rest) - INVERT_TOL))
+
+    def recording(model, s, x1, u):
+        f = sys._getframe(1).f_locals
+        need = f["need"]
+        newton, x, lo, edge = (f[k][need] for k in ("newton", "x", "lo", "edge"))
+        calls.append((f["it"], {name for name, hit in (
+            ("midpoint", not newton[0]), ("x", not x[0] < edge[0]),
+            ("lo", not lo[0] < edge[0])) if hit}))
+        return top(model, s, x1, u)
+
+    monkeypatch.setattr(sim, "_bracket_top", recording)
+    model = hr_pair_model((1, 2), gamma)
+    got = _invert_pair(model, 1, np.array([x1]), np.array([u]))
+    assert calls == [(iteration, reasons)]
+    want = eager_invert_pair(model, 1, np.array([x1]), np.array([u]))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_bracket_top_sees_few_rows_on_hr_chain(hr_chain, monkeypatch):
+    """On the shipped HR chain's draws at t = 2, 4, 6 the inverter
+    searches for the top of 1,105 of its 60,000 rows (1.8 %)."""
+    rows = {"top": 0, "inverted": 0}
+    top, invert = sim._bracket_top, sim._invert_pair
+
+    def counting_top(model, s, x1, u):
+        rows["top"] += u.size
+        return top(model, s, x1, u)
+
+    def counting_invert(model, s, x1, u):
+        rows["inverted"] += u.size
+        return invert(model, s, x1, u)
+
+    monkeypatch.setattr(sim, "_bracket_top", counting_top)
+    monkeypatch.setattr(sim, "_invert_pair", counting_invert)
+    ordering, models = hr_chain
+    for t in (2.0, 4.0, 6.0):
+        conditional_exceedance(ordering, models, 1, t, 10_000, seed=1)
+    assert rows["inverted"] == 60_000
+    assert 1 <= rows["top"] <= 0.05 * rows["inverted"]
+
+
+def test_hr_pair_draws_call_the_module_transition_kernel(hr_chain, monkeypatch):
+    """The benchmark's span recorder (perfbench/spans.py) counts HR work
+    by wrapping the module attribute hr.transition_kernel, so HR pair
+    draws must call the kernel through it."""
+    calls = []
+    kernel = hr.transition_kernel
+
+    def counting(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(hr, "transition_kernel", counting)
+    ordering, models = hr_chain
+    conditional_exceedance(ordering, models, 1, 4.0, 1000, seed=1)
+    assert calls
 
 
 # ------------------------------------------------------------- error gate
