@@ -468,7 +468,7 @@ class HRLimitParams:
         return self.slope.values @ z
 
 
-def a2_limit_params(model: HuslerReissModel, sep, anchor: int | None = None) -> HRLimitParams:
+def a2_limit_params(model: HuslerReissModel, sep) -> HRLimitParams:
     """Limiting update parameters for conditioning a clique on its separator.
 
     Anchored at s in S, W = X_{C\\s} - X_s is N(-Γ_{·s}/2, Σ^{(s)}), and
@@ -476,8 +476,8 @@ def a2_limit_params(model: HuslerReissModel, sep, anchor: int | None = None) -> 
     B = Σ_{RS'} Σ_{S'S'}⁻¹ from one Cholesky solve, the noise is
     N(μ_R - B μ_{S'}, Σ_RR - B Σ_{S'R}), the slope columns are B on S'
     and 1 - rowsum(B) on s.  A pair needs no solve: (-Γ/2, Γ, 1).  The
-    result does not depend on the anchor, which is exposed only for
-    testing.
+    anchor is s = min(S); in exact arithmetic the result does not depend
+    on it.
     """
     clique = model.clique
     pos = {v: k for k, v in enumerate(clique)}
@@ -487,9 +487,7 @@ def a2_limit_params(model: HuslerReissModel, sep, anchor: int | None = None) -> 
     rest = tuple(v for v in clique if v not in sep)
     if not rest:
         raise ConfigError("separator covers the whole clique")
-    s = anchor if anchor is not None else sep[0]
-    if s not in sep:
-        raise ConfigError(f"anchor {s} must lie in the separator {sep}")
+    s = sep[0]
 
     g = model.variogram.values
     k = pos[s]

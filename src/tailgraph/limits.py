@@ -11,10 +11,13 @@ rational exponent, so feasibility comparisons are exact:
 * a Gaussian clique accepts scales up to t^{1/2}; separator vertices
   entering at t^0 contribute nothing to the linear part of the update.
 
-Both limit kinds take the root clique from :func:`_root_pieces` (a
-Hüsler-Reiss root law is the clique update at S = {v}) and every later
-clique from the one per-clique constructor :func:`_separator_update`,
-so each family decision is made once, into one :class:`CliqueUpdate`.
+The root clique is one more clique update: C_1 given S = {v}, with ψ
+None and unit φ (:func:`_root_pieces`).  A Hüsler-Reiss root is the
+separator update at S = {v}; a Gaussian root carries the root law of
+:func:`gaussian.root_norming` and its norming a = ρ²x, b = √x.  Every
+later clique of both limit kinds comes from the one per-clique
+constructor :func:`_separator_update`, so each family decision is made
+once, into one :class:`CliqueUpdate`.
 
 When a clique cannot absorb its separator's fluctuations the
 single-vertex limit does not exist; classification reports the clique
@@ -24,14 +27,16 @@ as a witness and the block-wise (separator-normed) noise limit of
 Both limits are the linear recursion ``Z = B Z + c + Φ ε`` along the
 clique ordering (``B = 0`` for the tail noise).  Each compiles once,
 on first use, into a tuple of :class:`LinearStep` in draw order.  One
-sampler runs those steps on a vertex-major (d × nb) block per row block
-(through :func:`tailgraph.rng.run_blocks`), and one recursion gives the
-exact mean and covariance of both kinds.
+sampler (:func:`sample_tail_model`) runs those steps on a vertex-major
+(d × nb) block per row block (through :func:`tailgraph.rng.run_blocks`),
+and one recursion gives the exact mean and covariance, both for either
+kind.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
@@ -159,7 +164,7 @@ class LinearStep:
         Z[rows] = φ ∘ ε + ψ Z[sep],  ε ~ law.
 
     ``psi`` None marks a step with no free separator vertex, drawn
-    independently of all earlier ones as φ ∘ ε (a root law, a tail-noise
+    independently of all earlier ones as φ ∘ ε (the root, a tail-noise
     block, or a clique update whose separator does not move); otherwise it
     is the (len(rows), len(sep)) slope, and ``sep`` holds -1 for the
     conditioning vertex, whose fluctuation is pinned at zero.
@@ -172,14 +177,11 @@ class LinearStep:
     psi: np.ndarray | None = None
 
 
-def _compile_steps(z_index: tuple[int, ...], root_law: GaussianLaw | None,
+def _compile_steps(z_index: tuple[int, ...],
                    updates: tuple[CliqueUpdate, ...]) -> tuple[LinearStep, ...]:
-    """The root law (if any), then one step per clique update, in draw order."""
+    """One step per clique update, in draw order."""
     pos = {u: k for k, u in enumerate(z_index)}
     steps = []
-    if root_law is not None:
-        steps.append(LinearStep(rows=tuple(pos[u] for u in root_law.index),
-                                law=root_law, phi=np.ones(root_law.dim)))
     for upd in updates:
         sep = tuple(pos.get(s, -1) for s in upd.sep)
         free = upd.psi is not None and any(p >= 0 for p in sep)
@@ -200,7 +202,7 @@ class TailGraphicalModel:
     ordering: CliqueOrdering
     v: int
     normings: dict[int, NormingPair]
-    root_noise: GaussianLaw | None  # on C_1 \ v; None when the graph is {v}
+    root: CliqueUpdate | None  # C_1 given {v}; None when the graph is {v}
     updates: tuple[CliqueUpdate, ...]
 
     @property
@@ -209,15 +211,16 @@ class TailGraphicalModel:
 
     @functools.cached_property
     def steps(self) -> tuple[LinearStep, ...]:
-        """The root law, then one step per clique update, in draw order."""
-        return _compile_steps(self.z_index, self.root_noise, self.updates)
+        """The root, then one step per clique update, in draw order."""
+        root = (self.root,) if self.root is not None else ()
+        return _compile_steps(self.z_index, root + self.updates)
 
     def to_dict(self) -> dict:
         return {
             "v": self.v,
             "ordering": self.ordering.to_dict(),
             "normings": {str(u): p.to_dict() for u, p in sorted(self.normings.items())},
-            "root_noise": self.root_noise.to_dict() if self.root_noise else None,
+            "root_noise": self.root.noise.to_dict() if self.root else None,
             "updates": [u.to_dict() for u in self.updates],
         }
 
@@ -229,19 +232,36 @@ def _rooted(ordering: CliqueOrdering, v: int) -> CliqueOrdering:
 
 
 def _root_pieces(model, v: int):
-    """(normings for C_1 incl v, noise law on C_1\\v or None)."""
-    fam = _family_of(model)
+    """(normings for C_1 incl v, the update of C_1 given S = {v} with ψ
+    None and unit φ, or None when C_1 is {v}).
+
+    A Hüsler-Reiss root is :func:`_separator_update` at S = {v}; a
+    Gaussian root carries the law of :func:`gsn.root_norming` and its
+    norming a = ρ²x, b = √x.
+    """
     rest = tuple(u for u in model.clique if u != v)
-    if fam == "husler_reiss":
+    if _family_of(model) == "husler_reiss":
         normings = dict.fromkeys(model.clique, _HR_NORMING)
-        law = hr.a2_limit_params(model, (v,)).law if rest else None
-        return normings, law
-    rn = gsn.root_norming(model, v) if rest else None
+        root = replace(_separator_update(model, (v,), None), psi=None) if rest else None
+        return normings, root
     normings = {v: NormingPair(1.0, HALF)}
-    if rn is not None:
-        for u in rest:
-            normings[u] = NormingPair(rn.coeff.entry(u), HALF)
-    return normings, (rn.law if rn is not None else None)
+    if not rest:
+        return normings, None
+    rn = gsn.root_norming(model, v)
+    coeff = rn.coeff.values
+    for u, c in zip(rest, coeff):
+        normings[u] = NormingPair(float(c), HALF)
+
+    def a_fun(x):
+        return coeff * np.atleast_2d(x)
+
+    def b_fun(x):
+        return np.repeat(np.atleast_2d(x) ** 0.5, len(rest), axis=1)
+
+    return normings, CliqueUpdate(
+        clique=model.clique, sep=(v,), rest=rest, family="gaussian", psi=None,
+        phi=IndexedVector(rest, np.ones(len(rest))), noise=rn.law,
+        a_fun=a_fun, b_fun=b_fun)
 
 
 def _hr_norming(slope: np.ndarray):
@@ -319,23 +339,21 @@ def _walk(ordering: CliqueOrdering, models: dict, v: int):
     ordering = _rooted(ordering, v)
     table = _models_table(ordering, models)
     check_separator_models(ordering, table)
-    normings, root_law = _root_pieces(table[ordering.cliques[0]], v)
+    normings, root = _root_pieces(table[ordering.cliques[0]], v)
     updates = []
     for i in range(1, len(ordering)):
         updates.append(_transition_pieces(table[ordering.cliques[i]],
                                           ordering.separators[i], normings, v))
-    return ordering, normings, root_law, tuple(updates)
+    return ordering, normings, root, tuple(updates)
 
 
 def build_tail_model(ordering: CliqueOrdering, models: dict, v: int) -> TailGraphicalModel:
     """Assemble the single-vertex conditional limit; the ordering is
     re-rooted at v if needed.  Raises :class:`NormingIncompatible` (with
     the witness clique) when classification fails."""
-    ordering, normings, root_law, updates = _walk(ordering, models, v)
-    return TailGraphicalModel(
-        ordering=ordering, v=v, normings=normings,
-        root_noise=root_law, updates=updates,
-    )
+    ordering, normings, root, updates = _walk(ordering, models, v)
+    return TailGraphicalModel(ordering=ordering, v=v, normings=normings,
+                              root=root, updates=updates)
 
 
 def derive_limit(ordering: CliqueOrdering, models: dict,
@@ -391,35 +409,6 @@ def _draw_step(step: LinearStep, rng, zmat: np.ndarray) -> None:
         zmat[list(step.rows)] = out
 
 
-def _sample_steps(steps: tuple[LinearStep, ...], columns: tuple[int, ...],
-                  v: int, n: int, seed: int, workers: int,
-                  meta: dict) -> SampleMatrix:
-    """n draws of (E_v, Z); column v holds the exponential.
-
-    Each row block runs the steps in order on its own (d × nb) block from
-    stream k, then draws E_v, so the output bytes depend only on (steps,
-    n, seed).  A bad seed, n or workers raises :class:`ConfigError`
-    before any row is drawn; ``meta`` is stored with the seed as an int.
-    """
-    seed = check_seed(seed, "seed")
-    _check_rows(n, workers)
-    vcol = columns.index(v)
-    values = np.empty((n, len(columns)))
-
-    def fill(blk):
-        k, start, stop = blk
-        rng = derived_rng(seed, k)
-        zmat = np.empty((len(columns) - 1, stop - start))
-        for step in steps:
-            _draw_step(step, rng, zmat)
-        values[start:stop, vcol] = rng.standard_exponential(stop - start)
-        values[start:stop, :vcol] = zmat[:vcol].T
-        values[start:stop, vcol + 1:] = zmat[vcol:].T
-
-    run_blocks(n, workers, fill)
-    return SampleMatrix(columns=columns, values=values, meta={**meta, "seed": seed})
-
-
 def _moments(steps: tuple[LinearStep, ...],
              index: tuple[int, ...]) -> tuple[IndexedVector, IndexedMatrix]:
     """Exact mean and covariance of Z over ``index``.
@@ -470,18 +459,36 @@ def _moments(steps: tuple[LinearStep, ...],
     return IndexedVector(index, mean), IndexedMatrix.square(index, cov)
 
 
-def sample_tail_model(model: TailGraphicalModel, n: int, seed: int,
-                      workers: int = 1) -> SampleMatrix:
-    """n joint draws of (E_v, Z_{V\\v}); column v holds the exponential.
+def sample_tail_model(model: TailGraphicalModel | TailNoiseModel, n: int,
+                      seed: int, workers: int = 1) -> SampleMatrix:
+    """n joint draws of (E_v, Z_{V\\v}) from either limit kind; column v
+    holds the exponential.
 
-    Output bytes depend only on (model, n, seed): each fixed-size row
-    block uses its own counter-derived stream, so worker count cannot
-    affect the result.
+    Each row block runs the steps in order on its own (d × nb) block from
+    stream k, then draws E_v, so the output bytes depend only on (model,
+    n, seed), never on ``workers``.  A bad seed, n or workers raises
+    :class:`ConfigError` before any row is drawn.
     """
-    return _sample_steps(
-        model.steps, model.ordering.graph.vertices, model.v, n, seed, workers,
-        meta={"kind": "tail_model", "v": model.v, "n": n},
-    )
+    seed = check_seed(seed, "seed")
+    _check_rows(n, workers)
+    columns = model.ordering.graph.vertices
+    vcol = columns.index(model.v)
+    values = np.empty((n, len(columns)))
+
+    def fill(blk):
+        k, start, stop = blk
+        rng = derived_rng(seed, k)
+        zmat = np.empty((len(columns) - 1, stop - start))
+        for step in model.steps:
+            _draw_step(step, rng, zmat)
+        values[start:stop, vcol] = rng.standard_exponential(stop - start)
+        values[start:stop, :vcol] = zmat[:vcol].T
+        values[start:stop, vcol + 1:] = zmat[vcol:].T
+
+    run_blocks(n, workers, fill)
+    kind = "tail_noise" if isinstance(model, TailNoiseModel) else "tail_model"
+    return SampleMatrix(columns=columns, values=values,
+                        meta={"kind": kind, "v": model.v, "n": n, "seed": seed})
 
 
 def tail_model_moments(model: TailGraphicalModel | TailNoiseModel
@@ -540,19 +547,15 @@ def remainder_report(model: TailGraphicalModel,
         A = [a^{(v)}_rest(t) + b^{(v)}_rest(t)·ψ(z) − a^{(S)}(T)] / b^{(S)}(T)
         B = b^{(v)}_rest(t)·φ / b^{(S)}(T) − 1
 
-    and reports per-(clique, t) suprema of |A| and |B| over the grid.
+    and reports per-(clique, t) suprema of |A| and |B| over the grid,
+    whose points put z = 0 at v and range each other separator vertex
+    over ``_Z_GRID``.
     """
     rows = []
     for upd in model.updates:
-        free = [s for s in upd.sep if s != model.v]
-        grids = np.meshgrid(*([_Z_GRID] * len(free)), indexing="ij") if free else []
-        zpts = (np.stack([g.ravel() for g in grids], axis=1)
-                if free else np.zeros((1, 0)))
-        npts = zpts.shape[0]
-        z_full = np.zeros((npts, len(upd.sep)))
-        for j, s in enumerate(upd.sep):
-            if s in free:
-                z_full[:, j] = zpts[:, free.index(s)]
+        z_full = np.array(list(itertools.product(
+            *((0.0,) if s == model.v else _Z_GRID for s in upd.sep))))
+        npts = z_full.shape[0]
         for t in t_grid:
             t = float(t)
             big_t = np.empty((npts, len(upd.sep)))
@@ -594,20 +597,13 @@ class TailNoiseModel:
     @functools.cached_property
     def steps(self) -> tuple[LinearStep, ...]:
         """One independent step per block, in draw order."""
-        return _compile_steps(self.z_index, None, self.blocks)
+        return _compile_steps(self.z_index, self.blocks)
 
     def mean(self) -> IndexedVector:
         return tail_model_moments(self)[0]
 
     def covariance(self) -> IndexedMatrix:
         return tail_model_moments(self)[1]
-
-    def sample(self, n: int, seed: int) -> SampleMatrix:
-        """n draws of (E_v, Z_{V\\v})."""
-        return _sample_steps(
-            self.steps, self.ordering.graph.vertices, self.v, n, seed, 1,
-            meta={"kind": "tail_noise", "v": self.v, "n": n},
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -626,8 +622,8 @@ class TailNoiseModel:
 def build_tail_noise(ordering: CliqueOrdering, models: dict, v: int) -> TailNoiseModel:
     """Block-wise separator-normed limit for a block graph.
 
-    Every separator must be a single vertex; the first block conditions
-    C_1 on v itself (and so coincides with the single-clique limit law),
+    Every separator must be a single vertex.  The first block is the root
+    of the single-vertex limit, C_1 given {v} (:func:`_root_pieces`);
     later blocks condition each clique on its separator vertex.
     """
     ordering = _rooted(ordering, v)
@@ -638,24 +634,8 @@ def build_tail_noise(ordering: CliqueOrdering, models: dict, v: int) -> TailNois
             "needs a block graph"
         )
     table = _models_table(ordering, models)
-    root = ordering.cliques[0]
-    normings, law = _root_pieces(table[root], v)
-    blocks = []
-    if law is not None:
-        pairs = [normings[u] for u in law.index]
-
-        def a_fun(x):
-            return np.hstack([p.a(np.atleast_2d(x)) for p in pairs])
-
-        def b_fun(x):
-            return np.hstack([p.b(np.atleast_2d(x)) for p in pairs])
-
-        blocks.append(CliqueUpdate(
-            clique=root, sep=(v,), rest=law.index,
-            family=_family_of(table[root]), psi=None,
-            phi=IndexedVector(law.index, np.ones(law.dim)), noise=law,
-            a_fun=a_fun, b_fun=b_fun,
-        ))
+    root = _root_pieces(table[ordering.cliques[0]], v)[1]
+    blocks = [root] if root is not None else []
     for clique, sep in zip(ordering.cliques[1:], ordering.separators[1:]):
         upd = _separator_update(table[clique], sep, np.ones(1))
         blocks.append(replace(upd, psi=None,

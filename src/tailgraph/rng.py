@@ -51,12 +51,11 @@ def _check_rows(n, workers) -> None:
 
 
 def derived_rng(seed: int, stream: int) -> np.random.Generator:
-    """Generator for the given (seed, stream) pair; the seed is one of
-    :func:`check_seed`, shifted as an int so that no NumPy integer wraps."""
-    seed = check_seed(seed, "seed")
-    if not 0 <= stream <= MASK64:
-        raise ConfigError(f"stream id must fit in 64 bits, got {stream}")
-    return np.random.Generator(np.random.Philox(key=(seed << 64) | stream))
+    """Generator for the given (seed, stream) pair; both go through the
+    integer rule of :func:`check_seed` and are shifted as ints, so that no
+    NumPy integer wraps."""
+    key = (check_seed(seed, "seed") << 64) | check_seed(stream, "stream id")
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def block_bounds(n: int) -> list[tuple[int, int, int]]:

@@ -2,7 +2,9 @@
 
 Draws the pre-limit decomposable graphical model clique by clique, one
 uniform or standard normal per new clique coordinate, always at the same
-place in each row block's random stream:
+place in each row block's random stream.  Given a conditioning vertex v,
+the root is one more clique, drawn given its separator (v,); only an
+unconditioned root has draws of its own.
 
 * Gaussian-copula cliques go through their latent normal vector exactly.
 * Hüsler-Reiss (HR) cliques are pairs at finite levels: each draws its
@@ -179,11 +181,11 @@ class _Draw:
     columns ``sep`` already filled (column positions).
 
     ``kind`` is "exp" (a unit exponential), "joint" (an unconditioned
-    Gaussian root), "gauss" (a Gaussian clique given its separator, or
-    a Gaussian root given its conditioning column) or "pair" (an HR pair
-    given one column).  Gaussian draws carry the slope αᵀ (|sep| × |rest|) and
-    the Cholesky factor of the conditional (for "joint", the full)
-    correlation; HR pairs carry their model and the vertex ``given``.
+    Gaussian root), "gauss" (a Gaussian clique given its separator) or
+    "pair" (an HR pair given one column).  Gaussian draws carry the slope
+    αᵀ (|sep| × |rest|) and the Cholesky factor of the conditional (for
+    "joint", the full) correlation; HR pairs carry their model and the
+    vertex ``given``.
     """
 
     kind: str
@@ -224,36 +226,39 @@ def _pair_draw(model, clique, s, pos) -> _Draw:
     return _Draw("pair", [pos[s]], [pos[other]], model=model, given=s)
 
 
-def _root_draws(model, clique, v, pos) -> list[_Draw]:
-    """Draws of the root clique; ``v`` is its given vertex, or None."""
+def _root_draws(model, clique, pos) -> list[_Draw]:
+    """Draws of the unconditioned root clique."""
     if len(clique) == 1:
-        return [] if v is not None else [_Draw("exp", [], [pos[clique[0]]])]
+        return [_Draw("exp", [], [pos[clique[0]]])]
     if model.family == "gaussian":
-        if v is None:
-            chol = cholesky_spd(model.correlation.values, "root correlation")
-            return [_Draw("joint", [], [pos[w] for w in clique], chol=chol)]
-        rest = tuple(u for u in clique if u != v)
-        return [_gaussian_draw(model, (v,), rest, pos)]
-    if v is None:
-        pair = _pair_draw(model, clique, clique[0], pos)
-        return [_Draw("exp", [], pair.sep), pair]
-    return [_pair_draw(model, clique, v, pos)]
+        chol = cholesky_spd(model.correlation.values, "root correlation")
+        return [_Draw("joint", [], [pos[w] for w in clique], chol=chol)]
+    pair = _pair_draw(model, clique, clique[0], pos)
+    return [_Draw("exp", [], pair.sep), pair]
 
 
 def _draw_plan(ordering: CliqueOrdering, models: dict, v: int | None = None) -> _DrawPlan:
     """Plan of :func:`simulate_graphical` (``v`` None) or of
-    :func:`conditional_exceedance` at vertex v."""
+    :func:`conditional_exceedance` at vertex v, where the root is one
+    more clique, drawn given its separator (v,)."""
     if v is not None:
         ordering = _rooted(ordering, v)
     table = _models_table(ordering, models)
     check_separator_models(ordering, table)
     pos = {u: k for k, u in enumerate(ordering.graph.vertices)}
     root = ordering.cliques[0]
-    draws = _root_draws(table[root], root, v, pos)
-    for clique, sep in zip(ordering.cliques[1:], ordering.separators[1:]):
+    if v is None:
+        draws = _root_draws(table[root], root, pos)
+        given = zip(ordering.cliques[1:], ordering.separators[1:])
+    else:
+        draws = []
+        given = zip(ordering.cliques, ((v,),) + ordering.separators[1:])
+    for clique, sep in given:
         model = table[clique]
+        rest = tuple(w for w in clique if w not in sep)
+        if not rest:  # the graph {v}
+            continue
         if model.family == "gaussian":
-            rest = tuple(w for w in clique if w not in sep)
             draws.append(_gaussian_draw(model, sep, rest, pos))
         else:
             draws.append(_pair_draw(model, clique, sep[0], pos))

@@ -30,9 +30,9 @@ def _apply(self, z_sep: np.ndarray, eps: np.ndarray) -> np.ndarray:
 def _sample_block(model: TailGraphicalModel, rng, nb: int,
                   zpos: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
     zmat = np.zeros((nb, len(zpos)))
-    if model.root_noise is not None:
-        root = model.root_noise.sample(rng, nb)
-        for j, u in enumerate(model.root_noise.index):
+    if model.root is not None:
+        root = model.root.noise.sample(rng, nb)
+        for j, u in enumerate(model.root.noise.index):
             zmat[:, zpos[u]] = root[:, j]
     for upd in model.updates:
         eps = upd.noise.sample(rng, nb)
@@ -98,10 +98,10 @@ def tail_model_moments(model: TailGraphicalModel) -> tuple[IndexedVector, Indexe
     pos = {u: k for k, u in enumerate(idx)}
     mean = np.zeros(len(idx))
     cov = np.zeros((len(idx), len(idx)))
-    if model.root_noise is not None:
-        rows = [pos[u] for u in model.root_noise.index]
-        mean[rows] = model.root_noise.mean.values
-        cov[np.ix_(rows, rows)] = model.root_noise.cov.values
+    if model.root is not None:
+        rows = [pos[u] for u in model.root.noise.index]
+        mean[rows] = model.root.noise.mean.values
+        cov[np.ix_(rows, rows)] = model.root.noise.cov.values
     for upd in model.updates:
         psi_eff = np.zeros((len(upd.rest), len(idx)))
         if upd.psi is not None:

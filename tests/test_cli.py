@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import math
@@ -42,6 +43,76 @@ def run(*args):
 
 def payload(result):
     return json.loads(result.output)
+
+
+#: Per run of ``graph``, ``derive`` and ``verify --n 2000`` on each shipped
+#: config: the sha256 of its exit code, stdout and ``--out`` files (see
+#: :func:`cli_digest`).  A digest changes only together with a CHANGES.md
+#: note that names the artifacts that moved and why.
+CLI_DIGESTS = {
+    "derive gaussian_chain":
+        "03aa524c83ae79a7746c225d7e996efd3e57f6b37559065f10219f757e2d7446",
+    "derive gaussian_short_chain":
+        "0a80dd42f0f3c080dbb1d24d287beb83133b45e09c74ab80ac0d79ccdc972d3f",
+    "derive goldner_harary":
+        "edd1179a22fb4255eed83b08b0609d059e1b924705a3c9f1847386d411d26d33",
+    "derive hr_block_tree":
+        "9754775f6e163d37dfddc31a7bef2f3d9f3656d076c89e470d7ccfa0274679bb",
+    "derive hr_chain":
+        "212f3dc8d341d6ad77e6ed6b8555d0471e801c84346eb867f7e9648ce38a7968",
+    "derive mixed_tree":
+        "085bc0976027ad49b479c22ef1d900e1f5cd7eaf319b40a7b19489536d3db8f1",
+    "derive non_chordal":
+        "edd1179a22fb4255eed83b08b0609d059e1b924705a3c9f1847386d411d26d33",
+    "graph gaussian_chain":
+        "be4df678d663628af2295a72b835fbe0133a5c9378181232d2f07910d0ae9dc4",
+    "graph gaussian_short_chain":
+        "a035fc3e7f644abd9db5ba0e726a0748f4ae6b40ba37603a38d20c3a2d640b39",
+    "graph goldner_harary":
+        "ad0f6765cd7020871885f75c431d4b9bb48e7a85d45ba0253dbc62990ed253be",
+    "graph hr_block_tree":
+        "b22adbb29228fef659b4d415aa5a4853b6e78b0d13e541c71f266a2ebf427b9d",
+    "graph hr_chain":
+        "50150fa4363d7271841d578654350346e24458441d195cec56f0b8b73930b5c8",
+    "graph mixed_tree":
+        "11201f2c8d63e05699dd5027ee15b04aac79994ad347324ee76fc7adc116d94f",
+    "graph non_chordal":
+        "6b010a5e8586d8a833d462d8c69212bf005ab924f9775cab5dd7e43dcbef7df6",
+    "verify --n 2000 gaussian_chain":
+        "02d71c92c4bce08c00cb6a2b2e27473ffc2fd1b4457c4f6f63e830d3db2be621",
+    "verify --n 2000 gaussian_short_chain":
+        "05999d894598cb2d42a37f2d8ada78830feb93fac5030ae13386b758e7b4e792",
+    "verify --n 2000 goldner_harary":
+        "edd1179a22fb4255eed83b08b0609d059e1b924705a3c9f1847386d411d26d33",
+    "verify --n 2000 hr_block_tree":
+        "32c9ab5256ef7e336cc0be324a7f16a96978fcc63eb038473b9549cf97789e39",
+    "verify --n 2000 hr_chain":
+        "432c8cc541e68e9c7ab8e7859e9ce08b121c3f7fe3a68015570db34dfed5b4f6",
+    "verify --n 2000 mixed_tree":
+        "d6bbad4def5bf3c1dcc9f328d17b101b6e380377ddcf8ace69245f49e27e5fed",
+    "verify --n 2000 non_chordal":
+        "edd1179a22fb4255eed83b08b0609d059e1b924705a3c9f1847386d411d26d33",
+}
+
+
+def cli_digest(args, out: Path) -> str:
+    res = CliRunner().invoke(main, [*args, "--out", str(out)])
+    digest = hashlib.sha256(f"exit {res.exit_code}\n".encode())
+    digest.update(res.stdout_bytes)
+    for path in sorted(out.iterdir()) if out.exists() else ():
+        digest.update(f"\n{path.name}\n".encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def test_shipped_cli_outputs_are_pinned(configs, tmp_path):
+    got = {}
+    for cfg in sorted(configs.glob("*.json")):
+        for cmd, *flags in (["graph"], ["derive"], ["verify", "--n", "2000"]):
+            name = " ".join([cmd, *flags, cfg.stem])
+            got[name] = cli_digest([cmd, "--config", str(cfg), *flags],
+                                   tmp_path / name.replace(" ", "_"))
+    assert got == CLI_DIGESTS
 
 
 def test_commands_do_not_retain_their_stdout(configs):

@@ -33,6 +33,15 @@ def test_correlation_validation():
     assert c.entry(1, 2) == -0.5
 
 
+def test_model_narrows_a_larger_correlation_to_its_clique():
+    full = corr((1, 2, 3, 4), chain_correlation((0.7, 0.5, 0.6)))
+    wide = gs.GaussianCopulaModel((3, 2), full)
+    narrow = gs.GaussianCopulaModel((2, 3), full.sub((2, 3)))
+    assert wide.clique == narrow.clique == (2, 3)
+    assert wide.correlation.index == narrow.correlation.index == (2, 3)
+    assert wide.correlation.values.tobytes() == narrow.correlation.values.tobytes()
+
+
 def test_conditioning_requires_positive_correlation():
     flat = corr((1, 2, 3), [[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]])
     with pytest.raises(DegenerateCorrelation):

@@ -312,6 +312,7 @@ def test_a2_params_bivariate_closed_form():
 
 
 def test_a2_params_row_sums_and_anchor_invariance():
+    """The package anchors at 1; the oracle anchored at 3 agrees."""
     rng = np.random.default_rng(5)
     for _ in range(6):
         # squared Euclidean distances of points in R^3: strictly
@@ -319,23 +320,18 @@ def test_a2_params_row_sums_and_anchor_invariance():
         loc = rng.normal(size=(4, 3))
         g = np.sum((loc[:, None, :] - loc[None, :, :]) ** 2, axis=2)
         model = hr.HuslerReissModel((1, 2, 3, 4), vario((1, 2, 3, 4), g))
-        base = None
-        for anchor in (1, 3):
-            p = hr.a2_limit_params(model, (1, 3), anchor=anchor)
-            assert np.allclose(p.slope.values.sum(axis=1), 1.0, atol=1e-14)
-            if base is None:
-                base = p
-            else:
-                assert np.allclose(p.slope.values, base.slope.values, atol=1e-10)
-                assert np.allclose(p.law.mean.values, base.law.mean.values,
-                                   atol=1e-10)
-                assert np.allclose(p.law.cov.values, base.law.cov.values,
-                                   atol=1e-10)
+        p = hr.a2_limit_params(model, (1, 3))
+        assert np.allclose(p.slope.values.sum(axis=1), 1.0, atol=1e-14)
+        slope, law, _ = a2_oracle(model, (1, 3), anchor=3)
+        assert np.allclose(p.slope.values, slope.values, atol=1e-10)
+        assert np.allclose(p.law.mean.values, law.mean.values, atol=1e-10)
+        assert np.allclose(p.law.cov.values, law.cov.values, atol=1e-10)
 
 
 def test_a2_params_match_the_two_inverse_oracle():
-    """One conditional-Gaussian solve agrees with inverting Σ^{(s)} and
-    then its R block, on every separator and anchor of random cliques."""
+    """One conditional-Gaussian solve (anchored at min(S)) agrees with
+    inverting Σ^{(s)} and then its R block at every anchor s of every
+    separator of random cliques."""
     rng = np.random.default_rng(11)
     worst = 0.0
     for d in range(2, 6):
@@ -347,8 +343,8 @@ def test_a2_params_match_the_two_inverse_oracle():
             model = hr.HuslerReissModel(clique, vario(clique, g))
             for k in range(1, d):
                 for sep in itertools.combinations(clique, k):
+                    p = hr.a2_limit_params(model, sep)
                     for anchor in sep:
-                        p = hr.a2_limit_params(model, sep, anchor=anchor)
                         slope, law, prec = a2_oracle(model, sep, anchor=anchor)
                         assert p.slope.rows == slope.rows
                         assert p.slope.cols == slope.cols
@@ -370,14 +366,13 @@ def test_a2_params_pair_is_exact(gamma, sep):
 
 
 @pytest.mark.parametrize("clique", [(1, 2), (1, 2, 3)])
-@pytest.mark.parametrize("sep, anchor", [((), None), ((1, 4), None),
-                                         ("clique", None), ((1,), 2)],
-                         ids=["empty", "outside", "covering", "anchor_outside"])
-def test_a2_params_reject_bad_separators(clique, sep, anchor):
+@pytest.mark.parametrize("sep", [(), (1, 4), "clique"],
+                         ids=["empty", "outside", "covering"])
+def test_a2_params_reject_bad_separators(clique, sep):
     g = np.full((len(clique), len(clique)), 1.0) - np.eye(len(clique))
     model = hr.HuslerReissModel(clique, vario(clique, g))
     with pytest.raises(ConfigError):
-        hr.a2_limit_params(model, clique if sep == "clique" else sep, anchor=anchor)
+        hr.a2_limit_params(model, clique if sep == "clique" else sep)
 
 
 @pytest.mark.parametrize("sep", [(1,), (1, 2)])

@@ -147,7 +147,7 @@ def test_mixed_tail_noise_blocks(mixed_graph):
     law = gs.limit_law(gs.CorrelationMatrix((2, 3, 4, 5), MIXED_R), 3)
     assert np.allclose(root.noise.cov.values, law.cov.values, atol=1e-14)
 
-    s = tn.sample(200_000, seed=3)
+    s = sample_tail_model(tn, 200_000, seed=3)
     z = s.sub(tn.z_index)
     assert np.max(np.abs(z.mean(axis=0) - tn.mean().values)) < 0.02
     assert np.max(np.abs(np.cov(z.T) - tn.covariance().values)) < 0.03
@@ -232,11 +232,10 @@ def assert_matches_oracle(limit, n=70_000, seed=5):
     assert_moments_match_oracle(limit)
     if isinstance(limit, TailGraphicalModel):
         ref = limit_oracle.sample_tail_model(limit, n, seed)
-        draws = [sample_tail_model(limit, n, seed, workers=w) for w in (1, 3)]
     else:
         ref = limit_oracle.noise_sample(limit, n, seed)
-        draws = [limit.sample(n, seed)]
-    for draw in draws:
+    for workers in (1, 3):
+        draw = sample_tail_model(limit, n, seed, workers=workers)
         assert (draw.columns, draw.meta) == (ref.columns, ref.meta)
         assert draw.values.tobytes() == ref.values.tobytes()
 
@@ -404,12 +403,10 @@ def test_goldner_harary_field_matches_reference_sampler(v):
          "bool_seed", "wide_seed", "zero_workers", "fractional_workers"])
 def test_limit_sampling_rejects_bad_arguments(hr_chain, n, seed, workers):
     ordering, models = hr_chain
-    with pytest.raises(ConfigError):
-        sample_tail_model(build_tail_model(ordering, models, 1), n, seed,
-                          workers=workers)
-    if workers == 1:
+    for limit in (build_tail_model(ordering, models, 1),
+                  build_tail_noise(ordering, models, 1)):
         with pytest.raises(ConfigError):
-            build_tail_noise(ordering, models, 1).sample(n, seed)
+            sample_tail_model(limit, n, seed, workers=workers)
 
 
 @pytest.mark.parametrize("read", [lambda s: s.column(99), lambda s: s.sub([2, 99])],

@@ -166,6 +166,20 @@ def test_derived_rng_rejects_keys_outside_64_bits(seed, stream):
         derived_rng(seed, stream)
 
 
+@pytest.mark.parametrize("stream, drawn", [(np.int64(5), 5), (np.uint64(5), 5),
+                                           (2.0, None), (True, None)],
+                         ids=["int64", "uint64", "float", "bool"])
+def test_derived_rng_takes_streams_by_the_seed_rule(stream, drawn):
+    """A NumPy integer stream is the int it holds; a float or a bool is
+    no stream id."""
+    if drawn is None:
+        with pytest.raises(ConfigError):
+            derived_rng(3, stream)
+    else:
+        got = derived_rng(3, stream).random(4)
+        assert got.tobytes() == derived_rng(3, drawn).random(4).tobytes()
+
+
 @pytest.mark.parametrize("seed", [np.int64(3), np.uint64(3)], ids=["int64", "uint64"])
 def test_numpy_integer_seeds_draw_the_streams_of_their_int(hr_chain, seed):
     """A NumPy integer seed is the int it holds: the same bytes as 3 in

@@ -93,6 +93,8 @@ def test_single_vertex_graph_margin():
     ordering = clique_ordering(Graph.make(1, []), 1)
     s = simulate_graphical(ordering, {(1,): None}, N, seed=2)
     assert ks_exp(s.column(1)) < KS_BAND
+    ce = conditional_exceedance(ordering, {(1,): None}, 1, 3.0, N, seed=2)
+    assert ks_exp(ce.column(1) - 3.0) < KS_BAND
 
 
 # ---------------------------------------------- conditional sampler routes
