@@ -33,6 +33,7 @@ from . import limits
 from .config import RunConfig, check_seed, check_t_levels, load_config
 from .errors import ConfigError, TailgraphError
 from .graphs import _family_of, clique_ordering, junction_tree
+from .rng import _check_rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -292,8 +293,7 @@ def cmd_verify(config_path: str, out_flag: str | None, v_flag: int | None,
         v = _pick_v(v_flag, cfg)
         seed = cfg.seed if seed is None else check_seed(seed, "--seed")
         n = cfg.n if n_flag is None else n_flag
-        if n < 1:
-            raise ConfigError(f"n must be positive, got {n}")
+        _check_rows(n, workers, least=2)  # study_limit's rule, before any work
         if t_flag is None:
             t_levels = cfg.t_levels
         else:
@@ -302,8 +302,6 @@ def cmd_verify(config_path: str, out_flag: str | None, v_flag: int | None,
             except ValueError:
                 raise ConfigError(f"cannot parse --t-levels {t_flag!r}")
             t_levels = check_t_levels(t_levels, "--t-levels")
-        if workers < 1:
-            raise ConfigError(f"workers must be positive, got {workers}")
         ordering = cfg.ordering(root=v)
         models = cfg.models(ordering)
 

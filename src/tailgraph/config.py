@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,8 +128,13 @@ def _is_finite(x) -> bool:
 
 def check_t_levels(levels, where: str) -> tuple[float, ...]:
     """Levels as floats; raises :class:`ConfigError` unless they are a
-    nonempty, strictly ascending run of finite positive numbers."""
-    vals = tuple(float(t) for t in levels)
+    nonempty, strictly ascending run of finite positive real numbers
+    (not bools or strings)."""
+    vals = tuple(levels)
+    for t in vals:
+        _require(isinstance(t, numbers.Real) and not isinstance(t, bool),
+                 f"{where}: level {t!r} is not a real number")
+    vals = tuple(float(t) for t in vals)
     _require(len(vals) > 0, f"{where} must be nonempty")
     for t in vals:
         _require(bool(np.isfinite(t)) and t > 0,

@@ -28,8 +28,8 @@ from .limits import (
     derive_limit,
     tail_model_moments,
 )
-from .rng import OFFSET_MISC, check_seed, derived_rng
-from .simulate import _draw_plan, conditional_exceedance, renormalize
+from .rng import OFFSET_MISC, _check_rows, check_seed, derived_rng
+from .simulate import _draw_plan, _simulate, renormalize
 
 #: Orthant-probability accuracy of the MRV compatibility check's measures.
 _MARGINAL_ACCURACY = 1e-9
@@ -192,36 +192,38 @@ def study_limit(limit: TailGraphicalModel | TailNoiseModel, models: dict,
     by separator-based renormalization against its block laws.  Each
     margin gets the two-sided KS statistic only (no p-value).  The same
     seed feeds every level (common random numbers), which makes the
-    monotone-trend verdict sharp; the per-clique draw constants are
-    built once for all levels.
+    monotone-trend verdict sharp: one pass draws all levels, reading each
+    random number once, and each level equals a lone
+    :func:`~tailgraph.simulate.conditional_exceedance` at that level bit
+    for bit.  The levels are then studied one at a time, each level's
+    draws dropped once renormalized.  ``n`` must be an integer >= 2 (a
+    sample covariance needs two rows), else :class:`ConfigError`.
     """
     t_levels = check_t_levels(t_levels, "t_levels")
+    _check_rows(n, workers, least=2)
     mode = ("condition_on_root" if isinstance(limit, TailGraphicalModel)
             else "separator_based")
     lim_mean, lim_cov = tail_model_moments(limit)
     v = limit.v
     z_index = limit.z_index
+    laws = list(zip(z_index, lim_mean.values.tolist(),
+                    np.sqrt(np.diag(lim_cov.values)).tolist()))
     threshold = float(ks_const / np.sqrt(n))
     plan = _draw_plan(limit.ordering, models, v)
+    draws = _simulate(plan, n, seed, workers, t_levels)
     rows = []
     mean_gap, cov_gap = {}, {}
     for t in t_levels:
-        cond = conditional_exceedance(limit.ordering, models, v, t, n, seed,
-                                      workers=workers, plan=plan)
-        z = renormalize(cond, limit, mode)
+        z = renormalize(draws.pop(0), limit, mode)
         rows.append(MarginRow(t=t, vertex=v,
                               ks=ks_unit_exponential(z.column(v)),
                               n=n, threshold=threshold))
-        for u in z_index:
-            sd = float(np.sqrt(lim_cov.entry(u, u)))
-            rows.append(MarginRow(
-                t=t, vertex=u,
-                ks=ks_normal(z.column(u), float(lim_mean.entry(u)), sd),
-                n=n, threshold=threshold,
-            ))
-        zz = z.sub(z_index)
-        mean_gap[t] = float(np.max(np.abs(zz.mean(axis=0) - lim_mean.values)))
-        emp_cov = np.cov(zz.T).reshape(len(z_index), len(z_index))
+        z = z.sub(z_index)  # frees the column of v with the rest of z
+        for j, (u, mean, sd) in enumerate(laws):
+            rows.append(MarginRow(t=t, vertex=u, ks=ks_normal(z[:, j], mean, sd),
+                                  n=n, threshold=threshold))
+        mean_gap[t] = float(np.max(np.abs(z.mean(axis=0) - lim_mean.values)))
+        emp_cov = np.cov(z.T).reshape(len(z_index), len(z_index))
         cov_gap[t] = float(np.max(np.abs(emp_cov - lim_cov.values)))
     return ConvergenceReport(
         v=v, mode=mode, t_levels=t_levels, n=n, seed=seed,

@@ -41,10 +41,10 @@ def check_seed(seed, where: str) -> int:
     return int(seed)
 
 
-def _check_rows(n, workers) -> None:
+def _check_rows(n, workers, least: int = 0) -> None:
     """Raise :class:`ConfigError` unless ``n`` (rows to draw) is an
-    integer >= 0 and ``workers`` one >= 1."""
-    for name, value, low in (("n", n, 0), ("workers", workers, 1)):
+    integer >= ``least`` and ``workers`` one >= 1."""
+    for name, value, low in (("n", n, least), ("workers", workers, 1)):
         if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
                 or value < low):
             raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")

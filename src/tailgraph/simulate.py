@@ -21,12 +21,20 @@ unconditioned root has draws of its own.
 
 Inverse-CDF draws keep the coupling between thresholds: two calls that
 differ only in t use the same random numbers, so their samples move
-together.  All margins are exactly unit exponential by construction.
+together.  One pass draws a whole ladder of thresholds: each row block
+reads its random numbers once and applies them to every level, and a
+separator's latent normal score is computed once per block and level
+for all the Gaussian cliques glued at it.  Each level fills its own
+vertex-major (d × n) array; :func:`conditional_exceedance` is the
+one-level case, bit for bit.  All margins are exactly unit exponential
+by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -177,15 +185,16 @@ def _invert_pair(model, s: int, x1: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Draw:
-    """How one clique fills its new sample columns ``rest`` from the
-    columns ``sep`` already filled (column positions).
+    """How one clique fills its new sample rows ``rest`` from the rows
+    ``sep`` already filled (vertex positions in the vertex-major block).
 
     ``kind`` is "exp" (a unit exponential), "joint" (an unconditioned
     Gaussian root), "gauss" (a Gaussian clique given its separator) or
-    "pair" (an HR pair given one column).  Gaussian draws carry the slope
+    "pair" (an HR pair given one row).  Gaussian draws carry the slope
     αᵀ (|sep| × |rest|) and the Cholesky factor of the conditional (for
-    "joint", the full) correlation; HR pairs carry their model and the
-    vertex ``given``.
+    "joint", the full) correlation, and ``keep`` marks one whose
+    separator a later Gaussian draw reads too; HR pairs carry their model
+    and the vertex ``given``.
     """
 
     kind: str
@@ -195,13 +204,14 @@ class _Draw:
     chol: np.ndarray | None = None
     model: hr.HuslerReissModel | None = None
     given: int | None = None
+    keep: bool = False
 
 
 @dataclass(frozen=True)
 class _DrawPlan:
     """The per-clique constants of one ordering, built once per command
     and reused for every row block and every threshold.  ``v`` is the
-    conditioning vertex (the root's given column), or None."""
+    conditioning vertex (the root's given row), or None."""
 
     ordering: CliqueOrdering
     v: int | None
@@ -237,6 +247,20 @@ def _root_draws(model, clique, pos) -> list[_Draw]:
     return [_Draw("exp", [], pair.sep), pair]
 
 
+def _keep_shared(draws: list[_Draw]) -> tuple[_Draw, ...]:
+    """The draws, each Gaussian one marked ``keep`` when a later Gaussian
+    draw has the same separator."""
+    later = set()
+    out = []
+    for d in reversed(draws):
+        if d.kind == "gauss":
+            key = tuple(d.sep)
+            d = replace(d, keep=key in later)
+            later.add(key)
+        out.append(d)
+    return tuple(reversed(out))
+
+
 def _draw_plan(ordering: CliqueOrdering, models: dict, v: int | None = None) -> _DrawPlan:
     """Plan of :func:`simulate_graphical` (``v`` None) or of
     :func:`conditional_exceedance` at vertex v, where the root is one
@@ -262,80 +286,111 @@ def _draw_plan(ordering: CliqueOrdering, models: dict, v: int | None = None) -> 
             draws.append(_gaussian_draw(model, sep, rest, pos))
         else:
             draws.append(_pair_draw(model, clique, sep[0], pos))
-    return _DrawPlan(ordering, v, tuple(draws))
+    return _DrawPlan(ordering, v, _keep_shared(draws))
 
 
-def _fill(d: _Draw, x: np.ndarray, rng) -> None:
-    """Run one draw on the row block ``x`` (rows × sample columns)."""
-    nb = x.shape[0]
+def _fill(d: _Draw, xs: list[np.ndarray], scores: list[dict], rng) -> None:
+    """Run one draw on the row blocks ``xs`` (vertex rows × block rows),
+    one per level, all from the same random numbers.  ``scores`` holds,
+    per level, the latent scores of the separators that a later Gaussian
+    draw still reads."""
+    nb = xs[0].shape[1]
     if d.kind == "exp":
-        x[:, d.rest[0]] = rng.standard_exponential(nb)
+        e = rng.standard_exponential(nb)
+        for x in xs:
+            x[d.rest[0]] = e
     elif d.kind == "joint":
-        x[:, d.rest] = normal_to_exp(rng.standard_normal((nb, len(d.rest))) @ d.chol.T)
+        w = normal_to_exp(rng.standard_normal((nb, len(d.rest))) @ d.chol.T).T
+        for x in xs:
+            x[d.rest] = w
     elif d.kind == "gauss":
-        z_sep = exp_to_normal(x[:, d.sep])
-        x[:, d.rest] = normal_to_exp(
-            z_sep @ d.slope + rng.standard_normal((nb, len(d.rest))) @ d.chol.T)
+        noise = rng.standard_normal((nb, len(d.rest))) @ d.chol.T
+        key = tuple(d.sep)
+        for x, cache in zip(xs, scores):
+            z_sep = cache.pop(key, None)
+            if z_sep is None:
+                # rows × |sep| in row-major order, as the slope product
+                # has always read it: its bits depend on the layout
+                z_sep = np.ascontiguousarray(exp_to_normal(x[d.sep].T))
+            if d.keep:
+                cache[key] = z_sep
+            x[d.rest] = normal_to_exp(z_sep @ d.slope + noise).T
     else:
         u = rng.random(nb)
-        x[:, d.rest[0]] = _invert_pair(d.model, d.given,
-                                       np.ascontiguousarray(x[:, d.sep[0]]), u)
+        for x in xs:
+            x[d.rest[0]] = _invert_pair(d.model, d.given, x[d.sep[0]], u)
 
 
-def _simulate(plan: _DrawPlan, n: int, seed: int, workers: int, meta: dict,
-              t: float | None = None) -> SampleMatrix:
-    """n rows of the plan; with ``t`` the column of ``plan.v`` is t plus
-    a unit exponential drawn first in each block.  A bad seed, n or
-    workers raises :class:`ConfigError` before any row is drawn; ``meta``
-    is stored with the seed as an int."""
+def _check_level(t) -> float:
+    """The threshold as a float; raises :class:`ConfigError` unless it is
+    a finite real >= 0 (not a bool)."""
+    if (not isinstance(t, numbers.Real) or isinstance(t, bool)
+            or not math.isfinite(t) or t < 0):
+        raise ConfigError(f"threshold must be a finite real >= 0, got {t!r}")
+    return float(t)
+
+
+def _simulate(plan: _DrawPlan, n: int, seed: int, workers: int,
+              levels=None) -> list[SampleMatrix]:
+    """n rows of the plan: one sample matrix, or with ``levels`` (a plan
+    conditioned at ``plan.v``) one per level t, whose row of v is t plus
+    a unit exponential drawn first in each block.
+
+    Each block reads its random numbers once and applies them to every
+    level, so the levels share them exactly.  Each level fills its own
+    vertex-major (d × n) array, and the matrix's ``values`` is its
+    transpose view.  A bad level, seed, n or workers raises
+    :class:`ConfigError` before any row is drawn.
+    """
+    ts = (None,) if levels is None else tuple(_check_level(t) for t in levels)
     seed = check_seed(seed, "seed")
     _check_rows(n, workers)
     cols = plan.ordering.graph.vertices
-    values = np.empty((n, len(cols)))
+    arrays = [np.empty((len(cols), n)) for _ in ts]
 
     def fill(blk):
         k, start, stop = blk
         rng = derived_rng(seed, OFFSET_LATENT + k)
-        x = values[start:stop]
-        if t is not None:
-            x[:, cols.index(plan.v)] = t + rng.standard_exponential(stop - start)
+        xs = [a[:, start:stop] for a in arrays]
+        if levels is not None:
+            e = rng.standard_exponential(stop - start)
+            for x, t in zip(xs, ts):
+                x[cols.index(plan.v)] = t + e
+        scores = [{} for _ in xs]
         for d in plan.draws:
-            _fill(d, x, rng)
+            _fill(d, xs, scores, rng)
 
     run_blocks(n, workers, fill)
-    return SampleMatrix(columns=cols, values=values, meta={**meta, "seed": seed})
+    if levels is None:
+        metas = [{"kind": "simulate", "n": n, "margins": "exponential"}]
+    else:
+        metas = [{"kind": "conditional", "n": n, "v": plan.v, "t": t,
+                  "margins": "exponential"} for t in ts]
+    return [SampleMatrix(columns=cols, values=a.T, meta={**meta, "seed": seed})
+            for a, meta in zip(arrays, metas)]
 
 
 def simulate_graphical(ordering: CliqueOrdering, models: dict, n: int,
                        seed: int, workers: int = 1) -> SampleMatrix:
     """n unconditional draws of the graphical model, exponential margins."""
-    return _simulate(_draw_plan(ordering, models), n, seed, workers,
-                     meta={"kind": "simulate", "n": n, "margins": "exponential"})
+    return _simulate(_draw_plan(ordering, models), n, seed, workers)[0]
 
 
 def conditional_exceedance(ordering: CliqueOrdering, models: dict, v: int,
                            t: float, n: int, seed: int,
-                           workers: int = 1, plan: _DrawPlan | None = None
-                           ) -> SampleMatrix:
+                           workers: int = 1) -> SampleMatrix:
     """n draws given X_v > t: the v-column is t plus a fresh unit
     exponential (memorylessness is exact for exponential margins), the
     rest propagates through the same conditional kernels.
 
-    ``plan`` is ``_draw_plan(ordering, models, v)``; a caller that draws
-    several thresholds builds it once and passes it to each call.  The
-    random numbers do not depend on t, so the levels share them.
+    The random numbers do not depend on t, so the levels share them:
+    this is the one-level case of the pass that
+    :func:`tailgraph.diagnostics.study_limit` draws all its levels in,
+    bit for bit.
     """
-    if t < 0:
-        raise ConfigError(f"threshold must be nonnegative, got {t}")
     if v not in ordering.graph.vertices:
         raise ConfigError(f"vertex {v} not in the graph")
-    if plan is None:
-        plan = _draw_plan(ordering, models, v)
-    elif plan.v != v or plan.ordering.graph != ordering.graph:
-        raise ConfigError(f"the draw plan is not one for vertex {v} of this graph")
-    return _simulate(plan, n, seed, workers, t=float(t),
-                     meta={"kind": "conditional", "n": n, "v": v, "t": float(t),
-                           "margins": "exponential"})
+    return _simulate(_draw_plan(ordering, models, v), n, seed, workers, (t,))[0]
 
 
 def renormalize(samples: SampleMatrix, model, mode: str) -> SampleMatrix:
@@ -355,7 +410,9 @@ def renormalize(samples: SampleMatrix, model, mode: str) -> SampleMatrix:
     if t is None:
         raise ConfigError("samples carry no threshold; renormalize expects "
                           "conditional_exceedance output")
-    out = np.empty_like(samples.values)
+    # row-major, whatever the input's layout: the study's means and
+    # covariances sum its columns in this order
+    out = np.empty(samples.values.shape)
     cols = samples.columns
     if mode == "condition_on_root":
         if not isinstance(model, TailGraphicalModel):

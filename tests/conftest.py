@@ -1,5 +1,7 @@
 """Shared constructions used across the test modules."""
 
+import importlib.util
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -13,6 +15,17 @@ from tailgraph.graphs import Graph, clique_ordering
 settings.register_profile("tailgraph", derandomize=True, deadline=None,
                           max_examples=60)
 settings.load_profile("tailgraph")
+
+
+def perfbench_workloads(root):
+    """The benchmark's config generators (``perfbench/workloads.py``
+    under the repository root ``root``), loaded without importing the
+    rest of the harness."""
+    path = root / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def hr_pair_model(clique, gamma):

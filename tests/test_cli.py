@@ -29,7 +29,7 @@ from tailgraph.cli import (
     main,
 )
 
-from conftest import COLLINEAR_GAMMA
+from conftest import COLLINEAR_GAMMA, perfbench_workloads
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +113,21 @@ def test_shipped_cli_outputs_are_pinned(configs, tmp_path):
             got[name] = cli_digest([cmd, "--config", str(cfg), *flags],
                                    tmp_path / name.replace(" ", "_"))
     assert got == CLI_DIGESTS
+
+
+#: ``verify --n 2000 --t-levels 4,8`` on the seed-1 Gaussian triangle tree
+#: of ``perfbench/workloads.py``, digested as by :func:`cli_digest`: the
+#: one config in which several cliques hang off one separator vertex.
+TREE_DIGEST = "ee2a00e4214f5c81b8eaf8fb36b422e4d0d3fea9c130b3efea9c120d23adc160"
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_gauss_tree_verify_is_pinned(pytestconfig, tmp_path, workers):
+    cfg = tmp_path / "gauss_tree.json"
+    cfg.write_text(json.dumps(perfbench_workloads(pytestconfig.rootpath).gauss_tree(1)))
+    got = cli_digest(["verify", "--config", str(cfg), "--n", "2000",
+                      "--t-levels", "4,8", "--workers", workers], tmp_path / "out")
+    assert got == TREE_DIGEST
 
 
 def test_commands_do_not_retain_their_stdout(configs):
@@ -300,6 +315,20 @@ def test_verify_flag_validation(configs):
     assert res.exit_code == EXIT_CONFIG
     res = run("verify")
     assert res.exit_code == 2  # click usage error: --config is required
+
+
+def test_verify_needs_two_rows(configs, tmp_path):
+    """One row has no sample covariance: exit 2 with a ConfigError, no
+    output file and no numpy warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run("verify", "--config", str(configs / "gaussian_chain.json"),
+                  "--n", "1", "--out", str(tmp_path / "out"))
+    assert res.exit_code == EXIT_CONFIG
+    assert payload(res)["error"]["type"] == "ConfigError"
+    assert "n must be an integer >= 2" in payload(res)["error"]["message"]
+    assert not any((tmp_path / "out").glob("*"))
+    assert caught == []
 
 
 @pytest.mark.parametrize("levels", ["nan", "inf", "2,nan", "2,inf", "-inf",

@@ -2,6 +2,7 @@
 and regular-variation diagnostics."""
 
 import functools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from tailgraph.diagnostics import (
     ks_normal,
     ks_unit_exponential,
     mrv_checks,
+    study_limit,
 )
 from tailgraph.errors import (
     ConfigError,
@@ -31,12 +33,23 @@ from tailgraph.errors import (
     QuantileOutOfRange,
 )
 from tailgraph.graphs import Graph, clique_ordering
-from tailgraph.limits import SampleMatrix, build_tail_model, tail_model_moments
+from tailgraph.limits import (
+    SampleMatrix,
+    build_tail_model,
+    derive_limit,
+    tail_model_moments,
+)
 from tailgraph.linalg import spd_inverse
 from tailgraph.simulate import simulate_graphical
 
 import mrv_oracle
-from conftest import MIXED_GAMMA, MIXED_R, hr_pair_model, mixed_models
+from conftest import (
+    MIXED_GAMMA,
+    MIXED_R,
+    hr_pair_model,
+    mixed_models,
+    perfbench_workloads,
+)
 
 
 def pair_ordering():
@@ -204,11 +217,46 @@ def test_trend_fails_when_a_vertex_rises_beyond_the_slack(ks_last, ok):
     assert rep.trend_ok() is ok
 
 
-@pytest.mark.parametrize("levels", [(), (2.0, np.nan), (np.inf,), (-1.0,)])
+@pytest.mark.parametrize("levels", [(), (2.0, np.nan), (np.inf,), (-1.0,),
+                                    (True,), ("3",), (2.0, None)])
 def test_convergence_study_rejects_bad_levels(hr_chain, levels):
     ordering, models = hr_chain
     with pytest.raises(ConfigError):
         convergence_study(ordering, models, 1, levels, 100, seed=0)
+
+
+@pytest.mark.parametrize("n", [1, 0, -3, 2.5, True])
+def test_study_limit_needs_two_rows(hr_chain, n):
+    """A sample covariance needs two rows: fewer is a ConfigError, not a
+    nan gap with numpy warnings."""
+    ordering, models = hr_chain
+    limit = build_tail_model(ordering, models, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="n must be an integer >= 2"):
+            study_limit(limit, models, (2.0, 4.0), n, seed=0)
+
+
+@pytest.mark.parametrize("levels", [(4.0, 8.0), (4.0, 8.0, 16.0)])
+def test_study_limit_memory_grows_by_one_matrix_per_level(pytestconfig, levels):
+    """On the 101-vertex Gaussian triangle tree at n = 10,000 the study
+    peaks below 4.1 (n × d) float matrices at two levels, and grows by
+    at most one such matrix for each level beyond two: each level's
+    draws are dropped once renormalized."""
+    doc = perfbench_workloads(pytestconfig.rootpath).gauss_tree(1)
+    cfg = parse_config(doc)
+    ordering = cfg.ordering()
+    models = cfg.models(ordering)
+    limit = derive_limit(ordering, models, cfg.v)[1]
+    n = 10_000
+    matrix = n * ordering.graph.n * 8
+    tracemalloc.start()
+    try:
+        study_limit(limit, models, levels, n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (4.1 + len(levels) - 2) * matrix, peak / matrix
 
 
 # ----------------------------------------------------- factorized density

@@ -1,6 +1,7 @@
 """Exact finite-level samplers and the renormalization bridge to the limits."""
 
 import dataclasses
+import hashlib
 import sys
 import warnings
 
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+import tailgraph
 from tailgraph import diagnostics
 from tailgraph import gaussian as gs
 from tailgraph import husler_reiss as hr
@@ -30,6 +32,7 @@ from tailgraph.simulate import (
     INVERT_TOL,
     _draw_plan,
     _invert_pair,
+    _simulate,
     conditional_exceedance,
     renormalize,
     simulate_graphical,
@@ -250,21 +253,6 @@ def test_threshold_levels_share_random_numbers(hr_chain):
         assert rho >= 0.99
 
 
-def test_conditional_exceedance_rejects_a_foreign_plan(hr_chain, gauss_chain):
-    """A plan for another vertex, for unconditional draws or for another
-    graph would put the conditioning column in the wrong place."""
-    ordering, models = hr_chain
-    g_ordering, g_models, _ = gauss_chain
-    for plan in (_draw_plan(ordering, models, 2), _draw_plan(ordering, models),
-                 _draw_plan(g_ordering, g_models, 1)):
-        with pytest.raises(ConfigError):
-            conditional_exceedance(ordering, models, 1, 4.0, 10, seed=1, plan=plan)
-    ok = conditional_exceedance(ordering, models, 1, 4.0, 10, seed=1,
-                                plan=_draw_plan(ordering, models, 1))
-    ref = conditional_exceedance(ordering, models, 1, 4.0, 10, seed=1)
-    assert ok.values.tobytes() == ref.values.tobytes()
-
-
 @pytest.mark.parametrize(
     "n, seed, workers",
     [(-1, 0, 1), (2.5, 0, 1), (True, 0, 1), (10, -1, 1), (10, 2.5, 1),
@@ -280,6 +268,67 @@ def test_simulators_reject_bad_arguments(hr_chain, n, seed, workers):
         simulate_graphical(ordering, models, n, seed, workers=workers)
     with pytest.raises(ConfigError):
         conditional_exceedance(ordering, models, 1, 4.0, n, seed, workers=workers)
+
+
+def shipped(pytestconfig, name):
+    """(ordering rooted at v, models, v) of a shipped config."""
+    cfg = tailgraph.load_config(pytestconfig.rootpath / "configs" / f"{name}.json")
+    ordering = cfg.ordering()
+    return ordering, cfg.models(ordering), cfg.v
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), -0.5,
+                               True, "3", None],
+                         ids=["nan", "inf", "minus_inf", "negative", "bool",
+                              "string", "none"])
+@pytest.mark.parametrize("name", ["gaussian_chain", "hr_chain", "mixed_tree"])
+def test_conditional_exceedance_refuses_bad_thresholds(pytestconfig, monkeypatch,
+                                                       name, t):
+    """A level that is not a finite real >= 0 is a ConfigError, raised
+    before any row is drawn, whatever the clique families."""
+    ordering, models, v = shipped(pytestconfig, name)
+
+    def no_draws(*args):
+        raise AssertionError("a row was drawn")
+
+    monkeypatch.setattr(sim, "derived_rng", no_draws)
+    with pytest.raises(ConfigError, match="threshold must be a finite real >= 0"):
+        conditional_exceedance(ordering, models, v, t, 10, seed=1)
+    with pytest.raises(ConfigError, match="threshold must be a finite real >= 0"):
+        _simulate(_draw_plan(ordering, models, v), 10, 1, 1, (4.0, t))
+
+
+#: sha256 of ``simulate_graphical(..., 70_000, seed=3).values.tobytes()``
+#: per shipped config, at 1 and 3 workers alike.
+UNCONDITIONAL_DIGESTS = {
+    "gaussian_chain":
+        "7db2b5488d721c0fd3246f59fa7fdf426cdba0b9efe1304a9e8d31f4750ae936",
+    "hr_chain":
+        "95312215cd013f58bfa272ad06c981d2f58ee4bece8b35c5516f1a3eaa770532",
+    "mixed_tree":
+        "6937a4b94a37b9e7843d57db160f097fd56f61dac0f1ba2a555a18a42dfd5c10",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("name", sorted(UNCONDITIONAL_DIGESTS))
+def test_fused_levels_equal_lone_levels(pytestconfig, name, workers):
+    """Over three row blocks, each level of one fused pass has the bytes
+    and meta of a lone conditional_exceedance at that level; the
+    unconditional sampler's bytes are pinned."""
+    ordering, models, v = shipped(pytestconfig, name)
+    levels = (2.0, 4.0, 8.0)
+    fused = _simulate(_draw_plan(ordering, models, v), 70_000, 5, workers, levels)
+    assert len(fused) == len(levels)
+    for t, got in zip(levels, fused):
+        lone = conditional_exceedance(ordering, models, v, t, 70_000, 5,
+                                      workers=workers)
+        assert got.values.tobytes() == lone.values.tobytes()
+        assert got.meta == lone.meta
+        assert got.columns == lone.columns
+    free = simulate_graphical(ordering, models, 70_000, seed=3, workers=workers)
+    digest = hashlib.sha256(free.values.tobytes()).hexdigest()
+    assert digest == UNCONDITIONAL_DIGESTS[name]
 
 
 def test_study_limit_builds_draw_constants_once(gauss_chain, monkeypatch):
