@@ -404,48 +404,61 @@ def renormalize(samples: SampleMatrix, model, mode: str) -> SampleMatrix:
     by their own separator's realized state.  The conditioning column
     becomes x_v − t in both modes.
     """
-    if mode not in ("condition_on_root", "separator_based"):
+    rows = _renormalized_rows(samples, model, mode, samples.columns)
+    meta = dict(samples.meta)
+    meta["kind"] = f"renormalized_{mode}"
+    return SampleMatrix(columns=samples.columns, values=rows.T, meta=meta)
+
+
+def _renormalized_rows(samples: SampleMatrix, model, mode: str,
+                       labels) -> np.ndarray:
+    """The columns ``labels`` of :func:`renormalize` as the rows of one
+    (len(labels) × n) array, computed elementwise from the rows of
+    ``samples.values.T``: from :func:`_simulate`'s vertex-major draws, with
+    no copy.  ``out[k:].T`` has the bytes and strides of a fancy column
+    index (an F-order copy) of an (n × d) matrix."""
+    kinds = {"condition_on_root": (TailGraphicalModel, "graph-wide"),
+             "separator_based": (TailNoiseModel, "per-clique")}
+    if mode not in kinds:
         raise ConfigError(f"unknown renormalization mode {mode!r}")
     t = samples.meta.get("t")
     if t is None:
         raise ConfigError("samples carry no threshold; renormalize expects "
                           "conditional_exceedance output")
-    # row-major, whatever the input's layout: the study's means and
-    # covariances sum its columns in this order
-    out = np.empty(samples.values.shape)
-    cols = samples.columns
+    kind, scope = kinds[mode]
+    if not isinstance(model, kind):
+        raise MissingNorming(f"{mode} renormalization needs the {scope} "
+                             f"normings of a {kind.__name__}")
+    x = samples.values.T
+    pos = {u: j for j, u in enumerate(samples.columns)}
+    at = {u: k for k, u in enumerate(labels)}
+    out = np.empty((len(labels), samples.n))
+    x_v = samples.column(model.v)
+    if model.v in at:
+        np.subtract(x_v, t, out=out[at[model.v]])
     if mode == "condition_on_root":
-        if not isinstance(model, TailGraphicalModel):
-            raise MissingNorming(
-                "condition_on_root renormalization needs the graph-wide "
-                "normings of a TailGraphicalModel"
-            )
-        x_v = samples.column(model.v)
-        for j, u in enumerate(cols):
+        scales = {}  # b(x_v) depends on the norming's power alone
+        for u, k in at.items():
             if u == model.v:
-                out[:, j] = x_v - t
                 continue
             pair = model.normings.get(u)
             if pair is None:
                 raise MissingNorming(f"no norming for vertex {u}")
-            out[:, j] = (samples.values[:, j] - pair.a(x_v)) / pair.b(x_v)
-    else:
-        if not isinstance(model, TailNoiseModel):
-            raise MissingNorming(
-                "separator_based renormalization needs the per-clique "
-                "normings of a TailNoiseModel"
-            )
-        out[:, cols.index(model.v)] = samples.column(model.v) - t
-        seen = {model.v}
-        for blk in model.blocks:
-            x_s = samples.column(blk.sep[0])[:, None]
-            z = (samples.sub(blk.rest) - blk.a_fun(x_s)) / blk.b_fun(x_s)
-            for j, u in enumerate(blk.rest):
-                out[:, cols.index(u)] = z[:, j]
-                seen.add(u)
-        missing = set(cols) - seen
-        if missing:
-            raise MissingNorming(f"no block covers vertices {sorted(missing)}")
-    meta = dict(samples.meta)
-    meta["kind"] = f"renormalized_{mode}"
-    return SampleMatrix(columns=cols, values=out, meta=meta)
+            if pair.bexp not in scales:
+                scales[pair.bexp] = pair.b(x_v)
+            np.subtract(x[pos[u]], pair.a(x_v), out=out[k])
+            out[k] /= scales[pair.bexp]
+        return out
+    seen = {model.v}
+    for blk in model.blocks:
+        x_s = x[pos[blk.sep[0]]][:, None]
+        a, b = blk.a_fun(x_s), blk.b_fun(x_s)
+        for j, u in enumerate(blk.rest):
+            seen.add(u)
+            if u in at:
+                np.subtract(x[pos[u]], a[:, j], out=out[at[u]])
+                out[at[u]] /= b[:, j]
+    missing = set(samples.columns) - seen
+    if missing:
+        raise MissingNorming(f"no block covers vertices {sorted(missing)}")
+    return out

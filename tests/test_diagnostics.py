@@ -1,6 +1,7 @@
 """Moment closed forms, tail-dependence estimates, convergence studies,
 and regular-variation diagnostics."""
 
+import dataclasses
 import functools
 import tracemalloc
 import warnings
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.stats import norm
 
+from tailgraph import _scipy
+from tailgraph import diagnostics as dg
 from tailgraph import gaussian as gs
 from tailgraph import husler_reiss as hr
-from tailgraph.config import parse_config
+from tailgraph.config import load_config, parse_config
 from tailgraph.diagnostics import (
     ConvergenceReport,
     MarginRow,
@@ -35,14 +38,22 @@ from tailgraph.errors import (
 from tailgraph.graphs import Graph, clique_ordering
 from tailgraph.limits import (
     SampleMatrix,
+    TailGraphicalModel,
     build_tail_model,
+    build_tail_noise,
     derive_limit,
     tail_model_moments,
 )
 from tailgraph.linalg import spd_inverse
-from tailgraph.simulate import simulate_graphical
+from tailgraph.simulate import (
+    _draw_plan,
+    _renormalized_rows,
+    _simulate,
+    simulate_graphical,
+)
 
 import mrv_oracle
+import study_oracle
 from conftest import (
     MIXED_GAMMA,
     MIXED_R,
@@ -175,6 +186,40 @@ def test_ks_statistics_propagate_nan():
     assert np.isnan(ks_normal(x, 0.0, 1.0))
 
 
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       n=st.sampled_from([1, 2, 63, 64, 65, 3 * 64 + 5, 10_000]),
+       fit=st.sampled_from(["quantiles", "draws", "shifted", "narrow", "wide"]),
+       ties=st.booleans(),
+       special=st.sampled_from([(), (np.inf,), (-np.inf,), (np.nan,),
+                                (-np.inf, np.inf), (np.inf, np.nan)]))
+def test_ks_statistic_equals_the_full_cdf_oracle(seed, n, fit, ties, special):
+    """The KS distance, which evaluates the CDF only in the blocks that can
+    hold the maximum, has the bits of the full evaluation, for both CDFs.
+    "quantiles" puts every point at its own CDF midpoint, so every row's
+    distance is 0.5/n up to rounding; a NaN anywhere gives NaN."""
+    rng = np.random.default_rng(seed)
+    mean, sd = 0.3, 1.7
+    if fit == "quantiles":
+        p = (np.arange(n) + 0.5) / n
+        normal, expon = mean + sd * _scipy.ndtri(p), -np.log1p(-p)
+    else:
+        shift, scale = {"draws": (0.0, 1.0), "shifted": (3.0, 1.0),
+                        "narrow": (0.0, 0.2), "wide": (0.0, 5.0)}[fit]
+        normal = mean + sd * (shift + scale * rng.standard_normal(n))
+        expon = shift + scale * rng.standard_exponential(n)
+    for x, got, cdf in (
+            (normal, lambda x: ks_normal(x, mean, sd),
+             lambda y: _scipy.ndtr((y - mean) / sd)),
+            (expon, ks_unit_exponential, dg._expon_cdf)):
+        x = rng.permutation(np.round(x, 1) if ties else x)
+        x[rng.choice(n, size=min(n, len(special)), replace=False)] = special[:n]
+        want = study_oracle.ks_statistic(x, cdf)
+        if np.isnan(x).any():
+            assert np.isnan(got(x)) and np.isnan(want)
+        else:
+            assert np.float64(got(x)).tobytes() == np.float64(want).tobytes()
+
+
 # ----------------------------------------------------- convergence study
 
 
@@ -217,6 +262,21 @@ def test_trend_fails_when_a_vertex_rises_beyond_the_slack(ks_last, ok):
     assert rep.trend_ok() is ok
 
 
+@pytest.mark.parametrize("ladder", [(0.1, np.nan, 0.5), (np.nan, 0.2, 0.1),
+                                    (0.3, 0.2, np.nan), (np.nan,)])
+def test_trend_fails_on_a_nan_distance(ladder):
+    """A NaN anywhere in a vertex's ladder fails the trend, though every
+    comparison with a NaN is False; vertex 2's ladder alone passes."""
+    levels = tuple(2.0 * 2 ** k for k in range(len(ladder)))
+    rows = tuple(MarginRow(t=t, vertex=u, ks=ks, n=100, threshold=1.0)
+                 for t, k in zip(levels, ladder)
+                 for u, ks in ((2, 0.1), (3, k)))
+    rep = ConvergenceReport(v=1, mode="condition_on_root", t_levels=levels,
+                            n=100, seed=0, rows=rows, mean_gap={}, cov_gap={})
+    assert rep.trend_ok() is False
+    assert dataclasses.replace(rep, rows=rows[::2]).trend_ok() is True
+
+
 @pytest.mark.parametrize("levels", [(), (2.0, np.nan), (np.inf,), (-1.0,),
                                     (True,), ("3",), (2.0, None)])
 def test_convergence_study_rejects_bad_levels(hr_chain, levels):
@@ -240,9 +300,10 @@ def test_study_limit_needs_two_rows(hr_chain, n):
 @pytest.mark.parametrize("levels", [(4.0, 8.0), (4.0, 8.0, 16.0)])
 def test_study_limit_memory_grows_by_one_matrix_per_level(pytestconfig, levels):
     """On the 101-vertex Gaussian triangle tree at n = 10,000 the study
-    peaks below 4.1 (n × d) float matrices at two levels, and grows by
+    peaks below 3.5 (n × d) float matrices at two levels, and grows by
     at most one such matrix for each level beyond two: each level's
-    draws are dropped once renormalized."""
+    draws are dropped once renormalized, into one buffer with no other
+    (n × d) temporary."""
     doc = perfbench_workloads(pytestconfig.rootpath).gauss_tree(1)
     cfg = parse_config(doc)
     ordering = cfg.ordering()
@@ -256,7 +317,53 @@ def test_study_limit_memory_grows_by_one_matrix_per_level(pytestconfig, levels):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (4.1 + len(levels) - 2) * matrix, peak / matrix
+    assert peak <= (3.5 + len(levels) - 2) * matrix, peak / matrix
+
+
+@pytest.mark.parametrize("case", ["gauss_tree", "mixed_tree"])
+def test_study_levels_equal_the_row_major_path(pytestconfig, case):
+    """Each level's margins, mean and covariance have the bytes of the
+    row-major renormalize → sub → mean → np.cov path of study_oracle, and
+    the margins its strides; the report's KS rows and gaps follow from
+    them.  The perfbench Gaussian tree is studied around its root, the
+    mixed tree block by block."""
+    root = pytestconfig.rootpath
+    if case == "gauss_tree":
+        cfg = parse_config(perfbench_workloads(root).gauss_tree(1))
+    else:
+        cfg = load_config(root / "configs" / "mixed_tree.json")
+    ordering = cfg.ordering()
+    models = cfg.models(ordering)
+    limit = derive_limit(ordering, models, cfg.v)[1]
+    if limit is None:
+        limit = build_tail_noise(ordering, models, cfg.v)
+    mode = ("condition_on_root" if isinstance(limit, TailGraphicalModel)
+            else "separator_based")
+    assert mode == {"gauss_tree": "condition_on_root",
+                    "mixed_tree": "separator_based"}[case]
+    levels, n = (4.0, 8.0), 5_000
+    rep = study_limit(limit, models, levels, n, seed=1)
+    lim_mean, lim_cov = tail_model_moments(limit)
+    sds = np.sqrt(np.diag(lim_cov.values))
+    draws = _simulate(_draw_plan(limit.ordering, models, limit.v), n, 1, 1,
+                      levels)
+    for t, draw in zip(levels, draws):
+        x_v, z_want, mean_want, cov_want = study_oracle.level_moments(
+            draw, limit, mode)
+        z = _renormalized_rows(draw, limit, mode, (limit.v,) + limit.z_index)
+        assert z[0].tobytes() == x_v.tobytes()
+        assert z[1:].T.strides == z_want.strides
+        assert z[1:].T.tobytes() == z_want.tobytes()
+        mean, cov = dg._centred_moments(z[1:])
+        assert mean.tobytes() == mean_want.tobytes()
+        assert cov.tobytes() == cov_want.tobytes()
+        ks = [study_oracle.ks_statistic(x_v, dg._expon_cdf)]
+        ks += [study_oracle.ks_statistic(
+            z_want[:, j], lambda y, m=m, s=s: _scipy.ndtr((y - m) / s))
+            for j, (m, s) in enumerate(zip(lim_mean.values, sds))]
+        assert [r.ks for r in rep.margins(t)] == ks
+        assert rep.mean_gap[t] == float(np.max(np.abs(mean_want - lim_mean.values)))
+        assert rep.cov_gap[t] == float(np.max(np.abs(cov_want - lim_cov.values)))
 
 
 # ----------------------------------------------------- factorized density
