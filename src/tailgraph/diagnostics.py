@@ -29,7 +29,7 @@ from .limits import (
     tail_model_moments,
 )
 from .rng import OFFSET_MISC, _check_rows, check_seed, derived_rng
-from .simulate import _draw_plan, _renormalized_rows, _simulate
+from .simulate import _draw_plan, _renormalize_in_place, _simulate
 
 #: Orthant-probability accuracy of the MRV compatibility check's measures.
 _MARGINAL_ACCURACY = 1e-9
@@ -216,9 +216,12 @@ def study_limit(limit: TailGraphicalModel | TailNoiseModel, models: dict,
     monotone-trend verdict sharp: one pass draws all levels, reading each
     random number once, and each level equals a lone
     :func:`~tailgraph.simulate.conditional_exceedance` at that level bit
-    for bit.  The levels are then studied one at a time, each level's
-    draws dropped once renormalized.  ``n`` must be an integer >= 2 (a
-    sample covariance needs two rows), else :class:`ConfigError`.
+    for bit.  The levels are then studied one at a time: each level's
+    vertex-major (d × n) draws, rows (v, *z_index), are renormalized and
+    centred in place and dropped once studied, so the study holds one
+    such array per level and no other of that size.  ``n`` must be an
+    integer >= 2 (a sample covariance needs two rows), else
+    :class:`ConfigError`.
     """
     t_levels = check_t_levels(t_levels, "t_levels")
     _check_rows(n, workers, least=2)
@@ -235,7 +238,9 @@ def study_limit(limit: TailGraphicalModel | TailNoiseModel, models: dict,
     rows = []
     mean_gap, cov_gap = {}, {}
     for t in t_levels:
-        z = _renormalized_rows(draws.pop(0), limit, mode, (v,) + z_index)
+        draw = draws.pop(0)
+        _renormalize_in_place(draw, limit, mode)
+        z = draw.values.T  # rows (v, *z_index), by the plan's row order
         rows.append(MarginRow(t=t, vertex=v, ks=ks_unit_exponential(z[0]),
                               n=n, threshold=threshold))
         z = z[1:]  # one row per margin of the limit

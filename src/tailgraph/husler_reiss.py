@@ -435,6 +435,12 @@ def transition_kernel(model: HuslerReissModel, sep, x_sep, x_rest) -> np.ndarray
                            exp_to_frechet(x_sep[:, 0]), x_rest[:, 0])
     else:
         vals = _partition_kernel(model, sep, x_sep, x_rest)
+    return _clamped_kernel(vals)
+
+
+def _clamped_kernel(vals: np.ndarray) -> np.ndarray:
+    """Kernel values with rounding excursions above 1 clamped; a NaN or
+    a larger excursion raises :class:`NumericalBreakdown`."""
     if not np.all(vals <= 1.0 + 1e-9):
         worst = float(np.max(np.where(np.isnan(vals), np.inf, vals)))
         raise NumericalBreakdown(

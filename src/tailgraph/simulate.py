@@ -25,9 +25,10 @@ together.  One pass draws a whole ladder of thresholds: each row block
 reads its random numbers once and applies them to every level, and a
 separator's latent normal score is computed once per block and level
 for all the Gaussian cliques glued at it.  Each level fills its own
-vertex-major (d × n) array; :func:`conditional_exceedance` is the
-one-level case, bit for bit.  All margins are exactly unit exponential
-by construction.
+vertex-major (d × n) array, v's row first; :func:`conditional_exceedance`
+is the one-level case, bit for bit.  Renormalization is elementwise, so
+the convergence study runs it in place on these arrays.  All margins are
+exactly unit exponential by construction.
 """
 
 from __future__ import annotations
@@ -112,9 +113,10 @@ def _invert_pair(model, s: int, x1: np.ndarray, u: np.ndarray) -> np.ndarray:
     bisects): while x and lo stay below that, every test against the top
     comes out the same without it (hi is inf until then).  Most rows
     never compute it, and every row returns the bits it would with the
-    top computed first.  The steps need ∂K and call
-    :func:`hr.pair_kernel`; the top and the certification need K alone
-    and call :func:`hr.transition_kernel`, which evaluates the same
+    top computed first.  The steps and the certification probes call
+    :func:`hr.pair_kernel` on the cached Fréchet states of x1, the
+    probes clamped and checked as :func:`hr.transition_kernel` does;
+    the top calls :func:`hr.transition_kernel`, which evaluates the same
     closed form.
     """
     tol = INVERT_TOL
@@ -174,8 +176,8 @@ def _invert_pair(model, s: int, x1: np.ndarray, u: np.ndarray) -> np.ndarray:
             at = np.flatnonzero(near)
             probe = x[at]
             probe += np.where(above[at], -tol / 2, tol / 2)
-            probe_above = hr.transition_kernel(model, (s,), x1[rows[at], None],
-                                               probe[:, None]) >= u[at]
+            probe_above = hr._clamped_kernel(
+                hr.pair_kernel(a, y1[at], probe)) >= u[at]
             lo[at[~probe_above]] = probe[~probe_above]
             hi[at[probe_above]] = probe[probe_above]
         x -= step
@@ -211,10 +213,13 @@ class _Draw:
 class _DrawPlan:
     """The per-clique constants of one ordering, built once per command
     and reused for every row block and every threshold.  ``v`` is the
-    conditioning vertex (the root's given row), or None."""
+    conditioning vertex (the root's given row), or None; ``columns``
+    labels the rows of the vertex-major block: the graph's vertices, with
+    v moved first when there is one."""
 
     ordering: CliqueOrdering
     v: int | None
+    columns: tuple[int, ...]
     draws: tuple[_Draw, ...]
 
 
@@ -269,7 +274,10 @@ def _draw_plan(ordering: CliqueOrdering, models: dict, v: int | None = None) -> 
         ordering = _rooted(ordering, v)
     table = _models_table(ordering, models)
     check_separator_models(ordering, table)
-    pos = {u: k for k, u in enumerate(ordering.graph.vertices)}
+    cols = ordering.graph.vertices
+    if v is not None:
+        cols = (v,) + tuple(u for u in cols if u != v)
+    pos = {u: k for k, u in enumerate(cols)}
     root = ordering.cliques[0]
     if v is None:
         draws = _root_draws(table[root], root, pos)
@@ -286,7 +294,7 @@ def _draw_plan(ordering: CliqueOrdering, models: dict, v: int | None = None) -> 
             draws.append(_gaussian_draw(model, sep, rest, pos))
         else:
             draws.append(_pair_draw(model, clique, sep[0], pos))
-    return _DrawPlan(ordering, v, _keep_shared(draws))
+    return _DrawPlan(ordering, v, cols, _keep_shared(draws))
 
 
 def _fill(d: _Draw, xs: list[np.ndarray], scores: list[dict], rng) -> None:
@@ -338,14 +346,18 @@ def _simulate(plan: _DrawPlan, n: int, seed: int, workers: int,
 
     Each block reads its random numbers once and applies them to every
     level, so the levels share them exactly.  Each level fills its own
-    vertex-major (d × n) array, and the matrix's ``values`` is its
-    transpose view.  A bad level, seed, n or workers raises
+    C-order vertex-major (d × n) array, and the matrix's ``values`` is
+    its transpose view.  The rows, and so the columns, follow
+    ``plan.columns``: the graph's vertices in order, except that a
+    conditioned plan puts v first, so rows 1..d−1 are the other vertices
+    in graph order (a limit's ``z_index``).  No draw's bits depend on
+    its row's position.  A bad level, seed, n or workers raises
     :class:`ConfigError` before any row is drawn.
     """
     ts = (None,) if levels is None else tuple(_check_level(t) for t in levels)
     seed = check_seed(seed, "seed")
     _check_rows(n, workers)
-    cols = plan.ordering.graph.vertices
+    cols = plan.columns
     arrays = [np.empty((len(cols), n)) for _ in ts]
 
     def fill(blk):
@@ -355,7 +367,7 @@ def _simulate(plan: _DrawPlan, n: int, seed: int, workers: int,
         if levels is not None:
             e = rng.standard_exponential(stop - start)
             for x, t in zip(xs, ts):
-                x[cols.index(plan.v)] = t + e
+                x[0] = t + e  # v's row
         scores = [{} for _ in xs]
         for d in plan.draws:
             _fill(d, xs, scores, rng)
@@ -381,7 +393,10 @@ def conditional_exceedance(ordering: CliqueOrdering, models: dict, v: int,
                            workers: int = 1) -> SampleMatrix:
     """n draws given X_v > t: the v-column is t plus a fresh unit
     exponential (memorylessness is exact for exponential margins), the
-    rest propagates through the same conditional kernels.
+    rest propagates through the same conditional kernels.  The columns
+    are v first, then the other vertices in graph order; ``values`` is
+    the transpose view of a C-order (d × n) array, so each column is
+    contiguous.
 
     The random numbers do not depend on t, so the levels share them:
     this is the one-level case of the pass that
@@ -402,21 +417,27 @@ def renormalize(samples: SampleMatrix, model, mode: str) -> SampleMatrix:
     ``mode="separator_based"`` uses the per-clique separator normings of
     a :class:`TailNoiseModel`: each block's new vertices are normalized
     by their own separator's realized state.  The conditioning column
-    becomes x_v − t in both modes.
+    becomes x_v − t in both modes.  The result is
+    :func:`_renormalize_in_place` on a copy; ``samples`` is not touched.
     """
-    rows = _renormalized_rows(samples, model, mode, samples.columns)
     meta = dict(samples.meta)
     meta["kind"] = f"renormalized_{mode}"
-    return SampleMatrix(columns=samples.columns, values=rows.T, meta=meta)
+    # a vertex-major copy, laid out as _simulate's draws are
+    out = SampleMatrix(columns=samples.columns,
+                       values=samples.values.T.copy().T, meta=meta)
+    _renormalize_in_place(out, model, mode)
+    return out
 
 
-def _renormalized_rows(samples: SampleMatrix, model, mode: str,
-                       labels) -> np.ndarray:
-    """The columns ``labels`` of :func:`renormalize` as the rows of one
-    (len(labels) × n) array, computed elementwise from the rows of
-    ``samples.values.T``: from :func:`_simulate`'s vertex-major draws, with
-    no copy.  ``out[k:].T`` has the bytes and strides of a fancy column
-    index (an F-order copy) of an (n × d) matrix."""
+def _renormalize_in_place(samples: SampleMatrix, model, mode: str) -> None:
+    """Overwrite ``samples.values`` with :func:`renormalize`'s values.
+
+    Elementwise, column by column, so the layout is kept: on
+    :func:`_simulate`'s draws each column stays a contiguous row of the
+    vertex-major array.  Every column is written after the columns it
+    reads: blocks go in reverse draw order, so a separator is still raw
+    when its block reads it, and v's column comes last.  A refused model
+    or mode raises before anything is written."""
     kinds = {"condition_on_root": (TailGraphicalModel, "graph-wide"),
              "separator_based": (TailNoiseModel, "per-clique")}
     if mode not in kinds:
@@ -431,34 +452,29 @@ def _renormalized_rows(samples: SampleMatrix, model, mode: str,
                              f"normings of a {kind.__name__}")
     x = samples.values.T
     pos = {u: j for j, u in enumerate(samples.columns)}
-    at = {u: k for k, u in enumerate(labels)}
-    out = np.empty((len(labels), samples.n))
     x_v = samples.column(model.v)
-    if model.v in at:
-        np.subtract(x_v, t, out=out[at[model.v]])
     if mode == "condition_on_root":
+        for u in samples.columns:
+            if u != model.v and u not in model.normings:
+                raise MissingNorming(f"no norming for vertex {u}")
         scales = {}  # b(x_v) depends on the norming's power alone
-        for u, k in at.items():
+        for u, k in pos.items():
             if u == model.v:
                 continue
-            pair = model.normings.get(u)
-            if pair is None:
-                raise MissingNorming(f"no norming for vertex {u}")
+            pair = model.normings[u]
             if pair.bexp not in scales:
                 scales[pair.bexp] = pair.b(x_v)
-            np.subtract(x[pos[u]], pair.a(x_v), out=out[k])
-            out[k] /= scales[pair.bexp]
-        return out
-    seen = {model.v}
-    for blk in model.blocks:
-        x_s = x[pos[blk.sep[0]]][:, None]
-        a, b = blk.a_fun(x_s), blk.b_fun(x_s)
-        for j, u in enumerate(blk.rest):
-            seen.add(u)
-            if u in at:
-                np.subtract(x[pos[u]], a[:, j], out=out[at[u]])
-                out[at[u]] /= b[:, j]
-    missing = set(samples.columns) - seen
-    if missing:
-        raise MissingNorming(f"no block covers vertices {sorted(missing)}")
-    return out
+            np.subtract(x[k], pair.a(x_v), out=x[k])
+            x[k] /= scales[pair.bexp]
+    else:
+        missing = set(samples.columns) - {model.v}.union(
+            *(blk.rest for blk in model.blocks))
+        if missing:
+            raise MissingNorming(f"no block covers vertices {sorted(missing)}")
+        for blk in reversed(model.blocks):
+            x_s = x[pos[blk.sep[0]]][:, None]
+            a, b = blk.a_fun(x_s), blk.b_fun(x_s)
+            for j, u in enumerate(blk.rest):
+                np.subtract(x[pos[u]], a[:, j], out=x[pos[u]])
+                x[pos[u]] /= b[:, j]
+    np.subtract(x_v, t, out=x_v)

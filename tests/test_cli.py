@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 
 import tailgraph
 from tailgraph import cli, limits
+from tailgraph import husler_reiss as hr
+from tailgraph import simulate as sim
 from tailgraph.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -500,6 +502,31 @@ def test_tail_noise_route_computes_moments_once(configs, monkeypatch, command):
     res = run(command, "--config", str(configs / "mixed_tree.json"), *args)
     assert payload(res)["verdict"]["kind"] == "tail_noise_required"
     assert len(calls) == 1
+
+
+def test_hr_chain_verify_kernel_rows_are_pinned(configs, monkeypatch):
+    """``verify`` on the HR chain (seed 1, n = 10,000, t = 2, 4, 6)
+    inverts 60,000 rows with 261,810 pair-kernel rows: 203,418 Newton
+    rows, which take the slope, and 58,392 certification-probe and
+    bracket-top rows, which do not.  Moving a kernel call from one
+    caller to another keeps these counts; changing the work moves them."""
+    rows = {"newton": 0, "plain": 0, "inverted": 0}
+    kernel, invert = hr.pair_kernel, sim._invert_pair
+
+    def counting_kernel(a, y1, x, slope=False):
+        rows["newton" if slope else "plain"] += x.size
+        return kernel(a, y1, x, slope=slope)
+
+    def counting_invert(model, s, x1, u):
+        rows["inverted"] += u.size
+        return invert(model, s, x1, u)
+
+    monkeypatch.setattr(hr, "pair_kernel", counting_kernel)
+    monkeypatch.setattr(sim, "_invert_pair", counting_invert)
+    res = run("verify", "--config", str(configs / "hr_chain.json"), "--seed",
+              "1", "--n", "10000", "--t-levels", "2,4,6")
+    assert res.exit_code == EXIT_OK
+    assert rows == {"newton": 203_418, "plain": 58_392, "inverted": 60_000}
 
 
 _SCIPY_FREE_RUNS = """

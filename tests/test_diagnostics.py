@@ -47,7 +47,7 @@ from tailgraph.limits import (
 from tailgraph.linalg import spd_inverse
 from tailgraph.simulate import (
     _draw_plan,
-    _renormalized_rows,
+    _renormalize_in_place,
     _simulate,
     simulate_graphical,
 )
@@ -297,50 +297,88 @@ def test_study_limit_needs_two_rows(hr_chain, n):
             study_limit(limit, models, (2.0, 4.0), n, seed=0)
 
 
-@pytest.mark.parametrize("levels", [(4.0, 8.0), (4.0, 8.0, 16.0)])
-def test_study_limit_memory_grows_by_one_matrix_per_level(pytestconfig, levels):
-    """On the 101-vertex Gaussian triangle tree at n = 10,000 the study
-    peaks below 3.5 (n × d) float matrices at two levels, and grows by
-    at most one such matrix for each level beyond two: each level's
-    draws are dropped once renormalized, into one buffer with no other
-    (n × d) temporary."""
-    doc = perfbench_workloads(pytestconfig.rootpath).gauss_tree(1)
-    cfg = parse_config(doc)
+def study_case(root, case):
+    """(limit, models, mode) of one convergence-study case on the 101-vertex
+    perfbench Gaussian triangle tree (seed 1) or the shipped mixed tree.
+
+    ``gauss_tree`` is studied around vertex 1, the first, on the
+    theorem-1 route; ``gauss_tree_mid`` around vertex 51, in the middle.
+    ``hr_root_tree`` replaces the root triangle (1, 2, 3) by the HR pairs
+    (1, 2) and (1, 3), which sends vertex 51 to the separator-based
+    route.  ``mixed_tree`` is studied block by block around vertex 3."""
+    if case == "mixed_tree":
+        cfg = load_config(root / "configs" / "mixed_tree.json")
+        v = cfg.v
+    else:
+        doc = perfbench_workloads(root).gauss_tree(1)
+        v = 1 if case == "gauss_tree" else 51
+        if case == "hr_root_tree":
+            pair = {"family": "husler_reiss",
+                    "variogram": [[0.0, 1.0], [1.0, 0.0]]}
+            assert doc["cliques"][0]["vertices"] == [1, 2, 3]
+            doc["cliques"][:1] = [{"vertices": [1, 2], **pair},
+                                  {"vertices": [1, 3], **pair}]
+            doc["graph"]["edges"] = sorted(
+                [a, b] for c in doc["cliques"] for a in c["vertices"]
+                for b in c["vertices"] if a < b)
+        cfg = parse_config(doc)
     ordering = cfg.ordering()
     models = cfg.models(ordering)
-    limit = derive_limit(ordering, models, cfg.v)[1]
+    limit = derive_limit(ordering, models, v)[1]
+    if limit is None:
+        limit = build_tail_noise(ordering, models, v)
+    mode = ("condition_on_root" if isinstance(limit, TailGraphicalModel)
+            else "separator_based")
+    assert (mode == "separator_based") == (case in ("hr_root_tree", "mixed_tree"))
+    return limit, models, mode
+
+
+def study_peak(root, case, levels) -> float:
+    """Traced peak of the study of ``case`` at n = 10,000, in (n × d)
+    float matrices."""
+    limit, models, _ = study_case(root, case)
     n = 10_000
-    matrix = n * ordering.graph.n * 8
     tracemalloc.start()
     try:
         study_limit(limit, models, levels, n, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (3.5 + len(levels) - 2) * matrix, peak / matrix
+    return peak / (n * limit.ordering.graph.n * 8)
 
 
-@pytest.mark.parametrize("case", ["gauss_tree", "mixed_tree"])
+LEVEL_LADDERS = [(4.0, 8.0), (4.0, 8.0, 16.0), (4.0, 8.0, 16.0, 32.0)]
+
+
+@pytest.mark.parametrize("levels", LEVEL_LADDERS)
+def test_study_limit_memory_grows_by_one_matrix_per_level(pytestconfig, levels):
+    """On the 101-vertex Gaussian triangle tree at n = 10,000 the study
+    peaks below L + 0.5 (n × d) float matrices at L levels: each level's
+    draws are renormalized and centred in place, with no other (n × d)
+    temporary."""
+    peak = study_peak(pytestconfig.rootpath, "gauss_tree", levels)
+    assert peak <= len(levels) + 0.5, peak
+
+
+@pytest.mark.parametrize("levels", LEVEL_LADDERS)
+@pytest.mark.parametrize("case", ["gauss_tree_mid", "hr_root_tree"])
+def test_study_limit_memory_off_the_first_vertex(pytestconfig, case, levels):
+    """The same bound with v in the middle of the graph, on the theorem-1
+    route and on the separator-based route."""
+    peak = study_peak(pytestconfig.rootpath, case, levels)
+    assert peak <= len(levels) + 0.5, peak
+
+
+@pytest.mark.parametrize("case", ["gauss_tree", "gauss_tree_mid",
+                                  "hr_root_tree", "mixed_tree"])
 def test_study_levels_equal_the_row_major_path(pytestconfig, case):
     """Each level's margins, mean and covariance have the bytes of the
     row-major renormalize → sub → mean → np.cov path of study_oracle, and
     the margins its strides; the report's KS rows and gaps follow from
-    them.  The perfbench Gaussian tree is studied around its root, the
-    mixed tree block by block."""
-    root = pytestconfig.rootpath
-    if case == "gauss_tree":
-        cfg = parse_config(perfbench_workloads(root).gauss_tree(1))
-    else:
-        cfg = load_config(root / "configs" / "mixed_tree.json")
-    ordering = cfg.ordering()
-    models = cfg.models(ordering)
-    limit = derive_limit(ordering, models, cfg.v)[1]
-    if limit is None:
-        limit = build_tail_noise(ordering, models, cfg.v)
-    mode = ("condition_on_root" if isinstance(limit, TailGraphicalModel)
-            else "separator_based")
-    assert mode == {"gauss_tree": "condition_on_root",
-                    "mixed_tree": "separator_based"}[case]
+    them.  The draws' rows are (v, *z_index) wherever v lies in the
+    graph, and in-place renormalization writes them in an order that
+    reads every separator raw."""
+    limit, models, mode = study_case(pytestconfig.rootpath, case)
     levels, n = (4.0, 8.0), 5_000
     rep = study_limit(limit, models, levels, n, seed=1)
     lim_mean, lim_cov = tail_model_moments(limit)
@@ -348,9 +386,11 @@ def test_study_levels_equal_the_row_major_path(pytestconfig, case):
     draws = _simulate(_draw_plan(limit.ordering, models, limit.v), n, 1, 1,
                       levels)
     for t, draw in zip(levels, draws):
+        assert draw.columns == (limit.v,) + limit.z_index
         x_v, z_want, mean_want, cov_want = study_oracle.level_moments(
             draw, limit, mode)
-        z = _renormalized_rows(draw, limit, mode, (limit.v,) + limit.z_index)
+        _renormalize_in_place(draw, limit, mode)
+        z = draw.values.T
         assert z[0].tobytes() == x_v.tobytes()
         assert z[1:].T.strides == z_want.strides
         assert z[1:].T.tobytes() == z_want.tobytes()

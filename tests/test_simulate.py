@@ -221,6 +221,26 @@ def test_renormalize_refuses(hr_chain, case, error, match):
         renormalize(samples, model, mode)
 
 
+@pytest.mark.parametrize("name", ["hr_chain", "mixed_tree"])
+def test_renormalize_leaves_its_input_alone(pytestconfig, name):
+    """renormalize writes a copy: the samples keep their bytes, share no
+    memory with the result, and the result is the one of study_limit's
+    in-place routine on the draws themselves."""
+    ordering, models, v = shipped(pytestconfig, name)
+    if name == "hr_chain":
+        model, mode = build_tail_model(ordering, models, v), "condition_on_root"
+    else:
+        model, mode = build_tail_noise(ordering, models, v), "separator_based"
+    samples = conditional_exceedance(ordering, models, v, 4.0, 1000, seed=2)
+    before = samples.values.tobytes()
+    z = renormalize(samples, model, mode)
+    assert samples.values.tobytes() == before
+    assert not np.shares_memory(z.values, samples.values)
+    sim._renormalize_in_place(samples, model, mode)
+    assert z.values.tobytes() == samples.values.tobytes()
+    assert z.values.strides == samples.values.strides
+
+
 # ------------------------------------------------------------ determinism
 
 
@@ -478,13 +498,15 @@ def test_each_lazy_top_trigger_keeps_the_bits(monkeypatch, gamma, x1, u, lagging
     with a midpoint.  Each row here reaches one case, read from the
     inverter's own frame at the call, and keeps the bits of the inverter
     that searched first."""
-    kernel, top, calls = hr.transition_kernel, sim._bracket_top, []
+    kernel, top, calls = hr.pair_kernel, sim._bracket_top, []
     if lagging:
-        # the probes and the top search read K at x − INVERT_TOL, so the
-        # probe above a converged iterate can fall below u, as a rounding
-        # disagreement of the two kernels could at a finer scale
-        monkeypatch.setattr(hr, "transition_kernel", lambda m, sep, x_sep, x_rest:
-                            kernel(m, sep, x_sep, np.asarray(x_rest) - INVERT_TOL))
+        # the probes and the top search (every kernel call without the
+        # slope, also through transition_kernel) read K at x − INVERT_TOL,
+        # so the probe above a converged iterate can fall below u, as a
+        # rounding disagreement of two kernels could at a finer scale
+        monkeypatch.setattr(hr, "pair_kernel", lambda a, y1, x, slope=False:
+                            kernel(a, y1, x, slope=True) if slope
+                            else kernel(a, y1, x - INVERT_TOL))
 
     def recording(model, s, x1, u):
         f = sys._getframe(1).f_locals
