@@ -40,8 +40,6 @@ from .gaussian import (
     CorrelationMatrix,
     GaussianCopulaModel,
     limit_law,
-    root_norming,
-    separator_norming,
 )
 from .limits import (
     NormingPair,

@@ -32,15 +32,13 @@ from . import diagnostics as dg
 from . import limits
 from .config import RunConfig, check_seed, check_t_levels, load_config
 from .errors import ConfigError, TailgraphError
-from .graphs import _family_of, clique_ordering, junction_tree
+from .graphs import clique_ordering, junction_tree
 from .rng import _check_rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_VERIFY = 4
-
-HR_REMAINDER_CEILING = 1e-10
 
 
 def _dump(doc: dict) -> str:
@@ -250,24 +248,19 @@ def _remainder_csv(report: limits.RemainderReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _remainder_checks(report: limits.RemainderReport, models: dict) -> dict:
-    """Per-clique verdicts: exact zeros for pure-location cliques, and a
-    first-to-last decrease of the defect suprema otherwise."""
+def _remainder_checks(report: limits.RemainderReport,
+                      model: limits.TailGraphicalModel) -> dict:
+    """Per-clique verdicts, each by its clique's record: exact zeros for
+    pure-location cliques, and a first-to-last decrease of the defect
+    suprema otherwise."""
     checks = {}
-    cliques = sorted({r.clique for r in report.rows})
-    for c in cliques:
-        rows = report.for_clique(c)
-        sups = [max(r.sup_a, r.sup_b) for r in rows]
-        family = _family_of(models[c])
-        if family == "husler_reiss":
-            ok = max(sups) < HR_REMAINDER_CEILING
-        else:
-            ok = sups[-1] <= sups[0]
-        checks[" ".join(str(u) for u in c)] = {
-            "family": family,
+    for upd in model.updates:
+        sups = [max(r.sup_a, r.sup_b) for r in report.for_clique(upd.clique)]
+        checks[" ".join(str(u) for u in upd.clique)] = {
+            "family": upd.family,
             "sup_first": sups[0],
             "sup_last": sups[-1],
-            "ok": ok,
+            "ok": upd.record.remainder_ok(sups),
         }
     return checks
 
@@ -316,7 +309,7 @@ def cmd_verify(config_path: str, out_flag: str | None, v_flag: int | None,
                  else limits.build_tail_noise(ordering, models, v))
 
         report = dg.study_limit(
-            limit, models, t_levels, n, seed,
+            limit, t_levels, n, seed,
             ks_const=tol["ks_const"], workers=workers)
         report = dataclasses.replace(report, slack=tol["trend_slack"])
         _write(out, "ks_table.csv", report.ks_csv())
@@ -327,12 +320,12 @@ def cmd_verify(config_path: str, out_flag: str | None, v_flag: int | None,
         if model is not None:
             rem = limits.remainder_report(model, t_grid=tol["remainder_grid"])
             _write(out, "remainders.csv", _remainder_csv(rem))
-            rem_checks = _remainder_checks(rem, models)
+            rem_checks = _remainder_checks(rem, model)
             summary["remainders"] = {"grid": list(tol["remainder_grid"]),
                                      "cliques": rem_checks}
             checks["remainders"] = all(c["ok"] for c in rem_checks.values())
 
-        if all(_family_of(m) == "husler_reiss" for m in models.values()):
+        if all(u.record.has_density for u in limit.in_order):
             mrv = dg.mrv_checks(ordering, models, seed=seed)
             mrv_doc = mrv.to_dict()
             _write(out, "mrv.json", _dump(mrv_doc))

@@ -126,19 +126,32 @@ def _is_finite(x) -> bool:
         return False
 
 
-def check_t_levels(levels, where: str) -> tuple[float, ...]:
+def check_levels(levels, where: str) -> tuple[float, ...]:
     """Levels as floats; raises :class:`ConfigError` unless they are a
-    nonempty, strictly ascending run of finite positive real numbers
-    (not bools or strings)."""
-    vals = tuple(levels)
+    nonempty run of finite positive real numbers (not bools or strings)."""
+    try:
+        vals = tuple(levels)
+    except TypeError:
+        raise ConfigError(f"{where} must be a list of levels, got {levels!r}") from None
     for t in vals:
         _require(isinstance(t, numbers.Real) and not isinstance(t, bool),
                  f"{where}: level {t!r} is not a real number")
-    vals = tuple(float(t) for t in vals)
     _require(len(vals) > 0, f"{where} must be nonempty")
+    out = []
     for t in vals:
-        _require(bool(np.isfinite(t)) and t > 0,
+        try:
+            t = float(t)
+        except OverflowError:  # an integer beyond the float range
+            t = math.inf
+        _require(math.isfinite(t) and t > 0,
                  f"{where}: level {t!r} must be finite and positive")
+        out.append(t)
+    return tuple(out)
+
+
+def check_t_levels(levels, where: str) -> tuple[float, ...]:
+    """:func:`check_levels`, strictly ascending."""
+    vals = check_levels(levels, where)
     _require(all(a < b for a, b in zip(vals, vals[1:])),
              f"{where} must be strictly ascending")
     return vals
@@ -250,10 +263,8 @@ def parse_config(data: dict) -> RunConfig:
             tolerances["trend_slack"] = float(tdata["trend_slack"])
         if "remainder_grid" in tdata:
             grid = tdata["remainder_grid"]
-            _require(isinstance(grid, list) and grid
-                     and all(_is_finite(t) and t > 0 for t in grid),
-                     "remainder_grid must be a list of finite positive levels")
-            tolerances["remainder_grid"] = tuple(float(t) for t in grid)
+            _require(isinstance(grid, list), "remainder_grid must be a list")
+            tolerances["remainder_grid"] = check_levels(grid, "remainder_grid")
 
     return RunConfig(
         graph=graph, clique_specs=specs, correlation=correlation, v=v,

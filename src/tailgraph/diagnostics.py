@@ -29,7 +29,7 @@ from .limits import (
     tail_model_moments,
 )
 from .rng import OFFSET_MISC, _check_rows, check_seed, derived_rng
-from .simulate import _draw_plan, _renormalize_in_place, _simulate
+from .simulate import _plan, _renormalize_in_place, _simulate
 
 #: Orthant-probability accuracy of the MRV compatibility check's measures.
 _MARGINAL_ACCURACY = 1e-9
@@ -199,10 +199,10 @@ def convergence_study(ordering: CliqueOrdering, models: dict, v: int,
     limit = derive_limit(ordering, models, v)[1]
     if limit is None:
         limit = build_tail_noise(ordering, models, v)
-    return study_limit(limit, models, t_levels, n, seed)
+    return study_limit(limit, t_levels, n, seed)
 
 
-def study_limit(limit: TailGraphicalModel | TailNoiseModel, models: dict,
+def study_limit(limit: TailGraphicalModel | TailNoiseModel,
                 t_levels, n: int, seed: int,
                 ks_const: float = KS_CONST,
                 workers: int = 1) -> ConvergenceReport:
@@ -216,10 +216,12 @@ def study_limit(limit: TailGraphicalModel | TailNoiseModel, models: dict,
     monotone-trend verdict sharp: one pass draws all levels, reading each
     random number once, and each level equals a lone
     :func:`~tailgraph.simulate.conditional_exceedance` at that level bit
-    for bit.  The levels are then studied one at a time: each level's
-    vertex-major (d × n) draws, rows (v, *z_index), are renormalized and
-    centred in place and dropped once studied, so the study holds one
-    such array per level and no other of that size.  ``n`` must be an
+    for bit.  The draws are the limit's own clique records, so no
+    clique's constants are built twice.  The levels are then studied one
+    at a time: each level's vertex-major (d × n) draws, rows
+    (v, *z_index), are renormalized and centred in place and dropped once
+    studied, so the study holds one such array per level and no other of
+    that size.  ``n`` must be an
     integer >= 2 (a sample covariance needs two rows), else
     :class:`ConfigError`.
     """
@@ -233,7 +235,7 @@ def study_limit(limit: TailGraphicalModel | TailNoiseModel, models: dict,
     laws = list(zip(z_index, lim_mean.values.tolist(),
                     np.sqrt(np.diag(lim_cov.values)).tolist()))
     threshold = float(ks_const / np.sqrt(n))
-    plan = _draw_plan(limit.ordering, models, v)
+    plan = _plan(limit.ordering, v, [u.record for u in limit.in_order])
     draws = _simulate(plan, n, seed, workers, t_levels)
     rows = []
     mean_gap, cov_gap = {}, {}
@@ -291,20 +293,17 @@ def factorized_density(ordering: CliqueOrdering, models: dict, y,
     rows = y.reshape(-1, len(cols))
     pos = {u: k for k, u in enumerate(cols)}
     out = np.zeros(rows.shape[0])
-    for i, clique in enumerate(ordering.cliques):
-        model = table[clique]
-        if getattr(model, "family", None) != "husler_reiss":
+    for clique, sep in zip(ordering.cliques, ordering.separators):
+        rec = table[clique].given(sep)
+        if not rec.has_density:
             raise ConfigError(
                 "factorized density requires Hüsler-Reiss cliques (the "
                 "asymptotically dependent case has a nontrivial density)"
             )
-        out += hr.exponent_measure_density_many(
-            model.variogram, rows[:, [pos[u] for u in clique]], log=True)
-        sep = ordering.separators[i]
-        if sep:
-            out -= hr.exponent_measure_density_many(
-                model.variogram.sub(sep), rows[:, [pos[u] for u in sep]],
-                log=True)
+        lam, lam_sep = rec.log_densities(rows[:, [pos[u] for u in clique]],
+                                         rows[:, [pos[u] for u in sep]])
+        out += lam
+        out -= lam_sep
     if not log:
         with np.errstate(over="ignore"):  # +inf at the tiniest states is right
             out = np.exp(out)

@@ -32,9 +32,11 @@ graph's sparsity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
+from . import _scipy
 from .errors import ConfigError, DegenerateCorrelation, NotSPD
 from .linalg import (
     SYMMETRY_TOL,
@@ -42,6 +44,7 @@ from .linalg import (
     IndexedMatrix,
     IndexedVector,
     _LabelledSquare,
+    cholesky_spd,
     spd_inverse,
 )
 
@@ -87,6 +90,22 @@ class GaussianCopulaModel:
         if self.correlation.index != clique:
             object.__setattr__(self, "correlation", self.correlation.sub(clique))
 
+    def given(self, sep) -> GaussianClique:
+        """This clique given the separator ``sep``: empty for an
+        unconditioned root, {v} for the root of a limit at v."""
+        sep = tuple(sorted(sep))
+        rest = tuple(u for u in self.clique if u not in sep)
+        corr = self.correlation
+        if not (sep and rest):
+            chol = cholesky_spd(corr.values, "root correlation") if rest else None
+            return GaussianClique(self, sep, rest, None, None, chol)
+        alpha = separator_slope(corr, sep, rest)
+        cond = conditional_scale(corr, alpha)
+        return GaussianClique(
+            self, sep, rest, alpha,
+            GaussianLaw(IndexedVector(rest, np.zeros(len(rest))), cond),
+            cholesky_spd(cond.values / 2.0, "conditional correlation"))
+
 
 def _rho_with(corr: CorrelationMatrix, v: int, targets) -> np.ndarray:
     rho = np.array([corr.entry(u, v) for u in targets])
@@ -127,30 +146,6 @@ def precision_identity_gap(corr: CorrelationMatrix, v: int) -> float:
     return float(np.max(np.abs(sig @ (d @ q_block @ d) - np.eye(len(rest)))))
 
 
-@dataclass(frozen=True)
-class GaussianRootNorming:
-    """Root-conditioning norming for one clique: a = coeff·t, b = √t."""
-
-    v: int
-    rest: tuple[int, ...]
-    coeff: IndexedVector  # ρ²_{·v}
-    law: GaussianLaw  # limit of (X_rest − coeff·X_v)/√X_v
-
-
-def root_norming(model: GaussianCopulaModel, v: int) -> GaussianRootNorming:
-    if v not in model.clique:
-        raise ConfigError(f"{v} not in clique {model.clique}")
-    corr = model.correlation
-    rest = tuple(u for u in model.clique if u != v)
-    rho = _rho_with(corr, v, rest)
-    return GaussianRootNorming(
-        v=v,
-        rest=rest,
-        coeff=IndexedVector(rest, rho**2),
-        law=limit_law(corr, v),
-    )
-
-
 def separator_slope(corr: CorrelationMatrix, sep, rest) -> IndexedMatrix:
     """Regression slope α = R_{rest,S} R_S⁻¹ (rows rest, cols sep)."""
     sep = tuple(sep)
@@ -171,71 +166,114 @@ def conditional_scale(corr: CorrelationMatrix, alpha: IndexedMatrix) -> IndexedM
     return IndexedMatrix.square(rest, 0.5 * (cond + cond.T))
 
 
-@dataclass(frozen=True)
-class GaussianSeparatorNorming:
-    """Separator-conditioning update for one clique at evaluation point c.
+def exp_to_normal(x: np.ndarray) -> np.ndarray:
+    """Latent standard-normal score of an exponential-scale state."""
+    return -_scipy.ndtri_exp(-np.asarray(x, dtype=float))
 
-    ``a_of(x) = (α |x|^{1/2})²`` and ``b_of = sqrt(a_of)`` are the
-    state-dependent norming pair; ``psi``/``phi``/``noise`` are their
-    limiting update parameters along a trajectory x ≈ c t.
+
+def normal_to_exp(z: np.ndarray) -> np.ndarray:
+    """Exponential-scale state of a latent standard-normal score."""
+    return -_scipy.log_ndtr(-np.asarray(z, dtype=float))
+
+
+@dataclass(frozen=True)
+class GaussianClique:
+    """A Gaussian-copula clique given its separator S, built once by
+    :meth:`GaussianCopulaModel.given` for its limit update and its
+    finite-level draw: the slope α = R_{rest,S} R_S⁻¹, the update noise
+    N(0, 2 (R_rest − α R_{S,rest})) and the Cholesky factor ``chol`` of
+    the conditional correlation R_rest − α R_{S,rest}.  Given no
+    separator (an unconditioned root) ``chol`` factors the clique's
+    correlation; given the whole clique nothing is built.
     """
 
+    model: GaussianCopulaModel
     sep: tuple[int, ...]
     rest: tuple[int, ...]
-    alpha: IndexedMatrix
-    eval_coeff: IndexedVector  # c, indexed by sep
-    coeff_out: IndexedVector  # a-coefficients of rest: (α √c)²
-    psi: IndexedMatrix  # Jacobian of a at c: J_{js} = u_j α_{js}/√c_s
-    phi: IndexedVector  # u = α √c = sqrt(a(c))
-    noise: GaussianLaw  # N(0, 2·conditional covariance)
+    alpha: IndexedMatrix | None
+    noise: GaussianLaw | None
+    chol: np.ndarray | None
 
-    def a_of(self, x_sep: np.ndarray) -> np.ndarray:
+    #: Norming power of the new vertices: b(t) = t^{1/2}.
+    bexp = Fraction(1, 2)
+    #: Only a Hüsler-Reiss clique has an exponent-measure density.
+    has_density = False
+
+    def a_fun(self, x_sep: np.ndarray) -> np.ndarray:
+        """a^{(S)}(x) = (α |x|^{1/2})² on rows of separator states."""
         x = np.atleast_2d(np.asarray(x_sep, dtype=float))
-        root = np.sqrt(np.abs(x))
-        return (root @ self.alpha.values.T) ** 2
+        return (np.sqrt(np.abs(x)) @ self.alpha.values.T) ** 2
 
-    def b_of(self, x_sep: np.ndarray) -> np.ndarray:
-        return np.sqrt(self.a_of(x_sep))
+    def b_fun(self, x_sep: np.ndarray) -> np.ndarray:
+        """b^{(S)} = (a^{(S)})^{1/2}."""
+        return np.sqrt(self.a_fun(x_sep))
 
+    def update(self, coeffs, moving):
+        """(ψ, φ, the new vertices' a-coefficients) along separator states
+        x ≈ c·t at the positive evaluation coefficients ``coeffs`` = c:
+        u = α √c, φ = u, coefficients (α √c)², and ψ the Jacobian
+        J_{js} = u_j α_{js} / √c_s on the separator vertices marked
+        ``moving`` (those entering at t^{1/2}), zero on the others, or
+        None when none moves."""
+        if not self.rest:
+            raise ConfigError("separator covers the whole clique")
+        c = np.asarray(coeffs, dtype=float)
+        if c.shape != (len(self.sep),) or np.any(c <= 0.0):
+            raise DegenerateCorrelation(
+                f"evaluation coefficients must be positive, got {c}"
+            )
+        u = self.alpha.values @ np.sqrt(c)
+        if np.any(u <= 0.0):
+            raise DegenerateCorrelation(
+                "nonpositive composite slope; conditioning degenerates"
+            )
+        psi = None
+        if np.any(moving):
+            jac = (u[:, None] * self.alpha.values) / np.sqrt(c)[None, :]
+            psi = IndexedMatrix(self.rest, self.sep, np.where(moving, jac, 0.0))
+        return psi, IndexedVector(self.rest, u), self.a_fun(c[None, :])[0]
 
-def separator_norming(model: GaussianCopulaModel, sep,
-                      eval_coeff) -> GaussianSeparatorNorming:
-    """Update parameters for conditioning a clique on its separator.
+    def root(self):
+        """(noise law, a, b, the new vertices' a-coefficients) of the root
+        update, the clique given S = {v}: a = ρ²x and b = √x at the
+        state x of v, and the limit law of :func:`limit_law`."""
+        v = self.sep[0]
+        coeff = _rho_with(self.model.correlation, v, self.rest) ** 2
+        width = len(self.rest)
 
-    ``eval_coeff`` is the vector of linear-norming coefficients of the
-    separator vertices (ρ²_{S,v} when the chain starts at a root v);
-    entries must be strictly positive.
-    """
-    sep = tuple(sorted(int(s) for s in sep))
-    rest = tuple(u for u in model.clique if u not in sep)
-    if not sep or set(sep) - set(model.clique):
-        raise ConfigError(f"separator {sep} invalid for clique {model.clique}")
-    if not rest:
-        raise ConfigError("separator covers the whole clique")
-    c = np.asarray(eval_coeff, dtype=float)
-    if c.shape != (len(sep),) or np.any(c <= 0.0):
-        raise DegenerateCorrelation(
-            f"evaluation coefficients must be positive, got {c}"
-        )
-    corr = model.correlation
-    alpha = separator_slope(corr, sep, rest)
-    u = alpha.values @ np.sqrt(c)
-    if np.any(u <= 0.0):
-        raise DegenerateCorrelation(
-            "nonpositive composite slope; conditioning degenerates"
-        )
-    jac = (u[:, None] * alpha.values) / np.sqrt(c)[None, :]
-    noise = GaussianLaw(
-        IndexedVector(rest, np.zeros(len(rest))),
-        conditional_scale(corr, alpha),
-    )
-    return GaussianSeparatorNorming(
-        sep=sep,
-        rest=rest,
-        alpha=alpha,
-        eval_coeff=IndexedVector(sep, c),
-        coeff_out=IndexedVector(rest, u**2),
-        psi=IndexedMatrix(rest, sep, jac),
-        phi=IndexedVector(rest, u),
-        noise=noise,
-    )
+        def a_fun(x):
+            return coeff * np.atleast_2d(x)
+
+        def b_fun(x):
+            return np.repeat(np.atleast_2d(x) ** 0.5, width, axis=1)
+
+        return limit_law(self.model.correlation, v), a_fun, b_fun, coeff
+
+    @staticmethod
+    def remainder_ok(sups) -> bool:
+        """The norming defect falls from the first level to the last."""
+        return sups[-1] <= sups[0]
+
+    def fill(self, xs: list, at_sep: list, at_rest: list, rng,
+             scores: list, keep: bool) -> None:
+        """Draw the rows ``at_rest`` of each level's vertex-major block in
+        ``xs`` given its rows ``at_sep``, every level from the same
+        normals.  ``scores`` holds, per level, the latent scores of the
+        separators that a later draw still reads; ``keep`` keeps this
+        draw's."""
+        noise = rng.standard_normal((xs[0].shape[1], len(at_rest))) @ self.chol.T
+        if not at_sep:
+            w = normal_to_exp(noise).T
+            for x in xs:
+                x[at_rest] = w
+            return
+        key = tuple(at_sep)
+        for x, cache in zip(xs, scores):
+            z_sep = cache.pop(key, None)
+            if z_sep is None:
+                # rows × |sep| in row-major order, as the slope product
+                # has always read it: its bits depend on the layout
+                z_sep = np.ascontiguousarray(exp_to_normal(x[at_sep].T))
+            if keep:
+                cache[key] = z_sep
+            x[at_rest] = normal_to_exp(z_sep @ self.alpha.values.T + noise).T

@@ -6,8 +6,10 @@ exponent measure is
     Λ(y) = sum_c (1/y_c) Φ_{|C|-1}( log(y_{C\\c}/y_c) + Γ_{C\\c,c}/2 ; 0, Σ^{(c)} )
 
 with the anchored covariance 2Σ^{(c)}_{ij} = Γ_{ic} + Γ_{jc} - Γ_{ij}.
-Conditional transition kernels, their closed-form limits, and the mean /
-precision recursion of the graph-wide conditional limit all live here.
+Conditional transition kernels, their closed-form limits, the clique
+record (:class:`HuslerReissClique`) with its finite-level pair draw, and
+the mean / precision recursion of the graph-wide conditional limit all
+live here.
 
 Every derivative of Λ has a closed form (Engelke, Malinowski, Kabluchko
 & Schlather 2015): for a non-empty subset P of C, -∂_P Λ is the
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -33,6 +36,7 @@ from .errors import (
     EmptySubset,
     IncompatibleSeparators,
     InvalidVariogram,
+    NormingIncompatible,
     NumericalBreakdown,
     UnsupportedCliqueShape,
 )
@@ -105,6 +109,12 @@ class HuslerReissModel:
         object.__setattr__(self, "clique", clique)
         if self.variogram.index != clique:
             object.__setattr__(self, "variogram", self.variogram.sub(clique))
+
+    def given(self, sep) -> HuslerReissClique:
+        """This clique given the separator ``sep``: empty for an
+        unconditioned root, {v} for the root of a limit at v."""
+        sep = tuple(sorted(sep))
+        return HuslerReissClique(self, sep, tuple(v for v in self.clique if v not in sep))
 
     @property
     def dim(self) -> int:
@@ -450,6 +460,131 @@ def _clamped_kernel(vals: np.ndarray) -> np.ndarray:
     return np.minimum(vals, 1.0)
 
 
+# ---------------------------------------------------------------------------
+# finite-level pair draws: the pair kernel inverted at one uniform
+
+#: Absolute tolerance of the HR pair inverter, on the exponential scale:
+#: every root it returns is the midpoint of a bracket narrower than this.
+INVERT_TOL = 1e-10
+#: Lowest state the HR pair inverter returns.
+_X_FLOOR = 1e-12
+#: Inverter iterations that may take a Newton step; later ones bisect,
+#: which bounds the iteration count where rounding stalls Newton.
+_NEWTON_STEPS = 16
+_MAX_STEPS = _NEWTON_STEPS + 64
+
+
+def _bracket_top(model, s: int, x1: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Upper end of the inverter's bracket: x1 + 8, with the offset
+    doubled, up to 700, while K(hi) < u."""
+    hi = x1 + 8.0
+    offset = np.full(u.shape[0], 8.0)
+    rows = np.arange(u.shape[0])
+    for _ in range(8):
+        k = transition_kernel(model, (s,), x1[rows, None], hi[rows, None])
+        rows = rows[k < u[rows]]
+        if rows.size == 0:
+            return hi
+        offset[rows] *= 2.0
+        hi[rows] = x1[rows] + np.minimum(offset[rows], 700.0)
+    raise NumericalBreakdown("could not bracket the conditional quantile")
+
+
+def _invert_pair(model, s: int, x1: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Solve K(x) = u row-wise for the new coordinate of the HR pair
+    ``model`` given its vertex ``s`` at the states ``x1``.
+
+    The bracket is [_X_FLOOR, min(top, lowest evaluated x with K >= u)],
+    the top that of :func:`_bracket_top`; a root below the floor comes
+    back within INVERT_TOL of it.  With a = √Γ, Newton steps on the
+    probit scale, x ← x − (Φ⁻¹(K) − Φ⁻¹(u)) φ(Φ⁻¹(K)) / ∂K, start from
+    the limit quantile x1 − Γ/2 + a Φ⁻¹(u); every evaluation moves one
+    end of the bracket, and a step that is not finite or leaves the
+    bracket goes to its midpoint, as does every step after
+    ``_NEWTON_STEPS`` iterations.  A step below INVERT_TOL/4 is
+    certified by one evaluation INVERT_TOL/2 away on the side not yet
+    bracketed.  A row ends at the midpoint of a bracket narrower than
+    INVERT_TOL.
+
+    The top is never below x1 + 8, so a row whose upper end no
+    evaluation has certified computes it only when it needs a midpoint
+    or when its x reaches x1 + 8 − INVERT_TOL (lo moves only to an
+    evaluated x, which is below that, or to a probe, after which the row
+    bisects): while x and lo stay below that, every test against the top
+    comes out the same without it (hi is inf until then).  Most rows
+    never compute it, and every row returns the bits it would with the
+    top computed first.  The steps and the certification probes call
+    :func:`pair_kernel` on the cached Fréchet states of x1, the
+    probes clamped and checked as :func:`transition_kernel` does;
+    the top calls :func:`transition_kernel`, which evaluates the same
+    closed form.
+    """
+    tol = INVERT_TOL
+    gamma = float(model.variogram.values[0, 1])
+    a = np.sqrt(gamma)
+    y1 = exp_to_frechet(x1)
+    edge = x1 + 8.0 - tol
+    lo = np.full(u.shape[0], _X_FLOOR)
+    hi = np.full(u.shape[0], np.inf)
+    out = np.empty(u.shape[0])
+    rows = np.arange(u.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zu = _scipy.ndtri(u)
+        x = a * zu
+    x += x1 - 0.5 * gamma
+    newton = x > lo
+    for it in range(_MAX_STEPS + 1):
+        # hi is inf until the row has its top or a state at or above its
+        # root; the top is computed only where a test could tell it from inf
+        need = np.isinf(hi) & ~(newton & (x < edge))
+        if need.any():
+            hi[need] = _bracket_top(model, s, x1[rows[need]], u[need])
+        mid = 0.5 * (lo + hi)
+        done = hi - lo < tol
+        if done.any():
+            out[rows[done]] = mid[done]
+            if done.all():
+                return out
+            # one array at a time, so each old array is freed before the next
+            # copy is made; one tuple assignment would keep all of them alive
+            keep = np.flatnonzero(~done)
+            rows = rows[keep]
+            y1 = y1[keep]
+            u = u[keep]
+            zu = zu[keep]
+            lo = lo[keep]
+            hi = hi[keep]
+            x = x[keep]
+            newton = newton[keep]
+            edge = edge[keep]
+            mid = mid[keep]
+        if it == _MAX_STEPS:
+            break
+        np.copyto(x, mid, where=~(newton & (x < hi)))
+        k, dk = pair_kernel(a, y1, x, slope=True)
+        above = k >= u
+        np.copyto(hi, x, where=above)
+        np.copyto(lo, x, where=~above)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = _scipy.ndtri(k, out=k)
+            dk /= np.exp(-0.5 * step * step)
+            step -= zu
+            dk *= _SQRT_2PI
+            step /= dk
+        near = (np.abs(step) < tol / 4) & (hi - lo >= tol)
+        if near.any():
+            at = np.flatnonzero(near)
+            probe = x[at]
+            probe += np.where(above[at], -tol / 2, tol / 2)
+            probe_above = _clamped_kernel(
+                pair_kernel(a, y1[at], probe)) >= u[at]
+            lo[at[~probe_above]] = probe[~probe_above]
+            hi[at[probe_above]] = probe[probe_above]
+        x -= step
+        newton = (x > lo) & ~near & (it < _NEWTON_STEPS)
+    raise NumericalBreakdown("the Hüsler-Reiss pair inverter did not converge")
+
+
 @dataclass(frozen=True)
 class HRLimitParams:
     """Closed-form parameters of the limiting conditional update.
@@ -523,6 +658,100 @@ def a2_limit_params(model: HuslerReissModel, sep) -> HRLimitParams:
     law = GaussianLaw(IndexedVector(rest, mean), IndexedMatrix.square(rest, cov))
     return HRLimitParams(sep=sep, rest=rest,
                          slope=IndexedMatrix(rest, sep, slope), law=law)
+
+
+@dataclass(frozen=True)
+class HuslerReissClique:
+    """A Hüsler-Reiss clique given its separator S, built once by
+    :meth:`HuslerReissModel.given` for its limit update, that of
+    :func:`a2_limit_params` (computed on first use) with unit φ and the
+    norming a(x) = x·slopeᵀ, b = 1, and for its finite-level draw, which
+    inverts the model's pair kernel.
+    """
+
+    model: HuslerReissModel
+    sep: tuple[int, ...]
+    rest: tuple[int, ...]
+
+    #: Norming power of the new vertices: b(t) = t^0.
+    bexp = Fraction(0)
+    #: The clique's exponent measure has a density.
+    has_density = True
+
+    @cached_property
+    def params(self) -> HRLimitParams:
+        return a2_limit_params(self.model, self.sep)
+
+    @property
+    def noise(self) -> GaussianLaw:
+        return self.params.law
+
+    def a_fun(self, x_sep: np.ndarray) -> np.ndarray:
+        """a(x) = x·slopeᵀ on rows of separator states."""
+        return np.atleast_2d(np.asarray(x_sep, dtype=float)) @ self.params.slope.values.T
+
+    def b_fun(self, x_sep: np.ndarray) -> np.ndarray:
+        return np.ones((np.atleast_2d(x_sep).shape[0], len(self.rest)))
+
+    def update(self, coeffs, moving):
+        """(ψ, φ, the new vertices' a-coefficients): the slope, unit φ and
+        unit coefficients, whatever the separator coefficients ``coeffs``.
+        The clique absorbs no t^{1/2} fluctuation, so a separator vertex
+        marked ``moving`` raises :class:`NormingIncompatible`."""
+        moving = [s for s, m in zip(self.sep, moving) if m]
+        if moving:
+            raise NormingIncompatible(
+                f"clique {self.model.clique} is Hüsler-Reiss but separator "
+                f"vertices {moving} carry t^1/2 fluctuations; the single-vertex "
+                "norming degenerates — use the separator-normed noise limit "
+                "(build_tail_noise)",
+                witness_clique=self.model.clique,
+            )
+        ones = np.ones(len(self.rest))
+        return self.params.slope, IndexedVector(self.rest, ones), ones
+
+    def root(self):
+        """(noise law, a, b, the new vertices' a-coefficients) of the root
+        update, the clique given S = {v}: its separator update."""
+        return self.noise, self.a_fun, self.b_fun, np.ones(len(self.rest))
+
+    @staticmethod
+    def remainder_ok(sups) -> bool:
+        """The norming defect is zero up to rounding (below 1e-10) at
+        every level: the clique's normings compose exactly."""
+        return max(sups) < 1e-10
+
+    def log_densities(self, y_clique: np.ndarray, y_sep: np.ndarray):
+        """log λ_C at the rows ``y_clique``, and log λ_S of the separator's
+        own measure at the rows ``y_sep`` (0 given no separator)."""
+        lam = exponent_measure_density_many(self.model.variogram, y_clique, log=True)
+        return lam, (exponent_measure_density_many(
+            self.model.variogram.sub(self.sep), y_sep, log=True) if self.sep else 0.0)
+
+    def fill(self, xs: list, at_sep: list, at_rest: list, rng,
+             scores: list, keep: bool) -> None:
+        """Draw the row ``at_rest`` of each level's vertex-major block in
+        ``xs`` given its row ``at_sep``, every level from the same
+        uniforms, by :func:`_invert_pair`.  Given no separator (an
+        unconditioned root) the first vertex is a unit exponential drawn
+        first.  Latent scores are a Gaussian clique's: ``scores`` and
+        ``keep`` are not read."""
+        clique = self.model.clique
+        if len(clique) != 2:
+            raise UnsupportedCliqueShape(
+                f"cannot simulate the {len(clique)}-vertex Hüsler-Reiss clique "
+                f"{clique} at finite levels; only pairs are drawn"
+            )
+        nb = xs[0].shape[1]
+        if not at_sep:
+            e = rng.standard_exponential(nb)
+            for x in xs:
+                x[at_rest[0]] = e
+            at_sep, at_rest = at_rest[:1], at_rest[1:]
+        given = (self.sep or clique)[0]
+        u = rng.random(nb)
+        for x in xs:
+            x[at_rest[0]] = _invert_pair(self.model, given, x[at_sep[0]], u)
 
 
 def kernel_limit(model: HuslerReissModel, sep, offset, z_sep=None) -> float:

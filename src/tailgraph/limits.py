@@ -1,9 +1,10 @@
 """Engine for graph-wide conditional-extreme limits.
 
-Walks a rooted clique ordering, asks each clique model's family for its
-norming/update parameters, and composes them symbolically.  Per-vertex
-normings have the form a(t) = coeff · t, b(t) = t^bexp with an exact
-rational exponent, so feasibility comparisons are exact:
+Walks a rooted clique ordering, asks each clique's record (the clique
+given its separator, ``model.given(sep)``) for its update, and composes
+the updates symbolically.  Per-vertex normings have the form
+a(t) = coeff · t, b(t) = t^bexp with an exact rational exponent, so
+feasibility comparisons are exact:
 
 * a Hüsler-Reiss clique absorbs separator fluctuations only when every
   incoming separator scale is t^0 (the conditioning vertex itself is
@@ -11,13 +12,13 @@ rational exponent, so feasibility comparisons are exact:
 * a Gaussian clique accepts scales up to t^{1/2}; separator vertices
   entering at t^0 contribute nothing to the linear part of the update.
 
-The root clique is one more clique update: C_1 given S = {v}, with ψ
-None and unit φ (:func:`_root_pieces`).  A Hüsler-Reiss root is the
-separator update at S = {v}; a Gaussian root carries the root law of
-:func:`gaussian.root_norming` and its norming a = ρ²x, b = √x.  Every
-later clique of both limit kinds comes from the one per-clique
-constructor :func:`_separator_update`, so each family decision is made
-once, into one :class:`CliqueUpdate`.
+Each record applies its own family's rule and raises
+:class:`NormingIncompatible` when it cannot absorb its separator.  The
+root clique is one more clique update: C_1 given S = {v}, with ψ None and
+unit φ (:func:`_root`).  A Hüsler-Reiss root is the separator update at
+S = {v}; a Gaussian root carries the root law of
+:func:`gaussian.limit_law` and its norming a = ρ²x, b = √x.  The limit
+keeps every record, so the finite-level draws of a ``verify`` reuse them.
 
 When a clique cannot absorb its separator's fluctuations the
 single-vertex limit does not exist; classification reports the clique
@@ -43,13 +44,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import gaussian as gsn
-from . import husler_reiss as hr
-from .config import REMAINDER_GRID
+from .config import REMAINDER_GRID, check_levels
 from .errors import NormingIncompatible, NotBlockGraph
 from .graphs import (
     CliqueOrdering,
-    _family_of,
     _models_table,
     check_separator_models,
     clique_ordering,
@@ -58,7 +56,6 @@ from .linalg import GaussianLaw, IndexedMatrix, IndexedVector, _positions
 from .rng import _check_rows, check_seed, derived_rng, run_blocks
 
 HALF = Fraction(1, 2)
-ZERO = Fraction(0)
 #: Separator fluctuations at which :func:`remainder_report` compares normings.
 _Z_GRID = np.linspace(-3.0, 3.0, 13)
 _COLUMN = "vertex {!r} is not a column of {}"
@@ -86,31 +83,41 @@ class NormingPair:
         }
 
 
-#: The norming of every Hüsler-Reiss vertex: a(t) = t, b(t) = 1.
-_HR_NORMING = NormingPair(1.0, ZERO)
-
-
 @dataclass(frozen=True)
 class CliqueUpdate:
     """Limiting update of one clique given its separator.
 
-    ``psi`` is the linear action on the separator fluctuations (None
-    means the zero map), ``phi`` the per-vertex noise scales, ``noise``
-    the update noise law.  ``a_fun``/``b_fun`` evaluate the clique's
-    state-dependent norming pair at finite separator states (vectorized
-    over rows), which the remainder checks and block renormalizations
-    use.
+    ``record`` is the clique given its separator, whose clique, separator,
+    new vertices and family the update reports.  ``psi`` is the linear
+    action on the separator fluctuations (None means the zero map),
+    ``phi`` the per-vertex noise scales, ``noise`` the update noise law.
+    ``a_fun``/``b_fun`` evaluate the clique's state-dependent norming pair
+    at finite separator states (vectorized over rows), which the remainder
+    checks and block renormalizations use.
     """
 
-    clique: tuple[int, ...]
-    sep: tuple[int, ...]
-    rest: tuple[int, ...]
-    family: str
+    record: object = field(compare=False, repr=False)
     psi: IndexedMatrix | None
     phi: IndexedVector
     noise: GaussianLaw
     a_fun: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
     b_fun: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
+
+    @property
+    def clique(self) -> tuple[int, ...]:
+        return self.record.model.clique
+
+    @property
+    def sep(self) -> tuple[int, ...]:
+        return self.record.sep
+
+    @property
+    def rest(self) -> tuple[int, ...]:
+        return self.record.rest
+
+    @property
+    def family(self) -> str:
+        return self.record.model.family
 
     def to_dict(self) -> dict:
         return {
@@ -196,14 +203,13 @@ def _compile_steps(z_index: tuple[int, ...],
 
 
 @dataclass(frozen=True)
-class TailGraphicalModel:
-    """Single-vertex conditional limit assembled along the clique ordering."""
+class _Limit:
+    """What both limit kinds share: the limit vector Z over ``z_index``
+    (every vertex but v) and its steps, one per clique update
+    (``in_order``), compiled on first use."""
 
     ordering: CliqueOrdering
     v: int
-    normings: dict[int, NormingPair]
-    root: CliqueUpdate | None  # C_1 given {v}; None when the graph is {v}
-    updates: tuple[CliqueUpdate, ...]
 
     @property
     def z_index(self) -> tuple[int, ...]:
@@ -211,9 +217,21 @@ class TailGraphicalModel:
 
     @functools.cached_property
     def steps(self) -> tuple[LinearStep, ...]:
-        """The root, then one step per clique update, in draw order."""
-        root = (self.root,) if self.root is not None else ()
-        return _compile_steps(self.z_index, root + self.updates)
+        return _compile_steps(self.z_index, self.in_order)
+
+
+@dataclass(frozen=True)
+class TailGraphicalModel(_Limit):
+    """Single-vertex conditional limit assembled along the clique ordering."""
+
+    normings: dict[int, NormingPair]
+    root: CliqueUpdate | None  # C_1 given {v}; None when the graph is {v}
+    updates: tuple[CliqueUpdate, ...]
+
+    @property
+    def in_order(self) -> tuple[CliqueUpdate, ...]:
+        """The root, then the clique updates, in draw order."""
+        return ((self.root,) if self.root is not None else ()) + self.updates
 
     def to_dict(self) -> dict:
         return {
@@ -231,119 +249,50 @@ def _rooted(ordering: CliqueOrdering, v: int) -> CliqueOrdering:
     return clique_ordering(ordering.graph, v)
 
 
-def _root_pieces(model, v: int):
-    """(normings for C_1 incl v, the update of C_1 given S = {v} with ψ
-    None and unit φ, or None when C_1 is {v}).
-
-    A Hüsler-Reiss root is :func:`_separator_update` at S = {v}; a
-    Gaussian root carries the law of :func:`gsn.root_norming` and its
-    norming a = ρ²x, b = √x.
-    """
-    rest = tuple(u for u in model.clique if u != v)
-    if _family_of(model) == "husler_reiss":
-        normings = dict.fromkeys(model.clique, _HR_NORMING)
-        root = replace(_separator_update(model, (v,), None), psi=None) if rest else None
-        return normings, root
-    normings = {v: NormingPair(1.0, HALF)}
-    if not rest:
+def _root(model, v: int) -> tuple[dict, CliqueUpdate | None]:
+    """(normings of C_1, the update of C_1 given S = {v} with ψ None and
+    unit φ, or None when C_1 is {v})."""
+    rec = model.given((v,))
+    normings = {v: NormingPair(1.0, rec.bexp)}
+    if not rec.rest:
         return normings, None
-    rn = gsn.root_norming(model, v)
-    coeff = rn.coeff.values
-    for u, c in zip(rest, coeff):
-        normings[u] = NormingPair(float(c), HALF)
-
-    def a_fun(x):
-        return coeff * np.atleast_2d(x)
-
-    def b_fun(x):
-        return np.repeat(np.atleast_2d(x) ** 0.5, len(rest), axis=1)
-
-    return normings, CliqueUpdate(
-        clique=model.clique, sep=(v,), rest=rest, family="gaussian", psi=None,
-        phi=IndexedVector(rest, np.ones(len(rest))), noise=rn.law,
-        a_fun=a_fun, b_fun=b_fun)
+    noise, a_fun, b_fun, coeff = rec.root()
+    for u, c in zip(rec.rest, coeff):
+        normings[u] = NormingPair(float(c), rec.bexp)
+    return normings, CliqueUpdate(rec, None, IndexedVector(rec.rest, np.ones(len(rec.rest))),
+                                  noise, a_fun, b_fun)
 
 
-def _hr_norming(slope: np.ndarray):
-    """The Hüsler-Reiss separator norming a(x) = x·Sᵀ, b = 1, on rows of
-    separator states."""
-    def a_fun(x):
-        return np.atleast_2d(np.asarray(x, dtype=float)) @ slope.T
-
-    def b_fun(x):
-        return np.ones((np.atleast_2d(x).shape[0], slope.shape[0]))
-
-    return a_fun, b_fun
-
-
-def _separator_update(model, sep: tuple[int, ...], coeffs) -> CliqueUpdate:
-    """Limiting update of one clique conditioned on its separator.
-
-    ``coeffs`` are the separator vertices' a-coefficients, at which a
-    Gaussian update is evaluated; a Hüsler-Reiss update does not depend
-    on them.  ``psi`` acts on every separator column.  Every non-root
-    clique of both limit kinds is built here.
-    """
-    fam = _family_of(model)
-    if fam == "husler_reiss":
-        params = hr.a2_limit_params(model, sep)
-        psi, noise = params.slope, params.law
-        phi = IndexedVector(params.rest, np.ones(len(params.rest)))
-        a_fun, b_fun = _hr_norming(params.slope.values)
-    else:
-        sn = gsn.separator_norming(model, sep, coeffs)
-        psi, phi, noise = sn.psi, sn.phi, sn.noise
-        a_fun, b_fun = sn.a_of, sn.b_of
-    return CliqueUpdate(clique=model.clique, sep=sep, rest=noise.index,
-                        family=fam, psi=psi, phi=phi, noise=noise,
-                        a_fun=a_fun, b_fun=b_fun)
-
-
-def _transition_pieces(model, sep: tuple[int, ...], normings: dict,
-                       v: int) -> CliqueUpdate:
-    """The clique's update along the composed normings, which gain its new
-    vertices.
-
-    Every norming is a(t) = c·t with b(t) = t^0 (Hüsler-Reiss vertices,
-    c = 1) or b(t) = t^{1/2} (Gaussian vertices; c = 1 at v).  So the one
-    rule to check is that a Hüsler-Reiss clique absorbs no t^{1/2}
-    fluctuation; its separator then has unit slopes only.
-    """
-    moving = [s for s in sep if s != v and normings[s].bexp == HALF]
-    if _family_of(model) == "husler_reiss":
-        if moving:
-            raise NormingIncompatible(
-                f"clique {model.clique} is Hüsler-Reiss but separator vertices "
-                f"{moving} carry t^{HALF} fluctuations; the single-vertex "
-                "norming degenerates — use the separator-normed noise limit "
-                "(build_tail_noise)",
-                witness_clique=model.clique,
-            )
-        upd = _separator_update(model, sep, None)
-        normings.update(dict.fromkeys(upd.rest, _HR_NORMING))
-        return upd
-    coeffs = np.array([normings[s].coeff for s in sep])
-    upd = _separator_update(model, sep, coeffs)
-    for u, c in zip(upd.rest, upd.a_fun(coeffs[None, :])[0]):
-        normings[u] = NormingPair(float(c), HALF)
-    # separator vertices entering at t^0 (and v, pinned) add nothing
-    if not moving:
-        return replace(upd, psi=None)
-    keep = np.isin(sep, moving)
-    return replace(upd, psi=replace(upd.psi,
-                                    values=np.where(keep, upd.psi.values, 0.0)))
+def _update(rec, coeffs, moving) -> tuple[CliqueUpdate, np.ndarray]:
+    """The record's update at the separator coefficients ``coeffs``, with
+    the t^{1/2} separator vertices marked ``moving``, and the a-coefficients
+    of its new vertices."""
+    psi, phi, coeff = rec.update(coeffs, moving)
+    return CliqueUpdate(rec, psi, phi, rec.noise, rec.a_fun, rec.b_fun), coeff
 
 
 def _walk(ordering: CliqueOrdering, models: dict, v: int):
-    """Root pieces plus transition updates, composing normings in order."""
+    """Root pieces plus transition updates, composing normings in order:
+    each clique's update along the composed normings gains its new
+    vertices' normings.
+
+    Every norming is a(t) = c·t with b(t) = t^0 (Hüsler-Reiss vertices,
+    c = 1) or b(t) = t^{1/2} (Gaussian vertices; c = 1 at v).  Each
+    record is told which separator vertices other than v enter at
+    t^{1/2}; its family's rule decides what they do.
+    """
     ordering = _rooted(ordering, v)
     table = _models_table(ordering, models)
     check_separator_models(ordering, table)
-    normings, root = _root_pieces(table[ordering.cliques[0]], v)
+    normings, root = _root(table[ordering.cliques[0]], v)
     updates = []
-    for i in range(1, len(ordering)):
-        updates.append(_transition_pieces(table[ordering.cliques[i]],
-                                          ordering.separators[i], normings, v))
+    for clique, sep in zip(ordering.cliques[1:], ordering.separators[1:]):
+        rec = table[clique].given(sep)
+        moving = np.array([s != v and normings[s].bexp == HALF for s in sep])
+        upd, coeff = _update(rec, np.array([normings[s].coeff for s in sep]), moving)
+        for u, c in zip(upd.rest, coeff):
+            normings[u] = NormingPair(float(c), rec.bexp)
+        updates.append(upd)
     return ordering, normings, root, tuple(updates)
 
 
@@ -549,15 +498,16 @@ def remainder_report(model: TailGraphicalModel,
 
     and reports per-(clique, t) suprema of |A| and |B| over the grid,
     whose points put z = 0 at v and range each other separator vertex
-    over ``_Z_GRID``.
+    over ``_Z_GRID``.  ``t_grid`` must be a nonempty run of finite
+    positive levels, else :class:`ConfigError`.
     """
+    t_grid = check_levels(t_grid, "t_grid")
     rows = []
     for upd in model.updates:
         z_full = np.array(list(itertools.product(
             *((0.0,) if s == model.v else _Z_GRID for s in upd.sep))))
         npts = z_full.shape[0]
         for t in t_grid:
-            t = float(t)
             big_t = np.empty((npts, len(upd.sep)))
             for j, s in enumerate(upd.sep):
                 pair = model.normings[s]
@@ -583,21 +533,15 @@ def remainder_report(model: TailGraphicalModel,
 
 
 @dataclass(frozen=True)
-class TailNoiseModel:
+class TailNoiseModel(_Limit):
     """Independent per-clique noise blocks (ψ None, unit φ) of a block graph."""
 
-    ordering: CliqueOrdering
-    v: int
     blocks: tuple[CliqueUpdate, ...]
 
     @property
-    def z_index(self) -> tuple[int, ...]:
-        return tuple(u for u in self.ordering.graph.vertices if u != self.v)
-
-    @functools.cached_property
-    def steps(self) -> tuple[LinearStep, ...]:
-        """One independent step per block, in draw order."""
-        return _compile_steps(self.z_index, self.blocks)
+    def in_order(self) -> tuple[CliqueUpdate, ...]:
+        """The blocks, in draw order."""
+        return self.blocks
 
     def mean(self) -> IndexedVector:
         return tail_model_moments(self)[0]
@@ -623,7 +567,7 @@ def build_tail_noise(ordering: CliqueOrdering, models: dict, v: int) -> TailNois
     """Block-wise separator-normed limit for a block graph.
 
     Every separator must be a single vertex.  The first block is the root
-    of the single-vertex limit, C_1 given {v} (:func:`_root_pieces`);
+    of the single-vertex limit, C_1 given {v} (:func:`_root`);
     later blocks condition each clique on its separator vertex.
     """
     ordering = _rooted(ordering, v)
@@ -634,10 +578,10 @@ def build_tail_noise(ordering: CliqueOrdering, models: dict, v: int) -> TailNois
             "needs a block graph"
         )
     table = _models_table(ordering, models)
-    root = _root_pieces(table[ordering.cliques[0]], v)[1]
+    root = _root(table[ordering.cliques[0]], v)[1]
     blocks = [root] if root is not None else []
     for clique, sep in zip(ordering.cliques[1:], ordering.separators[1:]):
-        upd = _separator_update(table[clique], sep, np.ones(1))
+        upd = _update(table[clique].given(sep), np.ones(1), np.zeros(1, bool))[0]
         blocks.append(replace(upd, psi=None,
                               phi=IndexedVector(upd.rest, np.ones(len(upd.rest)))))
     return TailNoiseModel(ordering=ordering, v=v, blocks=tuple(blocks))

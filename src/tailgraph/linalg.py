@@ -185,7 +185,13 @@ def spd_inverse(m: IndexedMatrix) -> IndexedMatrix:
     """
     m.check_symmetric()
     low = cholesky_spd(m.values, what=f"matrix on {m.rows}")
-    inv = _scipy.cho_solve((low, True), np.eye(len(m.rows)))
+    if low.shape == (1, 1):
+        # LAPACK's two triangular solves, each a product with the pivot's
+        # reciprocal, without loading scipy (a HR or mixed derive needs none)
+        with np.errstate(over="ignore"):
+            inv = (1.0 / low) * (1.0 / low)
+    else:
+        inv = _scipy.cho_solve((low, True), np.eye(len(m.rows)))
     inv = 0.5 * (inv + inv.T)
     with np.errstate(invalid="ignore", over="ignore"):
         gap = float(np.max(np.abs(m.values @ inv - np.eye(len(m.rows)))))

@@ -18,7 +18,7 @@ import numpy as np
 from tailgraph import _scipy
 from tailgraph import husler_reiss as hr
 from tailgraph.errors import NumericalBreakdown
-from tailgraph.simulate import _MAX_STEPS, _NEWTON_STEPS, INVERT_TOL, _X_FLOOR
+from tailgraph.husler_reiss import _MAX_STEPS, _NEWTON_STEPS, INVERT_TOL, _X_FLOOR
 
 
 def _invert_kernel(model, sep, x_sep: np.ndarray, u: np.ndarray) -> np.ndarray:

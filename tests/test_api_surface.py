@@ -219,3 +219,20 @@ def test_every_import_is_read():
                 continue
             unread += [f"{path.name}:{name}" for name in bound if name not in read]
     assert unread == []
+
+
+def test_no_family_comparisons_outside_parsing_and_validation():
+    """The limit engine, the simulator, the diagnostics and the command
+    line ask a clique's record for its family's rules: none of them
+    compares a value with a family name.  Parsing and validation
+    (``config``, ``graphs``) keep theirs."""
+    families = {"gaussian", "husler_reiss"}
+    found = []
+    for name in ("limits.py", "simulate.py", "diagnostics.py", "cli.py"):
+        for node in ast.walk(_parse(PACKAGE / name)):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(n, ast.Constant) and n.value in families
+                    for part in (node.left, *node.comparators)
+                    for n in ast.walk(part)):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 import tailgraph
 from tailgraph import cli, limits
 from tailgraph import husler_reiss as hr
-from tailgraph import simulate as sim
 from tailgraph.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -130,6 +129,42 @@ def test_gauss_tree_verify_is_pinned(pytestconfig, tmp_path, workers):
     got = cli_digest(["verify", "--config", str(cfg), "--n", "2000",
                       "--t-levels", "4,8", "--workers", workers], tmp_path / "out")
     assert got == TREE_DIGEST
+
+
+#: ``derive`` and ``verify --n 2000`` of the Gaussian 2-tree of triangles
+#: (1,2,3), (2,3,4), (3,4,5) at either end, digested as by
+#: :func:`cli_digest`: each later clique is drawn given a two-vertex
+#: separator, and each of its moment steps has two free separator columns.
+GAUSS_2TREE_DIGESTS = {
+    "derive --v 1":
+        "6cfd71fdc764c11e1159c7a2d273a651a8de4b7fba1ffb5347d9b158ead122f5",
+    "verify --n 2000 --v 1":
+        "2596172b86177717e03c40dee9f43240a9b2c94e282635361184e7826cf3b558",
+    "derive --v 5":
+        "c71c833a816ac454f385e204adee6f9a20bf1aff079f4ff8cd54a4757c5efc92",
+    "verify --n 2000 --v 5":
+        "b9fc690968ace5416650ef65d3c8f4077c6c175a5dd05cc01113f2a2a3dd61a1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAUSS_2TREE_DIGESTS))
+def test_gauss_2tree_outputs_are_pinned(tmp_path, name):
+    cfg = tmp_path / "gauss_2tree.json"
+    cfg.write_text(json.dumps({
+        "graph": {"vertices": 5, "edges": [[1, 2], [1, 3], [2, 3], [2, 4],
+                                           [3, 4], [3, 5], [4, 5]]},
+        "correlation": [[1.0, 0.6, 0.5, 0.4, 0.3], [0.6, 1.0, 0.7, 0.5, 0.4],
+                        [0.5, 0.7, 1.0, 0.6, 0.5], [0.4, 0.5, 0.6, 1.0, 0.7],
+                        [0.3, 0.4, 0.5, 0.7, 1.0]]}))
+    cmd, *flags = name.split()
+    if cmd == "derive":
+        doc = payload(run("derive", "--config", str(cfg), *flags))
+        assert doc["verdict"]["kind"] == "theorem_1"
+        for upd in doc["tail_model"]["updates"]:
+            assert len(upd["separator"]) == 2
+            assert all(p != 0.0 for p in upd["psi"]["values"][0])
+    got = cli_digest([cmd, "--config", str(cfg), *flags], tmp_path / "out")
+    assert got == GAUSS_2TREE_DIGESTS[name]
 
 
 def test_commands_do_not_retain_their_stdout(configs):
@@ -511,7 +546,7 @@ def test_hr_chain_verify_kernel_rows_are_pinned(configs, monkeypatch):
     bracket-top rows, which do not.  Moving a kernel call from one
     caller to another keeps these counts; changing the work moves them."""
     rows = {"newton": 0, "plain": 0, "inverted": 0}
-    kernel, invert = hr.pair_kernel, sim._invert_pair
+    kernel, invert = hr.pair_kernel, hr._invert_pair
 
     def counting_kernel(a, y1, x, slope=False):
         rows["newton" if slope else "plain"] += x.size
@@ -522,7 +557,7 @@ def test_hr_chain_verify_kernel_rows_are_pinned(configs, monkeypatch):
         return invert(model, s, x1, u)
 
     monkeypatch.setattr(hr, "pair_kernel", counting_kernel)
-    monkeypatch.setattr(sim, "_invert_pair", counting_invert)
+    monkeypatch.setattr(hr, "_invert_pair", counting_invert)
     res = run("verify", "--config", str(configs / "hr_chain.json"), "--seed",
               "1", "--n", "10000", "--t-levels", "2,4,6")
     assert res.exit_code == EXIT_OK

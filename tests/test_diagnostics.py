@@ -294,7 +294,7 @@ def test_study_limit_needs_two_rows(hr_chain, n):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match="n must be an integer >= 2"):
-            study_limit(limit, models, (2.0, 4.0), n, seed=0)
+            study_limit(limit, (2.0, 4.0), n, seed=0)
 
 
 def study_case(root, case):
@@ -340,7 +340,7 @@ def study_peak(root, case, levels) -> float:
     n = 10_000
     tracemalloc.start()
     try:
-        study_limit(limit, models, levels, n, seed=1)
+        study_limit(limit, levels, n, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -380,7 +380,7 @@ def test_study_levels_equal_the_row_major_path(pytestconfig, case):
     reads every separator raw."""
     limit, models, mode = study_case(pytestconfig.rootpath, case)
     levels, n = (4.0, 8.0), 5_000
-    rep = study_limit(limit, models, levels, n, seed=1)
+    rep = study_limit(limit, levels, n, seed=1)
     lim_mean, lim_cov = tail_model_moments(limit)
     sds = np.sqrt(np.diag(lim_cov.values))
     draws = _simulate(_draw_plan(limit.ordering, models, limit.v), n, 1, 1,

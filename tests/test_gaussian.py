@@ -48,7 +48,7 @@ def test_conditioning_requires_positive_correlation():
         gs.limit_scale_matrix(flat, 1)  # rho_{13} = 0 exactly
     neg = corr((1, 2), [[1.0, -0.5], [-0.5, 1.0]])
     with pytest.raises(DegenerateCorrelation):
-        gs.root_norming(gs.GaussianCopulaModel((1, 2), neg), 1)
+        gs.GaussianCopulaModel((1, 2), neg).given((1,)).root()
 
 
 # ----------------------------------------------------------- closed forms
@@ -93,12 +93,15 @@ def test_limit_precision_sparsity_is_markov_only():
 
 def test_root_norming_pair():
     model = gauss_pair_model((1, 2), 0.8)
-    out = gs.root_norming(model, 1)
-    assert out.rest == (2,)
-    assert abs(out.coeff.entry(2) - 0.64) < 1e-15
-    assert abs(out.law.cov.entry(2, 2) - 2 * 0.64 * (1 - 0.64)) < 1e-15
+    rec = model.given((1,))
+    law, a_fun, b_fun, coeff = rec.root()
+    assert rec.rest == (2,)
+    assert abs(coeff[0] - 0.64) < 1e-15
+    assert abs(law.cov.entry(2, 2) - 2 * 0.64 * (1 - 0.64)) < 1e-15
+    assert a_fun([[3.0]])[0, 0] == coeff[0] * 3.0
+    assert b_fun([[4.0]])[0, 0] == 2.0
     with pytest.raises(ConfigError):
-        gs.root_norming(model, 7)
+        model.given((7,))
 
 
 # ------------------------------------------------- separator conditioning
@@ -108,16 +111,19 @@ def test_separator_norming_pair_identities():
     r12, r23 = 0.8, 0.6
     model = gauss_pair_model((2, 3), r23)
     c = r12**2  # coefficient the separator vertex inherits from the root
-    upd = gs.separator_norming(model, (2,), (c,))
-    assert abs(upd.phi.entry(3) - r23 * r12) < 1e-15
-    assert abs(upd.coeff_out.entry(3) - (r23 * r12) ** 2) < 1e-15
-    assert abs(upd.psi.entry(3, 2) - r23**2) < 1e-14
-    assert abs(upd.noise.cov.entry(3, 3) - 2 * (1 - r23**2)) < 1e-15
+    rec = model.given((2,))
+    psi, phi, coeff = rec.update(np.array([c]), np.array([True]))
+    assert abs(phi.entry(3) - r23 * r12) < 1e-15
+    assert abs(coeff[0] - (r23 * r12) ** 2) < 1e-15
+    assert abs(psi.entry(3, 2) - r23**2) < 1e-14
+    assert abs(rec.noise.cov.entry(3, 3) - 2 * (1 - r23**2)) < 1e-15
     # phi is exactly the b-coefficient at the evaluation point
-    assert abs(upd.b_of([c])[0, 0] - upd.phi.entry(3)) < 1e-15
-    # a_of is 1-homogeneous along the trajectory x = c t
+    assert abs(rec.b_fun([c])[0, 0] - phi.entry(3)) < 1e-15
+    # a is 1-homogeneous along the trajectory x = c t
     t = 37.0
-    assert abs(upd.a_of([c * t])[0, 0] - upd.coeff_out.entry(3) * t) < 1e-12
+    assert abs(rec.a_fun([c * t])[0, 0] - coeff[0] * t) < 1e-12
+    # a separator vertex entering at t^0 adds nothing to the update
+    assert rec.update(np.array([c]), np.array([False]))[0] is None
 
 
 def test_separator_norming_expansion_along_trajectory():
@@ -128,32 +134,37 @@ def test_separator_norming_expansion_along_trajectory():
                              [0.35, 0.4, 0.3, 1.0]])
     model = gs.GaussianCopulaModel((2, 3, 4, 5), rm)
     c = np.array([0.49, 0.36])
-    upd = gs.separator_norming(model, (2, 3), c)
-    # psi matches a finite difference of a_of at the evaluation point
+    rec = model.given((2, 3))
+    psi, _, coeff = rec.update(c, np.array([True, True]))
+    # psi matches a finite difference of a at the evaluation point
     h = 1e-6
-    for j, s in enumerate(upd.sep):
+    for j, s in enumerate(rec.sep):
         hi = c.copy(); hi[j] += h
         lo = c.copy(); lo[j] -= h
-        fd = (upd.a_of(hi)[0] - upd.a_of(lo)[0]) / (2 * h)
-        assert np.allclose(fd, upd.psi.values[:, j], atol=1e-5)
+        fd = (rec.a_fun(hi)[0] - rec.a_fun(lo)[0]) / (2 * h)
+        assert np.allclose(fd, psi.values[:, j], atol=1e-5)
     # first-order expansion at a large level
     t = 1e8
     z = np.array([0.7, -0.4])
-    lin = (upd.a_of(c * t + np.sqrt(t) * z)[0]
-           - upd.coeff_out.values * t) / np.sqrt(t)
-    assert np.allclose(lin, upd.psi.values @ z, atol=1e-3)
+    lin = (rec.a_fun(c * t + np.sqrt(t) * z)[0] - coeff * t) / np.sqrt(t)
+    assert np.allclose(lin, psi.values @ z, atol=1e-3)
+    # psi acts on the moving separator vertices only
+    one = rec.update(c, np.array([False, True]))[0]
+    assert one.values[:, 0].tolist() == [0.0, 0.0]
+    assert one.values[:, 1].tobytes() == psi.values[:, 1].tobytes()
 
 
 def test_separator_norming_degeneracy_gates():
     model = gauss_pair_model((2, 3), 0.6)
+    moves = np.array([True])
     with pytest.raises(DegenerateCorrelation):
-        gs.separator_norming(model, (2,), (0.0,))  # nonpositive eval point
+        model.given((2,)).update(np.array([0.0]), moves)  # nonpositive eval point
     neg = gs.GaussianCopulaModel(
         (2, 3), corr((2, 3), [[1.0, -0.5], [-0.5, 1.0]]))
     with pytest.raises(DegenerateCorrelation):
-        gs.separator_norming(neg, (2,), (0.25,))  # composite slope <= 0
-    with pytest.raises(ConfigError):
-        gs.separator_norming(model, (2, 3), (0.5, 0.5))  # nothing left
+        neg.given((2,)).update(np.array([0.25]), moves)  # composite slope <= 0
+    with pytest.raises(ConfigError):  # nothing left
+        model.given((2, 3)).update(np.array([0.5, 0.5]), np.array([True, True]))
 
 
 def test_conditional_scale_matches_schur_complement():

@@ -19,8 +19,8 @@ from tailgraph.errors import (
 )
 from tailgraph.graphs import Graph, check_separator_models, clique_ordering
 from tailgraph.linalg import spd_inverse
+from tailgraph.husler_reiss import _X_FLOOR
 from tailgraph.mvn import mvn_cdf
-from tailgraph.simulate import _X_FLOOR
 
 from conftest import COLLINEAR_GAMMA, hr_pair_model
 from hr_fd_oracle import fd_derivative

@@ -1,6 +1,7 @@
 """Graph-wide tail limit engine: verdicts, composition, sampling, remainders."""
 
 import importlib.util
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from tailgraph.limits import (
     build_tail_noise,
     classify_norming,
     derive_limit,
+    remainder_report,
     sample_tail_model,
     tail_model_moments,
     verify_remainders,
@@ -66,6 +68,26 @@ def test_hr_chain_remainders_vanish(hr_chain):
     ordering, models = hr_chain
     rep = verify_remainders(ordering, models, 1, t_grid=(10.0, 1e3, 1e6))
     assert rep.max_sup() < 1e-12
+
+
+@pytest.mark.parametrize("t_grid", [(0.0,), (-5.0,), (float("inf"),),
+                                    (float("nan"),), (), (True,), ("10",),
+                                    (10.0, 10 ** 400), 10.0],
+                         ids=["zero", "negative", "inf", "nan", "empty", "bool",
+                              "string", "huge", "scalar"])
+def test_remainder_grid_is_checked(pytestconfig, t_grid):
+    """Both remainder entry points apply the config's rule for
+    ``remainder_grid``: a nonempty run of finite positive reals, no bools
+    or strings."""
+    cfg = load_config(pytestconfig.rootpath / "configs" / "gaussian_chain.json")
+    ordering = cfg.ordering(root=1)
+    models = cfg.models(ordering)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="t_grid"):
+            verify_remainders(ordering, models, 1, t_grid=t_grid)
+        with pytest.raises(ConfigError, match="t_grid"):
+            remainder_report(build_tail_model(ordering, models, 1), t_grid=t_grid)
 
 
 # ------------------------------------------------------ Gaussian 4-chain

@@ -2,11 +2,13 @@
 
 import dataclasses
 import hashlib
+import json
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
@@ -22,23 +24,27 @@ from tailgraph.errors import (
     NumericalBreakdown,
     UnsupportedCliqueShape,
 )
+from tailgraph.cli import main
 from tailgraph.graphs import Graph, clique_ordering
+from tailgraph.husler_reiss import _NEWTON_STEPS, _X_FLOOR, INVERT_TOL, _invert_pair
 from tailgraph.limits import build_tail_model, build_tail_noise
 from tailgraph.linalg import spd_inverse
 from tailgraph.rng import BLOCK
 from tailgraph.simulate import (
-    _NEWTON_STEPS,
-    _X_FLOOR,
-    INVERT_TOL,
     _draw_plan,
-    _invert_pair,
     _simulate,
     conditional_exceedance,
     renormalize,
     simulate_graphical,
 )
 
-from conftest import MIXED_GAMMA, chain_correlation, hr_pair_model, mixed_models
+from conftest import (
+    MIXED_GAMMA,
+    chain_correlation,
+    hr_pair_model,
+    mixed_models,
+    perfbench_workloads,
+)
 from simulate_oracle import _invert_kernel
 from simulate_oracle import _invert_pair as eager_invert_pair
 
@@ -351,11 +357,12 @@ def test_fused_levels_equal_lone_levels(pytestconfig, name, workers):
     assert digest == UNCONDITIONAL_DIGESTS[name]
 
 
-def test_study_limit_builds_draw_constants_once(gauss_chain, monkeypatch):
-    """The Gaussian slopes of the finite-level draws are built once per
-    study, not once per level."""
-    ordering, models, _ = gauss_chain
-    limit = build_tail_model(ordering, models, 1)
+def test_study_limit_builds_draw_constants_once(gauss_chain, pytestconfig,
+                                                tmp_path, monkeypatch):
+    """Each Gaussian clique's slope is built once per (clique, separator)
+    and shared by the limit and the finite-level draws: study_limit of a
+    built limit builds none, at any number of levels, and a whole verify
+    of the 101-vertex triangle tree builds one per clique."""
     calls = []
     slope = gs.separator_slope
 
@@ -364,12 +371,21 @@ def test_study_limit_builds_draw_constants_once(gauss_chain, monkeypatch):
         return slope(*args, **kwargs)
 
     monkeypatch.setattr(gs, "separator_slope", counting)
-    counts = []
+    ordering, models, _ = gauss_chain
+    limit = build_tail_model(ordering, models, 1)
+    assert len(calls) == len(ordering.cliques)
     for levels in ((4.0,), (4.0, 8.0, 16.0)):
         calls.clear()
-        diagnostics.study_limit(limit, models, levels, 500, seed=1)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] == len(ordering.cliques)
+        diagnostics.study_limit(limit, levels, 500, seed=1)
+        assert calls == []
+    doc = perfbench_workloads(pytestconfig.rootpath).gauss_tree(1)
+    cfg = tmp_path / "gauss_tree.json"
+    cfg.write_text(json.dumps(doc))
+    calls.clear()
+    res = CliRunner().invoke(main, ["verify", "--config", str(cfg), "--n", "500",
+                                    "--t-levels", "4,8"])
+    assert res.exit_code in (0, 4)
+    assert len(calls) == len(doc["cliques"]) == 50
 
 
 # ------------------------------------------------ HR pair kernel inversion
@@ -498,7 +514,7 @@ def test_each_lazy_top_trigger_keeps_the_bits(monkeypatch, gamma, x1, u, lagging
     with a midpoint.  Each row here reaches one case, read from the
     inverter's own frame at the call, and keeps the bits of the inverter
     that searched first."""
-    kernel, top, calls = hr.pair_kernel, sim._bracket_top, []
+    kernel, top, calls = hr.pair_kernel, hr._bracket_top, []
     if lagging:
         # the probes and the top search (every kernel call without the
         # slope, also through transition_kernel) read K at x − INVERT_TOL,
@@ -517,7 +533,7 @@ def test_each_lazy_top_trigger_keeps_the_bits(monkeypatch, gamma, x1, u, lagging
             ("lo", not lo[0] < edge[0])) if hit}))
         return top(model, s, x1, u)
 
-    monkeypatch.setattr(sim, "_bracket_top", recording)
+    monkeypatch.setattr(hr, "_bracket_top", recording)
     model = hr_pair_model((1, 2), gamma)
     got = _invert_pair(model, 1, np.array([x1]), np.array([u]))
     assert calls == [(iteration, reasons)]
@@ -529,7 +545,7 @@ def test_bracket_top_sees_few_rows_on_hr_chain(hr_chain, monkeypatch):
     """On the shipped HR chain's draws at t = 2, 4, 6 the inverter
     searches for the top of 1,105 of its 60,000 rows (1.8 %)."""
     rows = {"top": 0, "inverted": 0}
-    top, invert = sim._bracket_top, sim._invert_pair
+    top, invert = hr._bracket_top, hr._invert_pair
 
     def counting_top(model, s, x1, u):
         rows["top"] += u.size
@@ -539,8 +555,8 @@ def test_bracket_top_sees_few_rows_on_hr_chain(hr_chain, monkeypatch):
         rows["inverted"] += u.size
         return invert(model, s, x1, u)
 
-    monkeypatch.setattr(sim, "_bracket_top", counting_top)
-    monkeypatch.setattr(sim, "_invert_pair", counting_invert)
+    monkeypatch.setattr(hr, "_bracket_top", counting_top)
+    monkeypatch.setattr(hr, "_invert_pair", counting_invert)
     ordering, models = hr_chain
     for t in (2.0, 4.0, 6.0):
         conditional_exceedance(ordering, models, 1, t, 10_000, seed=1)
