@@ -4,6 +4,11 @@ Importing ``scipy.special`` and ``scipy.linalg`` costs more than most
 ``graph`` and ``derive`` runs, which need neither.  ``_scipy.ndtr`` and
 the rest import their scipy module on first access (PEP 562) and bind
 the function here, so later calls read a plain module attribute.
+
+So ``graph`` loads no scipy; ``derive`` loads none unless a separator
+block has two or more rows (``scipy.linalg``: ``linalg.cho_solve`` solves
+one-row blocks itself); ``verify`` loads ``scipy.special`` for its
+quantiles, CDFs and KS tables, and ``scipy.linalg`` under the same rule.
 """
 
 from __future__ import annotations

@@ -233,8 +233,6 @@ def parse_config(data: dict) -> RunConfig:
         t_levels = DEFAULT_T_LEVELS
     else:
         _require(isinstance(t_levels, list), "'t_levels' must be a list")
-        for t in t_levels:
-            _require(_is_finite(t), f"t level {t!r} must be a finite number")
         t_levels = check_t_levels(t_levels, "'t_levels'")
 
     n = data.get("n", DEFAULT_N)

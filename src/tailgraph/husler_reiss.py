@@ -52,6 +52,7 @@ from .linalg import (
     IndexedVector,
     _LabelledSquare,
     _labelled_matrix,
+    cho_solve,
     cholesky_spd,
     spd_inverse,
 )
@@ -647,7 +648,7 @@ def a2_limit_params(model: HuslerReissModel, sep) -> HRLimitParams:
             sig_sr = sig[sp][:, r]
             low = cholesky_spd(sig[sp][:, sp],
                                what=f"separator block of {clique}")
-            b = _scipy.cho_solve((low, True), sig_sr).T
+            b = cho_solve(low, sig_sr).T
             cov = cov - b @ sig_sr
             cov = 0.5 * (cov + cov.T)
             mean = mean - b @ mu[sp]

@@ -176,6 +176,23 @@ def cholesky_spd(values: np.ndarray, what: str = "matrix") -> np.ndarray:
         raise NotSPD(f"{what} is not positive definite: {exc}") from exc
 
 
+def cho_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """X with L·Lᵀ·X = B for a lower Cholesky factor L, with the bits of
+    ``scipy.linalg.cho_solve((L, True), B)``.
+
+    A 1×1 factor [[l]] takes LAPACK's own arithmetic (``dpotrs``: two
+    triangular solves, each a product with the pivot's reciprocal),
+    X = (B·r)·r with r = 1/l, and loads no scipy: the inverses of HR and
+    mixed derives and the two-vertex separators of HR 2-trees need no
+    more.  Larger factors go to scipy.
+    """
+    if low.shape == (1, 1):
+        with np.errstate(over="ignore"):
+            r = 1.0 / low[0, 0]
+            return (b * r) * r
+    return _scipy.cho_solve((low, True), b)
+
+
 def spd_inverse(m: IndexedMatrix) -> IndexedMatrix:
     """Inverse of a symmetric positive-definite indexed matrix.
 
@@ -185,13 +202,7 @@ def spd_inverse(m: IndexedMatrix) -> IndexedMatrix:
     """
     m.check_symmetric()
     low = cholesky_spd(m.values, what=f"matrix on {m.rows}")
-    if low.shape == (1, 1):
-        # LAPACK's two triangular solves, each a product with the pivot's
-        # reciprocal, without loading scipy (a HR or mixed derive needs none)
-        with np.errstate(over="ignore"):
-            inv = (1.0 / low) * (1.0 / low)
-    else:
-        inv = _scipy.cho_solve((low, True), np.eye(len(m.rows)))
+    inv = cho_solve(low, np.eye(len(m.rows)))
     inv = 0.5 * (inv + inv.T)
     with np.errstate(invalid="ignore", over="ignore"):
         gap = float(np.max(np.abs(m.values @ inv - np.eye(len(m.rows)))))

@@ -388,6 +388,18 @@ def test_verify_rejects_infinite_config_level(configs, tmp_path):
     assert payload(res)["error"]["type"] == "ConfigError"
 
 
+def test_verify_rejects_a_string_config_level(configs, tmp_path):
+    doc = json.loads((configs / "gaussian_short_chain.json").read_text())
+    doc["t_levels"] = ["2"]
+    bad = tmp_path / "string.json"
+    bad.write_text(json.dumps(doc))
+    res = run("verify", "--config", str(bad), "--n", "200")
+    assert res.exit_code == EXIT_CONFIG == 2
+    assert payload(res)["error"] == {
+        "type": "ConfigError",
+        "message": "'t_levels': level '2' is not a real number"}
+
+
 def test_verify_beyond_double_range_is_a_numerical_breakdown(configs, tmp_path):
     """At t = 705 some root states pass ~709.78, where the Fréchet state
     overflows: verify stops with exit 3 and emits no numpy warning."""
@@ -582,22 +594,40 @@ for args in sys.argv[1:]:
 """
 
 
-def test_cli_import_leaves_scipy_stats_unloaded(configs):
-    """Importing scipy costs more than most ``graph`` and ``derive`` runs,
-    which need none of it: the CLI import, ``graph`` on every shipped
-    config and HR or mixed ``derive`` leave every scipy module unloaded
-    (scipy.stats, the slowest, is never used at all)."""
+def _scipy_modules_after(runs):
+    """``label [scipy modules]`` lines of one process that imports the CLI
+    and then makes each run in turn."""
     src = str(Path(tailgraph.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    runs = [f"graph --config {path}" for path in sorted(configs.glob("*.json"))]
-    runs += [f"derive --config {configs / name}.json"
-             for name in ("hr_chain", "hr_block_tree", "mixed_tree")]
-    assert len(runs) == 10
     out = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUNS, *runs],
                          env=env, check=True, capture_output=True, text=True,
                          timeout=120)
-    assert out.stdout.splitlines() == [f"{label} []"
-                                       for label in ["import", *runs]]
+    return out.stdout.splitlines()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded(configs, pytestconfig, tmp_path):
+    """Importing scipy costs more than most ``graph`` and ``derive`` runs,
+    which need none of it: the CLI import, ``graph`` on every shipped
+    config, HR or mixed ``derive``, and ``derive`` on an HR 2-tree (whose
+    two-vertex separators need one-row solves) leave every scipy module
+    unloaded (scipy.stats, the slowest, is never used at all)."""
+    two_tree = tmp_path / "hr_tri.json"
+    two_tree.write_text(json.dumps(perfbench_workloads(pytestconfig.rootpath).hr_tri(1)))
+    runs = [f"graph --config {path}" for path in sorted(configs.glob("*.json"))]
+    runs += [f"derive --config {configs / name}.json"
+             for name in ("hr_chain", "hr_block_tree", "mixed_tree")]
+    runs += [f"derive --config {two_tree}"]
+    assert len(runs) == 11
+    assert _scipy_modules_after(runs) == [f"{label} []"
+                                          for label in ["import", *runs]]
+
+
+def test_verify_loads_scipy_special_but_not_scipy_linalg(configs, tmp_path):
+    """``verify`` needs scipy.special for its quantiles, CDFs and KS
+    tables; no HR pair chain's solve reaches scipy.linalg."""
+    *_, loaded = _scipy_modules_after(
+        [f"verify --config {configs / 'hr_chain.json'} --n 200 --out {tmp_path}"])
+    assert "'scipy.special'" in loaded and "'scipy.linalg" not in loaded
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.stats import norm
@@ -192,11 +192,16 @@ def test_ks_statistics_propagate_nan():
        ties=st.booleans(),
        special=st.sampled_from([(), (np.inf,), (-np.inf,), (np.nan,),
                                 (-np.inf, np.inf), (np.inf, np.nan)]))
+@example(seed=1, n=10_000, fit="quantiles", ties=False, special=())
+@example(seed=1, n=10_000, fit="shifted", ties=False, special=())
 def test_ks_statistic_equals_the_full_cdf_oracle(seed, n, fit, ties, special):
     """The KS distance, which evaluates the CDF only in the blocks that can
-    hold the maximum, has the bits of the full evaluation, for both CDFs.
-    "quantiles" puts every point at its own CDF midpoint, so every row's
-    distance is 0.5/n up to rounding; a NaN anywhere gives NaN."""
+    hold the maximum (or over the whole sample when most blocks can), has
+    the bits of the full evaluation, for both CDFs.  "quantiles" puts
+    every point at its own CDF midpoint, so every row's distance is 0.5/n
+    up to rounding: a near-perfect fit, which keeps every block and so is
+    evaluated in full; "shifted" is a heavy misfit, which keeps a few
+    blocks.  A NaN anywhere gives NaN."""
     rng = np.random.default_rng(seed)
     mean, sd = 0.3, 1.7
     if fit == "quantiles":
@@ -218,6 +223,11 @@ def test_ks_statistic_equals_the_full_cdf_oracle(seed, n, fit, ties, special):
             assert np.isnan(got(x)) and np.isnan(want)
         else:
             assert np.float64(got(x)).tobytes() == np.float64(want).tobytes()
+        if n == 10_000 and not ties and not special and fit in ("quantiles", "shifted"):
+            sizes = []
+            dg._ks_statistic(x, lambda y: sizes.append(y.size) or cdf(y))
+            full = sizes[-1] == n
+            assert full == (fit == "quantiles")
 
 
 # ----------------------------------------------------- convergence study

@@ -2,17 +2,26 @@
 first use."""
 
 import ast
+import itertools
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tailgraph
 from tailgraph import _scipy
+from tailgraph import husler_reiss as hr
+from tailgraph.config import parse_config
+from tailgraph.linalg import cho_solve, cholesky_spd
+
+from conftest import perfbench_workloads
 
 PACKAGE = Path(tailgraph.__file__).resolve().parent
 
@@ -83,3 +92,53 @@ def test_first_use_inside_worker_threads_keeps_bytes(pytestconfig, tmp_path):
     assert code2 == code1 and code1 in (0, 4)
     assert stdout2 == stdout1
     assert files2 == files1 and "ks_table.csv" in files1
+
+
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0]),
+                   st.floats(-1e300, 1e300, allow_nan=False))
+
+
+@given(pivot=st.floats(1e-300, 1e300),
+       b=st.integers(1, 4).flatmap(
+           lambda k: st.lists(_ENTRY, min_size=k, max_size=k)))
+def test_one_row_solve_has_the_bits_of_scipy(pivot, b):
+    """A 1×1 factor is solved with LAPACK's arithmetic, without scipy:
+    pivots over six hundred decades, right-hand sides of 1–4 columns
+    with mixed signs and signed zeros."""
+    low = cholesky_spd(np.array([[pivot]]))
+    rhs = np.array([b])
+    want = scipy.linalg.cho_solve((low, True), rhs)
+    assert cho_solve(low, rhs).tobytes() == want.tobytes()
+
+
+def test_hr_two_tree_updates_have_the_bits_of_scipy(pytestconfig, monkeypatch):
+    """Every separator update of seeded HR triangle 2-trees, a two-vertex
+    separator included, equals the update whose separator solve goes
+    through ``scipy.linalg.cho_solve``, byte for byte; and none of them
+    reaches scipy, whose solve only factors of two or more rows take."""
+    calls = []
+    monkeypatch.setattr(_scipy, "cho_solve", lambda c, b: calls.append(c[0].shape)
+                        or scipy.linalg.cho_solve(c, b))
+    workloads = perfbench_workloads(pytestconfig.rootpath)
+    models = []
+    for seed in range(1, 11):
+        cfg = parse_config(workloads.hr_tri(seed, 12))
+        models += cfg.models().values()
+    updates = [(m, sep) for m in models
+               for k in (1, 2) for sep in itertools.combinations(m.clique, k)]
+    got = [hr.a2_limit_params(m, sep) for m, sep in updates]
+    assert calls == [] and len(updates) == 10 * 12 * 6
+    k4 = (1, 2, 3, 4)
+    corners = np.vstack([np.zeros(3), np.eye(3)])
+    gamma = ((corners[:, None] - corners[None]) ** 2).sum(axis=2)
+    hr.a2_limit_params(hr.HuslerReissModel(k4, hr.VariogramMatrix(k4, gamma)),
+                       (1, 2, 3))
+    assert calls == [(2, 2)]
+
+    monkeypatch.setattr(hr, "cho_solve",
+                        lambda low, b: scipy.linalg.cho_solve((low, True), b))
+    for params, (m, sep) in zip(got, updates):
+        want = hr.a2_limit_params(m, sep)
+        for a, b in ((params.slope, want.slope), (params.law.mean, want.law.mean),
+                     (params.law.cov, want.law.cov)):
+            assert a.values.tobytes() == b.values.tobytes()
