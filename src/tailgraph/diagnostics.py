@@ -29,7 +29,7 @@ from .limits import (
     tail_model_moments,
 )
 from .rng import OFFSET_MISC, _check_rows, check_seed, derived_rng
-from .simulate import _plan, _renormalize_in_place, _simulate
+from .simulate import _fill_levels, _plan, _Renormalizer
 
 #: Orthant-probability accuracy of the MRV compatibility check's measures.
 _MARGINAL_ACCURACY = 1e-9
@@ -82,10 +82,10 @@ def _ks_statistic(x: np.ndarray, cdf) -> float:
     max((hi + 1)/n − F(x_lo), F(x_hi) − lo/n); so F is evaluated at each
     block's ends, and in full in the blocks whose bound reaches the
     largest distance at the ends, less 1e-12 for the ulp wiggles of a
-    computed F.  When more than half of the blocks are kept (a near-perfect
-    fit, whose maximum is below a block's looseness of about 2·64/n),
-    gathering them costs more than it saves, and F is evaluated over the
-    whole sample; either way the maximum has the same bits.  A sample
+    computed F.  When more than three quarters of the blocks are kept (a
+    near-perfect fit, whose maximum is below a block's looseness of about
+    2·64/n), gathering them costs more than it saves, and F is evaluated
+    over the whole sample; either way the maximum has the same bits.  A sample
     with a non-finite end (±inf, or NaN, which sorts last) is evaluated
     in full."""
     x = np.sort(np.asarray(x, dtype=float))
@@ -99,7 +99,7 @@ def _ks_statistic(x: np.ndarray, cdf) -> float:
         best = np.maximum((ends + 1.0) / n - f, f - ends / n).max()
         bound = np.maximum((hi + 1.0) / n - f[:lo.size], f[lo.size:] - lo / n)
         keep = bound >= best - 1e-12
-        if 2 * np.count_nonzero(keep) <= keep.size:
+        if 4 * np.count_nonzero(keep) <= 3 * keep.size:
             at = at[np.repeat(keep, _KS_BLOCK)[:n]]
     f = cdf(x if at.size == n else x[at])
     d_plus = ((at + 1.0) / n - f).max()
@@ -151,6 +151,8 @@ class ConvergenceReport:
     mean_gap: dict  # t -> max |empirical - limit| over margins
     cov_gap: dict  # t -> max |empirical - limit| over entries
     slack: float = TREND_SLACK
+    #: "cov_gap" over all entries, or "clique_cov_gap" over clique blocks
+    cov_name: str = "cov_gap"
 
     def margins(self, t: float) -> list[MarginRow]:
         return [r for r in self.rows if r.t == t]
@@ -180,7 +182,7 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
     def gaps_csv(self) -> str:
-        lines = ["t,mean_gap,cov_gap"]
+        lines = [f"t,mean_gap,{self.cov_name}"]
         for t in self.t_levels:
             lines.append(f"{t!r},{self.mean_gap[t]!r},{self.cov_gap[t]!r}")
         return "\n".join(lines) + "\n"
@@ -191,7 +193,7 @@ class ConvergenceReport:
             "n": self.n, "seed": self.seed,
             "rows": [r.to_dict() for r in self.rows],
             "mean_gap": {str(t): g for t, g in self.mean_gap.items()},
-            "cov_gap": {str(t): g for t, g in self.cov_gap.items()},
+            self.cov_name: {str(t): g for t, g in self.cov_gap.items()},
             "trend_ok": self.trend_ok(),
             "final_pass": self.final_pass(),
         }
@@ -206,6 +208,12 @@ def convergence_study(ordering: CliqueOrdering, models: dict, v: int,
     if limit is None:
         limit = build_tail_noise(ordering, models, v)
     return study_limit(limit, t_levels, n, seed)
+
+
+#: Largest graph, in vertices, whose study keeps every column of a level
+#: to the end and reports the dense covariance gap; a larger one streams
+#: its columns and reports the clique-block gap.
+STREAM_ABOVE = 32
 
 
 def study_limit(limit: TailGraphicalModel | TailNoiseModel,
@@ -223,55 +231,121 @@ def study_limit(limit: TailGraphicalModel | TailNoiseModel,
     random number once, and each level equals a lone
     :func:`~tailgraph.simulate.conditional_exceedance` at that level bit
     for bit.  The draws are the limit's own clique records, so no
-    clique's constants are built twice.  The levels are then studied one
-    at a time: each level's vertex-major (d × n) draws, rows
-    (v, *z_index), are renormalized and centred in place and dropped once
-    studied, so the study holds one such array per level and no other of
-    that size.  ``n`` must be an
-    integer >= 2 (a sample covariance needs two rows), else
-    :class:`ConfigError`.
+    clique's constants are built twice.
+
+    The study runs through the draws.  When a column retires (no later
+    draw or renormalization reads it raw) it is renormalized in place and
+    gives its KS row and its mean.  On a graph of at most
+    :data:`STREAM_ABOVE` vertices every column keeps its row of the
+    level's vertex-major (d × n) array and retires after the last draw,
+    and the gap is the dense ``cov_gap`` over all margins.  On a larger
+    graph each level holds only the live columns, each retired row going
+    to the next new column, and the gap is ``clique_cov_gap``: the
+    largest entry of |empirical − limit| over the covariance blocks of
+    C∖{v} for the cliques C, each taken right after the clique's draw.
+    ``n`` must be an integer >= 2 (a sample covariance needs two rows),
+    else :class:`ConfigError`.
     """
     t_levels = check_t_levels(t_levels, "t_levels")
     _check_rows(n, workers, least=2)
+    seed = check_seed(seed, "seed")
     mode = ("condition_on_root" if isinstance(limit, TailGraphicalModel)
             else "separator_based")
     lim_mean, lim_cov = tail_model_moments(limit)
-    v = limit.v
-    z_index = limit.z_index
-    laws = list(zip(z_index, lim_mean.values.tolist(),
+    stream = limit.ordering.graph.n > STREAM_ABOVE
+    plan = _plan(limit.ordering, limit.v, [u.record for u in limit.in_order],
+                 mode if stream else None)
+    pos = {u: j for j, u in enumerate(limit.z_index)}
+    laws = list(zip(lim_mean.values.tolist(),
                     np.sqrt(np.diag(lim_cov.values)).tolist()))
+    levels = [_Level(_Renormalizer(limit, mode, plan.columns, t), plan.slots,
+                     pos, laws) for t in t_levels]
+
+    def after(draw, arrays):
+        cols = [u for u in draw.record.sep + draw.record.rest if u != limit.v]
+        idx = [pos[u] for u in cols]
+        block = lim_cov.values[np.ix_(idx, idx)]
+        for level, x in zip(levels, arrays):
+            level.retire(x, draw.retire)
+            level.fold(x, cols, block, draw.retire)
+
+    arrays = _fill_levels(plan, n, seed, workers, t_levels,
+                          after if stream else None)
     threshold = float(ks_const / np.sqrt(n))
-    plan = _plan(limit.ordering, v, [u.record for u in limit.in_order])
-    draws = _simulate(plan, n, seed, workers, t_levels)
     rows = []
     mean_gap, cov_gap = {}, {}
-    for t in t_levels:
-        draw = draws.pop(0)
-        _renormalize_in_place(draw, limit, mode)
-        z = draw.values.T  # rows (v, *z_index), by the plan's row order
-        rows.append(MarginRow(t=t, vertex=v, ks=ks_unit_exponential(z[0]),
-                              n=n, threshold=threshold))
-        z = z[1:]  # one row per margin of the limit
-        for j, (u, mean, sd) in enumerate(laws):
-            rows.append(MarginRow(t=t, vertex=u, ks=ks_normal(z[j], mean, sd),
-                                  n=n, threshold=threshold))
-        emp_mean, emp_cov = _centred_moments(z)
-        mean_gap[t] = float(np.max(np.abs(emp_mean - lim_mean.values)))
-        cov_gap[t] = float(np.max(np.abs(emp_cov - lim_cov.values)))
+    for level in levels:
+        x = arrays.pop(0)  # each level's draws are dropped once studied
+        level.retire(x, plan.last)
+        if not stream:  # rows (v, *z_index), the margins centred
+            level.gaps.append(np.max(np.abs(_covariance(x[1:]) - lim_cov.values)))
+        t = level.norm.t
+        rows += [MarginRow(t=t, vertex=u, ks=level.ks[u], n=n, threshold=threshold)
+                 for u in plan.columns]
+        mean_gap[t] = float(np.max(np.abs(level.mean - lim_mean.values)))
+        cov_gap[t] = float(np.max(level.gaps))
     return ConvergenceReport(
-        v=v, mode=mode, t_levels=t_levels, n=n, seed=seed,
+        v=limit.v, mode=mode, t_levels=t_levels, n=n, seed=seed,
         rows=tuple(rows), mean_gap=mean_gap, cov_gap=cov_gap,
+        cov_name="clique_cov_gap" if stream else "cov_gap",
     )
 
 
-def _centred_moments(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row means and ``np.cov(z)`` of the C-order array z, bit for bit,
-    with z centred in place rather than on a copy."""
-    mean = z.mean(axis=1)
-    z -= mean[:, None]
+class _Level:
+    """One level of :func:`study_limit`, filled in as its columns retire:
+    the KS distance of each column, and the mean of each margin at its
+    position ``pos`` in the limit's ``z_index``, against its limit law
+    (mean, sd) in ``laws``; and the covariance gaps found so far."""
+
+    def __init__(self, norm: _Renormalizer, slots: dict, pos: dict, laws) -> None:
+        self.norm, self.slots, self.pos, self.laws = norm, slots, pos, laws
+        self.ks = {}
+        self.mean = np.empty(len(pos))
+        self.gaps = []
+
+    def retire(self, x: np.ndarray, cols) -> None:
+        """Renormalize the retiring columns ``cols`` in place, in the
+        plan's order; take their KS distances, and centre each margin on
+        its mean."""
+        self.norm.write(x, self.slots, cols)
+        for u in cols:
+            row = x[self.slots[u]]
+            if u not in self.pos:  # v's row
+                self.ks[u] = ks_unit_exponential(row)
+                continue
+            j = self.pos[u]
+            self.ks[u] = ks_normal(row, *self.laws[j])
+            self.mean[j] = row.mean()
+            row -= self.mean[j]
+
+    def fold(self, x: np.ndarray, cols, lim_block: np.ndarray, retired) -> None:
+        """The gap of one clique's covariance block over its columns
+        ``cols`` (C∖{v}), just after its draw: the columns in ``retired``
+        are centred in place already, and the others are renormalized and
+        centred on copies."""
+        z = []
+        for u in cols:
+            if u in retired:
+                z.append(x[self.slots[u]])
+            else:
+                row = np.empty(x.shape[1])
+                self.norm.write(x, self.slots, [u], out=[row])
+                row -= row.mean()
+                z.append(row)
+        emp = np.empty(lim_block.shape)
+        for i, a in enumerate(z):
+            for j in range(i + 1):
+                emp[i, j] = emp[j, i] = np.dot(a, z[j])
+        emp /= x.shape[1] - 1
+        self.gaps.append(np.max(np.abs(emp - lim_block)))
+
+
+def _covariance(z: np.ndarray) -> np.ndarray:
+    """``np.cov`` of the rows of the C-order array z, centred already, bit
+    for bit."""
     cov = np.dot(z, z.T)
     cov *= np.true_divide(1, z.shape[1] - 1)
-    return mean, cov
+    return cov
 
 
 # ---------------------------------------------------------------------------

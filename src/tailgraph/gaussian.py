@@ -259,21 +259,21 @@ class GaussianClique:
         """Draw the rows ``at_rest`` of each level's vertex-major block in
         ``xs`` given its rows ``at_sep``, every level from the same
         normals.  ``scores`` holds, per level, the latent scores of the
-        separators that a later draw still reads; ``keep`` keeps this
-        draw's."""
+        separators that a later draw still reads, keyed by the separator's
+        vertices (a row may hold another vertex later); ``keep`` keeps
+        this draw's."""
         noise = rng.standard_normal((xs[0].shape[1], len(at_rest))) @ self.chol.T
         if not at_sep:
             w = normal_to_exp(noise).T
             for x in xs:
                 x[at_rest] = w
             return
-        key = tuple(at_sep)
         for x, cache in zip(xs, scores):
-            z_sep = cache.pop(key, None)
+            z_sep = cache.pop(self.sep, None)
             if z_sep is None:
                 # rows × |sep| in row-major order, as the slope product
                 # has always read it: its bits depend on the layout
                 z_sep = np.ascontiguousarray(exp_to_normal(x[at_sep].T))
             if keep:
-                cache[key] = z_sep
+                cache[self.sep] = z_sep
             x[at_rest] = normal_to_exp(z_sep @ self.alpha.values.T + noise).T

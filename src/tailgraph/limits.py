@@ -29,7 +29,7 @@ Both limits are the linear recursion ``Z = B Z + c + Φ ε`` along the
 clique ordering (``B = 0`` for the tail noise).  Each compiles once,
 on first use, into a tuple of :class:`LinearStep` in draw order.  One
 sampler (:func:`sample_tail_model`) runs those steps on a vertex-major
-(d × nb) block per row block (through :func:`tailgraph.rng.run_blocks`),
+(d × nb) block per row block (through :func:`tailgraph.rng.block_runner`),
 and one recursion gives the exact mean and covariance, both for either
 kind.
 """
@@ -53,7 +53,7 @@ from .graphs import (
     clique_ordering,
 )
 from .linalg import GaussianLaw, IndexedMatrix, IndexedVector, _positions
-from .rng import _check_rows, check_seed, derived_rng, run_blocks
+from .rng import _check_rows, block_runner, check_seed, derived_rng
 
 HALF = Fraction(1, 2)
 #: Separator fluctuations at which :func:`remainder_report` compares normings.
@@ -434,7 +434,8 @@ def sample_tail_model(model: TailGraphicalModel | TailNoiseModel, n: int,
         values[start:stop, :vcol] = zmat[:vcol].T
         values[start:stop, vcol + 1:] = zmat[vcol:].T
 
-    run_blocks(n, workers, fill)
+    with block_runner(n, workers) as run:
+        run(fill)
     kind = "tail_noise" if isinstance(model, TailNoiseModel) else "tail_model"
     return SampleMatrix(columns=columns, values=values,
                         meta={"kind": kind, "v": model.v, "n": n, "seed": seed})

@@ -6,13 +6,15 @@ is a pure function of purpose (e.g. the row-block index of a sampler, or
 a fixed offset for quadrature shifts), never of execution order, so
 results are independent of worker count and identical across runs.
 
-:func:`run_blocks` is the one row-block runner: the limit sampler and
-the finite-level simulator each hand it a fill function for one block.
+:func:`block_runner` is the one row-block runner: the limit sampler
+hands it a fill function for one block, and the finite-level simulator
+one for each of its draws in turn.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import numbers
 
 import numpy as np
@@ -63,15 +65,16 @@ def block_bounds(n: int) -> list[tuple[int, int, int]]:
     return [(k, s, min(s + BLOCK, n)) for k, s in enumerate(range(0, n, BLOCK))]
 
 
-def run_blocks(n: int, workers: int, fill) -> None:
-    """Call ``fill((k, start, stop))`` for every row block of range(n),
-    in order on this thread, or on a pool of ``workers`` threads.  Each
-    block writes only its own rows and draws from its own stream, so the
-    result does not depend on ``workers``."""
+@contextlib.contextmanager
+def block_runner(n: int, workers: int):
+    """A function ``run(fill)`` that calls ``fill((k, start, stop))`` for
+    every row block of range(n), in order on this thread, or on one pool
+    of ``workers`` threads kept for the ``with`` statement.  Each block
+    writes only its own rows and draws from its own stream, so the result
+    does not depend on ``workers``."""
     blocks = block_bounds(n)
     if workers <= 1 or len(blocks) == 1:
-        for blk in blocks:
-            fill(blk)
+        yield lambda fill: [fill(blk) for blk in blocks]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, blocks))
+            yield lambda fill: list(pool.map(fill, blocks))

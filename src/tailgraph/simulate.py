@@ -22,17 +22,21 @@ together.  One pass draws a whole ladder of thresholds: each row block
 reads its random numbers once and applies them to every level, and a
 separator's latent normal score is computed once per block and level
 for all the Gaussian cliques glued at it.  Each level fills its own
-vertex-major (d × n) array, v's row first; :func:`conditional_exceedance`
-is the one-level case, bit for bit.  Renormalization is elementwise, so
-the convergence study runs it in place on these arrays.  All margins are
-exactly unit exponential by construction.
+vertex-major array, v's row first; :func:`conditional_exceedance` is the
+one-level case, bit for bit.  The draws run one clique at a time over
+all row blocks, so a column is complete once its clique is drawn, and a
+plan may give a finished column's row to a later one.  Renormalization
+is elementwise, so the convergence study runs it in place on these
+arrays, column by column as they finish.  All margins are exactly unit
+exponential by construction.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +44,14 @@ from . import husler_reiss as hr
 from .errors import ConfigError, MissingNorming
 from .graphs import CliqueOrdering, _models_table, check_separator_models
 from .limits import SampleMatrix, TailGraphicalModel, TailNoiseModel, _rooted
-from .rng import OFFSET_LATENT, _check_rows, check_seed, derived_rng, run_blocks
+from .rng import (
+    OFFSET_LATENT,
+    _check_rows,
+    block_bounds,
+    block_runner,
+    check_seed,
+    derived_rng,
+)
 
 #: The HR pair inverter's tolerance and floor, which the benchmark's
 #: floor-entry counter (perfbench/spans.py) reads from this module.
@@ -51,14 +62,17 @@ _X_FLOOR = hr._X_FLOOR
 @dataclass(frozen=True)
 class _Draw:
     """One clique's draw: its ``record`` fills the new sample rows
-    ``rest`` from the rows ``sep`` already filled (vertex positions in
-    the vertex-major block); ``keep`` marks one whose separator a later
-    draw reads too."""
+    ``rest`` from the rows ``sep`` already filled (slots of the level
+    arrays); ``keep`` marks a draw whose separator a later draw reads
+    too.  ``retire`` lists the
+    columns that no later draw or renormalization reads raw, in an order
+    that renormalizes each of them before the columns it reads."""
 
     record: object
     sep: list[int]
     rest: list[int]
     keep: bool = False
+    retire: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -66,30 +80,75 @@ class _DrawPlan:
     """The per-clique draws of one ordering, built once per command and
     reused for every row block and every threshold.  ``v`` is the
     conditioning vertex (the root's given row), or None; ``columns``
-    labels the rows of the vertex-major block: the graph's vertices, with
-    v moved first when there is one."""
+    labels the graph's vertices, with v moved first when there is one.
+    Column u is row ``slots[u]`` of each level's (``width`` × n) array,
+    v's row 0; ``last`` lists the columns left to retire after the last
+    draw, v last."""
 
     v: int | None
     columns: tuple[int, ...]
     draws: tuple[_Draw, ...]
+    slots: dict
+    width: int
+    last: tuple[int, ...]
 
 
-def _plan(ordering: CliqueOrdering, v: int | None, records) -> _DrawPlan:
+def _plan(ordering: CliqueOrdering, v: int | None, records,
+          mode: str | None = None) -> _DrawPlan:
     """The plan of the clique records in draw order, conditioned at v or
     (``v`` None) not; each draw that shares its separator with a later
-    one keeps that separator's latent scores for it."""
+    one keeps that separator's latent scores for it.
+
+    With ``mode`` None every column keeps its row, its position in
+    ``columns``, to the end.  With a renormalization ``mode`` (a plan
+    conditioned at v) a column retires after the last draw that reads
+    it: as a separator, or, on the separator-based route, as the block
+    separator that renormalizes a column not yet retired.  Its row then
+    goes to the next new column, so each level holds only the live
+    columns; v stays to the end.  A column retires before the columns it
+    was drawn from (by descending draw), so each is still raw when read.
+    """
     cols = ordering.graph.vertices
     if v is not None:
         cols = (v,) + tuple(u for u in cols if u != v)
-    pos = {u: k for k, u in enumerate(cols)}
-    draws = [_Draw(rec, [pos[s] for s in rec.sep], [pos[w] for w in rec.rest])
-             for rec in records]
-    later = set()
-    for k in reversed(range(len(draws))):
-        key = tuple(draws[k].sep)
-        draws[k] = replace(draws[k], keep=key in later)
+    drawn = {u: k for k, rec in enumerate(records) for u in rec.rest}
+    retire = [[] for _ in records]
+    if mode is None:
+        slots = {u: k for k, u in enumerate(cols)}
+        last = sorted(drawn, key=drawn.get, reverse=True)
+    else:
+        until = dict(drawn)
+        for k, rec in enumerate(records):
+            until.update((s, k) for s in rec.sep)
+        if mode == "separator_based":
+            for rec in reversed(records):
+                s = rec.sep[0]
+                until[s] = max([until[s]] + [until[w] for w in rec.rest])
+        until.pop(v, None)
+        for u in sorted(until, key=drawn.get, reverse=True):
+            retire[until[u]].append(u)
+        slots, free, width = {v: 0}, [], 1
+        for k, rec in enumerate(records):
+            for u in rec.rest:
+                if free:
+                    slots[u] = heapq.heappop(free)
+                else:
+                    slots[u], width = width, width + 1
+            for u in retire[k]:
+                heapq.heappush(free, slots[u])
+        last = []
+    if v is not None:
+        last.append(v)
+    draws, later = [], set()
+    for k in reversed(range(len(records))):
+        rec = records[k]
+        key = tuple(rec.sep)
+        draws.append(_Draw(rec, [slots[s] for s in rec.sep],
+                           [slots[w] for w in rec.rest], key in later,
+                           tuple(retire[k])))
         later.add(key)
-    return _DrawPlan(v, cols, tuple(draws))
+    return _DrawPlan(v, cols, tuple(reversed(draws)), slots,
+                     1 + max(slots.values(), default=0), tuple(last))
 
 
 def _draw_plan(ordering: CliqueOrdering, models: dict, v: int | None = None) -> _DrawPlan:
@@ -121,43 +180,67 @@ def _simulate(plan: _DrawPlan, n: int, seed: int, workers: int,
     conditioned at ``plan.v``) one per level t, whose row of v is t plus
     a unit exponential drawn first in each block.
 
-    Each block reads its random numbers once and applies them to every
-    level, so the levels share them exactly.  Each level fills its own
-    C-order vertex-major (d × n) array, and the matrix's ``values`` is
-    its transpose view.  The rows, and so the columns, follow
-    ``plan.columns``: the graph's vertices in order, except that a
-    conditioned plan puts v first, so rows 1..d−1 are the other vertices
-    in graph order (a limit's ``z_index``).  No draw's bits depend on
-    its row's position.  A bad level, seed, n or workers raises
+    :func:`_fill_levels` draws them; the matrix's ``values`` is the
+    transpose view of its level array.  The columns follow
+    ``plan.columns`` (a plan whose columns keep their rows): the graph's
+    vertices in order, except that a conditioned plan puts v first, so
+    rows 1..d−1 are the other vertices in graph order (a limit's
+    ``z_index``).  A bad level, seed, n or workers raises
     :class:`ConfigError` before any row is drawn.
     """
     ts = (None,) if levels is None else tuple(_check_level(t) for t in levels)
     seed = check_seed(seed, "seed")
     _check_rows(n, workers)
-    cols = plan.columns
-    arrays = [np.empty((len(cols), n)) for _ in ts]
-
-    def fill(blk):
-        k, start, stop = blk
-        rng = derived_rng(seed, OFFSET_LATENT + k)
-        xs = [a[:, start:stop] for a in arrays]
-        if levels is not None or not plan.draws:
-            # v's row, or the one vertex of a one-vertex graph
-            e = rng.standard_exponential(stop - start)
-            for x, t in zip(xs, ts):
-                x[0] = e if t is None else t + e
-        scores = [{} for _ in xs]
-        for d in plan.draws:
-            d.record.fill(xs, d.sep, d.rest, rng, scores, d.keep)
-
-    run_blocks(n, workers, fill)
+    arrays = _fill_levels(plan, n, seed, workers, ts)
     if levels is None:
         metas = [{"kind": "simulate", "n": n, "margins": "exponential"}]
     else:
         metas = [{"kind": "conditional", "n": n, "v": plan.v, "t": t,
                   "margins": "exponential"} for t in ts]
-    return [SampleMatrix(columns=cols, values=a.T, meta={**meta, "seed": seed})
+    return [SampleMatrix(columns=plan.columns, values=a.T, meta={**meta, "seed": seed})
             for a, meta in zip(arrays, metas)]
+
+
+def _fill_levels(plan: _DrawPlan, n: int, seed: int, workers: int, ts,
+                 after=None) -> list[np.ndarray]:
+    """One C-order (``plan.width`` × n) array per level t of ``ts`` (None
+    for unconditioned draws), column u in row ``plan.slots[u]``; the
+    arguments are checked already.
+
+    Draws run in the outer loop and row blocks in the inner one, each
+    draw mapped over the blocks on one pool of ``workers`` threads.  Each
+    block keeps its own generator and its own latent-score caches (one
+    per level), so it reads its stream in
+    draw order and every draw has the bits it would have block by block.
+    Each random number is read once and applied to every level, so the
+    levels share them exactly.  After each draw, when all n rows of its
+    columns are filled, ``after(draw, arrays)`` may read and rewrite the
+    rows that draw retires.  No draw's bits depend on its row.
+    """
+    arrays = [np.empty((plan.width, n)) for _ in ts]
+    blocks = block_bounds(n)
+    rngs = [derived_rng(seed, OFFSET_LATENT + k) for k, _, _ in blocks]
+    scores = [[{} for _ in ts] for _ in blocks]
+
+    def first(blk):
+        # v's row, or the one vertex of a one-vertex graph
+        k, start, stop = blk
+        e = rngs[k].standard_exponential(stop - start)
+        for a, t in zip(arrays, ts):
+            a[0, start:stop] = e if t is None else t + e
+
+    with block_runner(n, workers) as run:
+        if ts != (None,) or not plan.draws:
+            run(first)
+        for d in plan.draws:
+            def fill(blk, d=d):
+                k, start, stop = blk
+                d.record.fill([a[:, start:stop] for a in arrays], d.sep, d.rest,
+                              rngs[k], scores[k], d.keep)
+            run(fill)
+            if after is not None:
+                after(d, arrays)
+    return arrays
 
 
 def simulate_graphical(ordering: CliqueOrdering, models: dict, n: int,
@@ -216,43 +299,74 @@ def _renormalize_in_place(samples: SampleMatrix, model, mode: str) -> None:
     reads: blocks go in reverse draw order, so a separator is still raw
     when its block reads it, and v's column comes last.  A refused model
     or mode raises before anything is written."""
-    kinds = {"condition_on_root": (TailGraphicalModel, "graph-wide"),
-             "separator_based": (TailNoiseModel, "per-clique")}
-    if mode not in kinds:
-        raise ConfigError(f"unknown renormalization mode {mode!r}")
-    t = samples.meta.get("t")
-    if t is None:
-        raise ConfigError("samples carry no threshold; renormalize expects "
-                          "conditional_exceedance output")
-    kind, scope = kinds[mode]
-    if not isinstance(model, kind):
-        raise MissingNorming(f"{mode} renormalization needs the {scope} "
-                             f"normings of a {kind.__name__}")
-    x = samples.values.T
-    pos = {u: j for j, u in enumerate(samples.columns)}
-    x_v = samples.column(model.v)
+    norm = _Renormalizer(model, mode, samples.columns, samples.meta.get("t"))
     if mode == "condition_on_root":
-        for u in samples.columns:
-            if u != model.v and u not in model.normings:
-                raise MissingNorming(f"no norming for vertex {u}")
-        scales = {}  # b(x_v) depends on the norming's power alone
-        for u, k in pos.items():
-            if u == model.v:
-                continue
-            pair = model.normings[u]
-            if pair.bexp not in scales:
-                scales[pair.bexp] = pair.b(x_v)
-            np.subtract(x[k], pair.a(x_v), out=x[k])
-            x[k] /= scales[pair.bexp]
+        cols = [u for u in samples.columns if u != model.v]
     else:
-        missing = set(samples.columns) - {model.v}.union(
-            *(blk.rest for blk in model.blocks))
-        if missing:
-            raise MissingNorming(f"no block covers vertices {sorted(missing)}")
-        for blk in reversed(model.blocks):
-            x_s = x[pos[blk.sep[0]]][:, None]
-            a, b = blk.a_fun(x_s), blk.b_fun(x_s)
-            for j, u in enumerate(blk.rest):
-                np.subtract(x[pos[u]], a[:, j], out=x[pos[u]])
-                x[pos[u]] /= b[:, j]
-    np.subtract(x_v, t, out=x_v)
+        cols = [u for blk in reversed(model.blocks) for u in blk.rest]
+    norm.write(samples.values.T, {u: j for j, u in enumerate(samples.columns)},
+               cols + [model.v])
+
+
+class _Renormalizer:
+    """:func:`renormalize` of one level, column by column, on the rows of
+    a vertex-major array.  Checks ``model`` and ``mode`` for the labels
+    ``columns`` and the level ``t``, and raises before anything is
+    written."""
+
+    _KINDS = {"condition_on_root": (TailGraphicalModel, "graph-wide"),
+              "separator_based": (TailNoiseModel, "per-clique")}
+
+    def __init__(self, model, mode: str, columns, t) -> None:
+        if mode not in self._KINDS:
+            raise ConfigError(f"unknown renormalization mode {mode!r}")
+        if t is None:
+            raise ConfigError("samples carry no threshold; renormalize expects "
+                              "conditional_exceedance output")
+        kind, scope = self._KINDS[mode]
+        if not isinstance(model, kind):
+            raise MissingNorming(f"{mode} renormalization needs the {scope} "
+                                 f"normings of a {kind.__name__}")
+        if mode == "condition_on_root":
+            for u in columns:
+                if u != model.v and u not in model.normings:
+                    raise MissingNorming(f"no norming for vertex {u}")
+        else:
+            missing = set(columns) - {model.v}.union(
+                *(blk.rest for blk in model.blocks))
+            if missing:
+                raise MissingNorming(f"no block covers vertices {sorted(missing)}")
+            self._block = {u: (k, blk, j) for k, blk in enumerate(model.blocks)
+                           for j, u in enumerate(blk.rest)}
+        self.model, self.mode, self.t = model, mode, t
+        self._scales = {}  # b(x_v) depends on the norming's power alone
+
+    def write(self, x: np.ndarray, slots: dict, cols, out=None) -> None:
+        """Renormalize the columns ``cols``, column u being row
+        ``slots[u]`` of ``x``: in place, in the order given, or into the
+        rows of ``out`` in that order.  A column reads its raw row and
+        raw v's row (root route) or its block separator's (separator
+        route), so ``cols`` lists each column before those it reads;
+        v's row becomes x_v − t, and comes last.  Consecutive columns of
+        one block share its norming."""
+        model = self.model
+        x_v = x[slots[model.v]]
+        block = None
+        for j, u in enumerate(cols):
+            row = x[slots[u]]
+            dst = row if out is None else out[j]
+            if u == model.v:
+                np.subtract(row, self.t, out=dst)
+            elif self.mode == "condition_on_root":
+                pair = model.normings[u]
+                if pair.bexp not in self._scales:
+                    self._scales[pair.bexp] = pair.b(x_v)
+                np.subtract(row, pair.a(x_v), out=dst)
+                dst /= self._scales[pair.bexp]
+            else:
+                k, blk, i = self._block[u]
+                if block is None or block[0] != k:
+                    x_s = x[slots[blk.sep[0]]][:, None]
+                    block = k, blk.a_fun(x_s), blk.b_fun(x_s)
+                np.subtract(row, block[1][:, i], out=dst)
+                dst /= block[2][:, i]

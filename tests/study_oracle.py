@@ -10,11 +10,16 @@ study read the draws' vertex-major rows: a row-major renormalized copy
 (:func:`renormalize`), a fancy column index of it, its column means and
 ``np.cov``.  The study must give the same bytes, and its margins the same
 strides.
+
+:func:`clique_block_gap` is the streamed study's covariance gap: a
+row-major ``np.cov`` over each clique's renormalized columns, against the
+limit's block.  The study folds the same blocks in from renormalized
+copies of each clique's columns, so the two agree up to rounding.
 """
 
 import numpy as np
 
-from tailgraph.limits import SampleMatrix
+from tailgraph.limits import SampleMatrix, tail_model_moments
 
 
 def ks_statistic(x, cdf) -> float:
@@ -58,3 +63,17 @@ def level_moments(draw: SampleMatrix, limit, mode: str):
     z = z.sub(limit.z_index)
     k = len(limit.z_index)
     return root, z, z.mean(axis=0), np.cov(z.T).reshape(k, k)
+
+
+def clique_block_gap(draw: SampleMatrix, limit, mode: str) -> float:
+    """max over the cliques C of max |cov − limit| on the block C∖{v}."""
+    z = renormalize(draw, limit, mode)
+    cov = tail_model_moments(limit)[1].values
+    pos = {u: j for j, u in enumerate(limit.z_index)}
+    gaps = []
+    for clique in limit.ordering.cliques:
+        cols = [u for u in clique if u != limit.v]
+        idx = [pos[u] for u in cols]
+        emp = np.cov(z.sub(cols).T).reshape(len(cols), len(cols))
+        gaps.append(np.max(np.abs(emp - cov[np.ix_(idx, idx)])))
+    return float(np.max(gaps))

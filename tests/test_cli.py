@@ -118,8 +118,9 @@ def test_shipped_cli_outputs_are_pinned(configs, tmp_path):
 
 #: ``verify --n 2000 --t-levels 4,8`` on the seed-1 Gaussian triangle tree
 #: of ``perfbench/workloads.py``, digested as by :func:`cli_digest`: the
-#: one config in which several cliques hang off one separator vertex.
-TREE_DIGEST = "ee2a00e4214f5c81b8eaf8fb36b422e4d0d3fea9c130b3efea9c120d23adc160"
+#: one config in which several cliques hang off one separator vertex.  Its
+#: 101 vertices take the streamed study, whose gap is ``clique_cov_gap``.
+TREE_DIGEST = "e79bdc9ebc8fab63d07dae349b316b2845c2d5018aae653fdc7b25ca8bf785f3"
 
 
 @pytest.mark.parametrize("workers", ["1", "3"])
