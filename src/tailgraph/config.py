@@ -118,12 +118,16 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _is_finite(x) -> bool:
-    """A JSON number that converts to a finite float."""
+def check_positive(x, where: str) -> float:
+    """x as a float; raises :class:`ConfigError` unless it is a finite
+    positive real number (not a bool or a string)."""
     try:
-        return _is_number(x) and math.isfinite(x)
+        ok = (isinstance(x, numbers.Real) and not isinstance(x, bool)
+              and math.isfinite(x) and x > 0)
     except OverflowError:  # an integer beyond the float range
-        return False
+        ok = False
+    _require(ok, f"{where} must be finite and positive, got {x!r}")
+    return float(x)
 
 
 def check_levels(levels, where: str) -> tuple[float, ...]:
@@ -251,14 +255,11 @@ def parse_config(data: dict) -> RunConfig:
         _require(isinstance(tdata, dict), "'tolerances' must be an object")
         _check_keys(tdata, _TOL_KEYS, "tolerances")
         if "ks_const" in tdata:
-            _require(_is_finite(tdata["ks_const"]) and tdata["ks_const"] > 0,
-                     "ks_const must be finite and positive")
-            tolerances["ks_const"] = float(tdata["ks_const"])
+            tolerances["ks_const"] = check_positive(tdata["ks_const"], "ks_const")
         if "trend_slack" in tdata:
-            _require(_is_finite(tdata["trend_slack"])
-                     and tdata["trend_slack"] >= 1.0,
-                     "trend_slack must be finite and >= 1")
-            tolerances["trend_slack"] = float(tdata["trend_slack"])
+            slack = check_positive(tdata["trend_slack"], "trend_slack")
+            _require(slack >= 1.0, "trend_slack must be finite and >= 1")
+            tolerances["trend_slack"] = slack
         if "remainder_grid" in tdata:
             grid = tdata["remainder_grid"]
             _require(isinstance(grid, list), "remainder_grid must be a list")

@@ -4,7 +4,6 @@ factorized exponent-measure density."""
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -12,7 +11,7 @@ import numpy as np
 
 from . import _scipy
 from . import husler_reiss as hr
-from .config import KS_CONST, TREND_SLACK, check_t_levels
+from .config import KS_CONST, TREND_SLACK, check_positive, check_t_levels
 from .errors import (
     ConfigError,
     EmptySubset,
@@ -82,12 +81,9 @@ def _ks_statistic(x: np.ndarray, cdf) -> float:
     max((hi + 1)/n − F(x_lo), F(x_hi) − lo/n); so F is evaluated at each
     block's ends, and in full in the blocks whose bound reaches the
     largest distance at the ends, less 1e-12 for the ulp wiggles of a
-    computed F.  When more than three quarters of the blocks are kept (a
-    near-perfect fit, whose maximum is below a block's looseness of about
-    2·64/n), gathering them costs more than it saves, and F is evaluated
-    over the whole sample; either way the maximum has the same bits.  A sample
-    with a non-finite end (±inf, or NaN, which sorts last) is evaluated
-    in full."""
+    computed F; the maximum has the bits of the full evaluation.  Only a
+    sample with a non-finite end (±inf, or NaN, which sorts last) is
+    evaluated in full."""
     x = np.sort(np.asarray(x, dtype=float))
     n = x.shape[0]
     at = np.arange(n)
@@ -98,9 +94,7 @@ def _ks_statistic(x: np.ndarray, cdf) -> float:
         f = cdf(x[ends])
         best = np.maximum((ends + 1.0) / n - f, f - ends / n).max()
         bound = np.maximum((hi + 1.0) / n - f[:lo.size], f[lo.size:] - lo / n)
-        keep = bound >= best - 1e-12
-        if 4 * np.count_nonzero(keep) <= 3 * keep.size:
-            at = at[np.repeat(keep, _KS_BLOCK)[:n]]
+        at = at[np.repeat(bound >= best - 1e-12, _KS_BLOCK)[:n]]
     f = cdf(x if at.size == n else x[at])
     d_plus = ((at + 1.0) / n - f).max()
     d_minus = (f - at / n).max()
@@ -243,12 +237,13 @@ def study_limit(limit: TailGraphicalModel | TailNoiseModel,
     to the next new column, and the gap is ``clique_cov_gap``: the
     largest entry of |empirical − limit| over the covariance blocks of
     C∖{v} for the cliques C, each taken right after the clique's draw.
-    ``n`` must be an integer >= 2 (a sample covariance needs two rows),
-    else :class:`ConfigError`.
+    ``n`` must be an integer >= 2 (a sample covariance needs two rows)
+    and ``ks_const`` finite and positive, else :class:`ConfigError`.
     """
     t_levels = check_t_levels(t_levels, "t_levels")
     _check_rows(n, workers, least=2)
     seed = check_seed(seed, "seed")
+    ks_const = check_positive(ks_const, "ks_const")
     mode = ("condition_on_root" if isinstance(limit, TailGraphicalModel)
             else "separator_based")
     lim_mean, lim_cov = tail_model_moments(limit)
@@ -478,11 +473,9 @@ def mrv_checks(ordering: CliqueOrdering, models: dict, seed: int = 0,
     if (not isinstance(n_points, numbers.Integral) or isinstance(n_points, bool)
             or n_points < 1):
         raise ConfigError(f"n_points must be an integer >= 1, got {n_points!r}")
-    if not (_finite_positive(scale) and scale != 1.0):
-        raise ConfigError(f"scale must be finite, positive and not 1, got {scale!r}")
-    if not _finite_positive(homogeneity_tol):
-        raise ConfigError(
-            f"homogeneity_tol must be finite and positive, got {homogeneity_tol!r}")
+    if check_positive(scale, "scale") == 1.0:
+        raise ConfigError("scale must not be 1")
+    homogeneity_tol = check_positive(homogeneity_tol, "homogeneity_tol")
     check_seed(seed, "seed")
     table = _models_table(ordering, models)
     d = ordering.graph.n
@@ -521,10 +514,6 @@ def mrv_checks(ordering: CliqueOrdering, models: dict, seed: int = 0,
             ))
     return MRVReport(homogeneity=tuple(hom), compatibility=tuple(comp),
                      homogeneity_tol=homogeneity_tol)
-
-
-def _finite_positive(x) -> bool:
-    return isinstance(x, numbers.Real) and math.isfinite(x) and x > 0
 
 
 def _marginal_measure(model, sep, grid):

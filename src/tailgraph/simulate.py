@@ -33,7 +33,6 @@ exponential by construction.
 
 from __future__ import annotations
 
-import heapq
 import math
 import numbers
 from dataclasses import dataclass
@@ -115,7 +114,7 @@ def _plan(ordering: CliqueOrdering, v: int | None, records,
     retire = [[] for _ in records]
     if mode is None:
         slots = {u: k for k, u in enumerate(cols)}
-        last = sorted(drawn, key=drawn.get, reverse=True)
+        last = [u for rec in reversed(records) for u in rec.rest]
     else:
         until = dict(drawn)
         for k, rec in enumerate(records):
@@ -131,11 +130,10 @@ def _plan(ordering: CliqueOrdering, v: int | None, records,
         for k, rec in enumerate(records):
             for u in rec.rest:
                 if free:
-                    slots[u] = heapq.heappop(free)
+                    slots[u] = free.pop()
                 else:
                     slots[u], width = width, width + 1
-            for u in retire[k]:
-                heapq.heappush(free, slots[u])
+            free += [slots[u] for u in retire[k]]
         last = []
     if v is not None:
         last.append(v)
@@ -278,34 +276,20 @@ def renormalize(samples: SampleMatrix, model, mode: str) -> SampleMatrix:
     ``mode="separator_based"`` uses the per-clique separator normings of
     a :class:`TailNoiseModel`: each block's new vertices are normalized
     by their own separator's realized state.  The conditioning column
-    becomes x_v − t in both modes.  The result is
-    :func:`_renormalize_in_place` on a copy; ``samples`` is not touched.
+    becomes x_v − t in both modes.  ``samples`` is not touched: a
+    vertex-major copy, laid out as :func:`_simulate`'s draws are, is
+    renormalized in place, column by column in reverse draw order (so a
+    separator is still raw when its block reads it), v's column last.
     """
+    norm = _Renormalizer(model, mode, samples.columns, samples.meta.get("t"))
+    x = samples.values.T.copy()
+    have = set(samples.columns)
+    norm.write(x, {u: j for j, u in enumerate(samples.columns)},
+               [u for upd in reversed(model.in_order) for u in upd.rest if u in have]
+               + [model.v])
     meta = dict(samples.meta)
     meta["kind"] = f"renormalized_{mode}"
-    # a vertex-major copy, laid out as _simulate's draws are
-    out = SampleMatrix(columns=samples.columns,
-                       values=samples.values.T.copy().T, meta=meta)
-    _renormalize_in_place(out, model, mode)
-    return out
-
-
-def _renormalize_in_place(samples: SampleMatrix, model, mode: str) -> None:
-    """Overwrite ``samples.values`` with :func:`renormalize`'s values.
-
-    Elementwise, column by column, so the layout is kept: on
-    :func:`_simulate`'s draws each column stays a contiguous row of the
-    vertex-major array.  Every column is written after the columns it
-    reads: blocks go in reverse draw order, so a separator is still raw
-    when its block reads it, and v's column comes last.  A refused model
-    or mode raises before anything is written."""
-    norm = _Renormalizer(model, mode, samples.columns, samples.meta.get("t"))
-    if mode == "condition_on_root":
-        cols = [u for u in samples.columns if u != model.v]
-    else:
-        cols = [u for blk in reversed(model.blocks) for u in blk.rest]
-    norm.write(samples.values.T, {u: j for j, u in enumerate(samples.columns)},
-               cols + [model.v])
+    return SampleMatrix(columns=samples.columns, values=x.T, meta=meta)
 
 
 class _Renormalizer:

@@ -18,6 +18,7 @@ from tailgraph import diagnostics as dg
 from tailgraph import gaussian as gs
 from tailgraph import husler_reiss as hr
 from tailgraph import rng as rng_module
+from tailgraph import simulate as sim
 from tailgraph.config import load_config, parse_config
 from tailgraph.diagnostics import (
     ConvergenceReport,
@@ -33,6 +34,7 @@ from tailgraph.diagnostics import (
 from tailgraph.errors import (
     ConfigError,
     EmptySubset,
+    NotBlockGraph,
     NumericalBreakdown,
     QuantileOutOfRange,
 )
@@ -49,8 +51,9 @@ from tailgraph.linalg import spd_inverse
 from tailgraph.simulate import (
     _draw_plan,
     _plan,
-    _renormalize_in_place,
     _simulate,
+    conditional_exceedance,
+    renormalize,
     simulate_graphical,
 )
 
@@ -200,16 +203,12 @@ def test_ks_statistics_propagate_nan():
 @example(seed=6, n=10_000, fit="draws", ties=False, special=())
 def test_ks_statistic_equals_the_full_cdf_oracle(seed, n, fit, ties, special):
     """The KS distance, which evaluates the CDF only in the blocks that can
-    hold the maximum (or over the whole sample when more than three
-    quarters of the blocks can), has the bits of the full evaluation, for
-    both CDFs, and takes the full path exactly when that many blocks are
-    kept.  "quantiles" puts every point at its own CDF midpoint, so every
-    row's distance is 0.5/n up to rounding: a near-perfect fit, which
-    keeps every block and so is evaluated in full; "shifted" is a heavy
-    misfit, which keeps a few blocks.  Exact draws keep 56 % (normal) and
-    59 % (exponential) of the blocks at seed 7, which the gather takes,
-    and 91 % and 99 % at seed 6, which go in full.  A NaN anywhere gives
-    NaN."""
+    hold the maximum, has the bits of the full evaluation, for both CDFs.
+    "quantiles" puts every point at its own CDF midpoint, so every row's
+    distance is 0.5/n up to rounding: a near-perfect fit, which keeps
+    every block; "shifted" is a heavy misfit, which keeps a few blocks.
+    Exact draws keep 56 % (normal) and 59 % (exponential) of the blocks
+    at seed 7, and 91 % and 99 % at seed 6.  A NaN anywhere gives NaN."""
     rng = np.random.default_rng(seed)
     mean, sd = 0.3, 1.7
     if fit == "quantiles":
@@ -220,7 +219,6 @@ def test_ks_statistic_equals_the_full_cdf_oracle(seed, n, fit, ties, special):
                         "narrow": (0.0, 0.2), "wide": (0.0, 5.0)}[fit]
         normal = mean + sd * (shift + scale * rng.standard_normal(n))
         expon = shift + scale * rng.standard_exponential(n)
-    full = []  # per CDF, whether it was evaluated over the whole sample
     for x, got, cdf in (
             (normal, lambda x: ks_normal(x, mean, sd),
              lambda y: _scipy.ndtr((y - mean) / sd)),
@@ -232,31 +230,6 @@ def test_ks_statistic_equals_the_full_cdf_oracle(seed, n, fit, ties, special):
             assert np.isnan(got(x)) and np.isnan(want)
         else:
             assert np.float64(got(x)).tobytes() == np.float64(want).tobytes()
-        if np.isfinite(x).all():
-            sizes = []
-            dg._ks_statistic(x, lambda y: sizes.append(y.size) or cdf(y))
-            kept, blocks = kept_blocks(x, cdf)
-            assert (sizes[-1] == n) == (4 * kept > 3 * blocks)
-            full.append(sizes[-1] == n)
-    if n == 10_000 and not ties and not special:
-        if fit in ("quantiles", "shifted"):
-            assert full == [fit == "quantiles"] * 2
-        elif fit == "draws" and seed in (6, 7):
-            assert full == [seed == 6] * 2
-
-
-def kept_blocks(x, cdf) -> tuple[int, int]:
-    """(blocks whose end-point bound reaches the largest end distance,
-    all 64-row blocks) of the sorted sample, from the full CDF."""
-    x = np.sort(x)
-    n = x.size
-    f = cdf(x)
-    lo = np.arange(0, n, 64)
-    hi = np.minimum(lo + 64, n) - 1
-    ends = np.concatenate([lo, hi])
-    best = np.maximum((ends + 1.0) / n - f[ends], f[ends] - ends / n).max()
-    bound = np.maximum((hi + 1.0) / n - f[lo], f[hi] - lo / n)
-    return int(np.count_nonzero(bound >= best - 1e-12)), lo.size
 
 
 # ----------------------------------------------------- convergence study
@@ -334,6 +307,25 @@ def test_study_limit_needs_two_rows(hr_chain, n):
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match="n must be an integer >= 2"):
             study_limit(limit, (2.0, 4.0), n, seed=0)
+
+
+@pytest.mark.parametrize("ks_const", [True, -1, 0.0, np.nan, np.inf, 10 ** 400, "2"],
+                         ids=["bool", "negative", "zero", "nan", "inf", "huge",
+                              "string"])
+def test_study_limit_refuses_bad_ks_constants(hr_chain, monkeypatch, ks_const):
+    """A KS constant that is not a finite positive real is a ConfigError,
+    raised before any row is drawn: True, −1, NaN and inf would give
+    thresholds of 0.0707, −0.0707, NaN and inf, and inf passes every
+    margin."""
+    ordering, models = hr_chain
+    limit = build_tail_model(ordering, models, 1)
+
+    def no_draws(*args):
+        raise AssertionError("a row was drawn")
+
+    monkeypatch.setattr(sim, "derived_rng", no_draws)
+    with pytest.raises(ConfigError, match="ks_const must be finite and positive"):
+        study_limit(limit, (2.0, 4.0), 200, seed=0, ks_const=ks_const)
 
 
 def study_case(root, case):
@@ -417,9 +409,8 @@ def test_study_levels_equal_the_row_major_path(pytestconfig, monkeypatch, case):
     row-major renormalize → sub → mean → np.cov path of study_oracle, and
     the margins its strides; the report's KS rows and gaps follow from
     them.  The draws' rows are (v, *z_index) wherever v lies in the
-    graph, and in-place renormalization writes them in an order that
-    reads every separator raw.  The study keeps the dense path here, also
-    on the 101-vertex trees."""
+    graph, and ``renormalize`` keeps that vertex-major layout.  The
+    study keeps the dense path here, also on the 101-vertex trees."""
     monkeypatch.setattr(dg, "STREAM_ABOVE", 101)
     limit, models, mode = study_case(pytestconfig.rootpath, case)
     levels, n = (4.0, 8.0), 5_000
@@ -432,8 +423,7 @@ def test_study_levels_equal_the_row_major_path(pytestconfig, monkeypatch, case):
         assert draw.columns == (limit.v,) + limit.z_index
         x_v, z_want, mean_want, cov_want = study_oracle.level_moments(
             draw, limit, mode)
-        _renormalize_in_place(draw, limit, mode)
-        z = draw.values.T
+        z = renormalize(draw, limit, mode).values.T
         assert z[0].tobytes() == x_v.tobytes()
         assert z[1:].T.strides == z_want.strides
         assert z[1:].T.tobytes() == z_want.tobytes()
@@ -463,6 +453,28 @@ def assert_same_study(streamed, dense) -> None:
     assert streamed.trend_ok() == dense.trend_ok()
     assert streamed.final_pass() == dense.final_pass()
     assert list(streamed.cov_gap) == list(dense.cov_gap)
+
+
+@pytest.mark.parametrize("d", [dg.STREAM_ABOVE, dg.STREAM_ABOVE + 1])
+def test_study_streams_above_thirty_two_vertices(pytestconfig, monkeypatch, d):
+    """At the default size constant a graph of 32 vertices is studied
+    densely, from a plan of one row per vertex, and reports ``cov_gap``;
+    one of 33 vertices streams through a narrower plan and reports
+    ``clique_cov_gap``.  The graphs are the benchmark's HR pair trees."""
+    assert dg.STREAM_ABOVE == 32
+    cfg = parse_config(perfbench_workloads(pytestconfig.rootpath).hr_tree(1, d))
+    ordering = cfg.ordering()
+    limit = derive_limit(ordering, cfg.models(ordering), cfg.v)[1]
+    plans = []
+    monkeypatch.setattr(dg, "_plan", lambda *a: plans.append(_plan(*a)) or plans[-1])
+    rep = study_limit(limit, (2.0,), 500, seed=1)
+    [plan] = plans
+    if d == 32:
+        assert (rep.cov_name, plan.width) == ("cov_gap", d)
+    else:
+        assert rep.cov_name == "clique_cov_gap"
+        assert plan.width < d
+    assert rep.gaps_csv().splitlines()[0] == f"t,mean_gap,{rep.cov_name}"
 
 
 @pytest.mark.parametrize("case", STUDY_CASES)
@@ -560,6 +572,32 @@ def chordal_models(draw):
         else:
             models[c] = gs.GaussianCopulaModel(c, full.sub(c))
     return ordering, models, v
+
+
+@settings(max_examples=30)
+@given(chordal_models(), st.integers(0, 2 ** 32 - 1))
+def test_renormalize_equals_the_row_major_oracle(case, order_seed):
+    """On random chordal graphs, with v any vertex and the sample's columns
+    in any order, ``renormalize`` gives study_oracle's row-major bytes on
+    the theorem-1 route and, on block graphs, on the separator-based
+    route."""
+    ordering, models, v = case
+    limits = [derive_limit(ordering, models, v)[1]]
+    try:
+        limits.append(build_tail_noise(ordering, models, v))
+    except NotBlockGraph:
+        pass
+    draw = conditional_exceedance(ordering, models, v, 4.0, 300, seed=2)
+    perm = np.random.default_rng(order_seed).permutation(len(draw.columns))
+    draw = SampleMatrix(columns=tuple(draw.columns[j] for j in perm),
+                        values=draw.values[:, perm], meta=draw.meta)
+    for limit in filter(None, limits):
+        mode = ("condition_on_root" if isinstance(limit, TailGraphicalModel)
+                else "separator_based")
+        got = renormalize(draw, limit, mode)
+        want = study_oracle.renormalize(draw, limit, mode)
+        assert got.columns == want.columns
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 @settings(max_examples=20)
@@ -716,6 +754,7 @@ def test_mrv_checks_strongly_dependent_two_tree(seed):
     {"scale": 0.0}, {"scale": -2.0}, {"scale": np.nan}, {"scale": np.inf},
     {"scale": 1.0}, {"homogeneity_tol": 0.0}, {"homogeneity_tol": -1e-4},
     {"homogeneity_tol": np.nan}, {"homogeneity_tol": np.inf},
+    {"homogeneity_tol": True},
     {"seed": -1}, {"seed": 2.5}, {"seed": True},
 ])
 def test_mrv_checks_rejects_vacuous_or_invalid_arguments(bad):

@@ -45,6 +45,7 @@ from conftest import (
     mixed_models,
     perfbench_workloads,
 )
+import study_oracle
 from simulate_oracle import _invert_kernel
 from simulate_oracle import _invert_pair as eager_invert_pair
 
@@ -230,8 +231,8 @@ def test_renormalize_refuses(hr_chain, case, error, match):
 @pytest.mark.parametrize("name", ["hr_chain", "mixed_tree"])
 def test_renormalize_leaves_its_input_alone(pytestconfig, name):
     """renormalize writes a copy: the samples keep their bytes, share no
-    memory with the result, and the result is the one of study_limit's
-    in-place routine on the draws themselves."""
+    memory with the result, and the result has study_oracle's row-major
+    bytes and the samples' strides."""
     ordering, models, v = shipped(pytestconfig, name)
     if name == "hr_chain":
         model, mode = build_tail_model(ordering, models, v), "condition_on_root"
@@ -242,8 +243,8 @@ def test_renormalize_leaves_its_input_alone(pytestconfig, name):
     z = renormalize(samples, model, mode)
     assert samples.values.tobytes() == before
     assert not np.shares_memory(z.values, samples.values)
-    sim._renormalize_in_place(samples, model, mode)
-    assert z.values.tobytes() == samples.values.tobytes()
+    want = study_oracle.renormalize(samples, model, mode)
+    assert z.values.tobytes() == want.values.tobytes()
     assert z.values.strides == samples.values.strides
 
 
