@@ -586,32 +586,10 @@ def _invert_pair(model, s: int, x1: np.ndarray, u: np.ndarray) -> np.ndarray:
     raise NumericalBreakdown("the Hüsler-Reiss pair inverter did not converge")
 
 
-@dataclass(frozen=True)
-class HRLimitParams:
-    """Closed-form parameters of the limiting conditional update.
-
-    The separator state enters through the row-stochastic slope matrix
-    ``slope``; the Gaussian ``law`` (mean, covariance) is the update
-    noise, and ``noise_precision`` is the inverse of its covariance,
-    which the graph-wide precision recursion reads.
-    """
-
-    sep: tuple[int, ...]
-    rest: tuple[int, ...]
-    slope: IndexedMatrix  # rows rest, cols sep
-    law: GaussianLaw  # indexed by rest
-
-    @cached_property
-    def noise_precision(self) -> IndexedMatrix:
-        return spd_inverse(self.law.cov)
-
-    def location(self, z_sep) -> np.ndarray:
-        z = np.asarray(z_sep, dtype=float)
-        return self.slope.values @ z
-
-
-def a2_limit_params(model: HuslerReissModel, sep) -> HRLimitParams:
-    """Limiting update parameters for conditioning a clique on its separator.
+def a2_limit_params(model: HuslerReissModel, sep) -> tuple[IndexedMatrix, GaussianLaw]:
+    """Limiting update for conditioning a clique on its separator: the
+    row-stochastic slope (rows R, columns S), through which the separator
+    state enters, and the Gaussian update noise on R.
 
     Anchored at s in S, W = X_{C\\s} - X_s is N(-Γ_{·s}/2, Σ^{(s)}), and
     the update is W_R given W_{S'} (R = C \\ S, S' = S \\ s): with
@@ -656,9 +634,8 @@ def a2_limit_params(model: HuslerReissModel, sep) -> HRLimitParams:
         slope[:, [j for j, v in enumerate(sep) if v != s]] = b
         slope[:, sep.index(s)] = 1.0 - b.sum(axis=1)
 
-    law = GaussianLaw(IndexedVector(rest, mean), IndexedMatrix.square(rest, cov))
-    return HRLimitParams(sep=sep, rest=rest,
-                         slope=IndexedMatrix(rest, sep, slope), law=law)
+    return (IndexedMatrix(rest, sep, slope),
+            GaussianLaw(IndexedVector(rest, mean), IndexedMatrix.square(rest, cov)))
 
 
 @dataclass(frozen=True)
@@ -680,16 +657,17 @@ class HuslerReissClique:
     has_density = True
 
     @cached_property
-    def params(self) -> HRLimitParams:
+    def params(self) -> tuple[IndexedMatrix, GaussianLaw]:
+        """(slope, noise law) of :func:`a2_limit_params`."""
         return a2_limit_params(self.model, self.sep)
 
     @property
     def noise(self) -> GaussianLaw:
-        return self.params.law
+        return self.params[1]
 
     def a_fun(self, x_sep: np.ndarray) -> np.ndarray:
         """a(x) = x·slopeᵀ on rows of separator states."""
-        return np.atleast_2d(np.asarray(x_sep, dtype=float)) @ self.params.slope.values.T
+        return np.atleast_2d(np.asarray(x_sep, dtype=float)) @ self.params[0].values.T
 
     def b_fun(self, x_sep: np.ndarray) -> np.ndarray:
         return np.ones((np.atleast_2d(x_sep).shape[0], len(self.rest)))
@@ -709,7 +687,7 @@ class HuslerReissClique:
                 witness_clique=self.model.clique,
             )
         ones = np.ones(len(self.rest))
-        return self.params.slope, IndexedVector(self.rest, ones), ones
+        return self.params[0], IndexedVector(self.rest, ones), ones
 
     def root(self):
         """(noise law, a, b, the new vertices' a-coefficients) of the root
@@ -766,9 +744,8 @@ def kernel_limit(model: HuslerReissModel, sep, offset, z_sep=None) -> float:
     limit-parameter algebra of :func:`a2_limit_params`, against whose
     Gaussian law's CDF it is verified.
     """
-    sep = tuple(sorted(int(v) for v in sep))
-    rest = tuple(v for v in model.clique if v not in sep)
-    params = a2_limit_params(model, sep)
+    slope = a2_limit_params(model, sep)[0]
+    sep, rest = slope.cols, slope.rows
     z = np.zeros(len(sep)) if z_sep is None else np.asarray(z_sep, dtype=float)
     off = np.asarray(offset, dtype=float)
     if off.shape != (len(rest),):
@@ -778,7 +755,7 @@ def kernel_limit(model: HuslerReissModel, sep, offset, z_sep=None) -> float:
     u = np.empty((1, model.dim))
     for j, v in enumerate(sep):
         u[0, pos[v]] = math.exp(z[j])
-    loc = params.location(z)
+    loc = slope.values @ z
     for j, v in enumerate(rest):
         u[0, pos[v]] = math.exp(loc[j] + off[j])
 
@@ -819,10 +796,10 @@ def tail_model_mean(ordering: CliqueOrdering, models: dict, v: int) -> IndexedVe
                 mu[u] = val
         else:
             sep = ordering.separators[i]
-            params = a2_limit_params(model, sep)
+            slope, law = a2_limit_params(model, sep)
             z = np.array([mu[w] for w in sep])
-            loc = params.location(z) + params.law.mean.values
-            for w, m_w in zip(params.rest, loc):
+            loc = slope.values @ z + law.mean.values
+            for w, m_w in zip(slope.rows, loc):
                 mu[w] = float(m_w)
     index = tuple(w for w in ordering.graph.vertices if w != v)
     return IndexedVector(index, np.array([mu[w] for w in index]))
@@ -862,11 +839,10 @@ def tail_model_precision(ordering: CliqueOrdering, models: dict, v: int) -> Inde
                     total[np.ix_(rows_s, rows_s)] -= p_mat.values
             clique_cov.append(sig)
         else:
-            params = a2_limit_params(model, sep)
-            rest = params.rest
-            q_eps = params.noise_precision.values
-            a_mat = params.slope.values
-            rows_r = [pos[w] for w in rest]
+            slope, law = a2_limit_params(model, sep)
+            q_eps = spd_inverse(law.cov).values
+            a_mat = slope.values
+            rows_r = [pos[w] for w in slope.rows]
             rows_s = [pos[w] for w in sep]
             total[np.ix_(rows_r, rows_r)] += q_eps
             total[np.ix_(rows_r, rows_s)] += -q_eps @ a_mat
@@ -874,12 +850,11 @@ def tail_model_precision(ordering: CliqueOrdering, models: dict, v: int) -> Inde
             total[np.ix_(rows_s, rows_s)] += a_mat.T @ q_eps @ a_mat
             parent_cov = clique_cov[ordering.parents[i]]
             c_s = parent_cov.sub(sep).values
-            sig_eps = params.law.cov.values
             top = np.block([
-                [sig_eps + a_mat @ c_s @ a_mat.T, a_mat @ c_s],
+                [law.cov.values + a_mat @ c_s @ a_mat.T, a_mat @ c_s],
                 [(a_mat @ c_s).T, c_s],
             ])
-            clique_cov.append(IndexedMatrix.square(rest + sep, top))
+            clique_cov.append(IndexedMatrix.square(slope.rows + sep, top))
     result = IndexedMatrix.square(index, 0.5 * (total + total.T))
     # zero entries must be exact; re-symmetrization above only averages
     # pairs that were written identically, so this cannot blur sparsity

@@ -26,17 +26,16 @@ as a witness and the block-wise (separator-normed) noise limit of
 :func:`build_tail_noise` is the right object instead.
 
 Both limits are the linear recursion ``Z = B Z + c + Φ ε`` along the
-clique ordering (``B = 0`` for the tail noise).  Each compiles once,
-on first use, into a tuple of :class:`LinearStep` in draw order.  One
-sampler (:func:`sample_tail_model`) runs those steps on a vertex-major
-(d × nb) block per row block (through :func:`tailgraph.rng.block_runner`),
-and one recursion gives the exact mean and covariance, both for either
-kind.
+clique ordering (``B = 0`` for the tail noise): one :class:`CliqueUpdate`
+Z_R = ψ Z_S + φ∘ε per clique, in draw order (``in_order``).  One sampler
+(:func:`sample_tail_model`) draws them on a vertex-major (d × nb) block
+per row block (through :func:`tailgraph.rng.block_runner`), and one
+recursion (:func:`tail_model_moments`) gives the exact mean and
+covariance, both for either kind and both from the updates themselves.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -45,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .config import REMAINDER_GRID, check_levels
-from .errors import NormingIncompatible, NotBlockGraph
+from .errors import EmptySubset, NormingIncompatible, NotBlockGraph
 from .graphs import (
     CliqueOrdering,
     _models_table,
@@ -85,7 +84,8 @@ class NormingPair:
 
 @dataclass(frozen=True)
 class CliqueUpdate:
-    """Limiting update of one clique given its separator.
+    """Limiting update Z_R = ψ Z_S + φ∘ε of one clique given its separator,
+    the one form that sampling, moments and every other reader use.
 
     ``record`` is the clique given its separator, whose clique, separator,
     new vertices and family the update reports.  ``psi`` is the linear
@@ -165,48 +165,9 @@ class SampleMatrix:
 
 
 @dataclass(frozen=True)
-class LinearStep:
-    """One draw of a limit, in positions of the limit's ``z_index``:
-
-        Z[rows] = φ ∘ ε + ψ Z[sep],  ε ~ law.
-
-    ``psi`` None marks a step with no free separator vertex, drawn
-    independently of all earlier ones as φ ∘ ε (the root, a tail-noise
-    block, or a clique update whose separator does not move); otherwise it
-    is the (len(rows), len(sep)) slope, and ``sep`` holds -1 for the
-    conditioning vertex, whose fluctuation is pinned at zero.
-    """
-
-    rows: tuple[int, ...]
-    law: GaussianLaw
-    phi: np.ndarray
-    sep: tuple[int, ...] = ()
-    psi: np.ndarray | None = None
-
-
-def _compile_steps(z_index: tuple[int, ...],
-                   updates: tuple[CliqueUpdate, ...]) -> tuple[LinearStep, ...]:
-    """One step per clique update, in draw order."""
-    pos = {u: k for k, u in enumerate(z_index)}
-    steps = []
-    for upd in updates:
-        sep = tuple(pos.get(s, -1) for s in upd.sep)
-        free = upd.psi is not None and any(p >= 0 for p in sep)
-        steps.append(LinearStep(
-            rows=tuple(pos[u] for u in upd.rest),
-            law=upd.noise,
-            phi=upd.phi.values,
-            sep=sep if free else (),
-            psi=upd.psi.values if free else None,
-        ))
-    return tuple(steps)
-
-
-@dataclass(frozen=True)
 class _Limit:
     """What both limit kinds share: the limit vector Z over ``z_index``
-    (every vertex but v) and its steps, one per clique update
-    (``in_order``), compiled on first use."""
+    (every vertex but v), drawn by its clique updates (``in_order``)."""
 
     ordering: CliqueOrdering
     v: int
@@ -214,10 +175,6 @@ class _Limit:
     @property
     def z_index(self) -> tuple[int, ...]:
         return tuple(u for u in self.ordering.graph.vertices if u != self.v)
-
-    @functools.cached_property
-    def steps(self) -> tuple[LinearStep, ...]:
-        return _compile_steps(self.z_index, self.in_order)
 
 
 @dataclass(frozen=True)
@@ -327,81 +284,94 @@ def classify_norming(ordering: CliqueOrdering, models: dict, v: int) -> NormingV
     return derive_limit(ordering, models, v)[0]
 
 
-def _draw_step(step: LinearStep, rng, zmat: np.ndarray) -> None:
-    """Fill ``zmat[step.rows]`` for one (d × nb) vertex-major block.
+def _free(upd: CliqueUpdate, pos: dict) -> list[tuple[int, int]]:
+    """(ψ column, position ``pos[s]`` in Z) of each free separator vertex
+    s of ``upd``: none when ψ is None or every separator vertex is v (not
+    in ``pos``; pinned at zero), and ``upd`` is then drawn independently
+    of all earlier updates as φ ∘ ε."""
+    if upd.psi is None:
+        return []
+    return [(j, pos[s]) for j, s in enumerate(upd.sep) if s in pos]
 
-    The arithmetic is that of ``law.sample`` followed by φ∘ε + ψ z_S,
+
+def _draw_step(upd: CliqueUpdate, pos: dict, rng, zmat: np.ndarray) -> None:
+    """Fill the rows ``pos[upd.rest]`` of one (d × nb) vertex-major block.
+
+    The arithmetic is that of ``noise.sample`` followed by φ∘ε + ψ z_S,
     operation for operation, so samples do not depend on the layout.  A
-    one-vertex step draws straight into its row.
+    one-vertex update draws straight into its row.
     """
-    law = step.law
-    if len(step.rows) == 1:
-        out = zmat[step.rows[0]][None, :]
+    rows = [pos[u] for u in upd.rest]
+    law = upd.noise
+    if len(rows) == 1:
+        out = zmat[rows[0]][None, :]
         rng.standard_normal(out=out[0])
         out *= law.chol[0, 0]
         out += law.mean.values[0]
     else:
         out = law.sample(rng, zmat.shape[1]).T
-    out *= step.phi[:, None]
-    free = [j for j, p in enumerate(step.sep) if p >= 0]
+    out *= upd.phi.values[:, None]
+    free = _free(upd, pos)
     if len(free) == 1:
-        j = free[0]
-        out += step.psi[:, j:j + 1] * zmat[step.sep[j]]
+        (j, p), = free
+        out += upd.psi.values[:, j:j + 1] * zmat[p]
     elif free:
         # the (nb, |S|) product, zero column included: BLAS may sum it in
         # another order in any other layout
-        z_sep = np.zeros((zmat.shape[1], len(step.sep)))
-        for j in free:
-            z_sep[:, j] = zmat[step.sep[j]]
-        out += (z_sep @ step.psi.T).T
-    if len(step.rows) > 1:
-        zmat[list(step.rows)] = out
+        z_sep = np.zeros((zmat.shape[1], len(upd.sep)))
+        for j, p in free:
+            z_sep[:, j] = zmat[p]
+        out += (z_sep @ upd.psi.values.T).T
+    if len(rows) > 1:
+        zmat[rows] = out
 
 
-def _moments(steps: tuple[LinearStep, ...],
+def _moments(updates: tuple[CliqueUpdate, ...],
              index: tuple[int, ...]) -> tuple[IndexedVector, IndexedMatrix]:
-    """Exact mean and covariance of Z over ``index``.
+    """Exact mean and covariance of Z over ``index``, drawn by ``updates``.
 
     The recursion is linear with independent noises, so moments propagate
-    in closed form: an independent step gives its rows φ∘E[ε] and the
-    scaled noise covariance as its block; a dependent step gives its rows
-    ψ·mean_S + φ∘E[ε] and picks up ψΣψᵀ plus the scaled noise covariance.
+    in closed form: an independent update gives its rows φ∘E[ε] and the
+    scaled noise covariance as its block; a dependent update gives its
+    rows ψ·mean_S + φ∘E[ε] and picks up ψΣψᵀ plus the scaled noise
+    covariance.
 
-    A step costs O(|rows|·d) when one separator column is free (every
-    step of a Hüsler-Reiss pair tree): its mean, cross-covariance and
+    An update costs O(|rows|·d) when one separator column is free (every
+    update of a Hüsler-Reiss pair tree): its mean, cross-covariance and
     block come from that ψ column and one covariance row.  That is the
     zero-padded product below term for term, since every other term of
     the padded sums is an exact zero and the rows not yet written add a
     +0 (hence the ``+ 0.0``, which turns a -0 into +0 and nothing else).
-    A step with two or more free columns multiplies the (|rows| × d)
+    An update with two or more free columns multiplies the (|rows| × d)
     zero-padded ψ by the whole covariance, O(|rows|·d²).
     """
+    pos = {u: k for k, u in enumerate(index)}
     d = len(index)
     mean = np.zeros(d)
     cov = np.zeros((d, d))
-    for step in steps:
-        rows = list(step.rows)
-        phi = step.phi
-        noise_cov = phi[:, None] * step.law.cov.values * phi[None, :]
-        if step.psi is None:
-            mean[rows] = phi * step.law.mean.values
+    for upd in updates:
+        rows = [pos[u] for u in upd.rest]
+        phi = upd.phi.values
+        noise_cov = phi[:, None] * upd.noise.cov.values * phi[None, :]
+        free = _free(upd, pos)
+        if not free:
+            mean[rows] = phi * upd.noise.mean.values
             cov[np.ix_(rows, rows)] = noise_cov
             continue
-        free = [j for j, p in enumerate(step.sep) if p >= 0]
         if len(free) == 1:
-            p = step.sep[free[0]]
-            col = step.psi[:, free[0]]
+            (j, p), = free
+            col = upd.psi.values[:, j]
             m_psi = col * mean[p] + 0.0
             cross = col[:, None] * cov[p][None, :] + 0.0
             v_psi = cross[:, p][:, None] * col[None, :] + 0.0
         else:
             psi_eff = np.zeros((len(rows), d))
-            for j in free:
-                psi_eff[:, step.sep[j]] = step.psi[:, j]
+            for j, p in free:
+                psi_eff[:, p] = upd.psi.values[:, j]
             m_psi = psi_eff @ mean
             cross = psi_eff @ cov
             v_psi = cross @ psi_eff.T
-        mean[rows] = m_psi + phi * step.law.mean.values
+        mean[rows] = m_psi + phi * upd.noise.mean.values
         cov[rows, :] = cross
         cov[:, rows] = cross.T
         cov[np.ix_(rows, rows)] = v_psi + noise_cov
@@ -413,23 +383,24 @@ def sample_tail_model(model: TailGraphicalModel | TailNoiseModel, n: int,
     """n joint draws of (E_v, Z_{V\\v}) from either limit kind; column v
     holds the exponential.
 
-    Each row block runs the steps in order on its own (d × nb) block from
-    stream k, then draws E_v, so the output bytes depend only on (model,
-    n, seed), never on ``workers``.  A bad seed, n or workers raises
-    :class:`ConfigError` before any row is drawn.
+    Each row block draws the clique updates in order on its own (d × nb)
+    block from stream k, then draws E_v, so the output bytes depend only
+    on (model, n, seed), never on ``workers``.  A bad seed, n or workers
+    raises :class:`ConfigError` before any row is drawn.
     """
     seed = check_seed(seed, "seed")
     _check_rows(n, workers)
     columns = model.ordering.graph.vertices
     vcol = columns.index(model.v)
+    pos = {u: k for k, u in enumerate(model.z_index)}
     values = np.empty((n, len(columns)))
 
     def fill(blk):
         k, start, stop = blk
         rng = derived_rng(seed, k)
         zmat = np.empty((len(columns) - 1, stop - start))
-        for step in model.steps:
-            _draw_step(step, rng, zmat)
+        for upd in model.in_order:
+            _draw_step(upd, pos, rng, zmat)
         values[start:stop, vcol] = rng.standard_exponential(stop - start)
         values[start:stop, :vcol] = zmat[:vcol].T
         values[start:stop, vcol + 1:] = zmat[vcol:].T
@@ -444,14 +415,18 @@ def sample_tail_model(model: TailGraphicalModel | TailNoiseModel, n: int,
 def tail_model_moments(model: TailGraphicalModel | TailNoiseModel
                        ) -> tuple[IndexedVector, IndexedMatrix]:
     """Exact mean and covariance of the limit vector Z_{V\\v}, of either
-    limit kind.
+    limit kind; a graph with no vertex besides v raises
+    :class:`EmptySubset`.
 
     For an all-HR graph the single-vertex limit reproduces the dedicated
     recursion (:func:`tailgraph.husler_reiss.tail_model_mean` /
     precision); for an all-Gaussian graph it reproduces the whole-graph
     closed form (:func:`tailgraph.gaussian.limit_law`).
     """
-    return _moments(model.steps, model.z_index)
+    if not model.z_index:
+        raise EmptySubset(f"the graph has no vertex besides v = {model.v}, "
+                          "so the limit vector is empty")
+    return _moments(model.in_order, model.z_index)
 
 
 # ---------------------------------------------------------------------------

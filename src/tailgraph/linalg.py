@@ -20,7 +20,14 @@ IDENTITY_TOL = 1e-10
 
 
 def _as_labels(index) -> tuple[int, ...]:
-    labels = tuple(map(int, index))
+    """``index`` as int labels: unique integers, NumPy ones too but no
+    bools (:func:`tailgraph.rng.check_seed`'s rule), at least one."""
+    labels = tuple(index)
+    if set(map(type, labels)) - {int}:  # plain ints need no check
+        for u in labels:
+            if not isinstance(u, (int, np.integer)) or isinstance(u, bool):
+                raise ConfigError(f"label {u!r} in index {labels} is not an integer")
+        labels = tuple(map(int, labels))
     if not labels:
         raise EmptySubset("empty label index")
     if len(set(labels)) != len(labels):
@@ -48,15 +55,19 @@ def _positions(index: tuple, labels, message: str) -> list[int]:
     return out
 
 
+def _at(index: tuple, positions) -> tuple:
+    """The labels of ``index`` at ``positions``, as it holds them (2, not 2.0)."""
+    return tuple(index[k] for k in positions)
+
+
 class _LabelledSquare:
     """``sub`` and ``entry`` of a square parameter matrix whose fields are
     ``index`` and ``values``; ``sub`` builds (and so validates) a block of
     the same type."""
 
     def sub(self, labels):
-        labels = tuple(labels)
         pos = _positions(self.index, labels, _ROW)
-        return type(self)(labels, self.values[np.ix_(pos, pos)])
+        return type(self)(_at(self.index, pos), self.values[np.ix_(pos, pos)])
 
     def entry(self, i: int, j: int) -> float:
         (r,), (c,) = _positions(self.index, [i], _ROW), _positions(self.index, [j], _COL)
@@ -97,8 +108,8 @@ class IndexedVector:
         object.__setattr__(self, "values", vals)
 
     def sub(self, labels) -> "IndexedVector":
-        labels = tuple(labels)
-        return IndexedVector(labels, self.values[_positions(self.index, labels, _LABEL)])
+        pos = _positions(self.index, labels, _LABEL)
+        return IndexedVector(_at(self.index, pos), self.values[pos])
 
     def entry(self, label: int) -> float:
         return float(self.values[_positions(self.index, [label], _LABEL)[0]])
@@ -131,11 +142,10 @@ class IndexedMatrix:
         return self.rows == self.cols
 
     def sub(self, rows, cols=None) -> "IndexedMatrix":
-        rows = tuple(rows)
-        cols = rows if cols is None else tuple(cols)
-        block = self.values[np.ix_(_positions(self.rows, rows, _ROW),
-                                   _positions(self.cols, cols, _COL))]
-        return IndexedMatrix(rows, cols, block)
+        r = _positions(self.rows, rows, _ROW)
+        rows = _at(self.rows, r)
+        c = _positions(self.cols, rows if cols is None else cols, _COL)
+        return IndexedMatrix(rows, _at(self.cols, c), self.values[np.ix_(r, c)])
 
     def entry(self, i: int, j: int) -> float:
         (r,), (c,) = _positions(self.rows, [i], _ROW), _positions(self.cols, [j], _COL)

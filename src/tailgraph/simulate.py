@@ -311,17 +311,22 @@ class _Renormalizer:
         if not isinstance(model, kind):
             raise MissingNorming(f"{mode} renormalization needs the {scope} "
                                  f"normings of a {kind.__name__}")
+        if model.v not in columns:
+            raise ConfigError(f"samples lack the conditioning column {model.v}")
         if mode == "condition_on_root":
             for u in columns:
                 if u != model.v and u not in model.normings:
                     raise MissingNorming(f"no norming for vertex {u}")
         else:
-            missing = set(columns) - {model.v}.union(
-                *(blk.rest for blk in model.blocks))
-            if missing:
-                raise MissingNorming(f"no block covers vertices {sorted(missing)}")
             self._block = {u: (k, blk, j) for k, blk in enumerate(model.blocks)
                            for j, u in enumerate(blk.rest)}
+            missing = set(columns) - {model.v} - self._block.keys()
+            if missing:
+                raise MissingNorming(f"no block covers vertices {sorted(missing)}")
+            lost = {self._block[u][1].sep[0] for u in columns
+                    if u != model.v} - set(columns)
+            if lost:
+                raise ConfigError(f"samples lack the block separator columns {sorted(lost)}")
         self.model, self.mode, self.t = model, mode, t
         self._scales = {}  # b(x_v) depends on the norming's power alone
 

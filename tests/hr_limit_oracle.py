@@ -18,7 +18,7 @@ from tailgraph.linalg import GaussianLaw, IndexedMatrix, IndexedVector, spd_inve
 
 def a2_limit_params(model: HuslerReissModel, sep, anchor: int | None = None):
     """(slope, law, noise precision) of the update of ``model`` given
-    ``sep``, each label-indexed as ``HRLimitParams`` holds them."""
+    ``sep``, label-indexed as the package's (slope, law) pair is."""
     sep = tuple(sorted(int(v) for v in sep))
     rest = tuple(v for v in model.clique if v not in sep)
     if not sep or set(sep) - set(model.clique):

@@ -1,10 +1,10 @@
 """Reference limit sampler and moments, one loop per limit kind.
 
 These are the clique-major loops that sampled and summarized the limit
-objects before both kinds compiled to one list of linear steps: a
-theorem-1 model draws into an (n × d) matrix with one column gather per
-separator, and a tail-noise model writes its block draws column by
-column.  The noise-model methods, and the ``CliqueUpdate.apply`` the
+objects before both kinds ran through one loop over their clique
+updates: a theorem-1 model draws into an (n × d) matrix with one column
+gather per separator, and a tail-noise model writes its block draws
+column by column.  The noise-model methods, and the ``CliqueUpdate.apply`` the
 sampler called, are module functions here that take the object as
 ``self``.  ``tailgraph.limits`` is checked against them
 byte for byte; nothing in the package uses them.

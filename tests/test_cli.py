@@ -704,3 +704,20 @@ def test_conditioning_vertex_outside_the_graph(configs, command):
     assert res.exit_code == EXIT_CONFIG
     assert payload(res) == {"error": {"type": "ConfigError",
                                       "message": "v=9 outside 1..3"}}
+
+
+@pytest.mark.parametrize("family, params", [
+    ("husler_reiss", {"variogram": [[0.0]]}),
+    ("gaussian", {"correlation": [[1.0]]}),
+])
+@pytest.mark.parametrize("command", ["derive", "verify"])
+def test_one_vertex_graph_says_the_limit_vector_is_empty(tmp_path, command,
+                                                          family, params):
+    path = _write_config(tmp_path, 1, [],
+                         [{"vertices": [1], "family": family, **params}])
+    res = run(command, "--config", path)
+    assert res.exit_code == EXIT_PRECONDITION
+    assert payload(res)["error"] == {
+        "type": "EmptySubset",
+        "message": "the graph has no vertex besides v = 1, so the limit "
+                   "vector is empty"}

@@ -207,11 +207,12 @@ def test_goldner_harary_invariants():
 
 
 @st.composite
-def connected_chordal(draw, max_n=40):
+def connected_chordal(draw, max_n=40, min_n=1, max_clique=None):
     """A star, a path, or a graph grown from a random perfect elimination
     ordering (each new vertex joins a subset of an earlier vertex's
-    attaching clique that holds that vertex), relabelled at random."""
-    n = draw(st.integers(1, max_n))
+    attaching clique that holds that vertex, cut to ``max_clique`` - 1
+    vertices when that is set), relabelled at random."""
+    n = draw(st.integers(min_n, max_n))
     kind = draw(st.sampled_from(["peo", "star", "path"]))
     if kind == "star":
         edges = [(1, w) for w in range(2, n + 1)]
@@ -224,6 +225,8 @@ def connected_chordal(draw, max_n=40):
             keep = draw(st.lists(st.booleans(), min_size=len(attach[u]),
                                  max_size=len(attach[u])))
             base = tuple(x for x, k in zip(attach[u], keep) if k or x == u)
+            if max_clique is not None:
+                base = (u,) + tuple(x for x in base if x != u)[:max_clique - 2]
             edges += [(x, w) for x in base]
             attach[w] = base + (w,)
     perm = draw(st.permutations(range(1, n + 1)))

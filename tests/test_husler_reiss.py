@@ -305,10 +305,10 @@ def test_pair_kernel_limit_convention():
 
 def test_a2_params_bivariate_closed_form():
     gamma = 1.3
-    p = hr.a2_limit_params(hr_pair_model((1, 2), gamma), (1,))
-    assert p.slope.values.tolist() == [[1.0]]
-    assert abs(p.law.mean.entry(2) + gamma / 2) < 1e-14
-    assert abs(p.law.cov.entry(2, 2) - gamma) < 1e-14
+    slope, law = hr.a2_limit_params(hr_pair_model((1, 2), gamma), (1,))
+    assert slope.values.tolist() == [[1.0]]
+    assert abs(law.mean.entry(2) + gamma / 2) < 1e-14
+    assert abs(law.cov.entry(2, 2) - gamma) < 1e-14
 
 
 def test_a2_params_row_sums_and_anchor_invariance():
@@ -320,12 +320,12 @@ def test_a2_params_row_sums_and_anchor_invariance():
         loc = rng.normal(size=(4, 3))
         g = np.sum((loc[:, None, :] - loc[None, :, :]) ** 2, axis=2)
         model = hr.HuslerReissModel((1, 2, 3, 4), vario((1, 2, 3, 4), g))
-        p = hr.a2_limit_params(model, (1, 3))
-        assert np.allclose(p.slope.values.sum(axis=1), 1.0, atol=1e-14)
+        p_slope, p_law = hr.a2_limit_params(model, (1, 3))
+        assert np.allclose(p_slope.values.sum(axis=1), 1.0, atol=1e-14)
         slope, law, _ = a2_oracle(model, (1, 3), anchor=3)
-        assert np.allclose(p.slope.values, slope.values, atol=1e-10)
-        assert np.allclose(p.law.mean.values, law.mean.values, atol=1e-10)
-        assert np.allclose(p.law.cov.values, law.cov.values, atol=1e-10)
+        assert np.allclose(p_slope.values, slope.values, atol=1e-10)
+        assert np.allclose(p_law.mean.values, law.mean.values, atol=1e-10)
+        assert np.allclose(p_law.cov.values, law.cov.values, atol=1e-10)
 
 
 def test_a2_params_match_the_two_inverse_oracle():
@@ -343,14 +343,14 @@ def test_a2_params_match_the_two_inverse_oracle():
             model = hr.HuslerReissModel(clique, vario(clique, g))
             for k in range(1, d):
                 for sep in itertools.combinations(clique, k):
-                    p = hr.a2_limit_params(model, sep)
+                    p_slope, p_law = hr.a2_limit_params(model, sep)
+                    p_prec = spd_inverse(p_law.cov)
                     for anchor in sep:
                         slope, law, prec = a2_oracle(model, sep, anchor=anchor)
-                        assert p.slope.rows == slope.rows
-                        assert p.slope.cols == slope.cols
-                        for got, ref in ((p.slope, slope), (p.law.mean, law.mean),
-                                         (p.law.cov, law.cov),
-                                         (p.noise_precision, prec)):
+                        assert p_slope.rows == slope.rows
+                        assert p_slope.cols == slope.cols
+                        for got, ref in ((p_slope, slope), (p_law.mean, law.mean),
+                                         (p_law.cov, law.cov), (p_prec, prec)):
                             gap = np.max(np.abs(got.values - ref.values))
                             worst = max(worst, gap / np.max(np.abs(ref.values)))
     assert worst < 1e-12
@@ -359,10 +359,10 @@ def test_a2_params_match_the_two_inverse_oracle():
 @pytest.mark.parametrize("gamma", [1e-310, 1e-200, 0.3, 1.3, 1e154, 1e300])
 @pytest.mark.parametrize("sep", [(1,), (2,)])
 def test_a2_params_pair_is_exact(gamma, sep):
-    p = hr.a2_limit_params(hr_pair_model((1, 2), gamma), sep)
-    assert p.law.mean.values.tolist() == [-gamma / 2]
-    assert p.law.cov.values.tolist() == [[gamma]]
-    assert p.slope.values.tolist() == [[1.0]]
+    slope, law = hr.a2_limit_params(hr_pair_model((1, 2), gamma), sep)
+    assert law.mean.values.tolist() == [-gamma / 2]
+    assert law.cov.values.tolist() == [[gamma]]
+    assert slope.values.tolist() == [[1.0]]
 
 
 @pytest.mark.parametrize("clique", [(1, 2), (1, 2, 3)])
@@ -379,13 +379,13 @@ def test_a2_params_reject_bad_separators(clique, sep):
 def test_kernel_limit_matches_closed_form_cdf(sep):
     v = vario((1, 2, 3), [[0, 1.0, 1.4], [1.0, 0, 0.9], [1.4, 0.9, 0]])
     model = hr.HuslerReissModel((1, 2, 3), v)
-    params = hr.a2_limit_params(model, sep)
-    rest = params.rest
+    slope, law = hr.a2_limit_params(model, sep)
+    rest = slope.rows
     for off in ([0.0] * len(rest), [0.5] * len(rest), [-0.8] * len(rest)):
         off = np.array(off)
         ratio = hr.kernel_limit(model, sep, off,
                                 z_sep=np.linspace(0.2, -0.1, len(sep)))
-        closed = mvn_cdf(off, params.law, accuracy=1e-9).value
+        closed = mvn_cdf(off, law, accuracy=1e-9).value
         assert abs(ratio - closed) < 1e-12
 
 

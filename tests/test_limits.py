@@ -1,12 +1,15 @@
 """Graph-wide tail limit engine: verdicts, composition, sampling, remainders."""
 
 import importlib.util
+import itertools
 import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import limit_oracle
 from tailgraph import gaussian as gs
@@ -35,6 +38,7 @@ from tailgraph.limits import (
 from tailgraph.linalg import spd_inverse
 
 from conftest import MIXED_GAMMA, MIXED_R, hr_pair_model
+from test_graphs import connected_chordal
 
 
 # ------------------------------------------------------------ HR 3-chain
@@ -302,12 +306,59 @@ def test_hr_two_trees_match_reference_moments():
             ordering = cfg.ordering(root=v)
             model = build_tail_model(ordering, cfg.models(ordering), v)
             assert_moments_match_oracle(model)
-            for step in model.steps:
-                if sum(p >= 0 for p in step.sep) == 1:
+            for upd in model.in_order:
+                if upd.psi is not None and sum(s != v for s in upd.sep) == 1:
                     one_free += 1
-                    negative += bool(np.any(step.psi < 0.0))
+                    negative += bool(np.any(upd.psi.values < 0.0))
     assert (one_free, negative) == (326, 84)
     assert_matches_oracle(model, n=40_000)
+
+
+def _distance_variogram(vertices, seed):
+    """Squared distances of n points in general position in R^n: strictly
+    conditionally negative definite, so each clique's block is a
+    variogram and separators always agree."""
+    loc = np.random.default_rng(seed).normal(size=(len(vertices), len(vertices)))
+    return hr.VariogramMatrix(vertices, np.sum((loc[:, None] - loc[None]) ** 2, axis=2))
+
+
+@st.composite
+def hr_chordal_models(draw):
+    """A connected chordal graph of 2-8 vertices and cliques of at most
+    four, one variogram over all its vertices, and two roots."""
+    g = draw(connected_chordal(max_n=8, min_n=2, max_clique=4))
+    gamma = _distance_variogram(g.vertices, draw(st.integers(0, 2 ** 32 - 1)))
+    roots = draw(st.lists(st.sampled_from(g.vertices), min_size=2, max_size=2,
+                          unique=True))
+    return g, gamma, roots
+
+
+#: Two 4-cliques on a triangle, then a triangle, a pair and a triangle:
+#: rooted at 1 and 4, updates with one, two and three free separator
+#: columns, which the drawn graphs seldom reach.
+_FOUR_CLIQUES = Graph.make(8, [(a, b) for c in ((1, 2, 3, 4), (2, 3, 4, 5), (4, 5, 6),
+                                                (6, 7), (5, 6, 8))
+                               for a, b in itertools.combinations(c, 2)])
+
+
+@example((_FOUR_CLIQUES, _distance_variogram(_FOUR_CLIQUES.vertices, 0), [1, 4]))
+@given(hr_chordal_models())
+def test_hr_chordal_limits_match_the_oracle_and_the_closed_form(case):
+    """On random HR chordal graphs, at two roots each, moments and n = 300
+    samples equal the reference loops byte for byte, and the mean and
+    precision agree with the dedicated HR recursion."""
+    g, gamma, roots = case
+    for v in roots:
+        ordering = clique_ordering(g, v)
+        models = {c: hr.HuslerReissModel(c, gamma.sub(c)) for c in ordering.cliques}
+        model = build_tail_model(ordering, models, v)
+        assert_matches_oracle(model, n=300)
+        mean, cov = tail_model_moments(model)
+        hr_mean = hr.tail_model_mean(ordering, models, v)
+        prec = hr.tail_model_precision(ordering, models, v)
+        assert hr_mean.index == mean.index and prec.rows == cov.rows
+        assert np.max(np.abs(hr_mean.values - mean.values)) <= 1e-10
+        assert np.max(np.abs(prec.values - spd_inverse(cov).values)) <= 1e-10
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -344,7 +395,7 @@ def test_zero_covariance_keeps_its_sign_through_a_negative_slope():
     for c, r in corr.items():
         models[c] = gs.GaussianCopulaModel(c, gs.CorrelationMatrix(c, np.array(r)))
     model = build_tail_model(ordering, models, 1)
-    assert model.steps[-1].psi[0, 1] < 0.0
+    assert model.updates[-1].psi.values[0, 1] < 0.0
     assert_matches_oracle(model, n=40_000)
     assert not np.signbit(tail_model_moments(model)[1].entry(5, 2))
 

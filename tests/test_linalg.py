@@ -68,6 +68,29 @@ def test_labels_match_only_equal_labels(kind):
                 obj.entry(1, bad)
 
 
+LABELLED_TYPES = {
+    "vector": lambda ix: IndexedVector(ix, np.array([0.5, 1.5])),
+    "matrix": lambda ix: IndexedMatrix.square(ix, np.eye(2)),
+    "correlation": lambda ix: CorrelationMatrix(ix, np.array([[1.0, 0.3], [0.3, 1.0]])),
+    "variogram": lambda ix: VariogramMatrix(ix, 1.0 - np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LABELLED_TYPES))
+def test_labels_are_integers(kind):
+    """Labels follow the seed's integer rule: ints and NumPy ints become
+    ints; floats (whole ones too), bools and strings raise ConfigError,
+    never truncate to a label."""
+    make = LABELLED_TYPES[kind]
+    obj = make((np.int64(4), 7))
+    index = obj.index if kind != "matrix" else obj.rows
+    assert index == (4, 7) and all(type(u) is int for u in index)
+    for bad in ((1.9, 2.2), (1.5, 2), (2.7, 3), (True, 2), (1, np.bool_(True)),
+                ("a", 2), (2.0, 3), (None, 1)):
+        with pytest.raises(ConfigError, match="not an integer"):
+            make(bad)
+
+
 def test_sample_columns_match_only_equal_labels():
     samples = SampleMatrix((1, 2, 3), np.arange(6.0).reshape(2, 3), {})
     assert samples.column(2.0).tolist() == [1.0, 4.0]

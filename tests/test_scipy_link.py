@@ -137,8 +137,8 @@ def test_hr_two_tree_updates_have_the_bits_of_scipy(pytestconfig, monkeypatch):
 
     monkeypatch.setattr(hr, "cho_solve",
                         lambda low, b: scipy.linalg.cho_solve((low, True), b))
-    for params, (m, sep) in zip(got, updates):
-        want = hr.a2_limit_params(m, sep)
-        for a, b in ((params.slope, want.slope), (params.law.mean, want.law.mean),
-                     (params.law.cov, want.law.cov)):
+    for (slope, law), (m, sep) in zip(got, updates):
+        want_slope, want_law = hr.a2_limit_params(m, sep)
+        for a, b in ((slope, want_slope), (law.mean, want_law.mean),
+                     (law.cov, want_law.cov)):
             assert a.values.tobytes() == b.values.tobytes()

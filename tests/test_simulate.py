@@ -27,7 +27,7 @@ from tailgraph.errors import (
 from tailgraph.cli import main
 from tailgraph.graphs import Graph, clique_ordering
 from tailgraph.husler_reiss import _NEWTON_STEPS, _X_FLOOR, INVERT_TOL, _invert_pair
-from tailgraph.limits import build_tail_model, build_tail_noise
+from tailgraph.limits import SampleMatrix, build_tail_model, build_tail_noise
 from tailgraph.linalg import spd_inverse
 from tailgraph.rng import BLOCK
 from tailgraph.simulate import (
@@ -211,6 +211,11 @@ def _renormalize_case(case, ordering, models):
     if case == "model_misses_a_norming":
         normings = {u: p for u, p in tm.normings.items() if u != 3}
         return cond, dataclasses.replace(tm, normings=normings), "condition_on_root"
+    if case.startswith("samples_lack"):
+        cols = (1, 3) if case.endswith("block_separator") else (2, 3)
+        some = SampleMatrix(columns=cols, values=cond.sub(cols), meta=cond.meta)
+        return some, *((tm, "condition_on_root") if case.endswith("root")
+                       else (tn, "separator_based"))
     return cond, dataclasses.replace(tn, blocks=tn.blocks[:-1]), "separator_based"
 
 
@@ -221,6 +226,10 @@ def _renormalize_case(case, ordering, models):
     ("separator_mode_given_model", MissingNorming, "^separator_based"),
     ("model_misses_a_norming", MissingNorming, "no norming for vertex 3"),
     ("noise_misses_a_block", MissingNorming, r"no block covers vertices \[3\]"),
+    ("samples_lack_v_root", ConfigError, "lack the conditioning column 1"),
+    ("samples_lack_v_separator", ConfigError, "lack the conditioning column 1"),
+    ("samples_lack_a_block_separator", ConfigError,
+     r"lack the block separator columns \[2\]"),
 ])
 def test_renormalize_refuses(hr_chain, case, error, match):
     samples, model, mode = _renormalize_case(case, *hr_chain)
