@@ -253,9 +253,12 @@ def _remainder_checks(report: limits.RemainderReport,
     """Per-clique verdicts, each by its clique's record: exact zeros for
     pure-location cliques, and a first-to-last decrease of the defect
     suprema otherwise."""
+    by_clique = {}
+    for r in report.rows:  # each clique's rows in t order
+        by_clique.setdefault(r.clique, []).append(max(r.sup_a, r.sup_b))
     checks = {}
     for upd in model.updates:
-        sups = [max(r.sup_a, r.sup_b) for r in report.for_clique(upd.clique)]
+        sups = by_clique[upd.clique]
         checks[" ".join(str(u) for u in upd.clique)] = {
             "family": upd.family,
             "sup_first": sups[0],

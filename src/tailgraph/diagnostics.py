@@ -143,10 +143,8 @@ class ConvergenceReport:
     seed: int
     rows: tuple[MarginRow, ...]
     mean_gap: dict  # t -> max |empirical - limit| over margins
-    cov_gap: dict  # t -> max |empirical - limit| over entries
+    clique_cov_gap: dict  # t -> max |empirical - limit| over clique blocks
     slack: float = TREND_SLACK
-    #: "cov_gap" over all entries, or "clique_cov_gap" over clique blocks
-    cov_name: str = "cov_gap"
 
     def margins(self, t: float) -> list[MarginRow]:
         return [r for r in self.rows if r.t == t]
@@ -176,9 +174,9 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
     def gaps_csv(self) -> str:
-        lines = [f"t,mean_gap,{self.cov_name}"]
+        lines = ["t,mean_gap,clique_cov_gap"]
         for t in self.t_levels:
-            lines.append(f"{t!r},{self.mean_gap[t]!r},{self.cov_gap[t]!r}")
+            lines.append(f"{t!r},{self.mean_gap[t]!r},{self.clique_cov_gap[t]!r}")
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
@@ -187,7 +185,7 @@ class ConvergenceReport:
             "n": self.n, "seed": self.seed,
             "rows": [r.to_dict() for r in self.rows],
             "mean_gap": {str(t): g for t, g in self.mean_gap.items()},
-            self.cov_name: {str(t): g for t, g in self.cov_gap.items()},
+            "clique_cov_gap": {str(t): g for t, g in self.clique_cov_gap.items()},
             "trend_ok": self.trend_ok(),
             "final_pass": self.final_pass(),
         }
@@ -202,12 +200,6 @@ def convergence_study(ordering: CliqueOrdering, models: dict, v: int,
     if limit is None:
         limit = build_tail_noise(ordering, models, v)
     return study_limit(limit, t_levels, n, seed)
-
-
-#: Largest graph, in vertices, whose study keeps every column of a level
-#: to the end and reports the dense covariance gap; a larger one streams
-#: its columns and reports the clique-block gap.
-STREAM_ABOVE = 32
 
 
 def study_limit(limit: TailGraphicalModel | TailNoiseModel,
@@ -227,16 +219,13 @@ def study_limit(limit: TailGraphicalModel | TailNoiseModel,
     for bit.  The draws are the limit's own clique records, so no
     clique's constants are built twice.
 
-    The study runs through the draws.  When a column retires (no later
-    draw or renormalization reads it raw) it is renormalized in place and
-    gives its KS row and its mean.  On a graph of at most
-    :data:`STREAM_ABOVE` vertices every column keeps its row of the
-    level's vertex-major (d × n) array and retires after the last draw,
-    and the gap is the dense ``cov_gap`` over all margins.  On a larger
-    graph each level holds only the live columns, each retired row going
-    to the next new column, and the gap is ``clique_cov_gap``: the
-    largest entry of |empirical − limit| over the covariance blocks of
-    C∖{v} for the cliques C, each taken right after the clique's draw.
+    The study runs through the draws, and each level holds only the live
+    columns.  When a column retires (no later draw or renormalization
+    reads it raw) it is renormalized in place, gives its KS row and its
+    mean, and its row goes to the next new column.  The gap is
+    ``clique_cov_gap``: the largest entry of |empirical − limit| over the
+    covariance blocks of C∖{v} for the cliques C, each taken right after
+    the clique's draw.
     ``n`` must be an integer >= 2 (a sample covariance needs two rows)
     and ``ks_const`` finite and positive, else :class:`ConfigError`.
     """
@@ -247,9 +236,7 @@ def study_limit(limit: TailGraphicalModel | TailNoiseModel,
     mode = ("condition_on_root" if isinstance(limit, TailGraphicalModel)
             else "separator_based")
     lim_mean, lim_cov = tail_model_moments(limit)
-    stream = limit.ordering.graph.n > STREAM_ABOVE
-    plan = _plan(limit.ordering, limit.v, [u.record for u in limit.in_order],
-                 mode if stream else None)
+    plan = _plan(limit.ordering, limit.v, [u.record for u in limit.in_order], mode)
     pos = {u: j for j, u in enumerate(limit.z_index)}
     laws = list(zip(lim_mean.values.tolist(),
                     np.sqrt(np.diag(lim_cov.values)).tolist()))
@@ -264,25 +251,21 @@ def study_limit(limit: TailGraphicalModel | TailNoiseModel,
             level.retire(x, draw.retire)
             level.fold(x, cols, block, draw.retire)
 
-    arrays = _fill_levels(plan, n, seed, workers, t_levels,
-                          after if stream else None)
+    arrays = _fill_levels(plan, n, seed, workers, t_levels, after)
     threshold = float(ks_const / np.sqrt(n))
     rows = []
-    mean_gap, cov_gap = {}, {}
+    mean_gap, clique_cov_gap = {}, {}
     for level in levels:
         x = arrays.pop(0)  # each level's draws are dropped once studied
-        level.retire(x, plan.last)
-        if not stream:  # rows (v, *z_index), the margins centred
-            level.gaps.append(np.max(np.abs(_covariance(x[1:]) - lim_cov.values)))
+        level.retire(x, (limit.v,))
         t = level.norm.t
         rows += [MarginRow(t=t, vertex=u, ks=level.ks[u], n=n, threshold=threshold)
                  for u in plan.columns]
         mean_gap[t] = float(np.max(np.abs(level.mean - lim_mean.values)))
-        cov_gap[t] = float(np.max(level.gaps))
+        clique_cov_gap[t] = float(np.max(level.gaps))
     return ConvergenceReport(
         v=limit.v, mode=mode, t_levels=t_levels, n=n, seed=seed,
-        rows=tuple(rows), mean_gap=mean_gap, cov_gap=cov_gap,
-        cov_name="clique_cov_gap" if stream else "cov_gap",
+        rows=tuple(rows), mean_gap=mean_gap, clique_cov_gap=clique_cov_gap,
     )
 
 
@@ -333,14 +316,6 @@ class _Level:
                 emp[i, j] = emp[j, i] = np.dot(a, z[j])
         emp /= x.shape[1] - 1
         self.gaps.append(np.max(np.abs(emp - lim_block)))
-
-
-def _covariance(z: np.ndarray) -> np.ndarray:
-    """``np.cov`` of the rows of the C-order array z, centred already, bit
-    for bit."""
-    cov = np.dot(z, z.T)
-    cov *= np.true_divide(1, z.shape[1] - 1)
-    return cov
 
 
 # ---------------------------------------------------------------------------

@@ -747,6 +747,8 @@ def kernel_limit(model: HuslerReissModel, sep, offset, z_sep=None) -> float:
     slope = a2_limit_params(model, sep)[0]
     sep, rest = slope.cols, slope.rows
     z = np.zeros(len(sep)) if z_sep is None else np.asarray(z_sep, dtype=float)
+    if z.shape != (len(sep),):
+        raise ConfigError(f"z_sep shape {z.shape} != separator size {len(sep)}")
     off = np.asarray(offset, dtype=float)
     if off.shape != (len(rest),):
         raise ConfigError(f"offset shape {off.shape} != residual size {len(rest)}")

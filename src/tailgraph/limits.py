@@ -446,10 +446,6 @@ class RemainderReport:
     v: int
     rows: tuple[RemainderRow, ...]
 
-    def for_clique(self, clique) -> list[RemainderRow]:
-        key = tuple(sorted(clique))
-        return [r for r in self.rows if r.clique == key]
-
     def max_sup(self) -> float:
         return max((max(r.sup_a, r.sup_b) for r in self.rows), default=0.0)
 

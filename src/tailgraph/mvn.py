@@ -148,9 +148,12 @@ def _bvn_upper(dh: float, dk: float, r: float) -> float:
 
 
 def bvn_cdf(x: float, y: float, r: float) -> float:
-    """P(X <= x, Y <= y) for standard bivariate normal with correlation r."""
+    """P(X <= x, Y <= y) for standard bivariate normal with correlation r;
+    a NaN limit raises :class:`NumericalBreakdown`."""
     if not -1.0 <= r <= 1.0:
         raise NotSPD(f"correlation {r} outside [-1, 1]")
+    if math.isnan(x) or math.isnan(y):
+        raise NumericalBreakdown("NaN upper limit")
     if math.isinf(x) or math.isinf(y):
         if x == -math.inf or y == -math.inf:
             return 0.0

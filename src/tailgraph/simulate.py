@@ -81,15 +81,13 @@ class _DrawPlan:
     conditioning vertex (the root's given row), or None; ``columns``
     labels the graph's vertices, with v moved first when there is one.
     Column u is row ``slots[u]`` of each level's (``width`` × n) array,
-    v's row 0; ``last`` lists the columns left to retire after the last
-    draw, v last."""
+    v's row 0."""
 
     v: int | None
     columns: tuple[int, ...]
     draws: tuple[_Draw, ...]
     slots: dict
     width: int
-    last: tuple[int, ...]
 
 
 def _plan(ordering: CliqueOrdering, v: int | None, records,
@@ -114,7 +112,6 @@ def _plan(ordering: CliqueOrdering, v: int | None, records,
     retire = [[] for _ in records]
     if mode is None:
         slots = {u: k for k, u in enumerate(cols)}
-        last = [u for rec in reversed(records) for u in rec.rest]
     else:
         until = dict(drawn)
         for k, rec in enumerate(records):
@@ -134,9 +131,6 @@ def _plan(ordering: CliqueOrdering, v: int | None, records,
                 else:
                     slots[u], width = width, width + 1
             free += [slots[u] for u in retire[k]]
-        last = []
-    if v is not None:
-        last.append(v)
     draws, later = [], set()
     for k in reversed(range(len(records))):
         rec = records[k]
@@ -146,7 +140,7 @@ def _plan(ordering: CliqueOrdering, v: int | None, records,
                            tuple(retire[k])))
         later.add(key)
     return _DrawPlan(v, cols, tuple(reversed(draws)), slots,
-                     1 + max(slots.values(), default=0), tuple(last))
+                     1 + max(slots.values(), default=0))
 
 
 def _draw_plan(ordering: CliqueOrdering, models: dict, v: int | None = None) -> _DrawPlan:

@@ -8,13 +8,14 @@ bits.
 :func:`level_moments` is the study's per-level path as it was before the
 study read the draws' vertex-major rows: a row-major renormalized copy
 (:func:`renormalize`), a fancy column index of it, its column means and
-``np.cov``.  The study must give the same bytes, and its margins the same
-strides.
+``np.cov``.  The study's margins and means must have the same bytes, and
+its margins the same strides; ``np.cov`` is the whole covariance, of
+which the study's gap reads only the clique blocks.
 
-:func:`clique_block_gap` is the streamed study's covariance gap: a
-row-major ``np.cov`` over each clique's renormalized columns, against the
-limit's block.  The study folds the same blocks in from renormalized
-copies of each clique's columns, so the two agree up to rounding.
+:func:`clique_block_gap` is the study's covariance gap: a row-major
+``np.cov`` over each clique's renormalized columns, against the limit's
+block.  The study folds the same blocks in from renormalized copies of
+each clique's columns, so the two agree up to rounding.
 """
 
 import numpy as np

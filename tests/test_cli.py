@@ -80,17 +80,17 @@ CLI_DIGESTS = {
     "graph non_chordal":
         "6b010a5e8586d8a833d462d8c69212bf005ab924f9775cab5dd7e43dcbef7df6",
     "verify --n 2000 gaussian_chain":
-        "02d71c92c4bce08c00cb6a2b2e27473ffc2fd1b4457c4f6f63e830d3db2be621",
+        "72dac5bbccf3e208d0871db5ea7042a65430a9295f272c339133cecb53ca6502",
     "verify --n 2000 gaussian_short_chain":
-        "05999d894598cb2d42a37f2d8ada78830feb93fac5030ae13386b758e7b4e792",
+        "7f47386a19ec40ae8887f08cbb867ec2cdbfebe5667681de902f0b003e78aa14",
     "verify --n 2000 goldner_harary":
         "edd1179a22fb4255eed83b08b0609d059e1b924705a3c9f1847386d411d26d33",
     "verify --n 2000 hr_block_tree":
-        "32c9ab5256ef7e336cc0be324a7f16a96978fcc63eb038473b9549cf97789e39",
+        "57484834d0b219340aaa97900f545305c582d52649722c731c78079b8eaeb56d",
     "verify --n 2000 hr_chain":
-        "432c8cc541e68e9c7ab8e7859e9ce08b121c3f7fe3a68015570db34dfed5b4f6",
+        "24a83b2dbccdb99d462ad85392369bfa9d77bb73f48d1e83fee01aa134837cdd",
     "verify --n 2000 mixed_tree":
-        "d6bbad4def5bf3c1dcc9f328d17b101b6e380377ddcf8ace69245f49e27e5fed",
+        "9ef5a77dbb13836eb55763ab8fb8afeaa20dd3694aaa2df685ff9971ea5beac5",
     "verify --n 2000 non_chordal":
         "edd1179a22fb4255eed83b08b0609d059e1b924705a3c9f1847386d411d26d33",
 }
@@ -118,8 +118,7 @@ def test_shipped_cli_outputs_are_pinned(configs, tmp_path):
 
 #: ``verify --n 2000 --t-levels 4,8`` on the seed-1 Gaussian triangle tree
 #: of ``perfbench/workloads.py``, digested as by :func:`cli_digest`: the
-#: one config in which several cliques hang off one separator vertex.  Its
-#: 101 vertices take the streamed study, whose gap is ``clique_cov_gap``.
+#: one config in which several cliques hang off one separator vertex.
 TREE_DIGEST = "e79bdc9ebc8fab63d07dae349b316b2845c2d5018aae653fdc7b25ca8bf785f3"
 
 
@@ -140,11 +139,11 @@ GAUSS_2TREE_DIGESTS = {
     "derive --v 1":
         "6cfd71fdc764c11e1159c7a2d273a651a8de4b7fba1ffb5347d9b158ead122f5",
     "verify --n 2000 --v 1":
-        "2596172b86177717e03c40dee9f43240a9b2c94e282635361184e7826cf3b558",
+        "7c0855bb9e1b4fd20c57a4be79453f2e5b5b725b6fa100457bbd6e30fa8952ea",
     "derive --v 5":
         "c71c833a816ac454f385e204adee6f9a20bf1aff079f4ff8cd54a4757c5efc92",
     "verify --n 2000 --v 5":
-        "b9fc690968ace5416650ef65d3c8f4077c6c175a5dd05cc01113f2a2a3dd61a1",
+        "14de06990a2829608195096100449dac7ee0c681f993491ae0474f9028d800da",
 }
 
 

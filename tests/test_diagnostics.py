@@ -270,7 +270,7 @@ def test_trend_fails_when_a_vertex_rises_beyond_the_slack(ks_last, ok):
     rows = tuple(MarginRow(t=t, vertex=u, ks=ks[u][k], n=100, threshold=1.0)
                  for k, t in enumerate((2.0, 4.0, 8.0)) for u in (2, 3))
     rep = ConvergenceReport(v=1, mode="condition_on_root", t_levels=(2.0, 4.0, 8.0),
-                            n=100, seed=0, rows=rows, mean_gap={}, cov_gap={})
+                            n=100, seed=0, rows=rows, mean_gap={}, clique_cov_gap={})
     assert rep.trend_ok() is ok
 
 
@@ -284,7 +284,7 @@ def test_trend_fails_on_a_nan_distance(ladder):
                  for t, k in zip(levels, ladder)
                  for u, ks in ((2, 0.1), (3, k)))
     rep = ConvergenceReport(v=1, mode="condition_on_root", t_levels=levels,
-                            n=100, seed=0, rows=rows, mean_gap={}, cov_gap={})
+                            n=100, seed=0, rows=rows, mean_gap={}, clique_cov_gap={})
     assert rep.trend_ok() is False
     assert dataclasses.replace(rep, rows=rows[::2]).trend_ok() is True
 
@@ -403,65 +403,73 @@ def test_study_limit_memory_off_the_first_vertex(pytestconfig, case, levels):
 STUDY_CASES = ["gauss_tree", "gauss_tree_mid", "hr_root_tree", "mixed_tree"]
 
 
+def study_draws(limit, models, levels, n: int, seed: int) -> list[SampleMatrix]:
+    """The study's draws of each level, as lone conditional samples."""
+    return _simulate(_draw_plan(limit.ordering, models, limit.v), n, seed, 1,
+                     levels)
+
+
+def oracle_study(limit, draws, mode: str) -> dict:
+    """Per level t, study_oracle's row-major path through the draws:
+    (columns, KS distances in column order, mean gap, clique-block gap,
+    gap over the whole covariance)."""
+    lim_mean, lim_cov = tail_model_moments(limit)
+    sds = np.sqrt(np.diag(lim_cov.values))
+    want = {}
+    for draw in draws:
+        t = draw.meta["t"]
+        x_v, z, mean, cov = study_oracle.level_moments(draw, limit, mode)
+        ks = [study_oracle.ks_statistic(x_v, dg._expon_cdf)]
+        ks += [study_oracle.ks_statistic(
+            z[:, j], lambda y, m=m, s=s: _scipy.ndtr((y - m) / s))
+            for j, (m, s) in enumerate(zip(lim_mean.values, sds))]
+        want[t] = (draw.columns, ks,
+                   float(np.max(np.abs(mean - lim_mean.values))),
+                   study_oracle.clique_block_gap(draw, limit, mode),
+                   float(np.max(np.abs(cov - lim_cov.values))))
+    return want
+
+
+def assert_same_study(rep, want: dict) -> None:
+    """The report has the oracle's KS rows and mean gaps bit for bit, and
+    its clique-block gap to 1e-12 relative, at every level in order."""
+    assert rep.t_levels == tuple(want)
+    assert list(rep.mean_gap) == list(rep.clique_cov_gap) == list(want)
+    for t, (columns, ks, mean_gap, gap, _) in want.items():
+        assert [r.vertex for r in rep.margins(t)] == list(columns)
+        assert [r.ks for r in rep.margins(t)] == ks
+        assert rep.mean_gap[t] == mean_gap
+        assert rep.clique_cov_gap[t] == pytest.approx(gap, rel=1e-12, abs=1e-14)
+
+
 @pytest.mark.parametrize("case", STUDY_CASES)
-def test_study_levels_equal_the_row_major_path(pytestconfig, monkeypatch, case):
-    """Each level's margins, mean and covariance have the bytes of the
-    row-major renormalize → sub → mean → np.cov path of study_oracle, and
-    the margins its strides; the report's KS rows and gaps follow from
-    them.  The draws' rows are (v, *z_index) wherever v lies in the
-    graph, and ``renormalize`` keeps that vertex-major layout.  The
-    study keeps the dense path here, also on the 101-vertex trees."""
-    monkeypatch.setattr(dg, "STREAM_ABOVE", 101)
+def test_study_levels_equal_the_row_major_path(pytestconfig, case):
+    """Each level's renormalized margins and means have the bytes of the
+    row-major renormalize → sub → mean path of study_oracle, and the
+    margins its strides; the report's KS rows and mean gaps follow from
+    them bit for bit.  The draws' rows are (v, *z_index) wherever v lies
+    in the graph, and ``renormalize`` keeps that vertex-major layout."""
     limit, models, mode = study_case(pytestconfig.rootpath, case)
     levels, n = (4.0, 8.0), 5_000
     rep = study_limit(limit, levels, n, seed=1)
-    lim_mean, lim_cov = tail_model_moments(limit)
-    sds = np.sqrt(np.diag(lim_cov.values))
-    draws = _simulate(_draw_plan(limit.ordering, models, limit.v), n, 1, 1,
-                      levels)
-    for t, draw in zip(levels, draws):
+    draws = study_draws(limit, models, levels, n, seed=1)
+    for draw in draws:
         assert draw.columns == (limit.v,) + limit.z_index
-        x_v, z_want, mean_want, cov_want = study_oracle.level_moments(
-            draw, limit, mode)
+        x_v, z_want, mean_want, _ = study_oracle.level_moments(draw, limit, mode)
         z = renormalize(draw, limit, mode).values.T
         assert z[0].tobytes() == x_v.tobytes()
         assert z[1:].T.strides == z_want.strides
         assert z[1:].T.tobytes() == z_want.tobytes()
-        mean = z[1:].mean(axis=1)
-        z[1:] -= mean[:, None]
-        cov = dg._covariance(z[1:])
-        assert mean.tobytes() == mean_want.tobytes()
-        assert cov.tobytes() == cov_want.tobytes()
-        ks = [study_oracle.ks_statistic(x_v, dg._expon_cdf)]
-        ks += [study_oracle.ks_statistic(
-            z_want[:, j], lambda y, m=m, s=s: _scipy.ndtr((y - m) / s))
-            for j, (m, s) in enumerate(zip(lim_mean.values, sds))]
-        assert [r.ks for r in rep.margins(t)] == ks
-        assert rep.mean_gap[t] == float(np.max(np.abs(mean_want - lim_mean.values)))
-        assert rep.cov_gap[t] == float(np.max(np.abs(cov_want - lim_cov.values)))
+        assert z[1:].mean(axis=1).tobytes() == mean_want.tobytes()
+    assert_same_study(rep, oracle_study(limit, draws, mode))
 
 
-def assert_same_study(streamed, dense) -> None:
-    """The streamed report has the dense report's KS rows, mean gaps and
-    verdicts, bit for bit, and the clique-block gap in place of the
-    dense one."""
-    assert (streamed.cov_name, dense.cov_name) == ("clique_cov_gap", "cov_gap")
-    assert streamed.rows == dense.rows
-    assert streamed.ks_csv() == dense.ks_csv()
-    assert (np.array(list(streamed.mean_gap.items())).tobytes()
-            == np.array(list(dense.mean_gap.items())).tobytes())
-    assert streamed.trend_ok() == dense.trend_ok()
-    assert streamed.final_pass() == dense.final_pass()
-    assert list(streamed.cov_gap) == list(dense.cov_gap)
-
-
-@pytest.mark.parametrize("d", [dg.STREAM_ABOVE, dg.STREAM_ABOVE + 1])
-def test_study_streams_above_thirty_two_vertices(pytestconfig, monkeypatch, d):
-    """At the default size constant a graph of 32 vertices is studied
-    densely, from a plan of one row per vertex, and reports ``cov_gap``;
-    one of 33 vertices streams through a narrower plan and reports
-    ``clique_cov_gap``.  The graphs are the benchmark's HR pair trees."""
-    assert dg.STREAM_ABOVE == 32
+@pytest.mark.parametrize("d", [2, 32, 33])
+def test_study_writes_one_gap_name_at_every_size(pytestconfig, monkeypatch, d):
+    """Small and large graphs alike stream through the study and report
+    ``clique_cov_gap`` under one name in the table and the summary; a
+    33-vertex plan holds fewer rows than the graph has vertices.  The
+    graphs are the benchmark's HR pair trees."""
     cfg = parse_config(perfbench_workloads(pytestconfig.rootpath).hr_tree(1, d))
     ordering = cfg.ordering()
     limit = derive_limit(ordering, cfg.models(ordering), cfg.v)[1]
@@ -469,29 +477,27 @@ def test_study_streams_above_thirty_two_vertices(pytestconfig, monkeypatch, d):
     monkeypatch.setattr(dg, "_plan", lambda *a: plans.append(_plan(*a)) or plans[-1])
     rep = study_limit(limit, (2.0,), 500, seed=1)
     [plan] = plans
-    if d == 32:
-        assert (rep.cov_name, plan.width) == ("cov_gap", d)
-    else:
-        assert rep.cov_name == "clique_cov_gap"
+    assert rep.gaps_csv().splitlines()[0] == "t,mean_gap,clique_cov_gap"
+    doc = rep.to_dict()
+    assert "cov_gap" not in doc and list(doc["clique_cov_gap"]) == ["2.0"]
+    if d == 33:
         assert plan.width < d
-    assert rep.gaps_csv().splitlines()[0] == f"t,mean_gap,{rep.cov_name}"
 
 
 @pytest.mark.parametrize("case", STUDY_CASES)
-def test_streamed_study_equals_the_dense_study(pytestconfig, monkeypatch, case):
+def test_streamed_study_equals_the_dense_study(pytestconfig, case):
     """Streaming the study through the draws, each level holding only its
-    live columns, moves no KS row and no mean gap.  Each clique block is
-    part of the dense covariance, so the clique-block gap is at most the
-    dense gap, up to the rounding of a different product."""
-    limit, _, _ = study_case(pytestconfig.rootpath, case)
+    live columns, gives the KS rows and mean gaps of study_oracle's dense
+    row-major path.  Each clique block is part of the dense covariance,
+    so the clique-block gap is at most the gap over the whole covariance,
+    up to the rounding of a different product."""
+    limit, models, mode = study_case(pytestconfig.rootpath, case)
     levels, n = (4.0, 8.0), 5_000
-    monkeypatch.setattr(dg, "STREAM_ABOVE", 101)
-    dense = study_limit(limit, levels, n, seed=1)
-    monkeypatch.setattr(dg, "STREAM_ABOVE", 0)
-    streamed = study_limit(limit, levels, n, seed=1)
-    assert_same_study(streamed, dense)
-    for t in levels:
-        assert streamed.cov_gap[t] <= dense.cov_gap[t] * (1 + 1e-12)
+    want = oracle_study(limit, study_draws(limit, models, levels, n, seed=1), mode)
+    rep = study_limit(limit, levels, n, seed=1)
+    assert_same_study(rep, want)
+    for t, (*_, dense_gap) in want.items():
+        assert rep.clique_cov_gap[t] <= dense_gap * (1 + 1e-12)
 
 
 #: Live columns of the seed-1 101-vertex Gaussian tree's plan around
@@ -603,11 +609,11 @@ def test_renormalize_equals_the_row_major_oracle(case, order_seed):
 @settings(max_examples=20)
 @given(chordal_models())
 def test_streamed_study_on_random_chordal_graphs(case):
-    """On random chordal graphs the streamed study (the size constant at
-    0) gives the dense study's KS rows, means and verdicts, bit for bit,
-    for 1, 2 and 3 workers over three row blocks (1,024 rows each here),
-    and its clique-block gap is study_oracle's row-major ``np.cov`` over
-    each clique's renormalized columns, to 1e-12 relative."""
+    """On random chordal graphs the streamed study gives study_oracle's KS
+    rows and mean gaps, bit for bit, and its row-major ``np.cov`` over
+    each clique's renormalized columns to 1e-12 relative, with the same
+    report for 1, 2 and 3 workers over three row blocks (1,024 rows each
+    here)."""
     ordering, models, v = case
     limit = derive_limit(ordering, models, v)[1]
     if limit is None:
@@ -617,16 +623,11 @@ def test_streamed_study_on_random_chordal_graphs(case):
     levels, n, seed = (4.0, 8.0), 2_500, 3
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rng_module, "BLOCK", 1024)
-        mp.setattr(dg, "STREAM_ABOVE", 10)
-        dense = study_limit(limit, levels, n, seed)
-        mp.setattr(dg, "STREAM_ABOVE", 0)
-        for workers in (1, 2, 3):
-            streamed = study_limit(limit, levels, n, seed, workers=workers)
-            assert_same_study(streamed, dense)
-        draws = _simulate(_draw_plan(limit.ordering, models, v), n, seed, 1, levels)
-    for t, draw in zip(levels, draws):
-        want = study_oracle.clique_block_gap(draw, limit, mode)
-        assert streamed.cov_gap[t] == pytest.approx(want, rel=1e-12, abs=1e-14)
+        reps = [study_limit(limit, levels, n, seed, workers=workers)
+                for workers in (1, 2, 3)]
+        want = oracle_study(limit, study_draws(limit, models, levels, n, seed), mode)
+    assert reps[1] == reps[0] and reps[2] == reps[0]
+    assert_same_study(reps[0], want)
 
 
 # ----------------------------------------------------- factorized density

@@ -1,9 +1,12 @@
 """Graph engine tests; networkx serves as the independent oracle."""
 
+import collections
+import itertools
+
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graph_oracle
@@ -208,16 +211,30 @@ def test_goldner_harary_invariants():
 
 @st.composite
 def connected_chordal(draw, max_n=40, min_n=1, max_clique=None):
-    """A star, a path, or a graph grown from a random perfect elimination
-    ordering (each new vertex joins a subset of an earlier vertex's
-    attaching clique that holds that vertex, cut to ``max_clique`` - 1
-    vertices when that is set), relabelled at random."""
+    """A k-tree, a star, a path, or a graph grown from a random perfect
+    elimination ordering (each new vertex joins a subset of an earlier
+    vertex's attaching clique that holds that vertex, cut to
+    ``max_clique`` - 1 vertices when that is set), relabelled at random.
+    A k-tree, k in 2..4 and at most ``max_clique``, starts from a
+    k-clique, and each new vertex joins k - 1 vertices of an earlier
+    k-clique.  k-trees, and k = 4 among them, come first, which the
+    derandomized draws favour, so wide cliques are common."""
     n = draw(st.integers(min_n, max_n))
-    kind = draw(st.sampled_from(["peo", "star", "path"]))
+    kind = draw(st.sampled_from(["ktree", "peo", "star", "path"]))
     if kind == "star":
         edges = [(1, w) for w in range(2, n + 1)]
     elif kind == "path":
         edges = [(w - 1, w) for w in range(2, n + 1)]
+    elif kind == "ktree":
+        k = min(4 - draw(st.integers(0, 2)), max_clique or 4, n)
+        cliques = [tuple(range(1, k + 1))]
+        edges = list(itertools.combinations(cliques[0], 2))
+        for w in range(k + 1, n + 1):
+            clique = draw(st.sampled_from(cliques))
+            drop = draw(st.integers(0, k - 1))
+            base = clique[:drop] + clique[drop + 1:]
+            edges += [(x, w) for x in base]
+            cliques.append(base + (w,))
     else:
         edges, attach = [], {1: (1,)}
         for w in range(2, n + 1):
@@ -231,6 +248,22 @@ def connected_chordal(draw, max_n=40, min_n=1, max_clique=None):
             attach[w] = base + (w,)
     perm = draw(st.permutations(range(1, n + 1)))
     return Graph.make(n, [(perm[a - 1], perm[b - 1]) for a, b in edges])
+
+
+def test_connected_chordal_draws_wide_cliques():
+    """Under the derandomized profile, 60 graphs of at most 8 vertices and
+    cliques of at most four hold triangles, and at least one clique in
+    fifty is a 4-clique, so the properties built on the strategy reach
+    separators of two and three vertices."""
+    sizes = collections.Counter()
+
+    @settings(max_examples=60)
+    @given(connected_chordal(max_n=8, max_clique=4))
+    def count(g):
+        sizes.update(len(c) for c in clique_ordering(g, g.vertices[0]).cliques)
+
+    count()
+    assert sizes[3] > 0 and sizes[4] >= 0.02 * sum(sizes.values()), sizes
 
 
 @given(connected_chordal())

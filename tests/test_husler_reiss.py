@@ -389,6 +389,18 @@ def test_kernel_limit_matches_closed_form_cdf(sep):
         assert abs(ratio - closed) < 1e-12
 
 
+@pytest.mark.parametrize("z_sep", [[0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]], 0.0],
+                         ids=["short", "long", "two_dimensional", "scalar"])
+def test_kernel_limit_refuses_a_wrong_length_separator_state(z_sep):
+    """A separator state that is not one value per separator vertex is a
+    ConfigError, as a wrong offset is, not an IndexError, ValueError or
+    TypeError from deep in the evaluation."""
+    v = vario((1, 2, 3), [[0, 1.0, 1.4], [1.0, 0, 0.9], [1.4, 0.9, 0]])
+    model = hr.HuslerReissModel((1, 2, 3), v)
+    with pytest.raises(ConfigError, match="z_sep shape"):
+        hr.kernel_limit(model, (1, 2), np.zeros(1), z_sep=z_sep)
+
+
 # ------------------------------------------------- graph-wide closed form
 
 

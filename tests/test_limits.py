@@ -122,7 +122,7 @@ def test_gauss_chain_remainders_decay(gauss_chain):
     rep = verify_remainders(ordering, models, 1,
                             t_grid=(10.0, 100.0, 1000.0, 10000.0))
     for upd in tm.updates:
-        sups = [max(r.sup_a, r.sup_b) for r in rep.for_clique(upd.clique)]
+        sups = [max(r.sup_a, r.sup_b) for r in rep.rows if r.clique == upd.clique]
         # small composite coefficients push the state a(t)+b(t)z through
         # zero at moderate t, so the ladder may bulge before it decays:
         # gate the endpoints and the asymptotic tail, not every rung

@@ -42,6 +42,17 @@ def test_bvn_degenerate_correlations():
         0.0, ndtr(0.3) + ndtr(-0.1) - 1.0)) < 1e-14
 
 
+@pytest.mark.parametrize("x, y, r", [
+    (0.0, np.nan, 0.95), (np.nan, 0.0, 0.5), (np.nan, np.nan, 0.0),
+    (np.nan, np.inf, 0.0), (-np.inf, np.nan, 0.0),
+])
+def test_bvn_refuses_a_nan_limit(x, y, r):
+    """A NaN limit is refused as ``mvn_cdf`` refuses it, not read as a
+    probability (0.5 and 0.0 for the first two)."""
+    with pytest.raises(NumericalBreakdown, match="NaN upper limit"):
+        bvn_cdf(x, y, r)
+
+
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_mvn_against_scipy(d):
     rng = np.random.default_rng(100 + d)
