@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -63,6 +63,28 @@ _KERNEL_ACCURACY = 1e-8
 _LIMIT_ACCURACY = 1e-9
 
 
+#: Least ratio of the extreme eigenvalues of −Γ/2 on the complement of
+#: the ones vector (that is, of Π(−Γ/2)Π, Π the centring projection, the
+#: pseudo-inverse of the HR precision) that a variogram on three or more
+#: vertices may have.  Each anchored covariance is Dᵀ(−Γ/2)D, where D has
+#: columns e_i − e_c and DᵀD has eigenvalues 1 and d, so above this ratio
+#: every one of them has condition number below d·10¹² and factors at
+#: double precision, whichever vertex anchors it.
+_CND_RATIO = 1e-12
+
+
+@lru_cache(maxsize=None)
+def _ones_complement(d: int) -> np.ndarray:
+    """An orthonormal basis of the complement of the ones vector in R^d,
+    as the columns of a (d, d − 1) array: the last d − 1 columns of the
+    Householder reflection that swaps e_1 and the unit ones vector."""
+    v = np.full(d, 1.0 / math.sqrt(d))
+    v[0] -= 1.0
+    basis = (np.eye(d) - np.outer(v, v) * (2.0 / (v @ v)))[:, 1:]
+    basis.setflags(write=False)
+    return basis
+
+
 @dataclass(frozen=True)
 class VariogramMatrix(_LabelledSquare):
     """Symmetric, zero-diagonal, strictly conditionally negative definite."""
@@ -80,16 +102,20 @@ class VariogramMatrix(_LabelledSquare):
             raise InvalidVariogram("variogram is not symmetric")
         if vals.diagonal().any():
             raise InvalidVariogram("variogram diagonal must be exactly zero")
-        # strict conditional negative definiteness <=> any anchored
-        # covariance is positive definite; a pair's is [[Γ_12]]
+        # strict conditional negative definiteness <=> -Γ/2 is positive
+        # definite on the complement of the ones vector; a pair's is [[Γ_12]]
         cnd = "variogram is not strictly conditionally negative definite"
         if len(index) == 2 and not vals[1, 0] > 0.0:
             raise InvalidVariogram(cnd)
         if len(index) > 2:
-            try:
-                np.linalg.cholesky(_anchored_values(self, 0))
-            except np.linalg.LinAlgError as exc:
-                raise InvalidVariogram(cnd) from exc
+            basis = _ones_complement(len(index))
+            lam = np.linalg.eigvalsh(-0.5 * (basis.T @ vals @ basis))
+            if not lam[0] > _CND_RATIO * lam[-1]:
+                raise InvalidVariogram(
+                    f"{cnd} at double precision: the eigenvalues of -Γ/2 off "
+                    f"the ones vector run from {lam[0]:.3g} to {lam[-1]:.3g}, "
+                    f"a ratio below {_CND_RATIO:g}"
+                )
 
     @property
     def dim(self) -> int:
@@ -475,6 +501,29 @@ _NEWTON_STEPS = 16
 _MAX_STEPS = _NEWTON_STEPS + 64
 
 
+def _pair_start(a: float, gamma: float, y1: np.ndarray, zu: np.ndarray) -> np.ndarray:
+    """The pair inverter's Newton start for a = √Γ, the Fréchet states
+    ``y1`` of x1 and zu = Φ⁻¹(u): the limit quantile w0 = a zu − Γ/2 of
+    log(y/y1), mapped back exactly, x0 = −log(−expm1(−1/(y1 e^{w0}))).
+
+    Where y1 e^{w0} is large this is the exponential-scale limit
+    quantile x1 − Γ/2 + a zu up to terms in 1/y1 and 1/(y1 e^{w0}), and
+    it is never negative: it lies above ``_X_FLOOR`` where y1 e^{w0}
+    exceeds 1/27.63, as the exact map does, is 0 below about 1/37.4 and
+    +inf where y1 e^{w0} overflows.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = a * zu
+        x -= 0.5 * gamma
+        np.exp(x, out=x)
+        x *= y1
+        np.divide(-1.0, x, out=x)
+        np.expm1(x, out=x)
+        np.negative(x, out=x)
+        np.log(x, out=x)
+        return np.negative(x, out=x)
+
+
 def _bracket_top(model, s: int, x1: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Upper end of the inverter's bracket: x1 + 8, with the offset
     doubled, up to 700, while K(hi) < u."""
@@ -499,13 +548,14 @@ def _invert_pair(model, s: int, x1: np.ndarray, u: np.ndarray) -> np.ndarray:
     the top that of :func:`_bracket_top`; a root below the floor comes
     back within INVERT_TOL of it.  With a = √Γ, Newton steps on the
     probit scale, x ← x − (Φ⁻¹(K) − Φ⁻¹(u)) φ(Φ⁻¹(K)) / ∂K, start from
-    the limit quantile x1 − Γ/2 + a Φ⁻¹(u); every evaluation moves one
-    end of the bracket, and a step that is not finite or leaves the
-    bracket goes to its midpoint, as does every step after
-    ``_NEWTON_STEPS`` iterations.  A step below INVERT_TOL/4 is
-    certified by one evaluation INVERT_TOL/2 away on the side not yet
-    bracketed.  A row ends at the midpoint of a bracket narrower than
-    INVERT_TOL.
+    the limit quantile of log(y/y1), a Φ⁻¹(u) − Γ/2, mapped back to the
+    exponential scale (:func:`_pair_start`), which lies inside the
+    bracket for small x1 too; every evaluation moves one end of the
+    bracket, and a step that is not finite or leaves the bracket goes to
+    its midpoint, as does every step after ``_NEWTON_STEPS`` iterations.
+    A step below INVERT_TOL/4 is certified by one evaluation
+    INVERT_TOL/2 away on the side not yet bracketed.  A row ends at the
+    midpoint of a bracket narrower than INVERT_TOL.
 
     The top is never below x1 + 8, so a row whose upper end no
     evaluation has certified computes it only when it needs a midpoint
@@ -531,8 +581,7 @@ def _invert_pair(model, s: int, x1: np.ndarray, u: np.ndarray) -> np.ndarray:
     rows = np.arange(u.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         zu = _scipy.ndtri(u)
-        x = a * zu
-    x += x1 - 0.5 * gamma
+    x = _pair_start(a, gamma, y1, zu)
     newton = x > lo
     for it in range(_MAX_STEPS + 1):
         # hi is inf until the row has its top or a state at or above its

@@ -83,7 +83,7 @@ MIXED_GAMMA = 1.1
 
 # Γ of four collinear points (squared distances): strictly conditionally
 # negative definite in exact arithmetic, but Σ^{(2)} is numerically
-# singular while Σ^{(1)}, which VariogramMatrix factors, is not.
+# singular while Σ^{(1)} is not; VariogramMatrix refuses it.
 COLLINEAR_GAMMA = np.array([
     [0.0, 1.232160790202524, 3.7695948208924515, 7.617211584142656],
     [1.232160790202524, 0.0, 0.7559727641530812, 2.7569516760423127],

@@ -73,7 +73,9 @@ def _invert_pair(model, s: int, x1: np.ndarray, u: np.ndarray) -> np.ndarray:
     The bracket is [_X_FLOOR, :func:`_bracket_top`]; a root below the
     floor comes back within INVERT_TOL of it.  With a = √Γ, Newton steps
     on the probit scale, x ← x − (Φ⁻¹(K) − Φ⁻¹(u)) φ(Φ⁻¹(K)) / ∂K, start
-    from the limit quantile x1 − Γ/2 + a Φ⁻¹(u); every evaluation moves
+    from the limit quantile w0 = a Φ⁻¹(u) − Γ/2 of log(y/y1), y1 the
+    Fréchet state of x1, mapped back exactly to
+    x0 = −log(−expm1(−1/(y1 e^{w0}))); every evaluation moves
     one end of the bracket, and a step that is not finite or leaves the
     bracket goes to its midpoint, as does every step after
     ``_NEWTON_STEPS`` iterations.  A step below INVERT_TOL/4 is
@@ -91,10 +93,9 @@ def _invert_pair(model, s: int, x1: np.ndarray, u: np.ndarray) -> np.ndarray:
     lo = np.full(u.shape[0], _X_FLOOR)
     out = np.empty(u.shape[0])
     rows = np.arange(u.shape[0])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         zu = _scipy.ndtri(u)
-        x = a * zu
-    x += x1 - 0.5 * gamma
+        x = -np.log(-np.expm1(-1.0 / (y1 * np.exp(a * zu - 0.5 * gamma))))
     np.copyto(x, 0.5 * (lo + hi), where=~((x > lo) & (x < hi)))
     for it in range(_MAX_STEPS):
         k, dk = hr.pair_kernel(a, y1, x, slope=True)

@@ -86,11 +86,11 @@ CLI_DIGESTS = {
     "verify --n 2000 goldner_harary":
         "edd1179a22fb4255eed83b08b0609d059e1b924705a3c9f1847386d411d26d33",
     "verify --n 2000 hr_block_tree":
-        "57484834d0b219340aaa97900f545305c582d52649722c731c78079b8eaeb56d",
+        "e16d92d645b192fe6078552d48e59c05ec66c74db3713b47b1b02d29c0050f91",
     "verify --n 2000 hr_chain":
-        "24a83b2dbccdb99d462ad85392369bfa9d77bb73f48d1e83fee01aa134837cdd",
+        "88c9dfd92de1069ed9a673308c5ac601c7e1bdc60adf05420471dbd38d9ebf54",
     "verify --n 2000 mixed_tree":
-        "9ef5a77dbb13836eb55763ab8fb8afeaa20dd3694aaa2df685ff9971ea5beac5",
+        "3285befd8a47dd64f1cccd626b85c1fa1e20ee27084c37a8fde38758cf74c0e0",
     "verify --n 2000 non_chordal":
         "edd1179a22fb4255eed83b08b0609d059e1b924705a3c9f1847386d411d26d33",
 }
@@ -270,7 +270,8 @@ def test_derive_requires_a_conditioning_vertex(configs):
 @pytest.mark.parametrize("command", ["derive", "verify"])
 def test_numerically_singular_clique_never_tracebacks(tmp_path, command):
     """A 4-clique whose Σ^{(2)} is numerically singular: every conditioning
-    vertex ends in a JSON payload, and at vertex 2 in a typed NotSPD."""
+    vertex ends in a JSON payload, a typed InvalidVariogram raised when
+    the clique models are built, before any derivation."""
     path = tmp_path / "collinear.json"
     path.write_text(json.dumps({
         "graph": {"vertices": 4,
@@ -281,11 +282,8 @@ def test_numerically_singular_clique_never_tracebacks(tmp_path, command):
     }))
     for v in range(1, 5):
         res = run(command, "--config", str(path), "--v", str(v))
-        assert res.exit_code in (EXIT_OK, EXIT_PRECONDITION), (v, res.exception)
-        doc = payload(res)
-        if v == 2:
-            assert res.exit_code == EXIT_PRECONDITION
-            assert doc["error"]["type"] == "NotSPD"
+        assert res.exit_code == EXIT_PRECONDITION, (v, res.exception)
+        assert payload(res)["error"]["type"] == "InvalidVariogram"
 
 
 # ----------------------------------------------------------------- verify
@@ -553,8 +551,8 @@ def test_tail_noise_route_computes_moments_once(configs, monkeypatch, command):
 
 def test_hr_chain_verify_kernel_rows_are_pinned(configs, monkeypatch):
     """``verify`` on the HR chain (seed 1, n = 10,000, t = 2, 4, 6)
-    inverts 60,000 rows with 261,810 pair-kernel rows: 203,418 Newton
-    rows, which take the slope, and 58,392 certification-probe and
+    inverts 60,000 rows with 254,569 pair-kernel rows: 197,146 Newton
+    rows, which take the slope, and 57,423 certification-probe and
     bracket-top rows, which do not.  Moving a kernel call from one
     caller to another keeps these counts; changing the work moves them."""
     rows = {"newton": 0, "plain": 0, "inverted": 0}
@@ -573,7 +571,7 @@ def test_hr_chain_verify_kernel_rows_are_pinned(configs, monkeypatch):
     res = run("verify", "--config", str(configs / "hr_chain.json"), "--seed",
               "1", "--n", "10000", "--t-levels", "2,4,6")
     assert res.exit_code == EXIT_OK
-    assert rows == {"newton": 203_418, "plain": 58_392, "inverted": 60_000}
+    assert rows == {"newton": 197_146, "plain": 57_423, "inverted": 60_000}
 
 
 _SCIPY_FREE_RUNS = """

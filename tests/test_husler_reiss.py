@@ -1,6 +1,7 @@
 """Hüsler–Reiss clique machinery against closed forms and an FD oracle."""
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -14,7 +15,6 @@ from tailgraph.errors import (
     ConfigError,
     IncompatibleSeparators,
     InvalidVariogram,
-    NotSPD,
     NumericalBreakdown,
 )
 from tailgraph.graphs import Graph, check_separator_models, clique_ordering
@@ -22,6 +22,7 @@ from tailgraph.linalg import spd_inverse
 from tailgraph.husler_reiss import _X_FLOOR
 from tailgraph.mvn import mvn_cdf
 
+import precision_oracle
 from conftest import COLLINEAR_GAMMA, hr_pair_model
 from hr_fd_oracle import fd_derivative
 from hr_limit_oracle import a2_limit_params as a2_oracle
@@ -83,11 +84,24 @@ def test_sigma_anchor_constant_variogram():
         hr.sigma_anchor(v, 9)
 
 
-def test_sigma_anchor_raises_not_spd_on_a_numerically_singular_anchor():
-    v = vario((1, 2, 3, 4), COLLINEAR_GAMMA)
-    assert hr.sigma_anchor(v, 1).rows == (2, 3, 4)
-    with pytest.raises(NotSPD):
-        hr.sigma_anchor(v, 2)
+def test_variogram_refuses_a_numerically_singular_anchor():
+    """Σ^{(1)} of the collinear Γ factors but Σ^{(2)} does not: the
+    check on −Γ/2 off the ones vector, which no anchor enters, refuses
+    it (eigenvalue ratio 6e-18).  Three points of a line with the middle
+    one lifted off it give a ratio of lift²/3: refused at a lift of 1e-6,
+    loaded at 1e-5, where every anchored covariance factors."""
+    with pytest.raises(InvalidVariogram, match="ratio below 1e-12"):
+        vario((1, 2, 3, 4), COLLINEAR_GAMMA)
+
+    def lifted(lift):
+        pts = np.array([[0.0, 0.0], [1.0, lift], [2.0, 0.0]])
+        return vario((1, 2, 3), ((pts[:, None] - pts[None]) ** 2).sum(axis=2))
+
+    with pytest.raises(InvalidVariogram):
+        lifted(1e-6)
+    v = lifted(1e-5)
+    for anchor in v.index:
+        np.linalg.cholesky(hr.sigma_anchor(v, anchor).values)
 
 
 def test_exp_to_frechet_round_trip():
@@ -96,6 +110,70 @@ def test_exp_to_frechet_round_trip():
     assert np.allclose(np.exp(-1.0 / y), 1.0 - np.exp(-x))
     big = hr.exp_to_frechet(50.0)
     assert abs(big / np.exp(50.0) - 1.0) < 1e-12
+
+
+# ------------------------------------------- against 50-digit references
+
+_EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("x", [1e-12, 1e-6, 0.5, math.log(2.0) - 1e-9,
+                               math.log(2.0) + 1e-9, 5.0, 40.0])
+def test_exp_to_frechet_matches_the_50_digit_reference(x):
+    """Relative error at most eps (2 + c), c the condition of
+    −1/log1p(−e^{−x}) in the rounding of e^{−x}: c is at most 3 from
+    ln 2 up and grows as 1/(x |log x|) towards 0, where 1 − e^{−x}
+    cancels (the error is 8e-7 at x = 1e-12)."""
+    ref = precision_oracle.exp_to_frechet(x)
+    bound = _EPS * (2.0 + float(precision_oracle.exp_to_frechet_condition(x)))
+    assert float(abs(float(hr.exp_to_frechet(x)) / ref - 1)) <= bound
+
+
+@pytest.mark.parametrize("gamma, x1, x, bound", [
+    (0.3, 1e-6, 1e-3, 1e-12),
+    (1.3, 0.05, 0.3, 1e-12),
+    (1.3, 1.0, 2.0, 1e-12),
+    (1.3, 5.0, 1e-3, 1e-12),
+    (4.0, 5.0, 8.0, 1e-12),
+    (1.3, 40.0, 30.0, 1e-12),
+    (4.0, 40.0, 0.3, 1e-12),
+    (1.3, 1.0, 1e-9, 2e-7),
+    (4.0, 1e-6, 1e-9, 2e-7),
+    (0.3, 5.0, 1e-9, 2e-7),
+])
+def test_pair_kernel_matches_the_50_digit_reference(gamma, x1, x, bound):
+    """K and ∂K/∂x at states from 1e-9 to 40 (K from 1e-82 to 0.994),
+    relative to the kernel taken from its defining formula and to that
+    kernel's numerical derivative.  From x = 1e-3 up both hold to 1e-12;
+    at x = 1e-9 exp_to_frechet's relative error, about
+    eps/(x |log x|) = 1e-8, is magnified by K's slope in log y, and they
+    hold to 2e-7."""
+    a = math.sqrt(gamma)
+    y1 = float(hr.exp_to_frechet(x1))
+    k, dk = hr.pair_kernel(a, np.array([y1]), np.array([x]), slope=True)
+    ref = precision_oracle.pair_kernel(a, y1, x)
+    ref_slope = precision_oracle.pair_kernel_slope(a, y1, x)
+    assert float(abs(float(k[0]) / ref - 1)) <= bound
+    assert float(abs(float(dk[0]) / ref_slope - 1)) <= bound
+
+
+@pytest.mark.parametrize("gamma", [0.3, 1.3, 9.0])
+def test_pair_start_matches_the_50_digit_reference(gamma):
+    """The inverter's start on a grid of separator states and uniforms:
+    relative error at most 1e-13 where the start is at least 1e-3;
+    below that it is minus the log of a double near 1, so its error is
+    absolute, at most eps (it is 0 where the exact start is below
+    ~1e-16)."""
+    a = math.sqrt(gamma)
+    x1 = np.repeat([1e-9, 0.05, 1.0, 5.0, 40.0, 300.0], 6)
+    u = np.tile([1e-300, 1e-6, 0.3, 0.5, 0.9, 1.0 - 1e-16], 6)
+    y1 = hr.exp_to_frechet(x1)
+    zu = norm.ppf(u)
+    got = hr._pair_start(a, gamma, y1, zu)
+    for g, y, z in zip(got, y1, zu):
+        ref = precision_oracle.pair_start(a, gamma, float(y), float(z))
+        err = float(abs(float(g) - ref))
+        assert err <= (1e-13 * float(ref) if ref >= 1e-3 else _EPS), (y, z)
 
 
 # ------------------------------------------------------ exponent measure

@@ -340,9 +340,9 @@ UNCONDITIONAL_DIGESTS = {
     "gaussian_chain":
         "7db2b5488d721c0fd3246f59fa7fdf426cdba0b9efe1304a9e8d31f4750ae936",
     "hr_chain":
-        "95312215cd013f58bfa272ad06c981d2f58ee4bece8b35c5516f1a3eaa770532",
+        "e7e0116a6abc026b0420b335a3a125d07f96f03049e2f8d028013dd0e5bca3f8",
     "mixed_tree":
-        "6937a4b94a37b9e7843d57db160f097fd56f61dac0f1ba2a555a18a42dfd5c10",
+        "e24273b14638698a70d6f51a32129380f008ce07b98bb9b2cea92cbdb7ee6016",
 }
 
 
@@ -461,6 +461,33 @@ def test_pair_inverter_certifies_its_root(gamma, rows):
     assert np.all(np.abs(x - oracle) <= bound)
 
 
+@given(gamma=st.floats(0.05, 9.0),
+       rows=st.lists(st.tuples(st.floats(1e-9, 300.0),
+                               st.one_of(st.sampled_from([1e-300, 1.0 - 1e-16]),
+                                         st.floats(1e-300, 1.0 - 1e-16))),
+                     min_size=1, max_size=8))
+def test_pair_start_lies_inside_the_bracket(gamma, rows):
+    """The Newton start is finite and non-negative, and above the floor
+    wherever y1 e^{w0} > 1/27.6, as the exact start is there; the root
+    the inverter returns from it is certified, K(x − tol/2) < u <=
+    K(x + tol/2), the lower test left out within tol of the floor."""
+    x1 = np.array([r[0] for r in rows])
+    u = np.array([r[1] for r in rows])
+    a, tol = np.sqrt(gamma), INVERT_TOL
+    y1 = hr.exp_to_frechet(x1)
+    zu = stats.norm.ppf(u)
+    start = hr._pair_start(a, gamma, y1, zu)
+    assert np.all(np.isfinite(start) & (start >= 0.0))
+    with np.errstate(under="ignore"):
+        big = y1 * np.exp(a * zu - 0.5 * gamma)
+    assert np.all(start[big > 1 / 27.6] > _X_FLOOR)
+    x = _invert_pair(hr_pair_model((1, 2), gamma), 1, x1.copy(), u)
+    floor = x < _X_FLOOR + tol
+    k_lo = hr.pair_kernel(a, y1, np.where(floor, x, x - tol / 2))
+    assert np.all(floor | (k_lo < u))
+    assert np.all(u <= hr.pair_kernel(a, y1, x + tol / 2))
+
+
 def test_pair_inverter_bisects_where_newton_stalls(monkeypatch):
     """Far in the lower tail rounding stalls Newton: this row took 147
     iterations with Newton allowed throughout.  After _NEWTON_STEPS
@@ -511,8 +538,8 @@ def test_pair_inverter_equals_the_eager_oracle(gamma, rows):
     (1.3, 5.0, 1e-300, False, 0, {"midpoint"}),
     (4.0, 170.0, 1e-302, False, 1, {"x"}),
     (4.0, 123.0, 1e-306, False, 1, {"midpoint", "x"}),
-    (4.0, 85.0, 1.2589254117942332e-293, False, _NEWTON_STEPS + 1, {"midpoint"}),
-    (9.0, 1.0, 0.9999806931413847, True, 4, {"midpoint", "lo"}),
+    (3.0, 72.2, 7.325531082042728e-298, False, _NEWTON_STEPS + 1, {"midpoint"}),
+    (9.0, 1.5, 0.9999818641885335, True, 4, {"midpoint", "lo"}),
 ], ids=["start_reaches_the_edge", "start_below_the_floor",
         "iterate_reaches_the_edge", "iterate_not_finite", "newton_steps_run_out",
         "probe_reaches_the_edge"])
@@ -553,7 +580,8 @@ def test_each_lazy_top_trigger_keeps_the_bits(monkeypatch, gamma, x1, u, lagging
 
 def test_bracket_top_sees_few_rows_on_hr_chain(hr_chain, monkeypatch):
     """On the shipped HR chain's draws at t = 2, 4, 6 the inverter
-    searches for the top of 1,105 of its 60,000 rows (1.8 %)."""
+    searches for the top of 1 of its 60,000 rows: its start lies inside
+    the bracket at small separator states too."""
     rows = {"top": 0, "inverted": 0}
     top, invert = hr._bracket_top, hr._invert_pair
 
@@ -577,7 +605,8 @@ def test_bracket_top_sees_few_rows_on_hr_chain(hr_chain, monkeypatch):
 def test_hr_pair_draws_call_the_module_transition_kernel(hr_chain, monkeypatch):
     """The benchmark's span recorder (perfbench/spans.py) counts HR work
     by wrapping the module attribute hr.transition_kernel, so HR pair
-    draws must call the kernel through it."""
+    draws must call the kernel through it.  At t = 2 this seed's
+    thousand rows make one bracket-top search, which calls it."""
     calls = []
     kernel = hr.transition_kernel
 
@@ -587,7 +616,7 @@ def test_hr_pair_draws_call_the_module_transition_kernel(hr_chain, monkeypatch):
 
     monkeypatch.setattr(hr, "transition_kernel", counting)
     ordering, models = hr_chain
-    conditional_exceedance(ordering, models, 1, 4.0, 1000, seed=1)
+    conditional_exceedance(ordering, models, 1, 2.0, 1000, seed=1)
     assert calls
 
 
