@@ -7,6 +7,7 @@ cover exactly the maximal cliques of the graph.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import gaussian as gsn
 from . import husler_reiss as hr
-from .errors import ConfigError
+from .errors import ConfigError, InvalidVariogram, NotSPD
 from .graphs import Graph, CliqueOrdering, clique_ordering
 from .rng import check_seed
 
@@ -78,14 +79,17 @@ class RunConfig:
 
     def models(self, ordering: CliqueOrdering | None = None) -> dict:
         """Per-clique models keyed by sorted vertex tuple; the specs must
-        cover exactly the graph's maximal cliques."""
+        cover exactly the graph's maximal cliques.  A matrix that fails
+        its family's value checks raises :class:`ConfigError` naming it,
+        as a malformed shape does."""
         if ordering is None:
             ordering = self.ordering()
         maximal = set(ordering.cliques)
         if self.correlation is not None:
-            arr = np.array(self.correlation, dtype=float)
-            full = gsn.CorrelationMatrix(self.graph.vertices, arr)
-            return {c: gsn.GaussianCopulaModel(c, full.sub(c)) for c in maximal}
+            with _matrix_values("the whole-graph correlation"):
+                arr = np.array(self.correlation, dtype=float)
+                full = gsn.CorrelationMatrix(self.graph.vertices, arr)
+                return {c: gsn.GaussianCopulaModel(c, full.sub(c)) for c in maximal}
         if self.clique_specs is None:
             raise ConfigError("config declares no clique models")
         keys = [s.vertices for s in self.clique_specs]
@@ -101,7 +105,21 @@ class RunConfig:
             if extra:
                 parts.append(f"specs {extra} are not maximal cliques")
             raise ConfigError("; ".join(parts))
-        return {s.vertices: s.build() for s in self.clique_specs}
+        models = {}
+        for i, spec in enumerate(self.clique_specs):
+            with _matrix_values(f"cliques[{i}]"):
+                models[spec.vertices] = spec.build()
+        return models
+
+
+@contextlib.contextmanager
+def _matrix_values(where: str):
+    """Re-raise an :class:`InvalidVariogram` or :class:`NotSPD` from the
+    block as a :class:`ConfigError` naming ``where`` and the error."""
+    try:
+        yield
+    except (InvalidVariogram, NotSPD) as exc:
+        raise ConfigError(f"{where}: {type(exc).__name__}: {exc}") from exc
 
 
 def _require(cond: bool, message: str) -> None:

@@ -32,6 +32,8 @@ Z_R = ψ Z_S + φ∘ε per clique, in draw order (``in_order``).  One sampler
 per row block (through :func:`tailgraph.rng.block_runner`), and one
 recursion (:func:`tail_model_moments`) gives the exact mean and
 covariance, both for either kind and both from the updates themselves.
+Both read ψ one free separator column (a separator vertex other than v)
+at a time, in one loop over :func:`_free`.
 """
 
 from __future__ import annotations
@@ -297,7 +299,8 @@ def _free(upd: CliqueUpdate, pos: dict) -> list[tuple[int, int]]:
 def _draw_step(upd: CliqueUpdate, pos: dict, rng, zmat: np.ndarray) -> None:
     """Fill the rows ``pos[upd.rest]`` of one (d × nb) vertex-major block.
 
-    The arithmetic is that of ``noise.sample`` followed by φ∘ε + ψ z_S,
+    The arithmetic is that of ``noise.sample``, then φ∘ε, then + ψ_j z_s
+    for each free separator column j (vertex s) in separator order,
     operation for operation, so samples do not depend on the layout.  A
     one-vertex update draws straight into its row.
     """
@@ -311,17 +314,8 @@ def _draw_step(upd: CliqueUpdate, pos: dict, rng, zmat: np.ndarray) -> None:
     else:
         out = law.sample(rng, zmat.shape[1]).T
     out *= upd.phi.values[:, None]
-    free = _free(upd, pos)
-    if len(free) == 1:
-        (j, p), = free
+    for j, p in _free(upd, pos):
         out += upd.psi.values[:, j:j + 1] * zmat[p]
-    elif free:
-        # the (nb, |S|) product, zero column included: BLAS may sum it in
-        # another order in any other layout
-        z_sep = np.zeros((zmat.shape[1], len(upd.sep)))
-        for j, p in free:
-            z_sep[:, j] = zmat[p]
-        out += (z_sep @ upd.psi.values.T).T
     if len(rows) > 1:
         zmat[rows] = out
 
@@ -331,19 +325,14 @@ def _moments(updates: tuple[CliqueUpdate, ...],
     """Exact mean and covariance of Z over ``index``, drawn by ``updates``.
 
     The recursion is linear with independent noises, so moments propagate
-    in closed form: an independent update gives its rows φ∘E[ε] and the
-    scaled noise covariance as its block; a dependent update gives its
-    rows ψ·mean_S + φ∘E[ε] and picks up ψΣψᵀ plus the scaled noise
-    covariance.
-
-    An update costs O(|rows|·d) when one separator column is free (every
-    update of a Hüsler-Reiss pair tree): its mean, cross-covariance and
-    block come from that ψ column and one covariance row.  That is the
-    zero-padded product below term for term, since every other term of
-    the padded sums is an exact zero and the rows not yet written add a
-    +0 (hence the ``+ 0.0``, which turns a -0 into +0 and nothing else).
-    An update with two or more free columns multiplies the (|rows| × d)
-    zero-padded ψ by the whole covariance, O(|rows|·d²).
+    in closed form: an update gives its rows ψ·mean_S + φ∘E[ε], its
+    cross-covariance ψ·Σ_{S,·} and its block ψΣ_{S,S}ψᵀ plus the scaled
+    noise covariance.  Each sum starts from zeros and adds one term per
+    free separator column j (at Z position p), in separator order: ψ_j
+    times mean_p or times covariance row p, then (once the cross-covariance
+    is whole) its column p times ψ_jᵀ.  So an update with f free columns
+    costs O(|rows|·f·d), and an independent one (f = 0) writes φ∘E[ε], the
+    scaled noise covariance and a zero cross-covariance.
     """
     pos = {u: k for k, u in enumerate(index)}
     d = len(index)
@@ -354,23 +343,15 @@ def _moments(updates: tuple[CliqueUpdate, ...],
         phi = upd.phi.values
         noise_cov = phi[:, None] * upd.noise.cov.values * phi[None, :]
         free = _free(upd, pos)
-        if not free:
-            mean[rows] = phi * upd.noise.mean.values
-            cov[np.ix_(rows, rows)] = noise_cov
-            continue
-        if len(free) == 1:
-            (j, p), = free
+        m_psi = np.zeros(len(rows))
+        cross = np.zeros((len(rows), d))
+        v_psi = np.zeros((len(rows), len(rows)))
+        for j, p in free:
             col = upd.psi.values[:, j]
-            m_psi = col * mean[p] + 0.0
-            cross = col[:, None] * cov[p][None, :] + 0.0
-            v_psi = cross[:, p][:, None] * col[None, :] + 0.0
-        else:
-            psi_eff = np.zeros((len(rows), d))
-            for j, p in free:
-                psi_eff[:, p] = upd.psi.values[:, j]
-            m_psi = psi_eff @ mean
-            cross = psi_eff @ cov
-            v_psi = cross @ psi_eff.T
+            m_psi += col * mean[p]
+            cross += col[:, None] * cov[p][None, :]
+        for j, p in free:
+            v_psi += cross[:, p][:, None] * upd.psi.values[None, :, j]
         mean[rows] = m_psi + phi * upd.noise.mean.values
         cov[rows, :] = cross
         cov[:, rows] = cross.T

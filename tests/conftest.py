@@ -91,6 +91,15 @@ COLLINEAR_GAMMA = np.array([
     [7.617211584142656, 2.7569516760423127, 1.086753483066603, 0.0],
 ])
 
+#: The Gaussian 2-tree of triangles (1,2,3), (2,3,4), (3,4,5): rooted at
+#: either end, each later clique is drawn given two free separator vertices.
+GAUSS_2TREE = {
+    "graph": {"vertices": 5, "edges": [[1, 2], [1, 3], [2, 3], [2, 4],
+                                       [3, 4], [3, 5], [4, 5]]},
+    "correlation": [[1.0, 0.6, 0.5, 0.4, 0.3], [0.6, 1.0, 0.7, 0.5, 0.4],
+                    [0.5, 0.7, 1.0, 0.6, 0.5], [0.4, 0.5, 0.6, 1.0, 0.7],
+                    [0.3, 0.4, 0.5, 0.7, 1.0]]}
+
 
 def mixed_models():
     corr = gsn.CorrelationMatrix((2, 3, 4, 5), MIXED_R)

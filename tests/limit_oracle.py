@@ -8,6 +8,11 @@ column by column.  The noise-model methods, and the ``CliqueUpdate.apply`` the
 sampler called, are module functions here that take the object as
 ``self``.  ``tailgraph.limits`` is checked against them
 byte for byte; nothing in the package uses them.
+
+Both the sampler and the moments add ψ's terms one free separator
+column (a separator vertex other than v) at a time, in separator order,
+onto φ∘ε (samples) or onto zeros (moments): no product runs over a
+zero-padded ψ or over the pinned column of v.
 """
 
 import concurrent.futures
@@ -20,11 +25,18 @@ from tailgraph.linalg import IndexedMatrix, IndexedVector
 from tailgraph.rng import block_bounds, derived_rng
 
 
-def _apply(self, z_sep: np.ndarray, eps: np.ndarray) -> np.ndarray:
+def _apply(self, z_sep: np.ndarray, eps: np.ndarray, free: list[int]) -> np.ndarray:
     out = self.phi.values[None, :] * eps
-    if self.psi is not None:
-        out = out + z_sep @ self.psi.values.T
+    for j in free:
+        out = out + z_sep[:, j:j + 1] * self.psi.values[:, j]
     return out
+
+
+def _free_columns(upd, v: int) -> list[int]:
+    """ψ columns of the separator vertices other than v, in separator order."""
+    if upd.psi is None:
+        return []
+    return [j for j, s in enumerate(upd.sep) if s != v]
 
 
 def _sample_block(model: TailGraphicalModel, rng, nb: int,
@@ -40,7 +52,7 @@ def _sample_block(model: TailGraphicalModel, rng, nb: int,
         for j, s in enumerate(upd.sep):
             if s != model.v:
                 z_sep[:, j] = zmat[:, zpos[s]]
-        out = _apply(upd, z_sep, eps)
+        out = _apply(upd, z_sep, eps, _free_columns(upd, model.v))
         for j, u in enumerate(upd.rest):
             zmat[:, zpos[u]] = out[:, j]
     e_v = rng.standard_exponential(nb)
@@ -103,16 +115,18 @@ def tail_model_moments(model: TailGraphicalModel) -> tuple[IndexedVector, Indexe
         mean[rows] = model.root.noise.mean.values
         cov[np.ix_(rows, rows)] = model.root.noise.cov.values
     for upd in model.updates:
-        psi_eff = np.zeros((len(upd.rest), len(idx)))
-        if upd.psi is not None:
-            for j, s in enumerate(upd.sep):
-                if s != model.v:
-                    psi_eff[:, pos[s]] = upd.psi.values[:, j]
+        free = [(j, pos[upd.sep[j]]) for j in _free_columns(upd, model.v)]
+        m_sep = np.zeros(len(upd.rest))
+        cross = np.zeros((len(upd.rest), len(idx)))
+        for j, p in free:
+            m_sep = m_sep + upd.psi.values[:, j] * mean[p]
+            cross = cross + np.outer(upd.psi.values[:, j], cov[p])
+        v_sep = np.zeros((len(upd.rest), len(upd.rest)))
+        for j, p in free:
+            v_sep = v_sep + np.outer(cross[:, p], upd.psi.values[:, j])
         phi = upd.phi.values
-        m_rest = psi_eff @ mean + phi * upd.noise.mean.values
-        cross = psi_eff @ cov
-        v_rest = (cross @ psi_eff.T
-                  + phi[:, None] * upd.noise.cov.values * phi[None, :])
+        m_rest = m_sep + phi * upd.noise.mean.values
+        v_rest = v_sep + phi[:, None] * upd.noise.cov.values * phi[None, :]
         rows = [pos[u] for u in upd.rest]
         mean[rows] = m_rest
         cov[rows, :] = cross

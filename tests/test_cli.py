@@ -30,7 +30,7 @@ from tailgraph.cli import (
     main,
 )
 
-from conftest import COLLINEAR_GAMMA, perfbench_workloads
+from conftest import COLLINEAR_GAMMA, GAUSS_2TREE, perfbench_workloads
 
 
 @pytest.fixture(scope="module")
@@ -132,16 +132,16 @@ def test_gauss_tree_verify_is_pinned(pytestconfig, tmp_path, workers):
 
 
 #: ``derive`` and ``verify --n 2000`` of the Gaussian 2-tree of triangles
-#: (1,2,3), (2,3,4), (3,4,5) at either end, digested as by
+#: (1,2,3), (2,3,4), (3,4,5) (``GAUSS_2TREE``) at either end, digested as by
 #: :func:`cli_digest`: each later clique is drawn given a two-vertex
 #: separator, and each of its moment steps has two free separator columns.
 GAUSS_2TREE_DIGESTS = {
     "derive --v 1":
-        "6cfd71fdc764c11e1159c7a2d273a651a8de4b7fba1ffb5347d9b158ead122f5",
+        "cb2bb44cd5565d2b715194ae16478b1406988060e67854ce064ed5290a9b3430",
     "verify --n 2000 --v 1":
         "7c0855bb9e1b4fd20c57a4be79453f2e5b5b725b6fa100457bbd6e30fa8952ea",
     "derive --v 5":
-        "c71c833a816ac454f385e204adee6f9a20bf1aff079f4ff8cd54a4757c5efc92",
+        "7d4c6ee21cfbf1785b8d827048881ab28462d40db0490837e6103b60324bbf8d",
     "verify --n 2000 --v 5":
         "14de06990a2829608195096100449dac7ee0c681f993491ae0474f9028d800da",
 }
@@ -150,12 +150,7 @@ GAUSS_2TREE_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(GAUSS_2TREE_DIGESTS))
 def test_gauss_2tree_outputs_are_pinned(tmp_path, name):
     cfg = tmp_path / "gauss_2tree.json"
-    cfg.write_text(json.dumps({
-        "graph": {"vertices": 5, "edges": [[1, 2], [1, 3], [2, 3], [2, 4],
-                                           [3, 4], [3, 5], [4, 5]]},
-        "correlation": [[1.0, 0.6, 0.5, 0.4, 0.3], [0.6, 1.0, 0.7, 0.5, 0.4],
-                        [0.5, 0.7, 1.0, 0.6, 0.5], [0.4, 0.5, 0.6, 1.0, 0.7],
-                        [0.3, 0.4, 0.5, 0.7, 1.0]]}))
+    cfg.write_text(json.dumps(GAUSS_2TREE))
     cmd, *flags = name.split()
     if cmd == "derive":
         doc = payload(run("derive", "--config", str(cfg), *flags))
@@ -267,23 +262,40 @@ def test_derive_requires_a_conditioning_vertex(configs):
     assert payload(res)["error"]["type"] == "ConfigError"
 
 
+#: Clique matrices that are well formed in shape but not in value: a
+#: 4-clique whose Σ^{(2)} is numerically singular, a non-symmetric pair
+#: variogram and a triangle correlation that is not positive definite.
+_BAD_VALUE_CLIQUES = {
+    "collinear": {"vertices": [1, 2, 3, 4], "family": "husler_reiss",
+                  "variogram": COLLINEAR_GAMMA.tolist()},
+    "asymmetric_pair": {"vertices": [1, 2], "family": "husler_reiss",
+                        "variogram": [[0.0, 1.0], [1.2, 0.0]]},
+    "indefinite_triangle": {"vertices": [1, 2, 3], "family": "gaussian",
+                            "correlation": [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9],
+                                            [-0.9, 0.9, 1.0]]},
+}
+
+
 @pytest.mark.parametrize("command", ["derive", "verify"])
 def test_numerically_singular_clique_never_tracebacks(tmp_path, command):
-    """A 4-clique whose Σ^{(2)} is numerically singular: every conditioning
-    vertex ends in a JSON payload, a typed InvalidVariogram raised when
-    the clique models are built, before any derivation."""
-    path = tmp_path / "collinear.json"
-    path.write_text(json.dumps({
-        "graph": {"vertices": 4,
-                  "edges": [[i, j] for i in range(1, 5) for j in range(i + 1, 5)]},
-        "cliques": [{"vertices": [1, 2, 3, 4], "family": "husler_reiss",
-                     "variogram": COLLINEAR_GAMMA.tolist()}],
-        "v": 1, "t_levels": [2.0], "n": 500, "seed": 0,
-    }))
-    for v in range(1, 5):
-        res = run(command, "--config", str(path), "--v", str(v))
-        assert res.exit_code == EXIT_PRECONDITION, (v, res.exception)
-        assert payload(res)["error"]["type"] == "InvalidVariogram"
+    """Every conditioning vertex ends in a config-error payload, raised
+    when the clique models are built, before any derivation, that names
+    the clique spec and the family's own error."""
+    for case, clique in _BAD_VALUE_CLIQUES.items():
+        k = len(clique["vertices"])
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps({
+            "graph": {"vertices": k, "edges": [[i, j] for i in range(1, k + 1)
+                                               for j in range(i + 1, k + 1)]},
+            "cliques": [clique], "v": 1, "t_levels": [2.0], "n": 500, "seed": 0,
+        }))
+        want = "InvalidVariogram" if clique["family"] == "husler_reiss" else "NotSPD"
+        for v in range(1, k + 1):
+            res = run(command, "--config", str(path), "--v", str(v))
+            assert res.exit_code == EXIT_CONFIG, (case, v, res.exception)
+            error = payload(res)["error"]
+            assert error["type"] == "ConfigError"
+            assert error["message"].startswith(f"cliques[0]: {want}: "), error
 
 
 # ----------------------------------------------------------------- verify

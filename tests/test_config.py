@@ -77,6 +77,14 @@ def test_whole_graph_correlation_restricts_to_cliques():
     assert np.allclose(m.correlation.values, [[1.0, 0.5], [0.5, 1.0]])
 
 
+def test_whole_graph_correlation_values_are_config_errors():
+    """A whole-graph correlation that is not positive definite is bad
+    config input, like a bad shape, and the message names it."""
+    rho = [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]
+    with pytest.raises(ConfigError, match="^the whole-graph correlation: NotSPD: "):
+        parse_config(chain_doc(correlation=rho, v=1)).models()
+
+
 def test_ordering_root_defaults_to_v_then_first_vertex():
     cfg = parse_config(chain_doc(v=2))
     assert cfg.ordering().root == 2

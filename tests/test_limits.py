@@ -37,7 +37,7 @@ from tailgraph.limits import (
 )
 from tailgraph.linalg import spd_inverse
 
-from conftest import MIXED_GAMMA, MIXED_R, hr_pair_model
+from conftest import GAUSS_2TREE, MIXED_GAMMA, MIXED_R, hr_pair_model
 from test_graphs import connected_chordal
 
 
@@ -296,21 +296,23 @@ def test_hr_pair_tree_matches_reference_sampler():
 def test_hr_two_trees_match_reference_moments():
     """Seeded HR triangle 2-trees rooted at several vertices.  A triangle
     glued to an edge through the root has one free separator column, and
-    its slope often has a negative entry; a sign slip in the one-column
-    moment step fails here."""
+    its slope often has a negative entry; a sign slip in a moment step
+    fails here.  The other triangles have two free separator columns."""
     workloads = _perfbench_workloads()
-    one_free = negative = 0
+    one_free = two_free = negative = 0
     for seed in range(1, 31):
         cfg = parse_config(workloads.hr_tri(seed, 12))
         for v in (1, 2, 5, 9):
             ordering = cfg.ordering(root=v)
             model = build_tail_model(ordering, cfg.models(ordering), v)
             assert_moments_match_oracle(model)
-            for upd in model.in_order:
-                if upd.psi is not None and sum(s != v for s in upd.sep) == 1:
+            for upd in model.updates:
+                free = sum(s != v for s in upd.sep)
+                two_free += free == 2
+                if free == 1:
                     one_free += 1
                     negative += bool(np.any(upd.psi.values < 0.0))
-    assert (one_free, negative) == (326, 84)
+    assert (one_free, two_free, negative) == (326, 994, 84)
     assert_matches_oracle(model, n=40_000)
 
 
@@ -385,8 +387,8 @@ def test_hr_precision_recursion_at_a_vertex_in_several_cliques(seed):
 def test_zero_covariance_keeps_its_sign_through_a_negative_slope():
     """The Gaussian block {3, 4} hangs off v = 1 alone, so it is
     independent of the HR vertex 2; vertex 5 then reads the free column 3
-    with a negative slope.  Its covariance with 2 is the padded product's
-    +0, not the -0 of slope times zero."""
+    with a negative slope.  Its covariance with 2 is the +0 of a sum
+    started from zeros, not the -0 of slope times zero."""
     graph = Graph.make(5, [(1, 2), (1, 3), (1, 4), (3, 4), (1, 5), (3, 5)])
     ordering = clique_ordering(graph, 1)
     corr = {(1, 3, 4): [[1.0, 0.6, 0.5], [0.6, 1.0, 0.4], [0.5, 0.4, 1.0]],
@@ -452,7 +454,8 @@ def test_gaussian_triangle_tree_matches_reference_sampler():
 @pytest.mark.parametrize("v", [1, 6])
 def test_goldner_harary_field_matches_reference_sampler(v):
     """Three-vertex separators, with and without the conditioning vertex:
-    the slope product over several free separator vertices."""
+    rooted at 1, five updates have two free separator columns and two
+    have three; rooted at 6, all seven have three."""
     gh = goldner_harary()
     prec = np.eye(11) * 4.0
     for a, b in gh.edge_list():
@@ -462,7 +465,91 @@ def test_goldner_harary_field_matches_reference_sampler(v):
     full = gs.CorrelationMatrix(tuple(range(1, 12)), cov / np.outer(d, d))
     ordering = clique_ordering(gh, v)
     models = {c: gs.GaussianCopulaModel(c, full.sub(c)) for c in ordering.cliques}
-    assert_matches_oracle(build_tail_model(ordering, models, v), n=40_000)
+    model = build_tail_model(ordering, models, v)
+    free = [sum(s != v for s in upd.sep) for upd in model.updates]
+    assert (free.count(2), free.count(3)) == {1: (5, 2), 6: (0, 7)}[v]
+    assert_matches_oracle(model, n=40_000)
+
+
+def _long_double_moments(model):
+    """Mean and covariance of ``model``'s float64 updates, by the moment
+    recursion in ``np.longdouble`` through a zero-padded ψ: a reference
+    whose rounding does not follow the order in which the package adds
+    its free separator columns."""
+    idx = model.z_index
+    pos = {u: k for k, u in enumerate(idx)}
+    mean = np.zeros(len(idx), np.longdouble)
+    cov = np.zeros((len(idx), len(idx)), np.longdouble)
+    for upd in model.in_order:
+        rows = [pos[u] for u in upd.rest]
+        psi = np.zeros((len(rows), len(idx)), np.longdouble)
+        for j, s in enumerate(upd.sep):
+            if upd.psi is not None and s in pos:
+                psi[:, pos[s]] = upd.psi.values[:, j]
+        phi = upd.phi.values.astype(np.longdouble)
+        cross = psi @ cov
+        mean[rows] = psi @ mean + phi * upd.noise.mean.values
+        cov[rows, :] = cross
+        cov[:, rows] = cross.T
+        cov[np.ix_(rows, rows)] = (cross @ psi.T + phi[:, None]
+                                   * upd.noise.cov.values * phi[None, :])
+    return mean, cov
+
+
+@pytest.mark.parametrize("v", [1, 5])
+def test_several_free_columns_match_the_long_double_recursion(v):
+    """Updates with two or more free separator columns: the seed 1-10 HR
+    triangle 2-trees of ``perfbench`` and the Gaussian 2-tree of the CLI
+    pins.  Every mean and covariance entry lies within 8·eps·max|Σ| of
+    the same recursion in long double (1.3 at worst when written)."""
+    workloads = _perfbench_workloads()
+    eps = np.finfo(float).eps
+    docs = [workloads.hr_tri(seed) for seed in range(1, 11)] + [GAUSS_2TREE]
+    for doc in docs:
+        cfg = parse_config(doc)
+        ordering = cfg.ordering(root=v)
+        model = build_tail_model(ordering, cfg.models(ordering), v)
+        assert any(sum(s != v for s in upd.sep) >= 2 for upd in model.updates)
+        mean, cov = tail_model_moments(model)
+        ref_mean, ref_cov = _long_double_moments(model)
+        bound = 8 * eps * np.max(np.abs(cov.values))
+        assert np.max(np.abs(cov.values - ref_cov)) <= bound
+        assert np.max(np.abs(mean.values - ref_mean)) <= bound
+
+
+@st.composite
+def gauss_chordal_models(draw):
+    """A connected chordal graph of 2-8 vertices and cliques of at most
+    four, the normalized inverse of c·I − A (A its adjacency, c above its
+    largest degree) as correlation, Markov to the graph with positive
+    entries, and a root."""
+    g = draw(connected_chordal(max_n=8, min_n=2, max_clique=4))
+    n = len(g.vertices)
+    adj = np.zeros((n, n))
+    for a, b in g.edge_list():
+        adj[a - 1, b - 1] = adj[b - 1, a - 1] = 1.0
+    c = adj.sum(axis=1).max() * draw(st.floats(1.1, 3.0))
+    cov = np.linalg.inv(c * np.eye(n) - adj)
+    d = np.sqrt(np.diag(cov))
+    full = gs.CorrelationMatrix(g.vertices, cov / np.outer(d, d))
+    return g, full, draw(st.sampled_from(g.vertices))
+
+
+@given(gauss_chordal_models())
+def test_gaussian_chordal_limit_moments_match_the_oracle_and_the_closed_form(case):
+    """On random Gaussian chordal graphs the theorem-1 moments equal the
+    reference loops byte for byte and lie within 1e-10 of the whole-graph
+    limit law."""
+    g, full, v = case
+    ordering = clique_ordering(g, v)
+    models = {c: gs.GaussianCopulaModel(c, full.sub(c)) for c in ordering.cliques}
+    model = build_tail_model(ordering, models, v)
+    assert_moments_match_oracle(model)
+    mean, cov = tail_model_moments(model)
+    law = gs.limit_law(full, v)
+    assert law.cov.rows == cov.rows
+    assert np.max(np.abs(mean.values - law.mean.values)) <= 1e-10
+    assert np.max(np.abs(cov.values - law.cov.values)) <= 1e-10
 
 
 # ------------------------------------------------------------- error gates
