@@ -9,7 +9,6 @@ from .errors import (
     InvalidVariogram,
     MissingNorming,
     NormingIncompatible,
-    NormingUnavailable,
     NotBlockGraph,
     NotChordal,
     NotConnected,
@@ -18,7 +17,6 @@ from .errors import (
     QuantileOutOfRange,
     TailgraphError,
     UnsupportedCliqueShape,
-    UnsupportedNormingFamily,
 )
 from .graphs import (
     CliqueOrdering,

@@ -24,7 +24,13 @@ from .rng import check_seed
 
 _TOP_KEYS = {"graph", "cliques", "correlation", "v", "t_levels", "n", "seed",
              "out", "tolerances", "notes"}
-_CLIQUE_KEYS = {"vertices", "family", "variogram", "correlation"}
+#: (config key of the matrix, model class, matrix class) of each family,
+#: keyed by the family name its model class declares.
+_FAMILIES = {model.family: (key, model, matrix) for key, model, matrix in (
+    ("variogram", hr.HuslerReissModel, hr.VariogramMatrix),
+    ("correlation", gsn.GaussianCopulaModel, gsn.CorrelationMatrix))}
+_MATRIX_KEYS = {key for key, _, _ in _FAMILIES.values()}
+_CLIQUE_KEYS = {"vertices", "family"} | _MATRIX_KEYS
 _TOL_KEYS = {"ks_const", "trend_slack", "remainder_grid"}
 
 DEFAULT_T_LEVELS = (2.0, 4.0, 8.0)
@@ -46,12 +52,9 @@ class CliqueSpec:
     matrix: tuple[tuple[float, ...], ...]
 
     def build(self):
+        _, model_cls, matrix_cls = _FAMILIES[self.family]
         arr = np.array(self.matrix, dtype=float)
-        if self.family == "husler_reiss":
-            return hr.HuslerReissModel(
-                self.vertices, hr.VariogramMatrix(self.vertices, arr))
-        return gsn.GaussianCopulaModel(
-            self.vertices, gsn.CorrelationMatrix(self.vertices, arr))
+        return model_cls(self.vertices, matrix_cls(self.vertices, arr))
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,7 @@ class RunConfig:
 
     def ordering(self, root: int | None = None) -> CliqueOrdering:
         if root is None:
-            root = self.v if self.v is not None else self.graph.vertices[0]
+            root = self.v if self.v is not None else 1
         return clique_ordering(self.graph, root)
 
     def models(self, ordering: CliqueOrdering | None = None) -> dict:
@@ -203,16 +206,12 @@ def _parse_clique(data, i: int) -> CliqueSpec:
     _require(list(key) == verts,
              f"cliques[{i}].vertices must be sorted ascending (got {verts})")
     fam = data["family"]
-    if fam == "husler_reiss":
-        _require("variogram" in data and "correlation" not in data,
-                 f"cliques[{i}]: husler_reiss takes 'variogram'")
-        mat = data["variogram"]
-    elif fam == "gaussian":
-        _require("correlation" in data and "variogram" not in data,
-                 f"cliques[{i}]: gaussian takes 'correlation'")
-        mat = data["correlation"]
-    else:
-        raise ConfigError(f"cliques[{i}]: unknown family {fam!r}")
+    _require(isinstance(fam, str) and fam in _FAMILIES,  # a list is no key
+             f"cliques[{i}]: unknown family {fam!r}")
+    name = _FAMILIES[fam][0]
+    _require(_MATRIX_KEYS & data.keys() == {name},
+             f"cliques[{i}]: {fam} takes {name!r}")
+    mat = data[name]
     d = len(verts)
     rows = _square(mat, d, f"cliques[{i}]: parameter matrix must be {d}x{d} numbers")
     return CliqueSpec(vertices=key, family=fam, matrix=rows)

@@ -84,16 +84,8 @@ class NormingIncompatible(TailgraphError):
         super().__init__(message)
 
 
-class NormingUnavailable(TailgraphError):
-    """No norming family is registered for a clique model."""
-
-
 class UnsupportedCliqueShape(TailgraphError):
     """The finite-level simulator does not support this clique shape."""
-
-
-class UnsupportedNormingFamily(TailgraphError):
-    """A clique model's family is not one the engine knows how to norm."""
 
 
 class MissingNorming(TailgraphError):

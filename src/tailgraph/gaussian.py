@@ -90,6 +90,11 @@ class GaussianCopulaModel:
         if self.correlation.index != clique:
             object.__setattr__(self, "correlation", self.correlation.sub(clique))
 
+    @property
+    def matrix(self) -> CorrelationMatrix:
+        """The labelled parameter matrix: the correlation."""
+        return self.correlation
+
     def given(self, sep) -> GaussianClique:
         """This clique given the separator ``sep``: empty for an
         unconditioned root, {v} for the root of a limit at v."""

@@ -32,14 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    IncompatibleSeparators,
-    NormingUnavailable,
-    NotChordal,
-    NotConnected,
-    UnsupportedNormingFamily,
-)
+from .errors import ConfigError, IncompatibleSeparators, NotChordal, NotConnected
 
 #: Largest entrywise gap two cliques' separator blocks may show.
 SEPARATOR_TOL = 1e-12
@@ -63,10 +56,11 @@ class Graph:
     _adj: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        adj = {v: set() for v in range(1, self.n + 1)}
+        # only vertices with edges get a set, so n costs no memory
+        adj: dict[int, set[int]] = {}
         for i, j in map(sorted, self.edges):
-            adj[i].add(j)
-            adj[j].add(i)
+            adj.setdefault(i, set()).add(j)
+            adj.setdefault(j, set()).add(i)
         object.__setattr__(self, "_adj", adj)
 
     @staticmethod
@@ -95,8 +89,8 @@ class Graph:
     def vertices(self) -> tuple[int, ...]:
         return tuple(range(1, self.n + 1))
 
-    def neighbors(self, v: int) -> set[int]:
-        return self._adj[v]
+    def neighbors(self, v: int) -> set[int] | frozenset[int]:
+        return self._adj.get(v, frozenset())
 
     def has_edge(self, i: int, j: int) -> bool:
         return frozenset((i, j)) in self.edges
@@ -300,15 +294,6 @@ def clique_ordering(graph: Graph, root_vertex: int) -> CliqueOrdering:
     )
 
 
-def _family_of(model) -> str:
-    fam = getattr(model, "family", None)
-    if fam is None:
-        raise NormingUnavailable(f"model {model!r} declares no norming family")
-    if fam not in ("husler_reiss", "gaussian"):
-        raise UnsupportedNormingFamily(f"unknown family {fam!r}")
-    return fam
-
-
 def _models_table(ordering: CliqueOrdering, models: dict) -> dict:
     """The model of every clique of the ordering, keyed by the clique.
 
@@ -331,9 +316,9 @@ def _models_table(ordering: CliqueOrdering, models: dict) -> dict:
 def check_separator_models(ordering: CliqueOrdering, table: dict) -> None:
     """Adjacent cliques must induce the same law on shared separators.
 
-    Singleton separators are always compatible (both families have unit
+    Singleton separators are always compatible (every family has unit
     exponential margins).  Larger separators require matching families
-    and matching variogram/correlation blocks, to :data:`SEPARATOR_TOL`.
+    and matching blocks of each model's ``matrix``, to :data:`SEPARATOR_TOL`.
     """
     for i in range(1, len(ordering)):
         sep = ordering.separators[i]
@@ -341,19 +326,14 @@ def check_separator_models(ordering: CliqueOrdering, table: dict) -> None:
             continue
         child = table[ordering.cliques[i]]
         parent = table[ordering.cliques[ordering.parents[i]]]
-        cf, pf = _family_of(child), _family_of(parent)
-        if cf != pf:
+        if child.family != parent.family:
             raise IncompatibleSeparators(
-                f"cliques {ordering.cliques[i]} ({cf}) and "
-                f"{ordering.cliques[ordering.parents[i]]} ({pf}) share "
+                f"cliques {ordering.cliques[i]} ({child.family}) and "
+                f"{ordering.cliques[ordering.parents[i]]} ({parent.family}) share "
                 f"separator {sep} but use different families"
             )
-        if cf == "husler_reiss":
-            gap = float(np.max(np.abs(child.variogram.sub(sep).values
-                                      - parent.variogram.sub(sep).values)))
-        else:
-            gap = float(np.max(np.abs(child.correlation.sub(sep).values
-                                      - parent.correlation.sub(sep).values)))
+        gap = float(np.max(np.abs(child.matrix.sub(sep).values
+                                  - parent.matrix.sub(sep).values)))
         if gap > SEPARATOR_TOL:
             raise IncompatibleSeparators(
                 f"cliques {ordering.cliques[i]} and "

@@ -147,6 +147,11 @@ class HuslerReissModel:
     def dim(self) -> int:
         return len(self.clique)
 
+    @property
+    def matrix(self) -> VariogramMatrix:
+        """The labelled parameter matrix: the variogram."""
+        return self.variogram
+
 
 def _anchored_values(vario: VariogramMatrix, k: int) -> np.ndarray:
     """Σ^{(c)} for the anchor c at position ``k``, over the other positions

@@ -54,7 +54,7 @@ from .graphs import (
     clique_ordering,
 )
 from .linalg import GaussianLaw, IndexedMatrix, IndexedVector, _positions
-from .rng import _check_rows, block_runner, check_seed, derived_rng
+from .rng import _check_rows, block_runner, check_seed, derived_rng, empty_rows
 
 HALF = Fraction(1, 2)
 #: Separator fluctuations at which :func:`remainder_report` compares normings.
@@ -374,7 +374,7 @@ def sample_tail_model(model: TailGraphicalModel | TailNoiseModel, n: int,
     columns = model.ordering.graph.vertices
     vcol = columns.index(model.v)
     pos = {u: k for k, u in enumerate(model.z_index)}
-    values = np.empty((n, len(columns)))
+    values = empty_rows(n, (n, len(columns)))
 
     def fill(blk):
         k, start, stop = blk

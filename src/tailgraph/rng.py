@@ -52,6 +52,17 @@ def _check_rows(n, workers, least: int = 0) -> None:
             raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def empty_rows(n: int, shape: tuple[int, int]) -> np.ndarray:
+    """``np.empty(shape)`` for a sampler's n rows; :class:`ConfigError`
+    naming n, the shape and its bytes if the machine cannot hold it."""
+    try:
+        return np.empty(shape)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond the index range
+        nbytes = shape[0] * shape[1] * 8
+        raise ConfigError(f"n={n} rows need a float array of shape {shape}, "
+                          f"{nbytes} bytes, which cannot be allocated") from exc
+
+
 def derived_rng(seed: int, stream: int) -> np.random.Generator:
     """Generator for the given (seed, stream) pair; both go through the
     integer rule of :func:`check_seed` and are shifted as ints, so that no

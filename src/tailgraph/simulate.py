@@ -50,6 +50,7 @@ from .rng import (
     block_runner,
     check_seed,
     derived_rng,
+    empty_rows,
 )
 
 #: The HR pair inverter's tolerance and floor, which the benchmark's
@@ -209,7 +210,7 @@ def _fill_levels(plan: _DrawPlan, n: int, seed: int, workers: int, ts,
     columns are filled, ``after(draw, arrays)`` may read and rewrite the
     rows that draw retires.  No draw's bits depend on its row.
     """
-    arrays = [np.empty((plan.width, n)) for _ in ts]
+    arrays = [empty_rows(n, (plan.width, n)) for _ in ts]
     blocks = block_bounds(n)
     rngs = [derived_rng(seed, OFFSET_LATENT + k) for k, _, _ in blocks]
     scores = [[{} for _ in ts] for _ in blocks]

@@ -222,17 +222,28 @@ def test_every_import_is_read():
 
 
 def test_no_family_comparisons_outside_parsing_and_validation():
-    """The limit engine, the simulator, the diagnostics and the command
-    line ask a clique's record for its family's rules: none of them
-    compares a value with a family name.  Parsing and validation
-    (``config``, ``graphs``) keep theirs."""
+    """A family is named once, as its model class's ``family`` attribute.
+    No module compares a value with a family name: the engine asks a
+    clique's record for its family's rules, the separator check compares
+    each model's ``matrix``, and ``config`` looks families up in one table
+    keyed by those attributes.  So a family name is a string constant
+    nowhere else in the package, a comparison's operand included."""
     families = {"gaussian", "husler_reiss"}
-    found = []
-    for name in ("limits.py", "simulate.py", "diagnostics.py", "cli.py"):
-        for node in ast.walk(_parse(PACKAGE / name)):
-            if isinstance(node, ast.Compare) and any(
-                    isinstance(n, ast.Constant) and n.value in families
-                    for part in (node.left, *node.comparators)
-                    for n in ast.walk(part)):
-                found.append(f"{name}:{node.lineno}")
+    found, declared = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        attributes = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for stmt in cls.body:
+                    if (isinstance(stmt, ast.Assign)
+                            and [ast.unparse(t) for t in stmt.targets] == ["family"]
+                            and isinstance(stmt.value, ast.Constant)):
+                        attributes.add(id(stmt.value))
+                        declared.append((path.name, cls.name, stmt.value.value))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and node.value in families
+                  and id(node) not in attributes]
     assert found == []
+    assert sorted(declared) == [("gaussian.py", "GaussianCopulaModel", "gaussian"),
+                                ("husler_reiss.py", "HuslerReissModel", "husler_reiss")]

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -376,6 +377,38 @@ def test_verify_needs_two_rows(configs, tmp_path):
     assert "n must be an integer >= 2" in payload(res)["error"]["message"]
     assert not any((tmp_path / "out").glob("*"))
     assert caught == []
+
+
+def test_verify_refuses_a_sample_size_beyond_memory(configs, tmp_path):
+    """2**62 rows fail in np.empty without touching memory: exit 2 with a
+    ConfigError naming n, the shape and its bytes, and no output file."""
+    n = 2 ** 62
+    res = run("verify", "--config", str(configs / "hr_chain.json"),
+              "--n", str(n), "--out", str(tmp_path / "out"))
+    assert res.exit_code == EXIT_CONFIG
+    assert payload(res)["error"] == {
+        "type": "ConfigError",
+        "message": f"n={n} rows need a float array of shape (3, {n}), "
+                   f"{3 * n * 8} bytes, which cannot be allocated"}
+    assert not any((tmp_path / "out").glob("*"))
+
+
+@pytest.mark.parametrize("command", ["graph", "derive", "verify"])
+def test_a_vertex_count_costs_memory_only_through_its_edges(tmp_path, command):
+    """Two million vertices and one edge reach NotConnected without a
+    set, a list or a tuple per vertex."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(
+        {"graph": {"vertices": 2_000_000, "edges": [[1, 2]]}, "v": 1}))
+    tracemalloc.start()
+    try:
+        res = run(command, "--config", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == EXIT_PRECONDITION
+    assert payload(res)["error"]["type"] == "NotConnected"
+    assert peak < 10 * 2 ** 20
 
 
 @pytest.mark.parametrize("levels", ["nan", "inf", "2,nan", "2,inf", "-inf",

@@ -149,6 +149,29 @@ def test_clique_spec_validation():
             parse_config({**base, "cliques": [spec]})
 
 
+GAMMA = [[0.0, 1.0], [1.0, 0.0]]
+RHO = [[1.0, 0.5], [0.5, 1.0]]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"family": ["gaussian"], "correlation": RHO}, "unknown family ['gaussian']"),
+    ({"family": {"gaussian": 1}, "correlation": RHO},
+     "unknown family {'gaussian': 1}"),
+    ({"family": "husler_reiss", "correlation": RHO}, "husler_reiss takes 'variogram'"),
+    ({"family": "husler_reiss", "variogram": GAMMA, "correlation": RHO},
+     "husler_reiss takes 'variogram'"),
+    ({"family": "gaussian", "variogram": GAMMA}, "gaussian takes 'correlation'"),
+    ({"family": "gaussian"}, "gaussian takes 'correlation'"),
+], ids=["list", "object", "hr_correlation", "hr_both", "gaussian_variogram",
+        "gaussian_none"])
+def test_family_refusals_name_the_family_and_its_matrix(spec, message):
+    """A family is a string naming a row of the families table, and each
+    row names the one matrix key its clique takes."""
+    with pytest.raises(ConfigError) as err:
+        parse_config(chain_doc(cliques=[{"vertices": [1, 2], **spec}]))
+    assert str(err.value) == f"cliques[0]: {message}"
+
+
 def test_cliques_must_cover_maximal_cliques_exactly():
     only_first = [hr_cliques()[0]]
     with pytest.raises(ConfigError, match="missing specs"):

@@ -62,6 +62,7 @@ import study_oracle
 from conftest import (
     MIXED_GAMMA,
     MIXED_R,
+    gauss_pair_model,
     hr_pair_model,
     mixed_models,
     perfbench_workloads,
@@ -153,6 +154,10 @@ def test_chi_argument_gates():
         chi_estimator(s, (), 0.9)
     with pytest.raises(QuantileOutOfRange):
         chi_estimator(s, (1, 2), 1.0)
+    with pytest.raises(ConfigError, match=r"columns \[9\] not in sample matrix"):
+        chi_estimator(s, (1, 9), 0.9)
+    with pytest.raises(QuantileOutOfRange, match="leaves no exceedances at n=1000"):
+        chi_estimator(s, (1, 2), 1e-4)  # k = round(0.9999 * 1000) = n
     for bad in (np.nan, np.inf):
         values = s.values.copy()
         values[7, 1] = bad
@@ -783,6 +788,12 @@ def test_factorized_density_batch_equals_single_states(seed, log_y):
         single = [factorized_density(ordering, models, y, log=log) for y in ys]
         assert all(isinstance(x, float) for x in single)
         assert np.array_equal(batch, single), log
+
+
+def test_factorized_density_needs_hr_cliques():
+    models = {(1, 2): gauss_pair_model((1, 2), 0.5)}
+    with pytest.raises(ConfigError, match="requires Hüsler-Reiss cliques"):
+        factorized_density(pair_ordering(), models, np.array([1.0, 1.0]))
 
 
 def test_factorized_density_rejects_bad_shapes():

@@ -49,6 +49,8 @@ def test_conditioning_requires_positive_correlation():
     neg = corr((1, 2), [[1.0, -0.5], [-0.5, 1.0]])
     with pytest.raises(DegenerateCorrelation):
         gs.GaussianCopulaModel((1, 2), neg).given((1,)).root()
+    with pytest.raises(ConfigError, match="no coordinates left after removing 1"):
+        gs.limit_scale_matrix(corr((1,), [[1.0]]), 1)
 
 
 # ----------------------------------------------------------- closed forms

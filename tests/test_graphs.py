@@ -10,11 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graph_oracle
+from tailgraph import gaussian as gs
 from tailgraph import graphs
-from tailgraph.errors import ConfigError, NotChordal, NotConnected
+from tailgraph import husler_reiss as hr
+from tailgraph.errors import (
+    ConfigError,
+    IncompatibleSeparators,
+    NotChordal,
+    NotConnected,
+)
 from tailgraph.graphs import (
     Graph,
     JunctionTree,
+    check_separator_models,
     clique_ordering,
     goldner_harary,
     junction_tree,
@@ -71,6 +79,34 @@ def test_round_trip_dict():
     assert Graph.from_dict(g.to_dict()) == g
     with pytest.raises(ConfigError):
         Graph.from_dict({"vertices": 2, "edges": [], "bogus": 1})
+
+
+def test_vertex_list_gives_the_count_form_graph():
+    doc = {"vertices": [1, 2, 3], "edges": [[1, 2], [2, 3]]}
+    assert Graph.from_dict(doc) == Graph.from_dict({**doc, "vertices": 3})
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([[1, 2]], "graph document must be an object"),
+    ({"edges": []}, "graph document needs 'vertices' and 'edges'"),
+    ({"vertices": 2}, "graph document needs 'vertices' and 'edges'"),
+    ({"vertices": "2", "edges": []}, "'vertices' must be a count or a 1..n list"),
+    ({"vertices": 2.0, "edges": []}, "'vertices' must be a count or a 1..n list"),
+], ids=["list", "no_vertices", "no_edges", "string_count", "float_count"])
+def test_from_dict_refuses_a_malformed_document(doc, message):
+    with pytest.raises(ConfigError) as err:
+        Graph.from_dict(doc)
+    assert str(err.value) == message
+
+
+def test_isolated_vertices_hold_no_adjacency():
+    """A vertex without edges has no neighbours and no set of its own, so
+    a graph's memory grows with its edges, not its vertex count."""
+    g = Graph.make(10 ** 6, [(1, 2)])
+    assert g.neighbors(1) == {2} and g.neighbors(10 ** 6) == frozenset()
+    assert len(g._adj) == 2
+    with pytest.raises(NotConnected):
+        clique_ordering(g, 1)
 
 
 # ------------------------------------------------------- clique orderings
@@ -339,3 +375,67 @@ def test_path_intersection_matches_its_definition(g, data):
                   for i, p in enumerate(parents, start=1))
     tree = JunctionTree(ordering=o, edges=edges)
     assert tree.check_path_intersection() == _path_intersection_by_definition(tree)
+
+
+# ---------------------------------------------------- models and separators
+
+
+def triangle_pair():
+    """Two triangles sharing the separator (2, 3)."""
+    return clique_ordering(Graph.make(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]), 1)
+
+
+def with_23(clique, base, value):
+    """A 3 x 3 matrix over ``clique`` with ``base`` off the diagonal,
+    except ``value`` between vertices 2 and 3."""
+    m = np.full((3, 3), base)
+    k, l = clique.index(2), clique.index(3)
+    m[k, l] = m[l, k] = value
+    return m
+
+
+def hr_triangle(clique, gamma_23):
+    g = with_23(clique, 1.0, gamma_23)
+    np.fill_diagonal(g, 0.0)
+    return hr.HuslerReissModel(clique, hr.VariogramMatrix(clique, g))
+
+
+def gauss_triangle(clique, rho_23):
+    r = with_23(clique, 0.5, rho_23)
+    np.fill_diagonal(r, 1.0)
+    return gs.GaussianCopulaModel(clique, gs.CorrelationMatrix(clique, r))
+
+
+@pytest.mark.parametrize("make, agree, differ", [
+    (hr_triangle, 0.8, 0.9), (gauss_triangle, 0.3, 0.4)], ids=["hr", "gaussian"])
+def test_separator_check_compares_each_models_matrix(make, agree, differ):
+    """The check reads each model's parameter matrix, the variogram or
+    the correlation, on the separator, whatever its place in the clique."""
+    ordering = triangle_pair()
+    first, second = ordering.cliques
+    table = {first: make(first, agree), second: make(second, agree)}
+    check_separator_models(ordering, table)
+    table[second] = make(second, differ)
+    with pytest.raises(IncompatibleSeparators) as err:
+        check_separator_models(ordering, table)
+    assert str(err.value) == (f"cliques {second} and {first} disagree on "
+                              f"separator (2, 3) by {abs(differ - agree):.3e}")
+
+
+def test_separator_check_refuses_mixed_families():
+    ordering = triangle_pair()
+    first, second = ordering.cliques
+    table = {first: gauss_triangle(first, 0.3), second: hr_triangle(second, 0.8)}
+    with pytest.raises(IncompatibleSeparators) as err:
+        check_separator_models(ordering, table)
+    assert str(err.value) == (
+        f"cliques {second} (husler_reiss) and {first} (gaussian) share "
+        "separator (2, 3) but use different families")
+
+
+def test_models_table_needs_every_clique():
+    ordering = triangle_pair()
+    first, second = ordering.cliques
+    with pytest.raises(ConfigError) as err:
+        graphs._models_table(ordering, {first: hr_triangle(first, 0.8)})
+    assert str(err.value) == f"no model supplied for clique {second}"

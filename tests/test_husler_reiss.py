@@ -13,9 +13,11 @@ from scipy.stats import norm
 from tailgraph import husler_reiss as hr
 from tailgraph.errors import (
     ConfigError,
+    EmptySubset,
     IncompatibleSeparators,
     InvalidVariogram,
     NumericalBreakdown,
+    UnsupportedCliqueShape,
 )
 from tailgraph.graphs import Graph, check_separator_models, clique_ordering
 from tailgraph.linalg import spd_inverse
@@ -69,6 +71,9 @@ def test_variogram_validation():
             vario((1, 2), [[0.0, gamma], [gamma, 0.0]])
     with pytest.raises(InvalidVariogram):
         vario((1, 2), [[-0.0, 0.5], [0.5, 1e-300]])  # diagonal, however small
+    for bad in (np.inf, np.nan):
+        with pytest.raises(InvalidVariogram, match="non-finite"):
+            vario((1, 2), [[0.0, bad], [bad, 0.0]])
     assert vario((1, 2), [[-0.0, 5e-324], [5e-324, 0.0]]).dim == 2
     v = vario((3, 1), [[0.0, 2.0], [2.0, 0.0]])
     assert v.index == (3, 1)  # label order preserved at matrix level
@@ -82,6 +87,8 @@ def test_sigma_anchor_constant_variogram():
     assert np.allclose(sig.values, [[2.0, 1.0], [1.0, 2.0]], atol=1e-15)
     with pytest.raises(ConfigError):
         hr.sigma_anchor(v, 9)
+    with pytest.raises(EmptySubset, match="anchor 1 leaves no coordinates"):
+        hr.sigma_anchor(vario((1,), [[0.0]]), 1)
 
 
 def test_variogram_refuses_a_numerically_singular_anchor():
@@ -110,6 +117,9 @@ def test_exp_to_frechet_round_trip():
     assert np.allclose(np.exp(-1.0 / y), 1.0 - np.exp(-x))
     big = hr.exp_to_frechet(50.0)
     assert abs(big / np.exp(50.0) - 1.0) < 1e-12
+    for bad in (0.0, [1.0, -2.0]):
+        with pytest.raises(NumericalBreakdown, match="must be positive"):
+            hr.exp_to_frechet(bad)
 
 
 # ------------------------------------------- against 50-digit references
@@ -337,7 +347,47 @@ def test_states_of_wrong_shape_raise():
         hr.exponent_measure_derivative_many(v, [[1.0, np.nan, 2.0]], [0])
 
 
+@pytest.mark.parametrize("wrt", [[], [0, 0], [3], [-1]],
+                         ids=["none", "repeated", "past_the_end", "negative"])
+def test_derivative_positions_must_be_distinct_clique_positions(wrt):
+    v = random_variogram(np.random.default_rng(3), 3)
+    with pytest.raises(ConfigError, match="derivative positions"):
+        hr.exponent_measure_derivative_many(v, np.ones((1, 3)), wrt)
+
+
 # ----------------------------------------------------- transition kernel
+
+
+def triangle_model():
+    return hr.HuslerReissModel((1, 2, 3), vario(
+        (1, 2, 3), [[0, 1.0, 1.4], [1.0, 0, 0.9], [1.4, 0.9, 0]]))
+
+
+@pytest.mark.parametrize("sep, x_sep, x_rest, error, match", [
+    ((), [[]], [1.0, 1.0, 1.0], EmptySubset, "empty separator"),
+    ((1, 2, 3), [1.0, 1.0, 1.0], [[]], ConfigError, "covers the whole clique"),
+    ((1, 4), [1.0, 1.0], [1.0], ConfigError, r"\(1, 4\) not inside clique"),
+    ((1,), [1.0, 1.0], [1.0, 1.0], ConfigError, "state widths do not match"),
+    ((1,), [1.0], [1.0], ConfigError, "state widths do not match"),
+], ids=["empty", "covering", "outside", "wide_separator_state", "narrow_rest_state"])
+def test_transition_kernel_refuses_a_bad_separator_or_width(sep, x_sep, x_rest,
+                                                            error, match):
+    with pytest.raises(error, match=match):
+        hr.transition_kernel(triangle_model(), sep, x_sep, x_rest)
+
+
+def test_transition_kernel_broadcasts_one_row_against_many():
+    model = triangle_model()
+    x_sep = np.array([[0.5], [2.0], [4.0]])
+    x_rest = np.array([[1.0, 3.0]])
+    many = hr.transition_kernel(model, (1,), x_sep, np.repeat(x_rest, 3, axis=0))
+    assert np.array_equal(hr.transition_kernel(model, (1,), x_sep, x_rest), many)
+
+
+def test_transition_kernel_refuses_a_three_vertex_separator():
+    model = hr.HuslerReissModel((1, 2, 3, 4), vario((1, 2, 3, 4), 1.0 - np.eye(4)))
+    with pytest.raises(UnsupportedCliqueShape, match="separators of size 3"):
+        hr.transition_kernel(model, (1, 2, 3), [1.0, 1.0, 1.0], [1.0])
 
 
 def test_pair_kernel_matches_exact_closed_form():
@@ -479,7 +529,21 @@ def test_kernel_limit_refuses_a_wrong_length_separator_state(z_sep):
         hr.kernel_limit(model, (1, 2), np.zeros(1), z_sep=z_sep)
 
 
+def test_kernel_limit_refuses_a_wrong_length_offset():
+    v = vario((1, 2, 3), [[0, 1.0, 1.4], [1.0, 0, 0.9], [1.4, 0.9, 0]])
+    model = hr.HuslerReissModel((1, 2, 3), v)
+    with pytest.raises(ConfigError, match=r"offset shape \(2,\) != residual size 1"):
+        hr.kernel_limit(model, (1, 2), np.zeros(2))
+
+
 # ------------------------------------------------- graph-wide closed form
+
+
+def test_graph_wide_closed_forms_need_v_in_the_first_clique(hr_chain):
+    ordering, models = hr_chain
+    for closed_form in (hr.tail_model_mean, hr.tail_model_precision):
+        with pytest.raises(ConfigError, match="vertex 3 not in the first clique"):
+            closed_form(ordering, models, 3)
 
 
 def test_three_chain_mean_and_precision(hr_chain):

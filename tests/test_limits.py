@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import limit_oracle
 from tailgraph import gaussian as gs
 from tailgraph import husler_reiss as hr
+from tailgraph import rng as rng_module
 from tailgraph.config import load_config, parse_config
 from tailgraph.errors import (
     ConfigError,
@@ -558,15 +559,34 @@ def test_gaussian_chordal_limit_moments_match_the_oracle_and_the_closed_form(cas
 @pytest.mark.parametrize(
     "n, seed, workers",
     [(-1, 0, 1), (2.5, 0, 1), (True, 0, 1), (10, -1, 1), (10, 2.5, 1),
-     (10, True, 1), (10, 2 ** 64, 1), (10, 0, 0), (10, 0, 2.5)],
+     (10, True, 1), (10, 2 ** 64, 1), (10, 0, 0), (10, 0, 2.5), (2 ** 62, 0, 1)],
     ids=["negative_n", "fractional_n", "bool_n", "negative_seed", "fractional_seed",
-         "bool_seed", "wide_seed", "zero_workers", "fractional_workers"])
+         "bool_seed", "wide_seed", "zero_workers", "fractional_workers",
+         "beyond_memory"])
 def test_limit_sampling_rejects_bad_arguments(hr_chain, n, seed, workers):
     ordering, models = hr_chain
     for limit in (build_tail_model(ordering, models, 1),
                   build_tail_noise(ordering, models, 1)):
         with pytest.raises(ConfigError):
             sample_tail_model(limit, n, seed, workers=workers)
+
+
+def test_limit_sampling_turns_a_memory_error_into_a_config_error(hr_chain,
+                                                                 monkeypatch):
+    """An output the machine cannot hold is a ConfigError naming n, the
+    shape and its bytes.  np.empty is made to refuse, so nothing is
+    allocated for real."""
+    ordering, models = hr_chain
+    limit = build_tail_model(ordering, models, 1)
+
+    def refuse(shape):
+        raise MemoryError
+
+    monkeypatch.setattr(rng_module.np, "empty", refuse)
+    with pytest.raises(ConfigError) as err:
+        sample_tail_model(limit, 10, 0)
+    assert str(err.value) == ("n=10 rows need a float array of shape (10, 3), "
+                              "240 bytes, which cannot be allocated")
 
 
 @pytest.mark.parametrize("read", [lambda s: s.column(99), lambda s: s.sub([2, 99])],

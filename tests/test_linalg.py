@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tailgraph.errors import ConfigError, NotSPD
+from tailgraph.errors import ConfigError, EmptySubset, NotSPD
 from tailgraph.gaussian import CorrelationMatrix
 from tailgraph.husler_reiss import VariogramMatrix
 from tailgraph.limits import SampleMatrix, build_tail_model, sample_tail_model
@@ -41,6 +41,18 @@ def test_matrix_labels_and_blocks():
     assert blk.values.tolist() == [[8.0, 6.0], [2.0, 0.0]]
     rect = m.sub((1,), (3, 7))
     assert rect.values.tolist() == [[1.0, 2.0]]
+
+
+def test_malformed_labels_and_shapes_are_refused():
+    with pytest.raises(EmptySubset, match="empty label index"):
+        IndexedVector((), np.zeros(0))
+    with pytest.raises(ConfigError, match=r"matrix shape \(3, 3\) does not match"):
+        IndexedMatrix.square((1, 2), np.zeros((3, 3)))
+    wide = IndexedMatrix((1, 2), (1, 2, 3), np.zeros((2, 3)))
+    with pytest.raises(NotSPD, match="is not square"):
+        wide.check_symmetric()
+    with pytest.raises(NotSPD, match=r"block is not square: shape \(2, 3\)"):
+        cholesky_spd(np.zeros((2, 3)), "block")
 
 
 LABELLED = {

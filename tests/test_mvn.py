@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 from scipy.special import ndtr
 
-from tailgraph.errors import ConfigError, DimensionTooLarge, NumericalBreakdown
+from tailgraph.errors import ConfigError, DimensionTooLarge, NotSPD, NumericalBreakdown
 from tailgraph.linalg import GaussianLaw, IndexedMatrix, IndexedVector
 from tailgraph.mvn import CdfEstimate, bvn_cdf, mvn_cdf
 
@@ -40,6 +40,18 @@ def test_bvn_degenerate_correlations():
     assert abs(bvn_cdf(0.3, 1.2, 1.0) - ndtr(0.3)) < 1e-14
     assert abs(bvn_cdf(0.3, -0.1, -1.0) - max(
         0.0, ndtr(0.3) + ndtr(-0.1) - 1.0)) < 1e-14
+
+
+@pytest.mark.parametrize("r", [1.5, -1.0000001, np.nan])
+def test_bvn_refuses_a_correlation_outside_the_unit_interval(r):
+    with pytest.raises(NotSPD, match=r"outside \[-1, 1\]"):
+        bvn_cdf(0.0, 0.0, r)
+
+
+def test_bvn_infinite_limits():
+    assert bvn_cdf(-np.inf, 0.3, 0.5) == 0.0 == bvn_cdf(np.inf, -np.inf, -0.5)
+    assert bvn_cdf(np.inf, np.inf, 0.5) == 1.0
+    assert bvn_cdf(np.inf, 0.3, 0.5) == ndtr(0.3)
 
 
 @pytest.mark.parametrize("x, y, r", [

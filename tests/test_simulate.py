@@ -292,18 +292,26 @@ def test_threshold_levels_share_random_numbers(hr_chain):
 @pytest.mark.parametrize(
     "n, seed, workers",
     [(-1, 0, 1), (2.5, 0, 1), (True, 0, 1), (10, -1, 1), (10, 2.5, 1),
-     (10, True, 1), (10, 2 ** 64, 1), (0, -1, 1), (10, 0, 0), (10, 0, 2.5)],
+     (10, True, 1), (10, 2 ** 64, 1), (0, -1, 1), (10, 0, 0), (10, 0, 2.5),
+     (2 ** 62, 0, 1)],
     ids=["negative_n", "fractional_n", "bool_n", "negative_seed", "fractional_seed",
          "bool_seed", "wide_seed", "no_rows_negative_seed", "zero_workers",
-         "fractional_workers"])
+         "fractional_workers", "beyond_memory"])
 def test_simulators_reject_bad_arguments(hr_chain, n, seed, workers):
     """One seed rule and one row-count rule, checked before any row is
-    drawn, even when there is none to draw."""
+    drawn, even when there is none to draw; a row count no array can
+    hold fails in np.empty, before any memory is touched."""
     ordering, models = hr_chain
     with pytest.raises(ConfigError):
         simulate_graphical(ordering, models, n, seed, workers=workers)
     with pytest.raises(ConfigError):
         conditional_exceedance(ordering, models, 1, 4.0, n, seed, workers=workers)
+
+
+def test_conditional_exceedance_needs_a_graph_vertex(hr_chain):
+    ordering, models = hr_chain
+    with pytest.raises(ConfigError, match="vertex 9 not in the graph"):
+        conditional_exceedance(ordering, models, 9, 4.0, 10, seed=0)
 
 
 def shipped(pytestconfig, name):
